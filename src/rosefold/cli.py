@@ -3,7 +3,11 @@
 Every subcommand echoes its full configuration (defaults and seed
 included) into the output header, writes JSON or CSV to stdout or
 --out, and uses the exit-code contract: 0 success, 1 verification
-failure (with a machine-readable report), 2 usage error.
+failure (with a machine-readable report), 2 usage error.  A usage error
+caught by argument parsing prints argparse's usage message; bad input
+found later (an unreadable file, a letter outside the rank, a rank or
+cap the library rejects) prints ``{"error": ...}`` on stdout instead of
+a traceback.
 """
 
 from __future__ import annotations
@@ -47,6 +51,12 @@ def _to_csv(payload: dict) -> str:
             continue
         lines.append(f"# {key}={json.dumps(value, default=str)}")
     return "\n".join(lines) + "\n"
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
 
 
 def _config_echo(args: argparse.Namespace, names: list[str]) -> dict:
@@ -330,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("word-stats", help="repeated-subword and coverage statistics")
     p.add_argument("--rank", type=int, default=2)
     p.add_argument("--length", type=int, default=4096)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epsilon", type=float, default=0.05)
     p.add_argument("--jobs", type=int, default=1)
@@ -398,9 +408,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (ValueError, KeyError, OSError, RuntimeError) as exc:
+        error = {"error": f"{type(exc).__name__}: {exc}"}
+        sys.stdout.write(json.dumps(error, indent=2) + "\n")
+        return 2
 
 
 if __name__ == "__main__":

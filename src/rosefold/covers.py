@@ -6,6 +6,14 @@ of vertices at which some lift of the word read so far can end.  The
 word fails to lift exactly when that set empties, so the shortest
 non-lifting reduced word is a breadth-first search over (vertex set,
 last letter) states; the state space is tiny for desk-scale graphs.
+
+The survey's candidates come from orderly generation (Read 1978; McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 1998).  Unlabelled
+shapes are grown edge by edge and deduplicated by a permutation key;
+on each shape the label assignments are visited in lexicographic order
+and only the least one of each orbit of the shape's automorphism group
+is emitted.  No labelled graph is hashed, and the output sequence is
+fixed by the shape order and the assignment order alone.
 """
 
 from __future__ import annotations
@@ -20,10 +28,7 @@ from .graphs import (
     EdgePath,
     LabeledGraph,
     betti,
-    canonical_key,
     format_graph,
-    is_connected,
-    is_core_graph,
 )
 from .words import Word, letter_key
 
@@ -239,17 +244,72 @@ def _shape_children(
             yield nv + 1, tuple(sorted(edges + ((a, nv),)))
 
 
+def _shape_images(
+    nv: int, edges: tuple[tuple[int, int], ...]
+) -> Iterator[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]]:
+    """Every vertex permutation of a small multigraph with the sorted edge
+    pair list it maps ``edges`` to (shapes here have at most 7 vertices)."""
+    for perm in itertools.permutations(range(nv)):
+        yield perm, tuple(sorted(tuple(sorted((perm[a], perm[b]))) for a, b in edges))
+
+
 def _shape_key(nv: int, edges: tuple[tuple[int, int], ...]) -> tuple:
     """Exact canonical key for a small multigraph: least sorted edge list
-    over all vertex permutations (shapes here have at most 7 vertices)."""
-    best = None
-    for perm in itertools.permutations(range(nv)):
-        mapped = tuple(
-            sorted(tuple(sorted((perm[a], perm[b]))) for a, b in edges)
-        )
-        if best is None or mapped < best:
-            best = mapped
-    return (nv, best)
+    over all vertex permutations."""
+    return (nv, min(mapped for _, mapped in _shape_images(nv, edges)))
+
+
+def _parallel_groups(pairs: tuple[tuple[int, int], ...]) -> list[tuple[tuple[int, int], int]]:
+    """Runs of equal pairs in a sorted pair list: (pair, multiplicity)."""
+    return [(pair, len(list(run))) for pair, run in itertools.groupby(pairs)]
+
+
+def _group_actions(
+    nv: int, pairs: tuple[tuple[int, int], ...]
+) -> list[tuple[tuple[int, bool], ...]]:
+    """The non-trivial actions of Aut(shape) on parallel groups.
+
+    An automorphism sends every edge of a parallel group to one image
+    group, reversing all of them or none.  Its action is recorded as, for
+    each image group in order, the source group and whether the edges
+    are reversed (which flips the sign of a non-loop label).
+    """
+    groups = _parallel_groups(pairs)
+    index = {pair: k for k, (pair, _) in enumerate(groups)}
+    actions: set[tuple[tuple[int, bool], ...]] = set()
+    for perm, mapped in _shape_images(nv, pairs):
+        if mapped != pairs:
+            continue
+        source_of: dict[int, tuple[int, bool]] = {}
+        for k, ((a, b), _) in enumerate(groups):
+            pa, pb = perm[a], perm[b]
+            source_of[index[(min(pa, pb), max(pa, pb))]] = (k, pa > pb)
+        actions.add(tuple(source_of[t] for t in range(len(groups))))
+    actions.discard(tuple((k, False) for k in range(len(groups))))
+    return list(actions)
+
+
+def _is_orbit_least(
+    blocks: tuple[tuple[int, ...], ...], actions: list[tuple[tuple[int, bool], ...]]
+) -> bool:
+    """Is no image of ``blocks`` under ``actions`` lexicographically less?
+
+    ``blocks`` holds, per parallel group, the sorted indices into that
+    group's label choices; a non-loop's choices alternate signs, so
+    ``j ^ 1`` is the index of the reversed label.  Images are compared
+    with their labels sorted inside each group, since parallel edges
+    permute freely.
+    """
+    for action in actions:
+        for target, (source, flip) in enumerate(action):
+            image = blocks[source]
+            if flip:
+                image = tuple(sorted(j ^ 1 for j in image))
+            if image != blocks[target]:
+                if image < blocks[target]:
+                    return False
+                break
+    return True
 
 
 def enumerate_candidates(
@@ -259,64 +319,48 @@ def enumerate_candidates(
     topological edges and Betti number at most 2*rank - 1, one per
     label-preserving isomorphism class.
 
+    Orderly generation: labelled graphs on one unlabelled shape are
+    isomorphic exactly when an automorphism of the shape carries one
+    label assignment onto the other, and graphs on non-isomorphic shapes
+    never are.  So each shape's assignments, read as tuples of indices
+    into the per-edge label choices, are visited in lexicographic order
+    (sorted inside each parallel group) and only the least one of each
+    Aut(shape) orbit is kept; no canonical key is computed.  The order is
+    fixed: shapes as ``_unlabeled_shapes`` sorts them, then the orbit-least
+    assignments in ``itertools.product`` order.  Callers that cap their
+    work per graph (``alpha_injectivity_experiment`` keeps at most
+    ``max_lifts`` lifts per start vertex) depend on which representative
+    each class gets.
+
     Raises RuntimeError when ``max_graphs`` distinct graphs are exceeded.
     """
     if rank < 2:
         raise ValueError("rank must be >= 2")
-    max_betti = 2 * rank - 1
-    emitted: set[tuple] = set()
+    loop_labels = list(range(1, rank + 1))
+    arc_labels = [g for gen in range(1, rank + 1) for g in (gen, -gen)]
     count = 0
-    for nv, pairs in _unlabeled_shapes(max_edges, max_betti):
-        label_choices: list[list[int]] = []
-        for a, b in pairs:
-            if a == b:
-                label_choices.append(list(range(1, rank + 1)))
-            else:
-                label_choices.append(
-                    [g for gen in range(1, rank + 1) for g in (gen, -gen)]
-                )
-        for assignment in itertools.product(*label_choices):
-            edges = tuple((a, b, lab) for (a, b), lab in zip(pairs, assignment))
-            g = LabeledGraph(rank, nv, edges)
-            key = canonical_key(g, respect_base=False)
-            if key in emitted:
+    for nv, pairs in _unlabeled_shapes(max_edges, 2 * rank - 1):
+        groups = _parallel_groups(pairs)
+        choices = [loop_labels if a == b else arc_labels for (a, b), _ in groups]
+        actions = _group_actions(nv, pairs)
+        per_group = [
+            itertools.combinations_with_replacement(range(len(labels)), size)
+            for labels, (_, size) in zip(choices, groups)
+        ]
+        for blocks in itertools.product(*per_group):
+            if not _is_orbit_least(blocks, actions):
                 continue
-            emitted.add(key)
             count += 1
             if max_graphs is not None and count > max_graphs:
-                raise RuntimeError("enumeration exceeded the configured cap")
-            yield g
-
-
-def brute_force_candidates(rank: int, max_edges: int) -> list[LabeledGraph]:
-    """Independent generate-and-filter oracle for small bounds: raw product
-    over endpoint and label choices, naive dedup by canonical key."""
-    out: dict[tuple, LabeledGraph] = {}
-    max_betti = 2 * rank - 1
-    for nv in range(1, max_edges + 1):
-        endpoint_pairs = [(a, b) for a in range(nv) for b in range(a, nv)]
-        for ne in range(1, max_edges + 1):
-            for pair_combo in itertools.combinations_with_replacement(endpoint_pairs, ne):
-                labels_options = []
-                for a, b in pair_combo:
-                    labels_options.append(
-                        list(range(1, rank + 1))
-                        if a == b
-                        else [g for gen in range(1, rank + 1) for g in (gen, -gen)]
-                    )
-                for labels in itertools.product(*labels_options):
-                    edges = tuple(
-                        (a, b, lab) for (a, b), lab in zip(pair_combo, labels)
-                    )
-                    g = LabeledGraph(rank, nv, edges)
-                    if not is_connected(g):
-                        continue
-                    if not is_core_graph(g):
-                        continue
-                    if betti(g) > max_betti:
-                        continue
-                    out.setdefault(canonical_key(g, respect_base=False), g)
-    return list(out.values())
+                raise RuntimeError(
+                    f"enumeration exceeded the cap of {max_graphs} candidate graphs"
+                )
+            edges = tuple(
+                (a, b, labels[j])
+                for ((a, b), _), labels, block in zip(groups, choices, blocks)
+                for j in block
+            )
+            yield LabeledGraph(rank, nv, edges)
 
 
 # ---------------------------------------------------------------------------

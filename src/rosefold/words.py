@@ -125,8 +125,9 @@ class CyclicWord:
 
     @classmethod
     def from_cyclically_reduced(cls, word: Word) -> "CyclicWord":
-        k = _least_rotation(word.letters)
-        return cls(Word(word.rank, word.letters[k:] + word.letters[:k]))
+        if not word.is_cyclically_reduced:
+            raise ValueError("representative is not cyclically reduced")
+        return _rotated(word.rank, word.letters, _least_rotation(word.letters))
 
     def __len__(self) -> int:
         return len(self.word)
@@ -162,8 +163,24 @@ def cyclic_reduce(word: Word) -> tuple[CyclicWord, Word]:
     core = tuple(letters)
     k = _least_rotation(core)
     conjugator = free_reduce(word.rank, tuple(prefix) + core[:k])
-    cyclic = CyclicWord(Word(word.rank, core[k:] + core[:k]))
-    return cyclic, conjugator
+    return _rotated(word.rank, core, k), conjugator
+
+
+def _unchecked(cls: type, **fields: object):
+    """An instance of a frozen dataclass built without ``__post_init__``,
+    for values derived from ones that were already validated."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _rotated(rank: int, letters: tuple[int, ...], k: int) -> CyclicWord:
+    """The cyclic word of validated, cyclically reduced ``letters`` whose
+    least rotation starts at ``k``: the rotation is already reduced and
+    canonical, so neither check runs again."""
+    word = _unchecked(Word, rank=rank, letters=letters[k:] + letters[:k])
+    return _unchecked(CyclicWord, word=word)
 
 
 def commutator_class(g1: Word, g2: Word) -> CyclicWord:

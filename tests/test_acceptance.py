@@ -121,6 +121,13 @@ def test_04_cover_characterization_survey():
     )
     assert ok
     assert covered == rep.total_candidates
+    assert (
+        rep.total_candidates,
+        rep.with_rose_lift,
+        rep.two_sheeted_covers,
+        rep.witnessed,
+        rep.max_witness_length,
+    ) == (47984, 677, 3, 47304, 5)
     assert elapsed < 600
 
 

@@ -176,3 +176,52 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main(["complexity", "--word", "a1"])
         assert err.value.code == 2
+
+
+class TestInputErrors:
+    """Bad input exits 2 with a JSON error instead of a traceback."""
+
+    def assert_error(self, capsys, *argv) -> str:
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        payload = json.loads(out)
+        assert list(payload) == ["error"]
+        return payload["error"]
+
+    def test_verify_covers_rank_one(self, capsys):
+        error = self.assert_error(capsys, "verify-covers", "--rank", "1")
+        assert "rank" in error
+
+    def test_alpha_injectivity_rank_one(self, capsys):
+        error = self.assert_error(
+            capsys, "alpha-injectivity", "--rank", "1", "--samples", "2"
+        )
+        assert "rank" in error
+
+    def test_fold_letter_outside_rank(self, capsys):
+        error = self.assert_error(capsys, "fold", "--words", "a3")
+        assert "letter 3" in error
+
+    def test_complexity_uncovered_word(self, capsys):
+        error = self.assert_error(
+            capsys, "complexity", "--relators", "a1", "--word", "a2", "--depth", "0"
+        )
+        assert "not a factor" in error
+
+    def test_sc_check_missing_presentation(self, capsys, tmp_path):
+        missing = tmp_path / "missing.json"
+        error = self.assert_error(capsys, "sc-check", "--presentation", str(missing))
+        assert "missing.json" in error
+
+    def test_word_stats_zero_samples_rejected_by_parser(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["word-stats", "--samples", "0"])
+        assert err.value.code == 2
+        assert "--samples" in capsys.readouterr().err
+
+    def test_verify_covers_cap_overflow_names_cap(self, capsys):
+        error = self.assert_error(
+            capsys, "verify-covers", "--rank", "2", "--max-edges", "4",
+            "--max-candidates", "5",
+        )
+        assert "cap of 5 " in error

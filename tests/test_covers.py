@@ -4,8 +4,8 @@ import random
 import pytest
 
 from rosefold.covers import (
+    _unlabeled_shapes,
     all_two_sheeted_covers,
-    brute_force_candidates,
     enumerate_candidates,
     has_sub_cover,
     is_path_surjective_up_to,
@@ -169,6 +169,60 @@ class TestTwoSheetedCovers:
             assert is_two_sheeted_cover(g) == local(g)
 
 
+def canonical_key_candidates(rank: int, max_edges: int) -> list[LabeledGraph]:
+    """Differential oracle for ``enumerate_candidates``: every label
+    assignment on every shape in ``itertools.product`` order, keeping the
+    first graph of each ``canonical_key`` class."""
+    emitted: set[tuple] = set()
+    out = []
+    for nv, pairs in _unlabeled_shapes(max_edges, 2 * rank - 1):
+        label_choices = [
+            list(range(1, rank + 1))
+            if a == b
+            else [g for gen in range(1, rank + 1) for g in (gen, -gen)]
+            for a, b in pairs
+        ]
+        for assignment in itertools.product(*label_choices):
+            edges = tuple((a, b, lab) for (a, b), lab in zip(pairs, assignment))
+            g = LabeledGraph(rank, nv, edges)
+            key = canonical_key(g, respect_base=False)
+            if key not in emitted:
+                emitted.add(key)
+                out.append(g)
+    return out
+
+
+def brute_force_candidates(rank: int, max_edges: int) -> list[LabeledGraph]:
+    """Independent generate-and-filter oracle for small bounds: raw product
+    over endpoint and label choices, naive dedup by canonical key."""
+    out: dict[tuple, LabeledGraph] = {}
+    max_betti = 2 * rank - 1
+    for nv in range(1, max_edges + 1):
+        endpoint_pairs = [(a, b) for a in range(nv) for b in range(a, nv)]
+        for ne in range(1, max_edges + 1):
+            for pair_combo in itertools.combinations_with_replacement(endpoint_pairs, ne):
+                labels_options = []
+                for a, b in pair_combo:
+                    labels_options.append(
+                        list(range(1, rank + 1))
+                        if a == b
+                        else [g for gen in range(1, rank + 1) for g in (gen, -gen)]
+                    )
+                for labels in itertools.product(*labels_options):
+                    edges = tuple(
+                        (a, b, lab) for (a, b), lab in zip(pair_combo, labels)
+                    )
+                    g = LabeledGraph(rank, nv, edges)
+                    if not is_connected(g):
+                        continue
+                    if not is_core_graph(g):
+                        continue
+                    if betti(g) > max_betti:
+                        continue
+                    out.setdefault(canonical_key(g, respect_base=False), g)
+    return list(out.values())
+
+
 def perm_min_key(g: LabeledGraph) -> tuple:
     """Fully independent canonical form: least sorted edge list over all
     vertex permutations, with loop labels normalized positive."""
@@ -188,6 +242,25 @@ def perm_min_key(g: LabeledGraph) -> tuple:
 
 
 class TestEnumeration:
+    @pytest.mark.parametrize(
+        "rank,max_edges", [(2, e) for e in range(1, 6)] + [(3, e) for e in range(1, 5)]
+    )
+    def test_matches_canonical_key_oracle(self, rank, max_edges):
+        # same graphs, same edge order, same sequence: callers that cap
+        # work per graph see the same representatives
+        ours = list(enumerate_candidates(rank, max_edges))
+        oracle = canonical_key_candidates(rank, max_edges)
+        assert ours == oracle
+
+    def test_no_canonical_key_calls(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("canonical_key called during enumeration")
+
+        monkeypatch.setattr("rosefold.graphs.canonical_key", forbidden)
+        monkeypatch.setattr("rosefold.graphs._encode_from", forbidden)
+        monkeypatch.setattr("rosefold.covers.canonical_key", forbidden, raising=False)
+        assert len(list(enumerate_candidates(2, 4))) == 558
+
     def test_matches_brute_force_at_two_edges(self):
         ours = {canonical_key(g, respect_base=False) for g in enumerate_candidates(2, 2)}
         brute = {canonical_key(g, respect_base=False) for g in brute_force_candidates(2, 2)}
@@ -220,8 +293,10 @@ class TestEnumeration:
             list(enumerate_candidates(1, 2))
 
     def test_cap_enforced(self):
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="cap of 5 "):
             list(enumerate_candidates(2, 4, max_graphs=5))
+        # 558 classes at (2, 4): a cap of exactly that many is not exceeded
+        assert len(list(enumerate_candidates(2, 4, max_graphs=558))) == 558
 
     def test_arc_count_bound_on_cores(self):
         # a connected core graph of Betti m >= 2 splits into at most
@@ -258,6 +333,17 @@ class TestSurvey:
         # exactly the 2^2 - 1 two-vertex covers of the rank-2 rose fit in 4 edges
         assert report.two_sheeted_covers == 3
         assert report.total_candidates > 100
+
+    def test_rank_three_counters(self):
+        report = survey_two_cover_characterization(3, 4, 14)
+        assert report.violations == []
+        assert (
+            report.total_candidates,
+            report.with_rose_lift,
+            report.two_sheeted_covers,
+            report.witnessed,
+            report.max_witness_length,
+        ) == (2437, 4, 0, 2433, 3)
 
     def test_survey_classifies_every_candidate(self):
         report = survey_two_cover_characterization(2, 4, 12)

@@ -92,6 +92,27 @@ class TestCyclicReduce:
         cyc, _ = cyclic_reduce(w("a2 a2 a1"))
         assert cyc == CyclicWord.from_cyclically_reduced(w("a1 a2 a2"))
 
+    def test_constructor_rejects_non_canonical_rotation(self):
+        with pytest.raises(ValueError, match="canonical rotation"):
+            CyclicWord(w("a2 a1 a2"))
+
+    def test_constructor_rejects_non_cyclically_reduced(self):
+        with pytest.raises(ValueError, match="cyclically reduced"):
+            CyclicWord(w("a1 a2 a1^-1"))
+        with pytest.raises(ValueError, match="cyclically reduced"):
+            CyclicWord.from_cyclically_reduced(w("a1 a2 a1^-1"))
+
+    @given(raw_letters)
+    @settings(max_examples=200)
+    def test_unchecked_paths_pass_the_checked_constructor(self, letters):
+        # cyclic_reduce and from_cyclically_reduced skip re-validation;
+        # what they build must still satisfy every public check
+        cyc, _ = cyclic_reduce(free_reduce(3, letters))
+        assert CyclicWord(Word(cyc.rank, cyc.word.letters)) == cyc
+        assert CyclicWord.from_cyclically_reduced(cyc.word) == cyc
+        inv = cyc.inverse()
+        assert CyclicWord(Word(inv.rank, inv.word.letters)) == inv
+
 
 class TestNielsen:
     def test_invert(self):
