@@ -80,12 +80,13 @@ def cmd_fold(args: argparse.Namespace) -> int:
     t = _parse_tuple(args)
     wedge = folding.wedge_of_loops(t)
     trace = folding.fold_all(wedge, policy=args.policy)
-    digests = [
-        hashlib.sha256(
-            repr(graphs.canonical_key(trace.stage(k).graph)).encode()
-        ).hexdigest()[:16]
-        for k in range(trace.num_stages)
-    ]
+    digests = []
+    dumps = []
+    for stage in trace.stages():
+        key = graphs.canonical_key(stage.graph)
+        digests.append(hashlib.sha256(repr(key).encode()).hexdigest()[:16])
+        if args.dump_stages:
+            dumps.append(graphs.format_graph(stage.graph))
     payload = {
         "config": _config_echo(args, ["rank", "words", "tuple_json", "policy", "dump_stages"]),
         "initial_edges": wedge.num_edges,
@@ -97,9 +98,7 @@ def cmd_fold(args: argparse.Namespace) -> int:
         "delta_index": trace.delta_index,
     }
     if args.dump_stages:
-        payload["stages"] = [
-            graphs.format_graph(trace.stage(k).graph) for k in range(trace.num_stages)
-        ]
+        payload["stages"] = dumps
     _emit(payload, args)
     return 0
 

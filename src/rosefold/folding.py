@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .graphs import (
     Arc,
@@ -214,6 +214,8 @@ class FoldTrace:
 
     Stages are replayed on demand from the records rather than stored;
     stage(0) is the initial graph and stage(len(records)) the terminal.
+    ``stage(k)`` replays k records; ``stages()`` yields them all in one
+    replay.
     ``first_lift_stage`` is the first stage containing a rose lift (only
     tracked under the defer_rose policy).
     """
@@ -247,16 +249,14 @@ class FoldTrace:
         graph, vmap, emap = engine.materialize()
         return Stage(graph, vmap, emap)
 
-    def resolve_token(self, token: int, k: int) -> int:
-        """Image of an original oriented token in stage ``k``, still in
-        original edge ids."""
-        replaced: dict[int, FoldRecord] = {}
-        for record in self.records[:k]:
-            replaced[abs(record.removed)] = record
-        while abs(token) in replaced:
-            record = replaced[abs(token)]
-            token = record.kept if token == record.removed else -record.kept
-        return token
+    def stages(self) -> Iterator[Stage]:
+        """Every stage in order, replaying the records once; each equals
+        ``stage(k)``."""
+        engine = _Engine(self.initial)
+        yield Stage(*engine.materialize())
+        for record in self.records:
+            engine.apply_record(record)
+            yield Stage(*engine.materialize())
 
     def push_path(self, path: EdgePath, k: int, stage: Stage | None = None) -> EdgePath:
         """Image of a path of the initial graph in stage ``k``."""

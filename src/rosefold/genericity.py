@@ -180,10 +180,6 @@ class StatsReport:
     rows: list[dict] = field(default_factory=list)
     aggregate: dict = field(default_factory=dict)
 
-    def fraction(self, predicate_name: str) -> float:
-        hits = sum(1 for row in self.rows if row.get(predicate_name))
-        return hits / len(self.rows) if self.rows else 0.0
-
     def finalize(self, predicates: Sequence[str]) -> None:
         out: dict = {"samples": len(self.rows)}
         for name in predicates:

@@ -183,27 +183,15 @@ def subgraph_as_graph(g: LabeledGraph, sub: Subgraph) -> LabeledGraph:
 def collapse(g: LabeledGraph, sub: Subgraph) -> LabeledGraph:
     """Quotient graph: every connected component of ``sub`` becomes a vertex."""
     check_subgraph(g, sub)
-    parent = list(range(g.num_vertices))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for k in sub.edges:
-        src, dst, _ = g.edges[k]
-        ra, rb = find(src), find(dst)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    roots = sorted({find(v) for v in range(g.num_vertices)})
+    root = _components(g.num_vertices, (g.edges[k][:2] for k in sub.edges))
+    roots = sorted(set(root))
     remap = {r: i for i, r in enumerate(roots)}
     edges = tuple(
-        (remap[find(src)], remap[find(dst)], label)
+        (remap[root[src]], remap[root[dst]], label)
         for k, (src, dst, label) in enumerate(g.edges)
         if k not in sub.edges
     )
-    base = remap[find(g.base)] if g.base is not None else None
+    base = remap[root[g.base]] if g.base is not None else None
     return LabeledGraph(g.rank, len(roots), edges, base)
 
 
@@ -406,8 +394,10 @@ class EdgePath:
 # canonical form and isomorphism
 
 
-def _encode_from(g: LabeledGraph, start: int, labeled: bool) -> tuple:
-    """Least BFS encoding from ``start``.
+def _encode_from(
+    g: LabeledGraph, start: int, labeled: bool, bound: tuple | None = None
+) -> tuple:
+    """Least BFS encoding from ``start``, or ``bound`` when that is less.
 
     Vertices are numbered in discovery order.  At each vertex the label
     groups are visited in label order; when a group reaches several
@@ -416,54 +406,100 @@ def _encode_from(g: LabeledGraph, start: int, labeled: bool) -> tuple:
     emitted only after every target of the vertex has its final number,
     sorted by (label, number), so the encoding depends on the
     isomorphism class alone.
-    """
-    n = g.num_vertices
-    adj = g.adjacency
-    group_key = (lambda r: letter_key(r[0])) if labeled else (lambda r: (0, 0))
-    best: list[tuple | None] = [None]
 
-    def rec(order: list[int], ids: dict[int, int], qi: int, tokens: list[int]) -> None:
+    The search backtracks over one shared numbering: each choice at a
+    branch point appends to ``order`` and ``tokens``, and both are cut
+    back to their lengths at the branch point (with the numbers of the
+    vertices they discovered cleared) before the next choice.  Every
+    complete encoding of a connected graph has the same length, 6E + V,
+    so a branch stops as soon as its token prefix is strictly greater
+    than the same-length prefix of the best encoding so far; ``bound``
+    seeds that best, which lets ``canonical_key`` prune every start
+    after the first.  A complete numbering that misses a vertex means the
+    graph is disconnected, which raises ValueError.
+    """
+    adj = g.adjacency
+    ids = [-1] * g.num_vertices
+    ids[start] = 0
+    order = [start]
+    tokens: list[int] = []
+    # per vertex and label group, in label order: the group's key, its
+    # targets with multiplicity and its distinct targets in vertex order;
+    # built on first visit
+    groups: list[list | None] = [None] * g.num_vertices
+    best = bound
+
+    def label_groups(v: int) -> list:
+        # adjacency is sorted by (label, target), so groups are runs
+        out = []
+        if labeled:
+            prev = None
+            for label, target, _ in adj[v]:
+                if label != prev:
+                    prev = label
+                    targets: list[int] = []
+                    distinct: list[int] = []
+                    out.append(letter_key(label) + (targets, distinct))
+                if not distinct or distinct[-1] != target:
+                    distinct.append(target)
+                targets.append(target)
+        elif adj[v]:
+            targets = [target for _, target, _ in adj[v]]
+            out.append((0, 0, targets, sorted(set(targets))))
+        groups[v] = out
+        return out
+
+    def search(qi: int, gi: int, tight: bool) -> None:
+        # ``tight``: the tokens so far equal the best encoding's prefix
+        nonlocal best
         while qi < len(order):
             v = order[qi]
-            recs = adj[v]
-            # assign discovery numbers until this vertex has none pending;
-            # the first label group with several distinct unnumbered
-            # targets is a branch point
-            while True:
-                pending: dict[tuple, list[int]] = {}
-                for rec_ in recs:
-                    if rec_[1] not in ids:
-                        pending.setdefault(group_key(rec_), []).append(rec_[1])
-                if not pending:
-                    break
-                key = min(pending)
-                targets = sorted(set(pending[key]))
-                if len(targets) == 1:
-                    ids = dict(ids)
-                    ids[targets[0]] = len(order)
-                    order = order + [targets[0]]
-                    continue
-                for first in targets:
-                    ids2 = dict(ids)
-                    ids2[first] = len(order)
-                    rec(order + [first], ids2, qi, list(tokens))
-                return
-            emitted = sorted(
-                (group_key(r) + (ids[r[1]],) for r in recs)
-            )
-            tokens = list(tokens)
-            for gen, sign, tid in emitted:
-                tokens.extend((gen, sign, tid))
+            vgroups = groups[v] or label_groups(v)
+            while gi < len(vgroups):
+                pending = [t for t in vgroups[gi][3] if ids[t] < 0]
+                if len(pending) > 1:
+                    mark, mark_tokens = len(order), len(tokens)
+                    for first in pending:
+                        ids[first] = mark
+                        order.append(first)
+                        before = best
+                        search(qi, gi, tight)
+                        if best is not before:
+                            # the new best shares this branch point's prefix
+                            tight = True
+                        for u in order[mark:]:
+                            ids[u] = -1
+                        del order[mark:]
+                        del tokens[mark_tokens:]
+                    return
+                if pending:
+                    ids[pending[0]] = len(order)
+                    order.append(pending[0])
+                gi += 1
+            mark_tokens = len(tokens)
+            for k0, k1, targets, _ in vgroups:
+                if len(targets) == 1:  # most groups; skip sorting one id
+                    tokens.extend((k0, k1, ids[targets[0]]))
+                else:
+                    for tid in sorted([ids[t] for t in targets]):
+                        tokens.extend((k0, k1, tid))
             tokens.append(-1)
+            if tight:
+                segment = tuple(tokens[mark_tokens:])
+                reference = best[mark_tokens : len(tokens)]
+                if segment > reference:
+                    return
+                tight = segment == reference
             qi += 1
-        if len(order) == n:
-            enc = tuple(tokens)
-            if best[0] is None or enc < best[0]:
-                best[0] = enc
+            gi = 0
+        if len(order) < len(ids):
+            raise ValueError("canonical_key expects a connected graph")
+        if not tight:
+            best = tuple(tokens)
 
-    rec([start], {start: 0}, 0, [])
-    assert best[0] is not None
-    return best[0]
+    search(0, 0, best is not None)
+    assert best is not None
+    return best
 
 
 def canonical_key(g: LabeledGraph, respect_base: bool = True, labeled: bool = True) -> tuple:
@@ -472,12 +508,12 @@ def canonical_key(g: LabeledGraph, respect_base: bool = True, labeled: bool = Tr
     Based graphs are encoded from the base; otherwise the least encoding
     over all start vertices is used.  Connected graphs only.
     """
-    if not is_connected(g):
-        raise ValueError("canonical_key expects a connected graph")
     header = (g.rank if labeled else 0, g.num_vertices, g.num_edges)
     if respect_base and g.base is not None:
         return header + (1,) + _encode_from(g, g.base, labeled)
-    body = min(_encode_from(g, v, labeled) for v in range(g.num_vertices))
+    body = None
+    for v in range(g.num_vertices):
+        body = _encode_from(g, v, labeled, body)
     return header + (0,) + body
 
 

@@ -133,14 +133,6 @@ class SuffixAutomaton:
             out.append((length, self.endpos[v]))
         return out
 
-    def contains(self, factor: str) -> bool:
-        v = 0
-        for ch in factor:
-            v = self.next[v].get(ch, -1)
-            if v < 0:
-                return False
-        return True
-
 
 def longest_repeated_length(chars: str, include_inverses: bool) -> int:
     """Longest factor occurring at two distinct positions; with the flag,

@@ -37,6 +37,41 @@ class TestFold:
         assert len(payload["stages"]) == payload["folds"] + 1
         assert len(payload["stage_digests"]) == payload["folds"] + 1
 
+    @pytest.mark.parametrize("policy", ["least", "greatest", "defer_rose"])
+    def test_stage_digests_match_oracle(self, capsys, policy):
+        # digests and dumps from one replay equal the copying encoder's
+        # keys of every stage(k)
+        import hashlib
+        import random
+
+        from test_graphs import oracle_canonical_key
+
+        from rosefold.folding import fold_all, wedge_of_loops
+        from rosefold.graphs import format_graph
+        from rosefold.words import GenTuple, Word, format_word, random_reduced_letters
+
+        # two 30-letter words sharing a 15-letter prefix, so that the fold
+        # sequence runs along it
+        rng = random.Random(30)
+        first = random_reduced_letters(rng, 2, 30)
+        second = first
+        while second[15] in (first[15], -first[14]):
+            second = first[:15] + random_reduced_letters(rng, 2, 15)
+        t = GenTuple(2, (Word(2, first), Word(2, second)))
+        code, out = run_cli(
+            capsys, "fold", "--rank", "2", "--policy", policy, "--dump-stages",
+            "--words", *(format_word(w) for w in t.entries),
+        )
+        assert code == 0
+        payload = json.loads(out)
+        trace = fold_all(wedge_of_loops(t), policy=policy)
+        stages = [trace.stage(k).graph for k in range(trace.num_stages)]
+        assert payload["stage_digests"] == [
+            hashlib.sha256(repr(oracle_canonical_key(g)).encode()).hexdigest()[:16]
+            for g in stages
+        ]
+        assert payload["stages"] == [format_graph(g) for g in stages]
+
     def test_defer_policy_reports_delta_index(self, capsys):
         code, out = run_cli(
             capsys, "fold", "--words", "a1 a2 a1^-1 a2", "a1", "a2",

@@ -206,6 +206,19 @@ class TestFoldAll:
         t = nielsen_basis_tuple(rng, 3, moves=10)
         assert is_folded(fold_all(wedge_of_loops(t)).terminal)
 
+    @pytest.mark.parametrize("policy", ["least", "greatest", "defer_rose"])
+    def test_stages_match_stage(self, rng, policy):
+        for _ in range(6):
+            t = nielsen_basis_tuple(rng, 2, moves=10)
+            trace = fold_all(wedge_of_loops(t), policy=policy)
+            replayed = [trace.stage(k) for k in range(trace.num_stages)]
+            streamed = list(trace.stages())
+            assert len(streamed) == trace.num_stages
+            for a, b in zip(streamed, replayed):
+                assert a.graph == b.graph
+                assert a.vertex_map == b.vertex_map
+                assert a.edge_map == b.edge_map
+
     def test_push_path_preserves_labels(self, rng):
         t = nielsen_basis_tuple(rng, 2, moves=8)
         g = wedge_of_loops(t)

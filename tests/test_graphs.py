@@ -7,9 +7,11 @@ from rosefold.graphs import (
     LabeledGraph,
     arc_label,
     betti,
+    canonical_key,
     collapse,
     core,
     format_graph,
+    is_connected,
     is_core_graph,
     isomorphic_labeled,
     maximal_arcs,
@@ -18,7 +20,7 @@ from rosefold.graphs import (
     subgraph_as_graph,
     subgraph_from_edges,
 )
-from rosefold.words import parse_word
+from rosefold.words import letter_key, parse_word
 
 
 def theta_graph(lengths=(1, 2, 3), rank=2) -> LabeledGraph:
@@ -256,6 +258,161 @@ class TestGraphProperties:
         edges = tuple((mapping[s], mapping[d], l) for s, d, l in g.edges)
         h = LabeledGraph(g.rank, g.num_vertices, edges)
         assert canonical_key(g, respect_base=False) == canonical_key(h, respect_base=False)
+
+
+def oracle_encode_from(g: LabeledGraph, start: int, labeled: bool) -> tuple:
+    """The copying encoder that ``graphs._encode_from`` replaced, kept as
+    the slow path: every numbered vertex copies the numbering, the order
+    and the tokens, and every branch runs to a complete encoding."""
+    n = g.num_vertices
+    adj = g.adjacency
+    group_key = (lambda r: letter_key(r[0])) if labeled else (lambda r: (0, 0))
+    best: list[tuple | None] = [None]
+
+    def rec(order: list[int], ids: dict[int, int], qi: int, tokens: list[int]) -> None:
+        while qi < len(order):
+            v = order[qi]
+            recs = adj[v]
+            # assign discovery numbers until this vertex has none pending;
+            # the first label group with several distinct unnumbered
+            # targets is a branch point
+            while True:
+                pending: dict[tuple, list[int]] = {}
+                for rec_ in recs:
+                    if rec_[1] not in ids:
+                        pending.setdefault(group_key(rec_), []).append(rec_[1])
+                if not pending:
+                    break
+                key = min(pending)
+                targets = sorted(set(pending[key]))
+                if len(targets) == 1:
+                    ids = dict(ids)
+                    ids[targets[0]] = len(order)
+                    order = order + [targets[0]]
+                    continue
+                for first in targets:
+                    ids2 = dict(ids)
+                    ids2[first] = len(order)
+                    rec(order + [first], ids2, qi, list(tokens))
+                return
+            emitted = sorted(
+                (group_key(r) + (ids[r[1]],) for r in recs)
+            )
+            tokens = list(tokens)
+            for gen, sign, tid in emitted:
+                tokens.extend((gen, sign, tid))
+            tokens.append(-1)
+            qi += 1
+        if len(order) == n:
+            enc = tuple(tokens)
+            if best[0] is None or enc < best[0]:
+                best[0] = enc
+
+    rec([start], {start: 0}, 0, [])
+    assert best[0] is not None
+    return best[0]
+
+
+def oracle_canonical_key(
+    g: LabeledGraph, respect_base: bool = True, labeled: bool = True
+) -> tuple:
+    """``canonical_key`` over ``oracle_encode_from``."""
+    assert is_connected(g)
+    header = (g.rank if labeled else 0, g.num_vertices, g.num_edges)
+    if respect_base and g.base is not None:
+        return header + (1,) + oracle_encode_from(g, g.base, labeled)
+    body = min(oracle_encode_from(g, v, labeled) for v in range(g.num_vertices))
+    return header + (0,) + body
+
+
+@st.composite
+def connected_graphs(draw, rank=2, max_v=7, max_extra=6):
+    """A random spanning tree plus extra edges (loops and parallel edges
+    allowed), with vertex ids shuffled and an optional base."""
+    nv = draw(st.integers(1, max_v))
+    perm = draw(st.permutations(range(nv)))
+    letter = st.sampled_from([1, -1]).flatmap(
+        lambda s: st.integers(1, rank).map(lambda g: s * g)
+    )
+    edges = [(draw(st.integers(0, v - 1)), v, draw(letter)) for v in range(1, nv)]
+    for _ in range(draw(st.integers(0, max_extra))):
+        edges.append(
+            (draw(st.integers(0, nv - 1)), draw(st.integers(0, nv - 1)), draw(letter))
+        )
+    edges = draw(st.permutations(edges))
+    base = draw(st.none() | st.integers(0, nv - 1))
+    return LabeledGraph(rank, nv, tuple((perm[s], perm[d], l) for s, d, l in edges), base)
+
+
+def branching_star(arms=4, rank=2) -> LabeledGraph:
+    """A centre with ``arms`` (at most four) a1-edges to distinct
+    vertices, each arm continuing as a path whose labels differ from arm
+    to arm only deep inside it, in an order unrelated to the arms' vertex
+    numbers: the centre branches over every order of its arms, a later
+    choice sometimes beats the best so far and sometimes loses to it, and
+    most choices are cut off part-way."""
+    edges = []
+    nv = 1
+    for arm in range(arms):
+        prev = 0
+        labels = [1, 2, 2, 1] + [2] * (1, 3, 0, 2)[arm] + [1, 1]
+        for label in labels:
+            edges.append((prev, nv, label))
+            prev = nv
+            nv += 1
+        edges.append((prev, 0, 2))  # close the arm into a petal
+    return LabeledGraph(rank, nv, tuple(edges), base=0)
+
+
+class TestCanonicalKeyOracle:
+    @given(connected_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_copying_encoder(self, g):
+        for labeled in (True, False):
+            for respect_base in (True, False):
+                assert canonical_key(g, respect_base, labeled) == oracle_canonical_key(
+                    g, respect_base, labeled
+                )
+
+    # unlabelled keys branch at every vertex; at four arms the oracle
+    # takes most of a minute on them, so four arms run labelled only
+    @pytest.mark.parametrize(
+        "arms,labels",
+        [(2, (True, False)), (3, (True, False)), (4, (True,))],
+        ids=["2-arms", "3-arms", "4-arms-labelled"],
+    )
+    def test_branching_star(self, arms, labels):
+        g = branching_star(arms)
+        for labeled in labels:
+            for respect_base in (True, False):
+                assert canonical_key(g, respect_base, labeled) == oracle_canonical_key(
+                    g, respect_base, labeled
+                )
+
+    def test_every_start_matches(self, rng):
+        # ``bound`` only lowers the answer to itself
+        from rosefold.graphs import _encode_from
+
+        g = branching_star(3)
+        codes = [oracle_encode_from(g, v, True) for v in range(g.num_vertices)]
+        for v, code in enumerate(codes):
+            assert _encode_from(g, v, True) == code
+            for bound in rng.sample(codes, 5):
+                assert _encode_from(g, v, True, bound) == min(code, bound)
+
+    def test_encoding_length(self, rng):
+        for _ in range(30):
+            g = random_graph(rng, max_v=6, max_e=9)
+            if not is_connected(g):
+                continue
+            body = canonical_key(g, respect_base=False)[4:]
+            assert len(body) == 6 * g.num_edges + g.num_vertices
+
+    def test_disconnected_rejected(self):
+        g = LabeledGraph(2, 3, ((0, 1, 1), (2, 2, 2)), base=0)
+        for respect_base in (True, False):
+            with pytest.raises(ValueError, match="connected"):
+                canonical_key(g, respect_base)
 
 
 class TestTextFormat:
