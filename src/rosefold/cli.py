@@ -59,6 +59,12 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _nonnegative_int(text: str) -> int:
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return int(text)
+
+
 def _config_echo(args: argparse.Namespace, names: list[str]) -> dict:
     return {name: getattr(args, name) for name in names}
 
@@ -267,10 +273,36 @@ def cmd_complexity(args: argparse.Namespace) -> int:
     return 0
 
 
+def _relator_rotation(spec: str, idx: cxmod.UWordIndex) -> tuple[int, int, int, int]:
+    """Parse ``rel:sign:offset:length``: an existing relator, a sign of 1 or
+    -1, an offset inside the relator and a length from 1 to its length
+    (an empty pattern has no disjoint occurrences to replace)."""
+    try:
+        rel, sign, offset, length = map(int, spec.split(":"))
+    except ValueError:  # a field that is no integer, or not four fields
+        raise ValueError(
+            f"--relator-rotation {spec!r} is not rel:sign:offset:length in integers"
+        ) from None
+    if not 0 <= rel < len(idx.relators):
+        raise ValueError(
+            f"--relator-rotation names relator {rel}, but the relator indices "
+            f"are 0..{len(idx.relators) - 1}"
+        )
+    if sign not in (1, -1):
+        raise ValueError(f"--relator-rotation sign must be 1 or -1, not {sign}")
+    size = len(idx.relators[rel])
+    if not (0 <= offset < size and 1 <= length <= size):
+        raise ValueError(
+            f"--relator-rotation needs 0 <= offset < {size} and 1 <= length <= {size} "
+            f"for relator {rel}, got offset {offset} and length {length}"
+        )
+    return rel, sign, offset, length
+
+
 def cmd_reduce(args: argparse.Namespace) -> int:
     idx = _load_relators(args)
     w = words.parse_word(args.word, args.rank)
-    rel, sign, offset, length = (int(x) for x in args.relator_rotation.split(":"))
+    rel, sign, offset, length = _relator_rotation(args.relator_rotation, idx)
     base = idx.relators[rel]
     if sign < 0:
         base = base.inverse()
@@ -330,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="exhaustively classify small core graphs against the cover characterization",
     )
     p.add_argument("--rank", type=int, default=2)
-    p.add_argument("--max-edges", dest="max_edges", type=int, default=6)
+    p.add_argument("--max-edges", dest="max_edges", type=_positive_int, default=6)
     p.add_argument("--max-path-len", dest="max_path_len", type=int, default=14)
     p.add_argument("--max-candidates", dest="max_candidates", type=int, default=None)
     common(p)
@@ -352,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--alpha", type=float, default=0.9)
-    p.add_argument("--max-edges", dest="max_edges", type=int, default=4)
+    p.add_argument("--max-edges", dest="max_edges", type=_positive_int, default=4)
     common(p)
     p.set_defaults(func=cmd_alpha_injectivity)
 
@@ -377,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, default=2)
     p.add_argument("--relators", nargs="+", required=True)
     p.add_argument("--word", required=True)
-    p.add_argument("--depth", type=int, default=1)
+    p.add_argument("--depth", type=_nonnegative_int, default=1)
     common(p)
     p.set_defaults(func=cmd_complexity)
 
@@ -391,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="rel:sign:offset:length selecting the pattern from a relator rotation",
     )
-    p.add_argument("--depth", type=int, default=1)
+    p.add_argument("--depth", type=_nonnegative_int, default=1)
     common(p)
     p.set_defaults(func=cmd_reduce)
 
@@ -399,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, default=2)
     p.add_argument("--relator-length", dest="relator_length", type=int, default=40)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--depth", type=int, default=0)
+    p.add_argument("--depth", type=_nonnegative_int, default=0)
     common(p)
     p.set_defaults(func=cmd_surgery_demo)
 

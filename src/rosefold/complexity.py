@@ -9,6 +9,14 @@ is the least k with w a concatenation of k U-words; c2 sums the robust
 lengths of the long factors.  The equivalence ball used for c2 has no
 effective bound in general, so it is explored breadth-first to a stated
 depth and all comparisons are made at equal depth.
+
+The ball is explored once per (word, depth) for every factor index.
+Each word met is numbered once, its factor tables are computed once,
+and it is expanded at most once into tagged edges (candidate, j), j
+being the index of the replaced factor.  The i-ball is then the
+breadth-first search over the edges with j != i, with the same
+``max_ball`` stop as a search of its own; every ell_hat_i reads its
+node scores from the shared tables.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from . import strsearch
-from .words import CyclicWord, Word, free_reduce
+from .words import CyclicWord, Word, _unchecked, free_reduce
 
 
 @dataclass(frozen=True)
@@ -163,7 +171,10 @@ class UWordIndex:
         if cert.sign < 0:
             base = base.inverse()
         letters = base.letters
-        return Word(self.rank, letters[cert.rotation :] + letters[: cert.rotation])
+        # a rotation of a cyclically reduced relator is reduced
+        return _unchecked(
+            Word, rank=self.rank, letters=letters[cert.rotation :] + letters[: cert.rotation]
+        )
 
     def u_complement(self, z: Word, cert: UCert | None = None, extra_power: int = 0) -> Word:
         """Minimal V with z * V^-1 a power of the certified rotation;
@@ -179,7 +190,8 @@ class UWordIndex:
         if full[: len(z)] != z.letters:
             raise ValueError("certificate does not match the word")
         tail = full[len(z) :]
-        return Word(self.rank, tail).inverse()
+        # a subword of a power of a cyclically reduced rotation is reduced
+        return _unchecked(Word, rank=self.rank, letters=tail).inverse()
 
     def max_factor_starting(self, w: Word) -> list[int]:
         """For each position of w, the length of the longest factor of a
@@ -345,6 +357,31 @@ def exhaustive_cut_c1(w: Word, idx: UWordIndex) -> int:
     return best
 
 
+def _cut_sequences(
+    n: int, maxstart: list[int], G: list[int], cap: int | None
+) -> Iterator[tuple[int, ...]]:
+    """Interior cuts of every segmentation of a length-``n`` word into
+    G[0] factors, in lexicographic cut order; stops after ``cap`` when
+    given."""
+    k = G[0]
+    emitted = 0
+    stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
+    while stack:
+        pos, cuts = stack.pop()
+        if pos == n:
+            yield cuts
+            emitted += 1
+            if cap is not None and emitted >= cap:
+                return
+            continue
+        used = len(cuts) + 1
+        # push longer jumps last so the leftmost-shortest comes out first
+        for jump in range(maxstart[pos], 0, -1):
+            q = pos + jump
+            if G[q] == k - used:
+                stack.append((q, cuts + ((q,) if q < n else ())))
+
+
 def admissible_decompositions(
     w: Word, idx: UWordIndex, cap: int | None = 64
 ) -> Iterator[Segmentation]:
@@ -353,55 +390,197 @@ def admissible_decompositions(
     maxstart = idx.max_factor_starting(w)
     if any(m == 0 for m in maxstart):
         raise ValueError("some letter is not a factor of any relator power")
-    F, G = _min_factor_tables(w, maxstart)
-    k = G[0]
+    _, G = _min_factor_tables(w, maxstart)
     emitted = 0
-    stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
-    while stack:
-        pos, cuts = stack.pop()
-        if pos == len(w):
-            factors_ok = True
-            certs = []
-            lo = 0
-            for cut in cuts + (len(w),):
-                cert = idx.is_u_word(w.subword(lo, cut))
-                if cert is None:
-                    factors_ok = False
-                    break
-                certs.append(cert)
-                lo = cut
-            if factors_ok:
-                yield Segmentation(w, cuts, tuple(certs))
-                emitted += 1
-                if cap is not None and emitted >= cap:
-                    return
-            continue
-        used = len(cuts) + 1
-        # push longer jumps last so the leftmost-shortest comes out first
-        for jump in range(maxstart[pos], 0, -1):
-            q = pos + jump
-            if G[q] == k - used:
-                stack.append((q, cuts + ((q,) if q < len(w) else ())))
-
-
-def _max_ith_factor(w: Word, i: int, idx: UWordIndex) -> int:
-    """Longest i-th factor over all admissible decompositions (1-based i),
-    straight from the forward/backward tables."""
-    maxstart = idx.max_factor_starting(w)
-    F, G = _min_factor_tables(w, maxstart)
-    k = G[0]
-    if not (1 <= i <= k):
-        return 0
-    best = 0
-    for p in range(len(w) + 1):
-        if F[p] != i - 1:
-            continue
-        top = p + (maxstart[p] if p < len(w) else 0)
-        for q in range(min(top, len(w)), p, -1):
-            if G[q] == k - i:
-                best = max(best, q - p)
+    for cuts in _cut_sequences(len(w), maxstart, G, None):
+        certs = []
+        lo = 0
+        for cut in cuts + (len(w),):
+            cert = idx.is_u_word(w.subword(lo, cut))
+            if cert is None:
                 break
+            certs.append(cert)
+            lo = cut
+        else:
+            yield Segmentation(w, cuts, tuple(certs))
+            emitted += 1
+            if cap is not None and emitted >= cap:
+                return
+
+
+def _ith_factor_maxima(maxstart: list[int], F: list[int], G: list[int]) -> list[int]:
+    """Entry i (1 <= i <= k = G[0]) is the longest i-th factor over all
+    admissible decompositions, straight from the forward/backward tables;
+    entry 0 is unused."""
+    n = len(maxstart)
+    k = G[0]
+    best = [0] * (k + 1)
+    for p in range(n):
+        i = F[p] + 1
+        if i > k:
+            continue
+        target = k - i
+        # G does not increase with q, so the last q with G[q] == target
+        # is found by walking down from the farthest reach while G[q] is
+        # below it; for a coverable word G[q] >= target on the whole reach
+        q = min(p + maxstart[p], n)
+        while q > p and G[q] < target:
+            q -= 1
+        if q > p and G[q] == target and q - p > best[i]:
+            best[i] = q - p
     return best
+
+
+class _Node:
+    """One word of the ball: its factor tables and, once the node has been
+    expanded, its tagged edges."""
+
+    __slots__ = ("word", "maxstart", "G", "best", "edges")
+
+    def __init__(self, word: Word, idx: UWordIndex):
+        self.word = word
+        self.maxstart = idx.max_factor_starting(word)
+        F, self.G = _min_factor_tables(word, self.maxstart)
+        self.best = _ith_factor_maxima(self.maxstart, F, self.G)
+        self.edges: list[tuple[int, int]] | None = None
+
+    @property
+    def k(self) -> int:
+        return self.G[0]
+
+    def max_ith_factor(self, i: int) -> int:
+        return self.best[i] if 1 <= i <= self.k else 0
+
+
+class _Ball:
+    """The equivalence ball of one root word, explored once for every
+    factor index.
+
+    Words are numbered in the order they are met, the root first.  A node
+    is expanded at most once, into its tagged edges ``(candidate, j)``: the
+    words obtained by replacing its j-th factor in some admissible
+    decomposition, in generation order, each pair once.  Which candidates
+    qualify (free reduction at the splice, every letter covered, the same
+    c1) does not depend on the protected index, so each candidate is
+    judged once.  The i-neighbours of a node are the candidates of its
+    edges with j != i, in first-occurrence order.
+    """
+
+    def __init__(self, root: Word, idx: UWordIndex, thresholds: Thresholds):
+        self.idx = idx
+        self.thresholds = thresholds
+        self.long = thresholds.long_factor_letters(idx.max_relator_length)
+        self.rank = root.rank
+        self.ids = {root.letters: 0}
+        self.nodes: list[_Node | None] = [_Node(root, idx)]
+
+    def node(self, nid: int) -> _Node:
+        node = self.nodes[nid]
+        assert node is not None
+        return node
+
+    def _candidate(self, letters: tuple[int, ...]) -> int | None:
+        """The id of a spliced word, or None when it does not qualify."""
+        nid = self.ids.get(letters)
+        if nid is None:
+            nid = self.ids[letters] = len(self.nodes)
+            node = _Node(_unchecked(Word, rank=self.rank, letters=letters), self.idx)
+            ok = all(node.maxstart) and node.k == self.node(0).k
+            self.nodes.append(node if ok else None)
+        return nid if self.nodes[nid] is not None else None
+
+    def _span_candidates(self, node: _Node, p: int, q: int) -> list[int]:
+        """Qualifying words that replace the factor w[p:q] by a long
+        complementary word, when that factor is long and maximal."""
+        w, maxstart, long = node.word, node.maxstart, self.long
+        n = len(w)
+        if q - p < long:
+            return []
+        # maximality of the factor as a subword of w
+        if p > 0 and maxstart[p - 1] >= q - p + 1:
+            return []
+        if q < n and maxstart[p] >= q - p + 1:
+            return []
+        letters = w.letters
+        factor = w.subword(p, q)
+        out = []
+        for cert in self.idx.certificates(factor):
+            for extra in range(self.thresholds.power_cap + 1):
+                try:
+                    comp = self.idx.u_complement(factor, cert, extra)
+                except ValueError:
+                    continue
+                if len(comp) < long:
+                    continue
+                replacement = comp.inverse().letters
+                # w and the replacement are reduced: only the seams can cancel
+                if p > 0 and letters[p - 1] == -replacement[0]:
+                    continue
+                if q < n and replacement[-1] == -letters[q]:
+                    continue
+                spliced = letters[:p] + replacement + letters[q:]
+                if spliced == letters:
+                    continue
+                nid = self._candidate(spliced)
+                if nid is not None:
+                    out.append(nid)
+        return out
+
+    def edges(self, nid: int) -> list[tuple[int, int]]:
+        node = self.node(nid)
+        if node.edges is None:
+            if not all(node.maxstart):
+                raise ValueError("some letter is not a factor of any relator power")
+            n = len(node.word)
+            by_span: dict[tuple[int, int], list[int]] = {}
+            seen: set[tuple[int, int]] = set()
+            edges = []
+            for cuts in _cut_sequences(n, node.maxstart, node.G, self.thresholds.max_decompositions):
+                bounds = (0,) + cuts + (n,)
+                for j in range(1, len(bounds)):
+                    span = (bounds[j - 1], bounds[j])
+                    found = by_span.get(span)
+                    if found is None:
+                        found = by_span[span] = self._span_candidates(node, *span)
+                    for cand in found:
+                        if (cand, j) not in seen:
+                            seen.add((cand, j))
+                            edges.append((cand, j))
+            node.edges = edges
+        return node.edges
+
+    def neighbors(self, nid: int, i: int) -> list[int]:
+        """The i-neighbours: what ``elementary_i_equivalents`` returns."""
+        out: dict[int, None] = {}
+        for cand, j in self.edges(nid):
+            if j != i:
+                out.setdefault(cand)
+        return list(out)
+
+    def i_ball(self, i: int, depth: int) -> list[int]:
+        """The words scored for index i, in breadth-first order from the
+        root over the i-neighbours."""
+        scored = [0]
+        frontier = [0]
+        seen = {0}
+        for _ in range(depth):
+            next_frontier: list[int] = []
+            for nid in frontier:
+                for neighbor in self.neighbors(nid, i):
+                    if neighbor in seen:
+                        continue
+                    seen.add(neighbor)
+                    if len(seen) > self.thresholds.max_ball:
+                        break
+                    scored.append(neighbor)
+                    next_frontier.append(neighbor)
+            frontier = next_frontier
+            if not frontier:
+                break
+        return scored
+
+    def ell_hat(self, i: int, depth: int) -> int:
+        return max(self.node(nid).max_ith_factor(i) for nid in self.i_ball(i, depth))
 
 
 def elementary_i_equivalents(
@@ -409,61 +588,12 @@ def elementary_i_equivalents(
 ) -> list[Word]:
     """Words obtained by replacing one long maximal factor other than the
     i-th by a long complementary word.  Candidates whose splice fails to
-    stay freely reduced or to preserve c1 do not qualify and are dropped."""
+    stay freely reduced or to preserve c1 do not qualify and are dropped.
+    This is the root's i-neighbour list in its equivalence ball."""
     if len(w) == 0:
         return []
-    maxstart = idx.max_factor_starting(w)
-    if any(m == 0 for m in maxstart):
-        raise ValueError("some letter is not a factor of any relator power")
-    _, G = _min_factor_tables(w, maxstart)
-    k = G[0]
-    thr = thresholds.long_factor_letters(idx.max_relator_length)
-    out: dict[tuple[int, ...], Word] = {}
-    count = 0
-    for seg in admissible_decompositions(w, idx, cap=thresholds.max_decompositions):
-        count += 1
-        spans = seg.spans()
-        for j, (p, q) in enumerate(spans, start=1):
-            if j == i:
-                continue
-            if q - p < thr:
-                continue
-            # maximality of the factor as a subword of w
-            if p > 0 and maxstart[p - 1] >= q - p + 1:
-                continue
-            if q < len(w) and maxstart[p] >= q - p + 1:
-                continue
-            factor = w.subword(p, q)
-            for cert in idx.certificates(factor):
-                for extra in range(thresholds.power_cap + 1):
-                    try:
-                        comp = idx.u_complement(factor, cert, extra)
-                    except ValueError:
-                        continue
-                    if len(comp) < thr:
-                        continue
-                    replacement = comp.inverse()
-                    letters = (
-                        w.letters[:p] + replacement.letters + w.letters[q:]
-                    )
-                    reduced = all(
-                        a != -b for a, b in zip(letters, letters[1:])
-                    )
-                    if not reduced:
-                        continue
-                    candidate = Word(w.rank, letters)
-                    if candidate.letters == w.letters:
-                        continue
-                    if candidate.letters in out:
-                        continue
-                    cand_max = idx.max_factor_starting(candidate)
-                    if any(m == 0 for m in cand_max):
-                        continue
-                    _, cand_G = _min_factor_tables(candidate, cand_max)
-                    if cand_G[0] != k:
-                        continue
-                    out[candidate.letters] = candidate
-    return list(out.values())
+    ball = _Ball(w, idx, thresholds)
+    return [ball.node(nid).word for nid in ball.neighbors(0, i)]
 
 
 def ell_hat(
@@ -473,27 +603,16 @@ def ell_hat(
     thresholds: Thresholds = Thresholds(),
     depth: int = 1,
 ) -> int:
-    """Max i-th factor length over the depth-bounded equivalence ball."""
+    """Max i-th factor length over the depth-bounded equivalence ball.
+
+    The i-ball is a breadth-first search from w over the edges whose
+    replaced factor is not the i-th, read off the ball that
+    ``complexity`` explores once for every index.  No word is scored once
+    more than ``max_ball`` words have been seen; the stop leaves only the
+    loop over one node's neighbours, so the search still runs on."""
     if len(w) == 0:
         return 0
-    best = _max_ith_factor(w, i, idx)
-    frontier = [w]
-    seen = {w.letters}
-    for _ in range(depth):
-        next_frontier: list[Word] = []
-        for node in frontier:
-            for neighbor in elementary_i_equivalents(node, i, idx, thresholds):
-                if neighbor.letters in seen:
-                    continue
-                seen.add(neighbor.letters)
-                if len(seen) > thresholds.max_ball:
-                    break
-                best = max(best, _max_ith_factor(neighbor, i, idx))
-                next_frontier.append(neighbor)
-        frontier = next_frontier
-        if not frontier:
-            break
-    return best
+    return _Ball(w, idx, thresholds).ell_hat(i, depth)
 
 
 @dataclass(frozen=True)
@@ -535,9 +654,10 @@ def complexity(
         return ComplexityValue(0, 0, (), depth)
     k, _ = c1(w, idx)
     zero_at = thresholds.zero_letters(idx.max_relator_length)
+    ball = _Ball(w, idx, thresholds)
     per = []
     for i in range(1, k + 1):
-        hat = ell_hat(w, i, idx, thresholds, depth)
+        hat = ball.ell_hat(i, depth)
         per.append(hat if hat >= zero_at else 0)
     return ComplexityValue(k, sum(per), tuple(per), depth)
 
@@ -557,6 +677,8 @@ def tuple_complexity(
 def greedy_disjoint_occurrences(w: Word, pattern: Word) -> list[tuple[int, int]]:
     """Left-to-right disjoint occurrences of the pattern or its inverse:
     (position, sign) pairs."""
+    if len(pattern) == 0:
+        raise ValueError("pattern must be nonempty")
     hits: list[tuple[int, int]] = []
     L = len(pattern)
     inv = pattern.inverse().letters

@@ -56,11 +56,16 @@ class Word:
             raise ValueError("rank mismatch")
         return free_reduce(self.rank, self.letters + other.letters)
 
+    # the inverse and the subwords of a reduced word are reduced, so
+    # neither runs the letter checks again
+
     def inverse(self) -> "Word":
-        return Word(self.rank, tuple(-l for l in reversed(self.letters)))
+        return _unchecked(
+            Word, rank=self.rank, letters=tuple(-l for l in reversed(self.letters))
+        )
 
     def subword(self, start: int, stop: int) -> "Word":
-        return Word(self.rank, self.letters[start:stop])
+        return _unchecked(Word, rank=self.rank, letters=self.letters[start:stop])
 
     def key(self) -> tuple[tuple[int, int], ...]:
         return tuple(letter_key(l) for l in self.letters)

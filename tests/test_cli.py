@@ -260,3 +260,43 @@ class TestInputErrors:
             "--max-candidates", "5",
         )
         assert "cap of 5 " in error
+
+    REDUCE = ("reduce", "--relators", "a1 a2", "--word", "a1 a2", "--depth", "0")
+
+    def test_reduce_relator_index_out_of_range(self, capsys):
+        error = self.assert_error(capsys, *self.REDUCE, "--relator-rotation", "5:1:0:7")
+        assert "relator 5" in error and "0..0" in error
+
+    @pytest.mark.parametrize(
+        "spec", ["5:1:0", "0:1:0:1:2", "a:1:0:1", "0:1::1", "-1:1:0:1", "0:2:0:1",
+                 "0:1:2:1", "0:1:0:0", "0:1:0:3"],
+    )
+    def test_reduce_malformed_relator_rotation(self, capsys, spec):
+        # wrong field count, non-integers, a negative index, a sign other
+        # than +-1, an offset past the relator and lengths outside 1..|r|
+        # (length 0 made the occurrence scan loop without end)
+        error = self.assert_error(capsys, *self.REDUCE, f"--relator-rotation={spec}")
+        assert "--relator-rotation" in error
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("complexity", "--relators", "a1 a2", "--word", "a1"),
+            ("reduce", "--relators", "a1 a2", "--word", "a1", "--relator-rotation", "0:1:0:1"),
+            ("surgery-demo",),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_depth_rejected_by_parser(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--depth", "-1"])
+        assert err.value.code == 2
+        assert "--depth" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify-covers", "alpha-injectivity"])
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_nonpositive_max_edges_rejected_by_parser(self, capsys, command, value):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--max-edges", value])
+        assert err.value.code == 2
+        assert "--max-edges" in capsys.readouterr().err

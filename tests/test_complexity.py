@@ -1,12 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_cyclically_reduced
 from rosefold.complexity import (
     ComplexityValue,
     Thresholds,
     UWordIndex,
+    _Ball,
+    _min_factor_tables,
     admissible_decompositions,
     brute_force_c1,
     c1,
@@ -19,10 +23,174 @@ from rosefold.complexity import (
     tuple_complexity,
 )
 from rosefold.words import Word, empty_word, free_reduce, parse_word, random_reduced_letters
+from test_acceptance import SEED, _reduction_index
 
 
 def w(text: str, rank: int = 2) -> Word:
     return parse_word(text, rank)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the per-index ball, one breadth-first search per factor index,
+# each recomputing every node's tables and decompositions (the library's
+# implementation before the ball was shared between indices)
+
+
+def oracle_max_ith_factor(w: Word, i: int, idx: UWordIndex) -> int:
+    """Longest i-th factor over all admissible decompositions (1-based i),
+    straight from the forward/backward tables."""
+    maxstart = idx.max_factor_starting(w)
+    F, G = _min_factor_tables(w, maxstart)
+    k = G[0]
+    if not (1 <= i <= k):
+        return 0
+    best = 0
+    for p in range(len(w) + 1):
+        if F[p] != i - 1:
+            continue
+        top = p + (maxstart[p] if p < len(w) else 0)
+        for q in range(min(top, len(w)), p, -1):
+            if G[q] == k - i:
+                best = max(best, q - p)
+                break
+    return best
+
+
+def oracle_elementary_i_equivalents(
+    w: Word, i: int, idx: UWordIndex, thresholds: Thresholds = Thresholds()
+) -> list[Word]:
+    """Words obtained by replacing one long maximal factor other than the
+    i-th by a long complementary word.  Candidates whose splice fails to
+    stay freely reduced or to preserve c1 do not qualify and are dropped."""
+    if len(w) == 0:
+        return []
+    maxstart = idx.max_factor_starting(w)
+    if any(m == 0 for m in maxstart):
+        raise ValueError("some letter is not a factor of any relator power")
+    _, G = _min_factor_tables(w, maxstart)
+    k = G[0]
+    thr = thresholds.long_factor_letters(idx.max_relator_length)
+    out: dict[tuple[int, ...], Word] = {}
+    count = 0
+    for seg in admissible_decompositions(w, idx, cap=thresholds.max_decompositions):
+        count += 1
+        spans = seg.spans()
+        for j, (p, q) in enumerate(spans, start=1):
+            if j == i:
+                continue
+            if q - p < thr:
+                continue
+            # maximality of the factor as a subword of w
+            if p > 0 and maxstart[p - 1] >= q - p + 1:
+                continue
+            if q < len(w) and maxstart[p] >= q - p + 1:
+                continue
+            factor = w.subword(p, q)
+            for cert in idx.certificates(factor):
+                for extra in range(thresholds.power_cap + 1):
+                    try:
+                        comp = idx.u_complement(factor, cert, extra)
+                    except ValueError:
+                        continue
+                    if len(comp) < thr:
+                        continue
+                    replacement = comp.inverse()
+                    letters = (
+                        w.letters[:p] + replacement.letters + w.letters[q:]
+                    )
+                    reduced = all(
+                        a != -b for a, b in zip(letters, letters[1:])
+                    )
+                    if not reduced:
+                        continue
+                    candidate = Word(w.rank, letters)
+                    if candidate.letters == w.letters:
+                        continue
+                    if candidate.letters in out:
+                        continue
+                    cand_max = idx.max_factor_starting(candidate)
+                    if any(m == 0 for m in cand_max):
+                        continue
+                    _, cand_G = _min_factor_tables(candidate, cand_max)
+                    if cand_G[0] != k:
+                        continue
+                    out[candidate.letters] = candidate
+    return list(out.values())
+
+
+def oracle_ell_hat(
+    w: Word,
+    i: int,
+    idx: UWordIndex,
+    thresholds: Thresholds = Thresholds(),
+    depth: int = 1,
+) -> int:
+    """Max i-th factor length over the depth-bounded equivalence ball."""
+    if len(w) == 0:
+        return 0
+    best = oracle_max_ith_factor(w, i, idx)
+    frontier = [w]
+    seen = {w.letters}
+    for _ in range(depth):
+        next_frontier: list[Word] = []
+        for node in frontier:
+            for neighbor in oracle_elementary_i_equivalents(node, i, idx, thresholds):
+                if neighbor.letters in seen:
+                    continue
+                seen.add(neighbor.letters)
+                if len(seen) > thresholds.max_ball:
+                    break
+                best = max(best, oracle_max_ith_factor(neighbor, i, idx))
+                next_frontier.append(neighbor)
+        frontier = next_frontier
+        if not frontier:
+            break
+    return best
+
+
+
+def oracle_i_ball(
+    w: Word, i: int, idx: UWordIndex, thresholds: Thresholds = Thresholds(), depth: int = 1
+) -> list[Word]:
+    """The words ``oracle_ell_hat`` scores, in its order (its loop, with
+    each scored word recorded instead of its score)."""
+    if len(w) == 0:
+        return []
+    scored = [w]
+    frontier = [w]
+    seen = {w.letters}
+    for _ in range(depth):
+        next_frontier: list[Word] = []
+        for node in frontier:
+            for neighbor in oracle_elementary_i_equivalents(node, i, idx, thresholds):
+                if neighbor.letters in seen:
+                    continue
+                seen.add(neighbor.letters)
+                if len(seen) > thresholds.max_ball:
+                    break
+                scored.append(neighbor)
+                next_frontier.append(neighbor)
+        frontier = next_frontier
+        if not frontier:
+            break
+    return scored
+
+
+def oracle_complexity(
+    w: Word,
+    idx: UWordIndex,
+    thresholds: Thresholds = Thresholds(),
+    depth: int = 1,
+) -> ComplexityValue:
+    if len(w) == 0:
+        return ComplexityValue(0, 0, (), depth)
+    k, _ = c1(w, idx)
+    zero_at = thresholds.zero_letters(idx.max_relator_length)
+    per = []
+    for i in range(1, k + 1):
+        hat = oracle_ell_hat(w, i, idx, thresholds, depth)
+        per.append(hat if hat >= zero_at else 0)
+    return ComplexityValue(k, sum(per), tuple(per), depth)
 
 
 @pytest.fixture(scope="module")
@@ -263,6 +431,210 @@ class TestElementaryEquivalents:
                 assert c1(neighbor, big)[0] == k
 
 
+# ---------------------------------------------------------------------------
+# the shared ball against the per-index oracle
+
+
+def chunk_word(rng: random.Random, relators: list[Word], length: int) -> Word:
+    """Concatenated relator-power chunks of 20-60 letters, cut to
+    ``length``: a word of c1 about length / 40 (the benchmark's
+    ``calculus`` words)."""
+    cur: list[int] = []
+    while len(cur) < length:
+        base = relators[rng.randrange(2)]
+        if rng.random() < 0.5:
+            base = base.inverse()
+        off = rng.randrange(len(base))
+        chunk = (base.letters * 3)[off : off + rng.randrange(20, 61)]
+        if cur and cur[-1] == -chunk[0]:
+            continue
+        cur.extend(chunk)
+    return Word(relators[0].rank, tuple(cur[:length]))
+
+
+TRUNCATING = [
+    Thresholds(max_ball=3),
+    Thresholds(max_ball=12),
+    Thresholds(max_ball=40),
+    Thresholds(max_decompositions=1),
+    Thresholds(max_decompositions=3),
+    Thresholds(power_cap=2),
+    Thresholds(long_factor_fraction=0.3),
+]
+
+
+def thresholds_id(th: Thresholds) -> str:
+    """The fields that differ from the defaults, as a test id."""
+    default = Thresholds()
+    changed = [f"{k}={v}" for k, v in vars(th).items() if v != getattr(default, k)]
+    return ",".join(changed) or "default"
+
+
+def uncapped_ball_size(ball: _Ball, i: int, depth: int) -> int:
+    """Words within ``depth`` i-steps of the root, with no cap."""
+    seen = {0}
+    frontier = [0]
+    for _ in range(depth):
+        next_frontier = []
+        for nid in frontier:
+            for n in ball.neighbors(nid, i):
+                if n not in seen:
+                    seen.add(n)
+                    next_frontier.append(n)
+        frontier = next_frontier
+    return len(seen)
+
+
+@pytest.fixture(scope="module")
+def acceptance():
+    """The acceptance #9 index and relator-chunk words over it; at depth
+    2 the 250-letter word's i-balls hold up to 19 words with the default
+    thresholds and 42 with ``long_factor_fraction`` 0.3."""
+    idx = _reduction_index(random.Random(SEED + 4))
+    rng = random.Random(14)
+    words = [chunk_word(rng, list(idx.relators), n) for n in (60, 120, 150, 250)]
+    return idx, words
+
+
+def short_words(idx: UWordIndex) -> list[Word]:
+    """Short chunk words, two of which have a splice that lowers c1."""
+    rng = random.Random(33)
+    return [chunk_word(rng, list(idx.relators), n) for n in (40, 60, 80)]
+
+
+class TestSharedBall:
+    @pytest.mark.parametrize(
+        "thresholds", [Thresholds()] + TRUNCATING, ids=thresholds_id
+    )
+    def test_complexity_matches_oracle(self, acceptance, thresholds):
+        idx, words = acceptance
+        for word in words:
+            for depth in (0, 1, 2):
+                assert complexity(word, idx, thresholds, depth) == oracle_complexity(
+                    word, idx, thresholds, depth
+                )
+
+    @pytest.mark.parametrize(
+        "thresholds",
+        [
+            Thresholds(),
+            Thresholds(max_ball=3),
+            Thresholds(max_ball=12),
+            Thresholds(max_decompositions=1),
+            Thresholds(long_factor_fraction=0.3, max_ball=40),
+        ],
+        ids=thresholds_id,
+    )
+    def test_i_balls_match_oracle(self, acceptance, thresholds):
+        # the words scored for each index, in order: a cap or a neighbour
+        # list that is off shows here even where the maximum hides it
+        idx, words = acceptance
+        for word in words[1:]:
+            ball = _Ball(word, idx, thresholds)
+            for i in range(0, c1(word, idx)[0] + 2):
+                got = [ball.node(nid).word for nid in ball.i_ball(i, 2)]
+                want = oracle_i_ball(word, i, idx, thresholds, 2)
+                assert got == want
+                assert max(oracle_max_ith_factor(v, i, idx) for v in want) == ball.ell_hat(i, 2)
+
+    def test_corpus_reaches_the_caps(self, acceptance):
+        # the decomposition caps 1 and 3 and the ball caps 3 and 12 bind
+        # on this corpus, and 40 with long_factor_fraction 0.3
+        idx, words = acceptance
+        assert max(
+            len(list(admissible_decompositions(word, idx, cap=None))) for word in words
+        ) > 3
+        word = words[-1]
+        k = c1(word, idx)[0]
+        for th, cap in ((Thresholds(), 12), (Thresholds(long_factor_fraction=0.3), 40)):
+            ball = _Ball(word, idx, th)
+            assert max(uncapped_ball_size(ball, i, 2) for i in range(1, k + 1)) > cap
+        # and a splice that lowers c1 is met and dropped
+        dropped = []
+        for word in short_words(idx):
+            ball = _Ball(word, idx, Thresholds())
+            ball.edges(0)
+            dropped += [
+                (c1(word, idx)[0], c1(Word(2, letters), idx)[0])
+                for letters, nid in ball.ids.items()
+                if ball.nodes[nid] is None
+            ]
+        assert dropped and all(after < before for before, after in dropped)
+
+    @pytest.mark.parametrize(
+        "thresholds",
+        [Thresholds(), Thresholds(long_factor_fraction=0.3)],
+        ids=thresholds_id,
+    )
+    def test_ell_hat_matches_oracle(self, acceptance, thresholds):
+        # every index, including those outside 1..c1, on the thin view
+        idx, words = acceptance
+        for word in words[1:3]:
+            k = c1(word, idx)[0]
+            for i in range(0, k + 2):
+                for depth in (0, 1, 2):
+                    assert ell_hat(word, i, idx, thresholds, depth) == oracle_ell_hat(
+                        word, i, idx, thresholds, depth
+                    )
+
+    @pytest.mark.parametrize(
+        "thresholds",
+        [Thresholds(), Thresholds(max_decompositions=1), Thresholds(long_factor_fraction=0.3)],
+        ids=thresholds_id,
+    )
+    def test_neighbors_match_oracle(self, acceptance, thresholds):
+        # the i-neighbours read off the tagged edges equal the per-index
+        # list as ordered lists, at the root and at the nodes around it
+        idx, words = acceptance
+        for word in short_words(idx) + words[1:]:
+            ball = _Ball(word, idx, thresholds)
+            k = c1(word, idx)[0]
+            nodes = [0] + [nid for nid, _ in ball.edges(0)][:4]
+            for nid in dict.fromkeys(nodes):
+                node = ball.node(nid).word
+                for i in range(0, k + 2):
+                    got = [ball.node(n).word for n in ball.neighbors(nid, i)]
+                    assert got == oracle_elementary_i_equivalents(node, i, idx, thresholds)
+                    assert elementary_i_equivalents(node, i, idx, thresholds) == got
+
+    def test_uncovered_word(self):
+        idx = UWordIndex([Word(2, (1, 1, 1))])
+        word = w("a1 a2")
+        assert ell_hat(word, 1, idx, depth=0) == oracle_ell_hat(word, 1, idx, depth=0)
+        for call in (oracle_ell_hat, ell_hat):
+            with pytest.raises(ValueError, match="not a factor"):
+                call(word, 1, idx, depth=1)
+        with pytest.raises(ValueError, match="not a factor"):
+            elementary_i_equivalents(word, 1, idx)
+
+    @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=20, max_value=80))
+    @settings(max_examples=30, deadline=None)
+    def test_unchecked_values_pass_the_checked_constructor(self, seed, length):
+        # subwords, inverses, rotations, complements and ball splices are
+        # built without re-validation; each must satisfy every public check
+        rng = random.Random(seed)
+        rng_idx = random.Random(7)
+        idx = UWordIndex([random_cyclically_reduced(rng_idx, 2, 24) for _ in range(2)])
+        word = chunk_word(rng, list(idx.relators), length)
+
+        def checked(value: Word) -> None:
+            assert Word(value.rank, value.letters) == value
+
+        a = rng.randrange(len(word))
+        b = rng.randrange(a + 1, len(word) + 1)
+        factor = word.subword(a, b)
+        checked(factor)
+        checked(word.inverse())
+        for cert in idx.certificates(factor):
+            checked(idx.rotation_word(cert))
+            for extra in range(2):
+                checked(idx.u_complement(factor, cert, extra))
+        th = Thresholds(long_factor_fraction=0.3)
+        for i in range(c1(word, idx)[0] + 1):
+            for neighbor in elementary_i_equivalents(word, i, idx, th):
+                checked(neighbor)
+
+
 class TestComplexityValue:
     def test_empty_word_is_bottom(self, toy):
         bottom = complexity(empty_word(2), toy)
@@ -406,3 +778,8 @@ def test_greedy_disjoint_occurrences_both_signs(toy):
     hits = greedy_disjoint_occurrences(word, pattern)
     if len(word) == 12:
         assert hits == [(0, 1), (6, -1)]
+
+
+def test_greedy_disjoint_occurrences_rejects_empty_pattern(toy):
+    with pytest.raises(ValueError, match="nonempty"):
+        greedy_disjoint_occurrences(Word(2, toy.relators[0].letters), empty_word(2))

@@ -218,3 +218,13 @@ def test_unreduced_word_rejected():
 def test_standard_tuple_padding():
     t = standard_tuple(2, 3)
     assert [len(e) for e in t.entries] == [1, 1, 0]
+
+
+@given(raw_letters, st.integers(min_value=-5, max_value=35), st.integers(min_value=-5, max_value=35))
+@settings(max_examples=200)
+def test_subword_and_inverse_pass_the_checked_constructor(letters, start, stop):
+    # subword and inverse skip re-validation; their values must still
+    # satisfy every check of the public constructor
+    word = free_reduce(3, letters)
+    for value in (word.subword(start, stop), word.inverse(), word.subword(start, stop).inverse()):
+        assert Word(value.rank, value.letters) == value
