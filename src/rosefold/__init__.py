@@ -13,7 +13,6 @@ from .words import (
     cyclic_reduce,
     empty_word,
     free_reduce,
-    occurrences,
     parse_word,
     format_word,
     standard_tuple,

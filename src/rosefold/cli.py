@@ -18,7 +18,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from . import complexity as cxmod
-from . import covers, folding, genericity, graphs, presentations, surgery, words
+from . import covers, folding, genericity, graphs, presentations, strsearch, surgery, words
 
 
 def _emit(payload: dict, args: argparse.Namespace) -> None:
@@ -126,8 +126,7 @@ def _word_stats_sample(task: tuple) -> dict:
     cfg = genericity.SampleConfig(rank=rank, length=length, samples=1, seed=seed)
     w = genericity.random_reduced_word(cfg, index)
     bound = genericity.repeat_length_bound(rank, length)
-    plain = genericity.longest_repeated_subword(w, include_inverses=False)
-    with_inv = genericity.longest_repeated_subword(w, include_inverses=True)
+    plain, with_inv = strsearch.repeat_lengths(strsearch.letters_to_chars(w.letters))
     worst = 0.0
     if with_inv >= bound:
         for gamma in genericity.repeated_subwords_at_least(w, bound, True):
@@ -303,11 +302,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     idx = _load_relators(args)
     w = words.parse_word(args.word, args.rank)
     rel, sign, offset, length = _relator_rotation(args.relator_rotation, idx)
-    base = idx.relators[rel]
-    if sign < 0:
-        base = base.inverse()
-    rotated = words.Word(args.rank, base.letters[offset:] + base.letters[:offset])
-    pattern = rotated.subword(0, length)
+    pattern = idx.rotation_word(cxmod.UCert(rel, sign, offset, 1)).subword(0, length)
     replacement = idx.u_complement(pattern, cxmod.UCert(rel, sign, offset, 1))
     outcome = cxmod.reduction_move(
         w, pattern, replacement, idx, None, cxmod.Thresholds(), args.depth
@@ -363,14 +358,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--rank", type=int, default=2)
     p.add_argument("--max-edges", dest="max_edges", type=_positive_int, default=6)
-    p.add_argument("--max-path-len", dest="max_path_len", type=int, default=14)
+    p.add_argument("--max-path-len", dest="max_path_len", type=_nonnegative_int, default=14)
     p.add_argument("--max-candidates", dest="max_candidates", type=int, default=None)
     common(p)
     p.set_defaults(func=cmd_verify_covers)
 
     p = sub.add_parser("word-stats", help="repeated-subword and coverage statistics")
     p.add_argument("--rank", type=int, default=2)
-    p.add_argument("--length", type=int, default=4096)
+    p.add_argument("--length", type=_positive_int, default=4096)
     p.add_argument("--samples", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epsilon", type=float, default=0.05)
@@ -380,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("alpha-injectivity", help="injectivity ratios of lifts")
     p.add_argument("--rank", type=int, default=2)
-    p.add_argument("--length", type=int, default=256)
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--length", type=_positive_int, default=256)
+    p.add_argument("--samples", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--alpha", type=float, default=0.9)
     p.add_argument("--max-edges", dest="max_edges", type=_positive_int, default=4)
@@ -390,16 +385,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-presentation", help="sample a two-family presentation")
     p.add_argument("--rank", type=int, default=2)
-    p.add_argument("--length", type=int, default=60)
+    p.add_argument("--length", type=_positive_int, default=60)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--attempts", type=int, default=64)
+    p.add_argument("--attempts", type=_positive_int, default=64)
     common(p)
     p.set_defaults(func=cmd_build_presentation)
 
     p = sub.add_parser("sc-check", help="piece statistics and the lambda condition")
     p.add_argument("--presentation", default=None, help="presentation JSON path")
     p.add_argument("--rank", type=int, default=2)
-    p.add_argument("--length", type=int, default=60)
+    p.add_argument("--length", type=_positive_int, default=60)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lambda", dest="lam", type=float, default=1 / 8)
     common(p)
@@ -429,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("surgery-demo", help="end-to-end fold/replace/refold pipeline")
     p.add_argument("--rank", type=int, default=2)
-    p.add_argument("--relator-length", dest="relator_length", type=int, default=40)
+    p.add_argument("--relator-length", dest="relator_length", type=_positive_int, default=40)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--depth", type=_nonnegative_int, default=0)
     common(p)

@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from . import strsearch
-from .words import CyclicWord, Word, _unchecked, free_reduce
+from .words import CyclicWord, Word, _unchecked, splice
 
 
 @dataclass(frozen=True)
@@ -99,82 +99,62 @@ class UWordIndex:
     def min_relator_length(self) -> int:
         return min(len(r) for r in self.relators)
 
+    def _periods_key(self, relator: int, sign: int, min_length: int) -> tuple[int, int, int]:
+        """Cache key of the shortest power of the signed relator holding
+        ``min_length`` letters and at least two periods, with the period
+        count rounded up to a power of two to limit cache churn."""
+        periods = max(2, -(-min_length // len(self.relators[relator])) + 1)
+        return (relator, sign, 1 << (periods - 1).bit_length())
+
     def _power_string(self, relator: int, sign: int, min_length: int) -> str:
-        base = self._chars[(relator, sign)]
-        periods = max(2, -(-min_length // len(base)) + 1)
-        # round periods up to limit cache churn
-        periods = 1 << (periods - 1).bit_length()
-        key = (relator, sign, periods)
+        key = self._periods_key(relator, sign, min_length)
         cached = self._powers.get(key)
         if cached is None:
-            cached = base * periods
-            self._powers[key] = cached
+            cached = self._powers[key] = self._chars[(relator, sign)] * key[2]
         return cached
 
     def _reversed_sam(self, relator: int, sign: int, min_length: int):
-        base = self._chars[(relator, sign)]
-        periods = max(2, -(-min_length // len(base)) + 1)
-        periods = 1 << (periods - 1).bit_length()
-        key = (relator, sign, periods)
+        key = self._periods_key(relator, sign, min_length)
         sam = self._rev_sams.get(key)
         if sam is None:
-            sam = strsearch.SuffixAutomaton((base * periods)[::-1])
+            sam = strsearch.SuffixAutomaton((self._chars[(relator, sign)] * key[2])[::-1])
             self._rev_sams[key] = sam
         return sam
 
     def rotation_set(self) -> set[tuple[int, ...]]:
         if self._rotations is None:
-            out: set[tuple[int, ...]] = set()
-            for word in self.relators:
-                for base in (word, word.inverse()):
-                    letters = base.letters
-                    for k in range(len(letters)):
-                        out.add(letters[k:] + letters[:k])
-            self._rotations = out
+            self._rotations = {
+                base.rotation(k).letters
+                for word in self.relators
+                for base in (word, word.inverse())
+                for k in range(len(base))
+            }
         return self._rotations
+
+    def _certificate_scan(self, z: Word) -> Iterator[UCert]:
+        """Certificates in (relator, sign) order, one rotation each."""
+        if len(z) == 0:
+            raise ValueError("the empty word is not certified as a relator factor")
+        chars = strsearch.letters_to_chars(z.letters)
+        for i in range(len(self.relators)):
+            L = len(self.relators[i])
+            for sign in (1, -1):
+                pos = self._power_string(i, sign, len(z) + L).find(chars)
+                if pos >= 0:
+                    rotation = pos % L
+                    yield UCert(i, sign, rotation, math.ceil((rotation + len(z)) / L))
 
     def is_u_word(self, z: Word) -> UCert | None:
         """First certificate in (relator, sign) order, or None."""
-        if len(z) == 0:
-            raise ValueError("the empty word is not certified as a relator factor")
-        chars = strsearch.letters_to_chars(z.letters)
-        for i in range(len(self.relators)):
-            L = len(self.relators[i])
-            for sign in (1, -1):
-                hay = self._power_string(i, sign, len(z) + L)
-                pos = hay.find(chars)
-                if pos >= 0:
-                    rotation = pos % L
-                    power = math.ceil((rotation + len(z)) / L)
-                    return UCert(i, sign, rotation, power)
-        return None
+        return next(self._certificate_scan(z), None)
 
     def certificates(self, z: Word) -> list[UCert]:
         """All certificates over (relator, sign); one rotation each."""
-        if len(z) == 0:
-            raise ValueError("the empty word is not certified as a relator factor")
-        chars = strsearch.letters_to_chars(z.letters)
-        out = []
-        for i in range(len(self.relators)):
-            L = len(self.relators[i])
-            for sign in (1, -1):
-                hay = self._power_string(i, sign, len(z) + L)
-                pos = hay.find(chars)
-                if pos >= 0:
-                    rotation = pos % L
-                    power = math.ceil((rotation + len(z)) / L)
-                    out.append(UCert(i, sign, rotation, power))
-        return out
+        return list(self._certificate_scan(z))
 
     def rotation_word(self, cert: UCert) -> Word:
         base = self.relators[cert.relator]
-        if cert.sign < 0:
-            base = base.inverse()
-        letters = base.letters
-        # a rotation of a cyclically reduced relator is reduced
-        return _unchecked(
-            Word, rank=self.rank, letters=letters[cert.rotation :] + letters[: cert.rotation]
-        )
+        return (base if cert.sign > 0 else base.inverse()).rotation(cert.rotation)
 
     def u_complement(self, z: Word, cert: UCert | None = None, extra_power: int = 0) -> Word:
         """Minimal V with z * V^-1 a power of the certified rotation;
@@ -334,27 +314,6 @@ def brute_force_c1(w: Word, idx: UWordIndex) -> int:
     result = best(0)
     best.cache_clear()
     return result
-
-
-def exhaustive_cut_c1(w: Word, idx: UWordIndex) -> int:
-    """Literal enumeration over all 2^(len-1) cut subsets; only sane for
-    very short words, used to cross-check the other two routes."""
-    n = len(w)
-    if n == 0:
-        raise ValueError("c1 is undefined on the empty word")
-    if n > 16:
-        raise ValueError("exhaustive cut enumeration limited to length 16")
-    best = n + 2
-    for mask in range(1 << (n - 1)):
-        cuts = [0] + [i + 1 for i in range(n - 1) if mask >> i & 1] + [n]
-        ok = True
-        for a, b in zip(cuts, cuts[1:]):
-            if idx.is_u_word(w.subword(a, b)) is None:
-                ok = False
-                break
-        if ok:
-            best = min(best, len(cuts) - 1)
-    return best
 
 
 def _cut_sequences(
@@ -674,28 +633,6 @@ def tuple_complexity(
     return tuple(complexity(w, idx, thresholds, depth) for w in words[:n])
 
 
-def greedy_disjoint_occurrences(w: Word, pattern: Word) -> list[tuple[int, int]]:
-    """Left-to-right disjoint occurrences of the pattern or its inverse:
-    (position, sign) pairs."""
-    if len(pattern) == 0:
-        raise ValueError("pattern must be nonempty")
-    hits: list[tuple[int, int]] = []
-    L = len(pattern)
-    inv = pattern.inverse().letters
-    pos = 0
-    while pos + L <= len(w):
-        window = w.letters[pos : pos + L]
-        if window == pattern.letters:
-            hits.append((pos, 1))
-            pos += L
-        elif window == inv:
-            hits.append((pos, -1))
-            pos += L
-        else:
-            pos += 1
-    return hits
-
-
 @dataclass
 class ReductionOutcome:
     word: Word
@@ -741,7 +678,11 @@ def reduction_move(
     if tuple(glued) not in idx.rotation_set():
         raise ValueError("pattern * replacement^-1 is not a relator rotation")
     if occurrence_set is None:
-        occurrence_set = greedy_disjoint_occurrences(w, pattern)
+        occurrence_set = strsearch.greedy_disjoint(
+            strsearch.letters_to_chars(w.letters),
+            strsearch.letters_to_chars(pattern.letters),
+            include_inverses=True,
+        )
     L = len(pattern)
     inv = pattern.inverse().letters
     last_end = -1
@@ -755,15 +696,7 @@ def reduction_move(
         if window != expected:
             raise ValueError(f"no pattern occurrence at position {pos}")
         last_end = pos + L
-    pieces: list[int] = []
-    cursor = 0
-    for pos, sign in sorted(occurrence_set):
-        pieces.extend(w.letters[cursor:pos])
-        rep = replacement.letters if sign > 0 else replacement.inverse().letters
-        pieces.extend(rep)
-        cursor = pos + L
-    pieces.extend(w.letters[cursor:])
-    new_word = free_reduce(w.rank, pieces)
+    new_word = splice(w, occurrence_set, L, replacement)
     before = complexity(w, idx, thresholds, depth)
     after = complexity(new_word, idx, thresholds, depth)
     return ReductionOutcome(new_word, before, after, list(occurrence_set))

@@ -51,8 +51,15 @@ def random_reduced_word(cfg: SampleConfig, index: int = 0) -> Word:
 def longest_repeated_subword(w: Word, include_inverses: bool = True) -> int:
     """Longest length occurring at two distinct start positions; with the
     flag set, an occurrence of the inverse word also counts."""
-    return strsearch.longest_repeated_length(
-        strsearch.letters_to_chars(w.letters), include_inverses
+    plain, with_inverses = strsearch.repeat_lengths(strsearch.letters_to_chars(w.letters))
+    return with_inverses if include_inverses else plain
+
+
+def _greedy_hits(s: Word, gamma: Word, include_inverses: bool) -> list[tuple[int, int]]:
+    return strsearch.greedy_disjoint(
+        strsearch.letters_to_chars(s.letters),
+        strsearch.letters_to_chars(gamma.letters),
+        include_inverses,
     )
 
 
@@ -66,31 +73,7 @@ def disjoint_coverage(s: Word, gamma: Word) -> float:
         raise ValueError("gamma must be nonempty")
     if len(s) == 0:
         return 0.0
-    count = strsearch.disjoint_occurrence_count(
-        strsearch.letters_to_chars(s.letters), strsearch.letters_to_chars(gamma.letters)
-    )
-    return len(gamma) * count / len(s)
-
-
-def brute_force_max_disjoint(s: Word, gamma: Word) -> int:
-    """Exhaustive maximum over subsets of occurrence positions; cross-check
-    oracle for the greedy scan on short words."""
-    positions = [
-        p
-        for p in range(len(s) - len(gamma) + 1)
-        if s.letters[p : p + len(gamma)] == gamma.letters
-    ]
-    best = 0
-
-    def rec(idx: int, chosen_end: int, count: int) -> None:
-        nonlocal best
-        best = max(best, count)
-        for i in range(idx, len(positions)):
-            if positions[i] >= chosen_end:
-                rec(i + 1, positions[i] + len(gamma), count + 1)
-
-    rec(0, -1, 0)
-    return best
+    return len(gamma) * len(_greedy_hits(s, gamma, False)) / len(s)
 
 
 def repeated_subwords_at_least(w: Word, min_len: int, include_inverses: bool) -> list[Word]:
@@ -123,17 +106,7 @@ def disjoint_coverage_bidirectional(s: Word, gamma: Word) -> float:
         raise ValueError("gamma must be nonempty")
     if len(s) == 0:
         return 0.0
-    chars = strsearch.letters_to_chars(s.letters)
-    pattern = strsearch.letters_to_chars(gamma.letters)
-    positions = set(strsearch.all_occurrences(chars, pattern))
-    positions.update(strsearch.all_occurrences(chars, strsearch.inverse_chars(pattern)))
-    count = 0
-    free_from = 0
-    for p in sorted(positions):
-        if p >= free_from:
-            count += 1
-            free_from = p + len(gamma)
-    return len(gamma) * count / len(s)
+    return len(gamma) * len(_greedy_hits(s, gamma, True)) / len(s)
 
 
 def complementary_distribution(s: Word, gamma: Word) -> dict[int, int]:
@@ -141,9 +114,7 @@ def complementary_distribution(s: Word, gamma: Word) -> dict[int, int]:
     occurrences of ``gamma`` in ``s``."""
     if len(gamma) == 0:
         raise ValueError("gamma must be nonempty")
-    chars = strsearch.letters_to_chars(s.letters)
-    pattern = strsearch.letters_to_chars(gamma.letters)
-    positions = strsearch.greedy_disjoint_positions(chars, pattern)
+    positions = [pos for pos, _ in _greedy_hits(s, gamma, False)]
     if not positions:
         raise ValueError("gamma does not occur in s")
     hist: dict[int, int] = {}
@@ -212,8 +183,7 @@ def repeated_subword_experiment(cfg: SampleConfig, bound: int | None = None) -> 
     report = StatsReport(config={**cfg.__dict__, "bound": bound})
     for i in range(cfg.samples):
         w = random_reduced_word(cfg, i)
-        plain = longest_repeated_subword(w, include_inverses=False)
-        with_inv = longest_repeated_subword(w, include_inverses=True)
+        plain, with_inv = strsearch.repeat_lengths(strsearch.letters_to_chars(w.letters))
         measured = with_inv if cfg.include_inverses else plain
         report.rows.append(
             {
@@ -278,9 +248,7 @@ def gap_distribution_experiment(
         w = random_reduced_word(cfg, i)
         rng = cfg.sample_rng(i ^ 0x5F5F)
         gamma = Word(cfg.rank, random_reduced_letters(rng, cfg.rank, gamma_length))
-        chars = strsearch.letters_to_chars(w.letters)
-        pattern = strsearch.letters_to_chars(gamma.letters)
-        positions = strsearch.greedy_disjoint_positions(chars, pattern)
+        positions = _greedy_hits(w, gamma, False)
         row: dict = {"sample": i, "gamma": str(gamma), "occurrences": len(positions)}
         if positions:
             hist = (

@@ -394,9 +394,7 @@ class EdgePath:
 # canonical form and isomorphism
 
 
-def _encode_from(
-    g: LabeledGraph, start: int, labeled: bool, bound: tuple | None = None
-) -> tuple:
+def _encode_from(g: LabeledGraph, start: int, bound: tuple | None = None) -> tuple:
     """Least BFS encoding from ``start``, or ``bound`` when that is less.
 
     Vertices are numbered in discovery order.  At each vertex the label
@@ -432,20 +430,16 @@ def _encode_from(
     def label_groups(v: int) -> list:
         # adjacency is sorted by (label, target), so groups are runs
         out = []
-        if labeled:
-            prev = None
-            for label, target, _ in adj[v]:
-                if label != prev:
-                    prev = label
-                    targets: list[int] = []
-                    distinct: list[int] = []
-                    out.append(letter_key(label) + (targets, distinct))
-                if not distinct or distinct[-1] != target:
-                    distinct.append(target)
-                targets.append(target)
-        elif adj[v]:
-            targets = [target for _, target, _ in adj[v]]
-            out.append((0, 0, targets, sorted(set(targets))))
+        prev = None
+        for label, target, _ in adj[v]:
+            if label != prev:
+                prev = label
+                targets: list[int] = []
+                distinct: list[int] = []
+                out.append(letter_key(label) + (targets, distinct))
+            if not distinct or distinct[-1] != target:
+                distinct.append(target)
+            targets.append(target)
         groups[v] = out
         return out
 
@@ -502,18 +496,18 @@ def _encode_from(
     return best
 
 
-def canonical_key(g: LabeledGraph, respect_base: bool = True, labeled: bool = True) -> tuple:
+def canonical_key(g: LabeledGraph, respect_base: bool = True) -> tuple:
     """Canonical encoding deciding label-preserving isomorphism.
 
     Based graphs are encoded from the base; otherwise the least encoding
     over all start vertices is used.  Connected graphs only.
     """
-    header = (g.rank if labeled else 0, g.num_vertices, g.num_edges)
+    header = (g.rank, g.num_vertices, g.num_edges)
     if respect_base and g.base is not None:
-        return header + (1,) + _encode_from(g, g.base, labeled)
+        return header + (1,) + _encode_from(g, g.base)
     body = None
     for v in range(g.num_vertices):
-        body = _encode_from(g, v, labeled, body)
+        body = _encode_from(g, v, body)
     return header + (0,) + body
 
 

@@ -423,22 +423,6 @@ class SCMove:
     alpha_achieved: float
 
 
-def _rotation_word(p: Presentation, relator: int, sign: int, rotation: int) -> Word:
-    base = p.relator_words[relator] if sign > 0 else p.relator_words[relator].inverse()
-    letters = base.letters
-    return Word(p.rank, letters[rotation:] + letters[:rotation])
-
-
-def relator_rotations(p: Presentation) -> set[tuple[int, ...]]:
-    out: set[tuple[int, ...]] = set()
-    for word in p.relator_words:
-        for base in (word, word.inverse()):
-            letters = base.letters
-            for k in range(len(letters)):
-                out.add(letters[k:] + letters[:k])
-    return out
-
-
 def find_sc_move(w: Word, p: Presentation, alpha: float) -> SCMove | None:
     """Longest subword of ``w`` matching at least an alpha fraction of some
     relator rotation; None when no match is long enough."""
@@ -469,9 +453,10 @@ def find_sc_move(w: Word, p: Presentation, alpha: float) -> SCMove | None:
     if length < alpha * L:
         return None
     start = -neg_start
-    rot = _rotation_word(p, rel_index, sign, rotation)
+    relator = p.relator_words[rel_index]
+    rot = (relator if sign > 0 else relator.inverse()).rotation(rotation)
     assert rot.letters[:length] == w.letters[start : start + length]
-    replacement = Word(p.rank, rot.letters[length:]).inverse()
+    replacement = rot.subword(length, L).inverse()
     return SCMove(
         start=start,
         length=length,
@@ -527,11 +512,12 @@ def representative_rewrite_experiment(
     first-family word (same group element, different word) and check a
     long-overlap move exists; then iterate back toward the original."""
     rng = random.Random(seed)
-    rotations: list[tuple[int, int, int]] = []
-    for i, rel in enumerate(p.relator_words):
-        for sign in (1, -1):
-            for off in range(len(rel)):
-                rotations.append((i, sign, off))
+    rotations = [
+        (base, off)
+        for rel in p.relator_words
+        for base in (rel, rel.inverse())
+        for off in range(len(rel))
+    ]
     found = 0
     vacuous = 0
     recovered = 0
@@ -539,9 +525,8 @@ def representative_rewrite_experiment(
     for _ in range(trials):
         i = rng.randrange(len(p.v_words))
         target = p.v_words[i]
-        rel, sign, off = rotations[rng.randrange(len(rotations))]
-        rot = _rotation_word(p, rel, sign, off)
-        w = target * rot
+        base, off = rotations[rng.randrange(len(rotations))]
+        w = target * base.rotation(off)
         if w.letters == target.letters:
             vacuous += 1
             continue

@@ -1,9 +1,11 @@
-"""Linear-time substring indexes used by the sampling statistics and the
-small-cancellation scanners.
+"""Substring scans and indexes over words encoded as strings.
 
-Words are handled here as plain Python strings: each signed letter is
-mapped to a single character, so the hot loops ride on C-level string
-and dict operations.
+Each signed letter (or signed edge token of a graph path) is mapped to
+a single character, so the hot loops ride on C-level string and dict
+operations.  The module holds the two occurrence scans the package
+uses, all occurrences and greedy left-to-right disjoint occurrences,
+each optionally counting the inverse pattern, and the suffix automaton
+behind the repeat statistics and the relator-factor tables.
 """
 
 from __future__ import annotations
@@ -134,48 +136,52 @@ class SuffixAutomaton:
         return out
 
 
-def longest_repeated_length(chars: str, include_inverses: bool) -> int:
-    """Longest factor occurring at two distinct positions; with the flag,
-    an occurrence of the inverse word counts as an occurrence."""
+def repeat_lengths(chars: str) -> tuple[int, int]:
+    """Longest factor occurring at two distinct positions, plainly and
+    with an occurrence of the inverse word counted as an occurrence, both
+    read off one automaton."""
     if not chars:
-        return 0
+        return 0, 0
     sam = SuffixAutomaton(chars)
-    best = sam.longest_repeated()
-    if include_inverses:
-        best = max(best, sam.longest_common_with(inverse_chars(chars)))
-    return best
+    plain = sam.longest_repeated()
+    return plain, max(plain, sam.longest_common_with(inverse_chars(chars)))
 
 
-def disjoint_occurrence_count(chars: str, pattern: str) -> int:
-    """Greedy left-to-right count of pairwise non-overlapping occurrences
-    (optimal for equal-length intervals)."""
+def _patterns(pattern: str, include_inverses: bool) -> list[str]:
     if not pattern:
         raise ValueError("pattern must be nonempty")
-    count = 0
-    pos = chars.find(pattern)
-    while pos >= 0:
-        count += 1
-        pos = chars.find(pattern, pos + len(pattern))
-    return count
+    return [pattern, inverse_chars(pattern)] if include_inverses else [pattern]
 
 
-def greedy_disjoint_positions(chars: str, pattern: str) -> list[int]:
-    if not pattern:
-        raise ValueError("pattern must be nonempty")
-    hits = []
-    pos = chars.find(pattern)
-    while pos >= 0:
-        hits.append(pos)
-        pos = chars.find(pattern, pos + len(pattern))
-    return hits
+def all_occurrences(chars: str, pattern: str, include_inverses: bool = False) -> list[int]:
+    """Start positions, in increasing order, where ``pattern`` (or, with
+    the flag, its inverse) occurs; occurrences may overlap."""
+    hits: set[int] = set()
+    for target in _patterns(pattern, include_inverses):
+        pos = chars.find(target)
+        while pos >= 0:
+            hits.add(pos)
+            pos = chars.find(target, pos + 1)
+    return sorted(hits)
 
 
-def all_occurrences(chars: str, pattern: str) -> list[int]:
-    if not pattern:
-        raise ValueError("pattern must be nonempty")
-    hits = []
-    pos = chars.find(pattern)
-    while pos >= 0:
-        hits.append(pos)
-        pos = chars.find(pattern, pos + 1)
+def greedy_disjoint(
+    chars: str, pattern: str, include_inverses: bool = False
+) -> list[tuple[int, int]]:
+    """Left-to-right pairwise disjoint occurrences of ``pattern`` (sign 1)
+    and, with the flag, of its inverse (sign -1), as (position, sign)
+    pairs: each hit is the leftmost occurrence past the previous one, and
+    sign 1 wins where both start.  Greedy is optimal here because all
+    occurrence intervals share one length."""
+    targets = _patterns(pattern, include_inverses)
+    found = [chars.find(target) for target in targets]
+    hits: list[tuple[int, int]] = []
+    while any(at >= 0 for at in found):
+        pos, k = min((at, k) for k, at in enumerate(found) if at >= 0)
+        hits.append((pos, 1 - 2 * k))
+        end = pos + len(pattern)
+        found = [
+            chars.find(target, end) if 0 <= at < end else at
+            for target, at in zip(targets, found)
+        ]
     return hits

@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import strsearch
 from .complexity import Thresholds, UWordIndex, tuple_complexity
 from .folding import (
     fold_all,
@@ -25,7 +26,7 @@ from .folding import (
     wedge_of_loops,
 )
 from .graphs import EdgePath, LabeledGraph, betti, is_rose, make_arc
-from .words import GenTuple, Word, free_reduce, random_reduced_letters
+from .words import GenTuple, Word, random_reduced_letters, splice
 
 
 @dataclass
@@ -75,7 +76,14 @@ def build_instance(
 ) -> tuple[list[Word], GenTuple]:
     """Relators plus a generating tuple whose first entry carries most of
     a relator rotation; the remaining entries form a short basis so the
-    wedge folds onto the rose regardless of the first entry."""
+    wedge folds onto the rose regardless of the first entry.  Each relator
+    covers every generator, so ``relator_length`` must be at least
+    ``rank``."""
+    if relator_length < rank:
+        raise ValueError(
+            f"relator length {relator_length} is below the rank {rank}: "
+            "no relator can cover every generator"
+        )
     rng = random.Random(seed)
     relators = [
         _random_cyclically_reduced(rng, rank, relator_length) for _ in range(rank)
@@ -198,25 +206,18 @@ def run_surgery(
     replacement = idx.u_complement(pattern, cert)
 
     # designated occurrences: maximal petal-position runs mapping onto the
-    # chosen arc's token set, in either direction
+    # chosen arc's token set, in either direction (edge tokens are nonzero
+    # signed ints, so they encode like letters)
     arc_tokens = images[petal].tokens[start : start + length]
     arc_topo = [abs(tok) - 1 for tok in arc_tokens]
-    forward = tuple(arc_tokens)
-    backward = tuple(-tok for tok in reversed(arc_tokens))
-    occurrences: list[tuple[int, int, int]] = []
-    for p_i, path in enumerate(images):
-        toks = path.tokens
-        i = 0
-        while i + length <= len(toks):
-            window = toks[i : i + length]
-            if window == forward:
-                occurrences.append((p_i, i, 1))
-                i += length
-            elif window == backward:
-                occurrences.append((p_i, i, -1))
-                i += length
-            else:
-                i += 1
+    arc_chars = strsearch.letters_to_chars(arc_tokens)
+    occurrences = [
+        (p_i, pos, sign)
+        for p_i, path in enumerate(images)
+        for pos, sign in strsearch.greedy_disjoint(
+            strsearch.letters_to_chars(path.tokens), arc_chars, include_inverses=True
+        )
+    ]
     # every traversal of an arc edge must lie inside a designated window
     covered = set()
     for p_i, pos, _ in occurrences:
@@ -228,21 +229,9 @@ def run_surgery(
 
     new_entries = list(t.entries)
     for p_i in range(len(t.entries)):
-        hits = sorted(
-            (pos, sign) for q, pos, sign in occurrences if q == p_i
-        )
-        if not hits:
-            continue
-        letters: list[int] = []
-        cursor = 0
-        source = t.entries[p_i].letters
-        for pos, sign in hits:
-            letters.extend(source[cursor:pos])
-            rep = replacement.letters if sign > 0 else replacement.inverse().letters
-            letters.extend(rep)
-            cursor = pos + length
-        letters.extend(source[cursor:])
-        new_entries[p_i] = free_reduce(t.rank, letters)
+        hits = [(pos, sign) for q, pos, sign in occurrences if q == p_i]
+        if hits:
+            new_entries[p_i] = splice(t.entries[p_i], hits, length, replacement)
     new_tuple = GenTuple(t.rank, tuple(new_entries))
 
     new_wedge = wedge_of_loops(new_tuple)

@@ -67,6 +67,11 @@ class Word:
     def subword(self, start: int, stop: int) -> "Word":
         return _unchecked(Word, rank=self.rank, letters=self.letters[start:stop])
 
+    def rotation(self, k: int) -> "Word":
+        """The rotation starting at letter ``k``; the word must be
+        cyclically reduced, which makes every rotation reduced."""
+        return _unchecked(Word, rank=self.rank, letters=self.letters[k:] + self.letters[:k])
+
     def key(self) -> tuple[tuple[int, int], ...]:
         return tuple(letter_key(l) for l in self.letters)
 
@@ -132,7 +137,8 @@ class CyclicWord:
     def from_cyclically_reduced(cls, word: Word) -> "CyclicWord":
         if not word.is_cyclically_reduced:
             raise ValueError("representative is not cyclically reduced")
-        return _rotated(word.rank, word.letters, _least_rotation(word.letters))
+        # the least rotation is reduced and canonical: neither check runs again
+        return _unchecked(CyclicWord, word=word.rotation(_least_rotation(word.letters)))
 
     def __len__(self) -> int:
         return len(self.word)
@@ -140,11 +146,6 @@ class CyclicWord:
     @property
     def rank(self) -> int:
         return self.word.rank
-
-    def rotations(self) -> Iterator[Word]:
-        letters = self.word.letters
-        for k in range(max(1, len(letters))):
-            yield Word(self.word.rank, letters[k:] + letters[:k])
 
     def inverse(self) -> "CyclicWord":
         return CyclicWord.from_cyclically_reduced(self.word.inverse())
@@ -160,15 +161,15 @@ def cyclic_reduce(word: Word) -> tuple[CyclicWord, Word]:
     input equals conjugator * representative * conjugator.inverse() in
     the free group.
     """
-    letters = list(word.letters)
-    prefix: list[int] = []
-    while len(letters) >= 2 and letters[0] == -letters[-1]:
-        prefix.append(letters[0])
-        letters = letters[1:-1]
-    core = tuple(letters)
-    k = _least_rotation(core)
-    conjugator = free_reduce(word.rank, tuple(prefix) + core[:k])
-    return _rotated(word.rank, core, k), conjugator
+    letters = word.letters
+    m = 0
+    while len(letters) - 2 * m >= 2 and letters[m] == -letters[-1 - m]:
+        m += 1
+    core = word.subword(m, len(letters) - m)
+    k = _least_rotation(core.letters)
+    conjugator = free_reduce(word.rank, letters[:m] + core.letters[:k])
+    # the core's least rotation is reduced and canonical
+    return _unchecked(CyclicWord, word=core.rotation(k)), conjugator
 
 
 def _unchecked(cls: type, **fields: object):
@@ -178,14 +179,6 @@ def _unchecked(cls: type, **fields: object):
     for name, value in fields.items():
         object.__setattr__(obj, name, value)
     return obj
-
-
-def _rotated(rank: int, letters: tuple[int, ...], k: int) -> CyclicWord:
-    """The cyclic word of validated, cyclically reduced ``letters`` whose
-    least rotation starts at ``k``: the rotation is already reduced and
-    canonical, so neither check runs again."""
-    word = _unchecked(Word, rank=rank, letters=letters[k:] + letters[:k])
-    return _unchecked(CyclicWord, word=word)
 
 
 def commutator_class(g1: Word, g2: Word) -> CyclicWord:
@@ -301,28 +294,27 @@ def random_reduced_letters(rng: random.Random, rank: int, length: int) -> tuple[
     if length == 0:
         return ()
     alphabet = [g for g in range(1, rank + 1)] + [-g for g in range(1, rank + 1)]
+    # the allowed successors of each letter, in alphabet order
+    choices = {prev: [l for l in alphabet if l != -prev] for prev in alphabet}
     letters = [alphabet[rng.randrange(2 * rank)]]
     for _ in range(length - 1):
-        step = rng.randrange(2 * rank - 1)
-        prev = letters[-1]
-        choices = [l for l in alphabet if l != -prev]
-        letters.append(choices[step])
+        letters.append(choices[letters[-1]][rng.randrange(2 * rank - 1)])
     return tuple(letters)
 
 
-def occurrences(w: Word, z: Word, include_inverses: bool = False) -> list[int]:
-    """Start positions where z (and z^-1 when asked) occurs as a subword."""
-    if len(z) == 0:
-        raise ValueError("pattern must be nonempty")
-    targets = [z.letters]
-    if include_inverses and z.inverse().letters not in targets:
-        targets.append(z.inverse().letters)
-    hits = []
-    for pos in range(len(w) - len(z) + 1):
-        window = w.letters[pos:pos + len(z)]
-        if any(window == t for t in targets):
-            hits.append(pos)
-    return hits
+def splice(w: Word, hits: Sequence[tuple[int, int]], length: int, replacement: Word) -> Word:
+    """Replace the ``length``-letter windows of ``w`` starting at the
+    disjoint ``(position, sign)`` hits by ``replacement`` (sign 1) or its
+    inverse (sign -1), then freely reduce."""
+    inverse = replacement.inverse().letters
+    letters: list[int] = []
+    cursor = 0
+    for pos, sign in sorted(hits):
+        letters.extend(w.letters[cursor:pos])
+        letters.extend(replacement.letters if sign > 0 else inverse)
+        cursor = pos + length
+    letters.extend(w.letters[cursor:])
+    return free_reduce(w.rank, letters)
 
 
 # ---------------------------------------------------------------------------

@@ -300,3 +300,47 @@ class TestInputErrors:
             main([command, "--max-edges", value])
         assert err.value.code == 2
         assert "--max-edges" in capsys.readouterr().err
+
+    def test_surgery_demo_relator_length_one(self, capsys):
+        # a relator shorter than the rank cannot cover every generator; the
+        # instance builder used to redraw such relators without end
+        error = self.assert_error(capsys, "surgery-demo", "--relator-length", "1")
+        assert "below the rank" in error
+
+    def test_surgery_demo_relator_length_below_rank_three(self, capsys):
+        error = self.assert_error(
+            capsys, "surgery-demo", "--rank", "3", "--relator-length", "2"
+        )
+        assert "below the rank" in error
+
+    def assert_parser_rejects(self, capsys, flag, *argv) -> None:
+        with pytest.raises(SystemExit) as err:
+            main(list(argv))
+        assert err.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", ["word-stats", "alpha-injectivity", "build-presentation", "sc-check"]
+    )
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_nonpositive_length_rejected_by_parser(self, capsys, command, value):
+        self.assert_parser_rejects(capsys, "--length", command, "--length", value)
+
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_nonpositive_alpha_injectivity_samples_rejected_by_parser(self, capsys, value):
+        self.assert_parser_rejects(capsys, "--samples", "alpha-injectivity", "--samples", value)
+
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_nonpositive_attempts_rejected_by_parser(self, capsys, value):
+        self.assert_parser_rejects(capsys, "--attempts", "build-presentation", "--attempts", value)
+
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_nonpositive_relator_length_rejected_by_parser(self, capsys, value):
+        self.assert_parser_rejects(
+            capsys, "--relator-length", "surgery-demo", "--relator-length", value
+        )
+
+    def test_negative_max_path_len_rejected_by_parser(self, capsys):
+        self.assert_parser_rejects(
+            capsys, "--max-path-len", "verify-covers", "--max-path-len", "-1"
+        )

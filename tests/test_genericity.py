@@ -9,7 +9,6 @@ from rosefold.genericity import (
     SampleConfig,
     alpha_injectivity,
     alpha_injectivity_experiment,
-    brute_force_max_disjoint,
     complementary_distribution,
     disjoint_coverage,
     disjoint_coverage_bidirectional,
@@ -28,6 +27,27 @@ from rosefold.words import Word, parse_word
 
 def w(text: str, rank: int = 2) -> Word:
     return parse_word(text, rank)
+
+
+def brute_force_max_disjoint(s: Word, gamma: Word) -> int:
+    """Exhaustive maximum over subsets of occurrence positions; cross-check
+    oracle for the greedy scan on short words."""
+    positions = [
+        p
+        for p in range(len(s) - len(gamma) + 1)
+        if s.letters[p : p + len(gamma)] == gamma.letters
+    ]
+    best = 0
+
+    def rec(idx: int, chosen_end: int, count: int) -> None:
+        nonlocal best
+        best = max(best, count)
+        for i in range(idx, len(positions)):
+            if positions[i] >= chosen_end:
+                rec(i + 1, positions[i] + len(gamma), count + 1)
+
+    rec(0, -1, 0)
+    return best
 
 
 class TestRandomReducedWord:
@@ -125,10 +145,10 @@ class TestDisjointCoverage:
             glen = rng.randrange(1, 5)
             start = rng.randrange(0, n - glen + 1)
             gamma = s.subword(start, start + glen)
-            greedy = strsearch.disjoint_occurrence_count(
+            greedy = len(strsearch.greedy_disjoint(
                 strsearch.letters_to_chars(s.letters),
                 strsearch.letters_to_chars(gamma.letters),
-            )
+            ))
             assert greedy == brute_force_max_disjoint(s, gamma)
 
     def test_bidirectional_at_least_unidirectional(self):
@@ -148,10 +168,10 @@ class TestDisjointCoverage:
             start = rng.randrange(0, 25)
             long_gamma = s.subword(start, start + 5)
             short_gamma = s.subword(start, start + 3)
-            count = lambda g: strsearch.disjoint_occurrence_count(
+            count = lambda g: len(strsearch.greedy_disjoint(
                 strsearch.letters_to_chars(s.letters),
                 strsearch.letters_to_chars(g.letters),
-            )
+            ))
             assert count(short_gamma) >= count(long_gamma)
         s = w("a1 a2 a1 a2")
         assert disjoint_coverage(s, w("a1")) == 0.5
@@ -180,7 +200,7 @@ class TestComplementaryDistribution:
             gamma = s.subword(0, 2)
             chars = strsearch.letters_to_chars(s.letters)
             pattern = strsearch.letters_to_chars(gamma.letters)
-            positions = strsearch.greedy_disjoint_positions(chars, pattern)
+            positions = strsearch.greedy_disjoint(chars, pattern)
             hist = (
                 complementary_distribution(s, gamma) if len(positions) > 1 else {}
             )

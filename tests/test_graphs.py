@@ -260,13 +260,13 @@ class TestGraphProperties:
         assert canonical_key(g, respect_base=False) == canonical_key(h, respect_base=False)
 
 
-def oracle_encode_from(g: LabeledGraph, start: int, labeled: bool) -> tuple:
+def oracle_encode_from(g: LabeledGraph, start: int) -> tuple:
     """The copying encoder that ``graphs._encode_from`` replaced, kept as
     the slow path: every numbered vertex copies the numbering, the order
     and the tokens, and every branch runs to a complete encoding."""
     n = g.num_vertices
     adj = g.adjacency
-    group_key = (lambda r: letter_key(r[0])) if labeled else (lambda r: (0, 0))
+    group_key = lambda r: letter_key(r[0])
     best: list[tuple | None] = [None]
 
     def rec(order: list[int], ids: dict[int, int], qi: int, tokens: list[int]) -> None:
@@ -313,15 +313,13 @@ def oracle_encode_from(g: LabeledGraph, start: int, labeled: bool) -> tuple:
     return best[0]
 
 
-def oracle_canonical_key(
-    g: LabeledGraph, respect_base: bool = True, labeled: bool = True
-) -> tuple:
+def oracle_canonical_key(g: LabeledGraph, respect_base: bool = True) -> tuple:
     """``canonical_key`` over ``oracle_encode_from``."""
     assert is_connected(g)
-    header = (g.rank if labeled else 0, g.num_vertices, g.num_edges)
+    header = (g.rank, g.num_vertices, g.num_edges)
     if respect_base and g.base is not None:
-        return header + (1,) + oracle_encode_from(g, g.base, labeled)
-    body = min(oracle_encode_from(g, v, labeled) for v in range(g.num_vertices))
+        return header + (1,) + oracle_encode_from(g, g.base)
+    body = min(oracle_encode_from(g, v) for v in range(g.num_vertices))
     return header + (0,) + body
 
 
@@ -368,37 +366,25 @@ class TestCanonicalKeyOracle:
     @given(connected_graphs())
     @settings(max_examples=200, deadline=None)
     def test_matches_copying_encoder(self, g):
-        for labeled in (True, False):
-            for respect_base in (True, False):
-                assert canonical_key(g, respect_base, labeled) == oracle_canonical_key(
-                    g, respect_base, labeled
-                )
+        for respect_base in (True, False):
+            assert canonical_key(g, respect_base) == oracle_canonical_key(g, respect_base)
 
-    # unlabelled keys branch at every vertex; at four arms the oracle
-    # takes most of a minute on them, so four arms run labelled only
-    @pytest.mark.parametrize(
-        "arms,labels",
-        [(2, (True, False)), (3, (True, False)), (4, (True,))],
-        ids=["2-arms", "3-arms", "4-arms-labelled"],
-    )
-    def test_branching_star(self, arms, labels):
+    @pytest.mark.parametrize("arms", [2, 3, 4], ids=["2-arms", "3-arms", "4-arms-labelled"])
+    def test_branching_star(self, arms):
         g = branching_star(arms)
-        for labeled in labels:
-            for respect_base in (True, False):
-                assert canonical_key(g, respect_base, labeled) == oracle_canonical_key(
-                    g, respect_base, labeled
-                )
+        for respect_base in (True, False):
+            assert canonical_key(g, respect_base) == oracle_canonical_key(g, respect_base)
 
     def test_every_start_matches(self, rng):
         # ``bound`` only lowers the answer to itself
         from rosefold.graphs import _encode_from
 
         g = branching_star(3)
-        codes = [oracle_encode_from(g, v, True) for v in range(g.num_vertices)]
+        codes = [oracle_encode_from(g, v) for v in range(g.num_vertices)]
         for v, code in enumerate(codes):
-            assert _encode_from(g, v, True) == code
+            assert _encode_from(g, v) == code
             for bound in rng.sample(codes, 5):
-                assert _encode_from(g, v, True, bound) == min(code, bound)
+                assert _encode_from(g, v, bound) == min(code, bound)
 
     def test_encoding_length(self, rng):
         for _ in range(30):

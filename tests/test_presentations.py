@@ -4,6 +4,7 @@ import pytest
 
 from conftest import random_cyclically_reduced
 from rosefold import presentations, strsearch
+from rosefold.complexity import UWordIndex
 from rosefold.presentations import (
     DegeneratePresentationError,
     PieceReport,
@@ -12,7 +13,6 @@ from rosefold.presentations import (
     build_relators,
     find_sc_move,
     piece_report,
-    relator_rotations,
     representative_rewrite_experiment,
     rewrite_toward,
     sample_presentation,
@@ -445,7 +445,7 @@ class TestSCMoves:
         assert move is not None
         matched = word.letters[move.start : move.start + move.length]
         glued = free_reduce(2, matched + move.replacement.inverse().letters)
-        assert tuple(glued.letters) in relator_rotations(p)
+        assert tuple(glued.letters) in UWordIndex(p.relator_words).rotation_set()
 
     def test_no_immediate_undo_when_replacement_short(self, rng):
         p = self.build_toy(rng)
