@@ -678,11 +678,7 @@ def reduction_move(
     if tuple(glued) not in idx.rotation_set():
         raise ValueError("pattern * replacement^-1 is not a relator rotation")
     if occurrence_set is None:
-        occurrence_set = strsearch.greedy_disjoint(
-            strsearch.letters_to_chars(w.letters),
-            strsearch.letters_to_chars(pattern.letters),
-            include_inverses=True,
-        )
+        occurrence_set = strsearch.greedy_disjoint(w.letters, pattern.letters, True)
     L = len(pattern)
     inv = pattern.inverse().letters
     last_end = -1

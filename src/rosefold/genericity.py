@@ -51,16 +51,10 @@ def random_reduced_word(cfg: SampleConfig, index: int = 0) -> Word:
 def longest_repeated_subword(w: Word, include_inverses: bool = True) -> int:
     """Longest length occurring at two distinct start positions; with the
     flag set, an occurrence of the inverse word also counts."""
-    plain, with_inverses = strsearch.repeat_lengths(strsearch.letters_to_chars(w.letters))
-    return with_inverses if include_inverses else plain
-
-
-def _greedy_hits(s: Word, gamma: Word, include_inverses: bool) -> list[tuple[int, int]]:
-    return strsearch.greedy_disjoint(
-        strsearch.letters_to_chars(s.letters),
-        strsearch.letters_to_chars(gamma.letters),
-        include_inverses,
-    )
+    chars = strsearch.letters_to_chars(w.letters)
+    if include_inverses:
+        return strsearch.repeat_lengths(chars)[1]
+    return strsearch.SuffixAutomaton(chars).longest_repeated()
 
 
 def disjoint_coverage(s: Word, gamma: Word) -> float:
@@ -73,7 +67,7 @@ def disjoint_coverage(s: Word, gamma: Word) -> float:
         raise ValueError("gamma must be nonempty")
     if len(s) == 0:
         return 0.0
-    return len(gamma) * len(_greedy_hits(s, gamma, False)) / len(s)
+    return len(gamma) * len(strsearch.greedy_disjoint(s.letters, gamma.letters)) / len(s)
 
 
 def repeated_subwords_at_least(w: Word, min_len: int, include_inverses: bool) -> list[Word]:
@@ -106,7 +100,7 @@ def disjoint_coverage_bidirectional(s: Word, gamma: Word) -> float:
         raise ValueError("gamma must be nonempty")
     if len(s) == 0:
         return 0.0
-    return len(gamma) * len(_greedy_hits(s, gamma, True)) / len(s)
+    return len(gamma) * len(strsearch.greedy_disjoint(s.letters, gamma.letters, True)) / len(s)
 
 
 def complementary_distribution(s: Word, gamma: Word) -> dict[int, int]:
@@ -114,7 +108,7 @@ def complementary_distribution(s: Word, gamma: Word) -> dict[int, int]:
     occurrences of ``gamma`` in ``s``."""
     if len(gamma) == 0:
         raise ValueError("gamma must be nonempty")
-    positions = [pos for pos, _ in _greedy_hits(s, gamma, False)]
+    positions = [pos for pos, _ in strsearch.greedy_disjoint(s.letters, gamma.letters)]
     if not positions:
         raise ValueError("gamma does not occur in s")
     hist: dict[int, int] = {}
@@ -248,7 +242,7 @@ def gap_distribution_experiment(
         w = random_reduced_word(cfg, i)
         rng = cfg.sample_rng(i ^ 0x5F5F)
         gamma = Word(cfg.rank, random_reduced_letters(rng, cfg.rank, gamma_length))
-        positions = _greedy_hits(w, gamma, False)
+        positions = strsearch.greedy_disjoint(w.letters, gamma.letters)
         row: dict = {"sample": i, "gamma": str(gamma), "occurrences": len(positions)}
         if positions:
             hist = (

@@ -3,14 +3,16 @@
 Each signed letter (or signed edge token of a graph path) is mapped to
 a single character, so the hot loops ride on C-level string and dict
 operations.  The module holds the two occurrence scans the package
-uses, all occurrences and greedy left-to-right disjoint occurrences,
-each optionally counting the inverse pattern, and the suffix automaton
-behind the repeat statistics and the relator-factor tables.
+uses: all (overlapping) occurrences in an encoded string, and greedy
+left-to-right disjoint occurrences in a letter or token sequence,
+optionally counting the inverse pattern, which encodes its arguments
+itself.  It also holds the suffix automaton behind the repeat
+statistics and the relator-factor tables.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 _BASE = 0x100  # keep letter characters clear of separators below
 
@@ -147,41 +149,41 @@ def repeat_lengths(chars: str) -> tuple[int, int]:
     return plain, max(plain, sam.longest_common_with(inverse_chars(chars)))
 
 
-def _patterns(pattern: str, include_inverses: bool) -> list[str]:
+def all_occurrences(chars: str, pattern: str) -> list[int]:
+    """Start positions, in increasing order, where ``pattern`` occurs in
+    ``chars``; occurrences may overlap."""
     if not pattern:
         raise ValueError("pattern must be nonempty")
-    return [pattern, inverse_chars(pattern)] if include_inverses else [pattern]
-
-
-def all_occurrences(chars: str, pattern: str, include_inverses: bool = False) -> list[int]:
-    """Start positions, in increasing order, where ``pattern`` (or, with
-    the flag, its inverse) occurs; occurrences may overlap."""
-    hits: set[int] = set()
-    for target in _patterns(pattern, include_inverses):
-        pos = chars.find(target)
-        while pos >= 0:
-            hits.add(pos)
-            pos = chars.find(target, pos + 1)
-    return sorted(hits)
+    hits = []
+    pos = chars.find(pattern)
+    while pos >= 0:
+        hits.append(pos)
+        pos = chars.find(pattern, pos + 1)
+    return hits
 
 
 def greedy_disjoint(
-    chars: str, pattern: str, include_inverses: bool = False
+    letters: Sequence[int], pattern: Sequence[int], include_inverses: bool = False
 ) -> list[tuple[int, int]]:
     """Left-to-right pairwise disjoint occurrences of ``pattern`` (sign 1)
-    and, with the flag, of its inverse (sign -1), as (position, sign)
-    pairs: each hit is the leftmost occurrence past the previous one, and
-    sign 1 wins where both start.  Greedy is optimal here because all
-    occurrence intervals share one length."""
-    targets = _patterns(pattern, include_inverses)
-    found = [chars.find(target) for target in targets]
+    and, with the flag, of its inverse (sign -1) in a sequence of nonzero
+    signed ints (letters or edge tokens), as (position, sign) pairs: each
+    hit is the leftmost occurrence past the previous one, and sign 1 wins
+    where both start.  Greedy is optimal here because all occurrence
+    intervals share one length."""
+    if not pattern:
+        raise ValueError("pattern must be nonempty")
+    chars = letters_to_chars(letters)
+    target = letters_to_chars(pattern)
+    targets = [target, inverse_chars(target)] if include_inverses else [target]
+    found = [chars.find(t) for t in targets]
     hits: list[tuple[int, int]] = []
     while any(at >= 0 for at in found):
         pos, k = min((at, k) for k, at in enumerate(found) if at >= 0)
         hits.append((pos, 1 - 2 * k))
-        end = pos + len(pattern)
+        end = pos + len(target)
         found = [
-            chars.find(target, end) if 0 <= at < end else at
-            for target, at in zip(targets, found)
+            chars.find(t, end) if 0 <= at < end else at
+            for t, at in zip(targets, found)
         ]
     return hits

@@ -206,17 +206,13 @@ def run_surgery(
     replacement = idx.u_complement(pattern, cert)
 
     # designated occurrences: maximal petal-position runs mapping onto the
-    # chosen arc's token set, in either direction (edge tokens are nonzero
-    # signed ints, so they encode like letters)
+    # chosen arc's token set, in either direction
     arc_tokens = images[petal].tokens[start : start + length]
     arc_topo = [abs(tok) - 1 for tok in arc_tokens]
-    arc_chars = strsearch.letters_to_chars(arc_tokens)
     occurrences = [
         (p_i, pos, sign)
         for p_i, path in enumerate(images)
-        for pos, sign in strsearch.greedy_disjoint(
-            strsearch.letters_to_chars(path.tokens), arc_chars, include_inverses=True
-        )
+        for pos, sign in strsearch.greedy_disjoint(path.tokens, arc_tokens, True)
     ]
     # every traversal of an arc edge must lie inside a designated window
     covered = set()

@@ -68,8 +68,10 @@ class Word:
         return _unchecked(Word, rank=self.rank, letters=self.letters[start:stop])
 
     def rotation(self, k: int) -> "Word":
-        """The rotation starting at letter ``k``; the word must be
-        cyclically reduced, which makes every rotation reduced."""
+        """The rotation starting at letter ``k``.  Only a cyclically
+        reduced word is accepted; every rotation of one is reduced."""
+        if not self.is_cyclically_reduced:
+            raise ValueError("word is not cyclically reduced")
         return _unchecked(Word, rank=self.rank, letters=self.letters[k:] + self.letters[:k])
 
     def key(self) -> tuple[tuple[int, int], ...]:

@@ -790,26 +790,17 @@ class TestReductionMove:
         assert out.word == Word(2, rel.letters[18:]).inverse() or len(out.word) < 60
 
 
-def greedy_disjoint_occurrences(w: Word, pattern: Word) -> list[tuple[int, int]]:
-    """The occurrence scan ``reduction_move`` runs when no occurrence set
-    is given."""
-    return strsearch.greedy_disjoint(
-        strsearch.letters_to_chars(w.letters),
-        strsearch.letters_to_chars(pattern.letters),
-        include_inverses=True,
-    )
-
-
 def test_greedy_disjoint_occurrences_both_signs(toy):
     rel = toy.relators[0]
     pattern = Word(2, rel.letters[:6])
     # a separator keeps pattern * pattern^-1 from cancelling
     sep = 3 - abs(pattern.letters[-1])
     word = Word(2, pattern.letters + (sep,) + pattern.inverse().letters)
-    hits = greedy_disjoint_occurrences(word, pattern)
+    # the scan reduction_move runs when no occurrence set is given
+    hits = strsearch.greedy_disjoint(word.letters, pattern.letters, True)
     assert hits[0] == (0, 1) and (7, -1) in hits
 
 
 def test_greedy_disjoint_occurrences_rejects_empty_pattern(toy):
     with pytest.raises(ValueError, match="nonempty"):
-        greedy_disjoint_occurrences(Word(2, toy.relators[0].letters), empty_word(2))
+        strsearch.greedy_disjoint(toy.relators[0].letters, (), True)

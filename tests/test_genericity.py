@@ -145,10 +145,7 @@ class TestDisjointCoverage:
             glen = rng.randrange(1, 5)
             start = rng.randrange(0, n - glen + 1)
             gamma = s.subword(start, start + glen)
-            greedy = len(strsearch.greedy_disjoint(
-                strsearch.letters_to_chars(s.letters),
-                strsearch.letters_to_chars(gamma.letters),
-            ))
+            greedy = len(strsearch.greedy_disjoint(s.letters, gamma.letters))
             assert greedy == brute_force_max_disjoint(s, gamma)
 
     def test_bidirectional_at_least_unidirectional(self):
@@ -168,10 +165,7 @@ class TestDisjointCoverage:
             start = rng.randrange(0, 25)
             long_gamma = s.subword(start, start + 5)
             short_gamma = s.subword(start, start + 3)
-            count = lambda g: len(strsearch.greedy_disjoint(
-                strsearch.letters_to_chars(s.letters),
-                strsearch.letters_to_chars(g.letters),
-            ))
+            count = lambda g: len(strsearch.greedy_disjoint(s.letters, g.letters))
             assert count(short_gamma) >= count(long_gamma)
         s = w("a1 a2 a1 a2")
         assert disjoint_coverage(s, w("a1")) == 0.5
@@ -198,9 +192,7 @@ class TestComplementaryDistribution:
             cfg = SampleConfig(rank=2, length=60, samples=1, seed=rng.randrange(1 << 20))
             s = random_reduced_word(cfg, 0)
             gamma = s.subword(0, 2)
-            chars = strsearch.letters_to_chars(s.letters)
-            pattern = strsearch.letters_to_chars(gamma.letters)
-            positions = strsearch.greedy_disjoint(chars, pattern)
+            positions = strsearch.greedy_disjoint(s.letters, gamma.letters)
             hist = (
                 complementary_distribution(s, gamma) if len(positions) > 1 else {}
             )

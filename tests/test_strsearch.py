@@ -57,12 +57,14 @@ def oracle_greedy_disjoint(
 
 
 def scans(text, pattern, include_inverses):
+    """Both scans; with inverses, all occurrences are those of the
+    pattern merged with those of its inverse."""
     chars = strsearch.letters_to_chars(text)
     pat = strsearch.letters_to_chars(pattern)
-    return (
-        strsearch.all_occurrences(chars, pat, include_inverses),
-        strsearch.greedy_disjoint(chars, pat, include_inverses),
-    )
+    every = strsearch.all_occurrences(chars, pat)
+    if include_inverses:
+        every = sorted(set(every) | set(strsearch.all_occurrences(chars, strsearch.inverse_chars(pat))))
+    return every, strsearch.greedy_disjoint(text, pattern, include_inverses)
 
 
 def signed(magnitudes):

@@ -102,6 +102,14 @@ class TestCyclicReduce:
         with pytest.raises(ValueError, match="cyclically reduced"):
             CyclicWord.from_cyclically_reduced(w("a1 a2 a1^-1"))
 
+    def test_rotation(self):
+        assert w("a1 a2 a2").rotation(1) == w("a2 a2 a1")
+        assert empty_word(2).rotation(0) == empty_word(2)
+
+    def test_rotation_rejects_non_cyclically_reduced(self):
+        with pytest.raises(ValueError, match="cyclically reduced"):
+            w("a1 a2 a1^-1").rotation(1)
+
     @given(raw_letters)
     @settings(max_examples=200)
     def test_unchecked_paths_pass_the_checked_constructor(self, letters):
@@ -178,18 +186,16 @@ class TestCommutatorClass:
 
 class TestOccurrences:
     @staticmethod
-    def occurrences(word: Word, z: Word, include_inverses: bool = False) -> list[int]:
+    def occurrences(word: Word, z: Word) -> list[int]:
         return strsearch.all_occurrences(
-            strsearch.letters_to_chars(word.letters),
-            strsearch.letters_to_chars(z.letters),
-            include_inverses,
+            strsearch.letters_to_chars(word.letters), strsearch.letters_to_chars(z.letters)
         )
 
     def test_overlapping(self):
         assert self.occurrences(w("a1 a2 a1 a2"), w("a1 a2")) == [0, 2]
 
     def test_inverse_of_whole_word(self):
-        assert self.occurrences(w("a1 a2"), w("a2^-1 a1^-1"), include_inverses=True) == [0]
+        assert self.occurrences(w("a1 a2"), w("a2^-1 a1^-1").inverse()) == [0]
 
     def test_absent(self):
         assert self.occurrences(w("a1 a2"), w("a2 a1")) == []
