@@ -18,11 +18,15 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from . import complexity as cxmod
-from . import covers, folding, genericity, graphs, presentations, strsearch, surgery, words
+from . import covers, folding, genericity, graphs, presentations, surgery, words
 
 
-def _emit(payload: dict, args: argparse.Namespace) -> None:
-    if getattr(args, "format", "json") == "csv":
+def _emit(payload: dict | str, args: argparse.Namespace) -> None:
+    """Write a payload as JSON or CSV per --format, or text a command
+    rendered itself as it is, to --out or stdout."""
+    if isinstance(payload, str):
+        text = payload
+    elif getattr(args, "format", "json") == "csv":
         text = _to_csv(payload)
     else:
         text = json.dumps(payload, indent=2, default=str) + "\n"
@@ -121,60 +125,22 @@ def cmd_verify_covers(args: argparse.Namespace) -> int:
     return 1 if report.violations else 0
 
 
-def _word_stats_sample(task: tuple) -> dict:
-    rank, length, seed, index, eps = task
-    cfg = genericity.SampleConfig(rank=rank, length=length, samples=1, seed=seed)
-    w = genericity.random_reduced_word(cfg, index)
-    bound = genericity.repeat_length_bound(rank, length)
-    plain, with_inv = strsearch.repeat_lengths(strsearch.letters_to_chars(w.letters))
-    worst = 0.0
-    if with_inv >= bound:
-        for gamma in genericity.repeated_subwords_at_least(w, bound, True):
-            worst = max(worst, genericity.disjoint_coverage_bidirectional(w, gamma))
-    return {
-        "sample": index,
-        "longest_repeat": plain,
-        "longest_repeat_with_inverses": with_inv,
-        "within_bound": with_inv <= bound,
-        "max_coverage": worst,
-        "within_eps": worst <= eps,
-    }
-
-
 def cmd_word_stats(args: argparse.Namespace) -> int:
-    tasks = [
-        (args.rank, args.length, args.seed, i, args.epsilon)
-        for i in range(args.samples)
-    ]
+    cfg = genericity.SampleConfig(
+        rank=args.rank, length=args.length, samples=args.samples, seed=args.seed
+    )
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_word_stats_sample, tasks, chunksize=8))
+            report = genericity.word_stats_experiment(cfg, args.epsilon, pool)
     else:
-        rows = [_word_stats_sample(t) for t in tasks]
-    rows.sort(key=lambda r: r["sample"])
-    bound = genericity.repeat_length_bound(args.rank, args.length)
-    within = sum(1 for r in rows if r["within_bound"])
-    eps_ok = sum(1 for r in rows if r["within_eps"])
-    lo1, hi1 = genericity.wilson_interval(within, len(rows))
-    lo2, hi2 = genericity.wilson_interval(eps_ok, len(rows))
+        report = genericity.word_stats_experiment(cfg, args.epsilon)
     payload = {
         "config": _config_echo(
             args, ["rank", "length", "samples", "seed", "epsilon", "jobs"]
         )
-        | {"bound": bound},
-        "samples": rows,
-        "aggregate": {
-            "within_bound": {
-                "fraction": within / len(rows),
-                "wilson_low": round(lo1, 4),
-                "wilson_high": round(hi1, 4),
-            },
-            "within_eps": {
-                "fraction": eps_ok / len(rows),
-                "wilson_low": round(lo2, 4),
-                "wilson_high": round(hi2, 4),
-            },
-        },
+        | {"bound": report.config["bound"]},
+        "samples": report.rows,
+        "aggregate": report.aggregate,
     }
     _emit(payload, args)
     return 0
@@ -240,12 +206,7 @@ def cmd_sc_check(args: argparse.Namespace) -> int:
         ]
         for (i, j), value in sorted(report.pair_table.items()):
             lines.append(f"{i},{j},{value}")
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _emit("\n".join(lines) + "\n", args)
     else:
         _emit(payload, args)
     return 0 if report.satisfies(args.lam) else 1
@@ -359,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, default=2)
     p.add_argument("--max-edges", dest="max_edges", type=_positive_int, default=6)
     p.add_argument("--max-path-len", dest="max_path_len", type=_nonnegative_int, default=14)
-    p.add_argument("--max-candidates", dest="max_candidates", type=int, default=None)
+    p.add_argument("--max-candidates", dest="max_candidates", type=_positive_int, default=None)
     common(p)
     p.set_defaults(func=cmd_verify_covers)
 

@@ -19,7 +19,6 @@ fixed by the shape order and the assignment order alone.
 from __future__ import annotations
 
 import itertools
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -328,8 +327,8 @@ def enumerate_candidates(
     Aut(shape) orbit is kept; no canonical key is computed.  The order is
     fixed: shapes as ``_unlabeled_shapes`` sorts them, then the orbit-least
     assignments in ``itertools.product`` order.  Callers that cap their
-    work per graph (``alpha_injectivity_experiment`` keeps at most
-    ``max_lifts`` lifts per start vertex) depend on which representative
+    work per graph (``alpha_injectivity_experiment`` keeps at most 16
+    lifts per start vertex) depend on which representative
     each class gets.
 
     Raises RuntimeError when ``max_graphs`` distinct graphs are exceeded.
@@ -395,9 +394,6 @@ class CoverSurveyReport:
             "violations": self.violations,
             "elapsed_seconds": round(self.elapsed_seconds, 3),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def survey_two_cover_characterization(

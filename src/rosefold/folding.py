@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .graphs import (
     Arc,
@@ -24,6 +24,8 @@ from .graphs import (
     is_connected,
     is_rose,
     maximal_arcs,
+    subgraph_as_graph,
+    subgraph_from_edges,
 )
 from .words import GenTuple, Word, letter_key
 
@@ -356,32 +358,12 @@ def _fold_all_deferring(g: LabeledGraph) -> FoldTrace:
 
 
 def fold_once(g: LabeledGraph, policy: str = "least") -> tuple[LabeledGraph, FoldRecord] | None:
-    """Apply a single fold per policy, or None when already folded."""
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}")
-    engine = _Engine(g)
-    candidates = sorted(
-        ((engine.cls_min[v], letter_key(letter)), v, letter)
-        for v in range(g.num_vertices)
-        for letter in engine.foldable_letters(v)
-    )
-    if not candidates:
+    """The first fold of ``fold_all(g, policy)`` with the graph it leaves,
+    or None when ``g`` is already folded."""
+    trace = fold_all(g, policy)
+    if not trace.records:
         return None
-    if policy == "greatest":
-        pick = candidates[-1]
-    elif policy == "defer_rose":
-        pick = candidates[0]
-        for cand in candidates:
-            probe = engine.clone()
-            probe.fold_at(cand[1], cand[2])
-            if not probe.has_rose_lift():
-                pick = cand
-                break
-    else:
-        pick = candidates[0]
-    record = engine.fold_at(pick[1], pick[2])
-    folded, _, _ = engine.materialize()
-    return folded, record
+    return trace.stage(1).graph, trace.records[0]
 
 
 def is_folded(g: LabeledGraph) -> bool:
@@ -415,16 +397,6 @@ class DeltaExtraction:
     degenerate: bool
 
 
-def _subgraph_view(g: LabeledGraph, edge_ids: Sequence[int]) -> LabeledGraph:
-    verts = sorted({v for k in edge_ids for v in g.edges[k][:2]})
-    remap = {v: i for i, v in enumerate(verts)}
-    edges = tuple(
-        (remap[g.edges[k][0]], remap[g.edges[k][1]], g.edges[k][2])
-        for k in sorted(edge_ids)
-    )
-    return LabeledGraph(g.rank, max(1, len(verts)), edges, None)
-
-
 def _prune_psi(delta: LabeledGraph, edge_ids: list[int]) -> list[int]:
     """Greedily drop edges while the rest stays connected and still folds
     onto the rose (breadth-first over ids, restarting after each drop)."""
@@ -436,7 +408,7 @@ def _prune_psi(delta: LabeledGraph, edge_ids: list[int]) -> list[int]:
             rest = [e for e in current if e != k]
             if not rest:
                 continue
-            view = _subgraph_view(delta, rest)
+            view = subgraph_as_graph(delta, subgraph_from_edges(delta, rest))
             if is_connected(view) and is_rose(fold_all(view).terminal):
                 current = rest
                 changed = True
@@ -502,7 +474,7 @@ def fold_to_delta(g: LabeledGraph) -> DeltaExtraction:
         psi_ids = sorted(stage.edge_map[e] for e in psi_orig)
 
     psi_ids = _prune_psi(delta, psi_ids)
-    psi_graph = _subgraph_view(delta, psi_ids)
+    psi_graph = subgraph_as_graph(delta, subgraph_from_edges(delta, psi_ids))
     assert len(psi_ids) <= n + 2, "witness subgraph exceeds rank+2 edges"
     assert is_connected(psi_graph)
     assert is_rose(fold_all(psi_graph).terminal)

@@ -9,15 +9,16 @@ independently in any order.
 
 from __future__ import annotations
 
-import json
+import functools
 import math
 import random
+from concurrent.futures import Executor
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import strsearch
 from .covers import enumerate_candidates, has_sub_cover, lift_paths
-from .graphs import EdgePath, LabeledGraph
+from .graphs import EdgePath
 from .words import Word, random_reduced_letters
 
 _SEED_STRIDE = 0x9E3779B97F4A7C15
@@ -33,7 +34,6 @@ class SampleConfig:
     length: int
     samples: int
     seed: int = 0
-    include_inverses: bool = True
 
     def __post_init__(self) -> None:
         if self.rank < 2 or self.length < 1 or self.samples < 1:
@@ -70,25 +70,22 @@ def disjoint_coverage(s: Word, gamma: Word) -> float:
     return len(gamma) * len(strsearch.greedy_disjoint(s.letters, gamma.letters)) / len(s)
 
 
-def repeated_subwords_at_least(w: Word, min_len: int, include_inverses: bool) -> list[Word]:
+def repeated_subwords_at_least(w: Word, min_len: int) -> list[Word]:
     """All distinct subwords of length >= ``min_len`` occurring at two
-    distinct positions (inverse occurrences counted per the flag).  This
-    window scan only pays when the repeat statistic reaches the bound,
-    which is rare for generic samples."""
+    distinct positions, an occurrence of the inverse word counting too.
+    This window scan only pays when the repeat statistic reaches the
+    bound, which is rare for generic samples."""
     chars = strsearch.letters_to_chars(w.letters)
     inv = strsearch.inverse_chars(chars)
     found: dict[str, None] = {}
-    top = longest_repeated_subword(w, include_inverses)
+    top = longest_repeated_subword(w)
     for length in range(min_len, top + 1):
         windows: dict[str, int] = {}
         for p in range(len(chars) - length + 1):
             sub = chars[p : p + length]
             windows[sub] = windows.get(sub, 0) + 1
         for sub, count in windows.items():
-            total = count
-            if include_inverses:
-                total += len(strsearch.all_occurrences(inv, sub))
-            if total >= 2:
+            if count + len(strsearch.all_occurrences(inv, sub)) >= 2:
                 found.setdefault(sub)
     return [Word(w.rank, strsearch.chars_to_letters(s)) for s in found]
 
@@ -146,22 +143,18 @@ class StatsReport:
     aggregate: dict = field(default_factory=dict)
 
     def finalize(self, predicates: Sequence[str]) -> None:
-        out: dict = {"samples": len(self.rows)}
+        """Add each predicate's pass fraction with its Wilson interval to
+        the aggregate, over the rows that score it (a fraction over no
+        rows is 1.0)."""
         for name in predicates:
-            hits = sum(1 for row in self.rows if row.get(name))
-            lo, hi = wilson_interval(hits, len(self.rows))
-            out[name] = {
-                "fraction": hits / len(self.rows) if self.rows else 0.0,
+            scored = [row[name] for row in self.rows if name in row]
+            hits = sum(scored)
+            lo, hi = wilson_interval(hits, len(scored))
+            self.aggregate[name] = {
+                "fraction": hits / len(scored) if scored else 1.0,
                 "wilson_low": round(lo, 4),
                 "wilson_high": round(hi, 4),
             }
-        self.aggregate = out
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"config": self.config, "samples": self.rows, "aggregate": self.aggregate},
-            indent=2,
-        )
 
 
 def repeat_length_bound(rank: int, length: int) -> int:
@@ -170,65 +163,38 @@ def repeat_length_bound(rank: int, length: int) -> int:
     return math.ceil(11.0 / math.log(2 * rank - 1) * math.log(length))
 
 
-def repeated_subword_experiment(cfg: SampleConfig, bound: int | None = None) -> StatsReport:
-    """Longest repeated subword per sample, against the log-scale bound."""
-    if bound is None:
-        bound = repeat_length_bound(cfg.rank, cfg.length)
-    report = StatsReport(config={**cfg.__dict__, "bound": bound})
-    for i in range(cfg.samples):
-        w = random_reduced_word(cfg, i)
-        plain, with_inv = strsearch.repeat_lengths(strsearch.letters_to_chars(w.letters))
-        measured = with_inv if cfg.include_inverses else plain
-        report.rows.append(
-            {
-                "sample": i,
-                "longest_repeat": plain,
-                "longest_repeat_with_inverses": with_inv,
-                "within_bound": measured <= bound,
-            }
-        )
-    report.finalize(["within_bound"])
-    return report
+def word_stats_row(cfg: SampleConfig, eps_target: float, index: int) -> dict:
+    """One sample's longest repeat, without and with inverse occurrences,
+    against the log-scale bound, and the worst disjoint coverage over the
+    repeated subwords at or beyond the bound (zero when none reach it)."""
+    w = random_reduced_word(cfg, index)
+    bound = repeat_length_bound(cfg.rank, cfg.length)
+    plain, with_inv = strsearch.repeat_lengths(strsearch.letters_to_chars(w.letters))
+    worst = 0.0
+    if with_inv >= bound:
+        for gamma in repeated_subwords_at_least(w, bound):
+            worst = max(worst, disjoint_coverage_bidirectional(w, gamma))
+    return {
+        "sample": index,
+        "longest_repeat": plain,
+        "longest_repeat_with_inverses": with_inv,
+        "within_bound": with_inv <= bound,
+        "max_coverage": worst,
+        "within_eps": worst <= eps_target,
+    }
 
 
-def nonperiodic_coverage_experiment(
-    cfg: SampleConfig, eps_target: float, min_len: int | None = None
+def word_stats_experiment(
+    cfg: SampleConfig, eps_target: float, pool: Executor | None = None
 ) -> StatsReport:
-    """Max disjoint coverage over repeated subwords of length >= min_len.
-
-    Samples whose longest repeat stays below the scan bound contribute a
-    coverage of zero; otherwise every repeated subword at or beyond the
-    bound is scanned and the worst coverage recorded.
-    """
-    if min_len is None:
-        min_len = repeat_length_bound(cfg.rank, cfg.length)
-    report = StatsReport(
-        config={**cfg.__dict__, "min_len": min_len, "eps_target": eps_target}
-    )
-    for i in range(cfg.samples):
-        w = random_reduced_word(cfg, i)
-        top = longest_repeated_subword(w, cfg.include_inverses)
-        worst = 0.0
-        worst_len = 0
-        if top >= min_len:
-            for gamma in repeated_subwords_at_least(w, min_len, cfg.include_inverses):
-                if cfg.include_inverses:
-                    cov = disjoint_coverage_bidirectional(w, gamma)
-                else:
-                    cov = disjoint_coverage(w, gamma)
-                if cov > worst:
-                    worst = cov
-                    worst_len = len(gamma)
-        report.rows.append(
-            {
-                "sample": i,
-                "longest_repeat": top,
-                "max_coverage": round(worst, 6),
-                "worst_subword_len": worst_len,
-                "within_eps": worst <= eps_target,
-            }
-        )
-    report.finalize(["within_eps"])
+    """``word_stats_row`` for every sample in sample order, mapped through
+    ``pool`` when one is given, with the pass fractions of both checks."""
+    row = functools.partial(word_stats_row, cfg, eps_target)
+    samples = range(cfg.samples)
+    rows = list(pool.map(row, samples, chunksize=8) if pool else map(row, samples))
+    bound = repeat_length_bound(cfg.rank, cfg.length)
+    report = StatsReport({**cfg.__dict__, "bound": bound, "eps_target": eps_target}, rows)
+    report.finalize(["within_bound", "within_eps"])
     return report
 
 
@@ -261,23 +227,13 @@ def gap_distribution_experiment(
 
 
 def alpha_injectivity_experiment(
-    cfg: SampleConfig,
-    graphs: Iterable[LabeledGraph] | None = None,
-    alpha_target: float = 0.9,
-    max_edges: int = 4,
-    max_lifts: int = 16,
+    cfg: SampleConfig, alpha_target: float = 0.9, max_edges: int = 4
 ) -> StatsReport:
     """Over candidate graphs with no sub-cover of degree 1 or 2, measure
-    the injectivity ratio of every lift of sampled reduced words;
-    samples with no lift anywhere are recorded but not scored."""
-    if graphs is None:
-        graphs = [
-            g
-            for g in enumerate_candidates(cfg.rank, max_edges)
-            if not has_sub_cover(g)
-        ]
-    else:
-        graphs = list(graphs)
+    the injectivity ratio of the first 16 lifts from each start vertex of
+    sampled reduced words; samples with no lift anywhere are recorded but
+    not scored."""
+    graphs = [g for g in enumerate_candidates(cfg.rank, max_edges) if not has_sub_cover(g)]
     report = StatsReport(
         config={**cfg.__dict__, "alpha_target": alpha_target, "graphs": len(graphs)}
     )
@@ -287,7 +243,7 @@ def alpha_injectivity_experiment(
         lift_count = 0
         for g in graphs:
             for start in range(g.num_vertices):
-                for lift in lift_paths(g, w, start, max_lifts=max_lifts):
+                for lift in lift_paths(g, w, start, max_lifts=16):
                     ratio = alpha_injectivity(lift)
                     lift_count += 1
                     if worst is None or ratio < worst:
@@ -297,18 +253,9 @@ def alpha_injectivity_experiment(
             row["min_alpha"] = round(worst, 6)
             row["alpha_ok"] = worst >= alpha_target
         report.rows.append(row)
-    scored = [row for row in report.rows if "alpha_ok" in row]
-    hits = sum(1 for row in scored if row["alpha_ok"])
-    lo, hi = wilson_interval(hits, len(scored))
-    report.finalize([])
-    report.aggregate.update(
-        {
-            "lifting_samples": len(scored),
-            "alpha_ok": {
-                "fraction": hits / len(scored) if scored else 1.0,
-                "wilson_low": round(lo, 4),
-                "wilson_high": round(hi, 4),
-            },
-        }
-    )
+    report.aggregate = {
+        "samples": len(report.rows),
+        "lifting_samples": sum(1 for row in report.rows if "alpha_ok" in row),
+    }
+    report.finalize(["alpha_ok"])
     return report

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .words import Word, check_letter, format_letter, letter_key, parse_letter
 
@@ -37,9 +37,6 @@ class LabeledGraph:
 
     # -- oriented edge helpers -------------------------------------------
 
-    def topo(self, token: int) -> int:
-        return abs(token) - 1
-
     def alpha(self, token: int) -> int:
         src, dst, _ = self.edges[abs(token) - 1]
         return src if token > 0 else dst
@@ -51,11 +48,6 @@ class LabeledGraph:
     def letter(self, token: int) -> int:
         _, _, label = self.edges[abs(token) - 1]
         return label if token > 0 else -label
-
-    def oriented_edges(self) -> Iterator[int]:
-        for k in range(len(self.edges)):
-            yield k + 1
-            yield -(k + 1)
 
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
@@ -69,9 +61,6 @@ class LabeledGraph:
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
-
-    def out_tokens(self, v: int, letter: int) -> list[int]:
-        return [tok for lab, _, tok in self.adjacency[v] if lab == letter]
 
     @property
     def num_edges(self) -> int:

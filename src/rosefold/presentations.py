@@ -11,7 +11,6 @@ lambda value is max piece length over min relator length.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -72,9 +71,6 @@ class Presentation:
             out["vPrime"] = [str(w) for w in self.v_prime]
             out["NPrime"] = self.n_prime
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def _reduce_with_provenance(

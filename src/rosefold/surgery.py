@@ -11,7 +11,6 @@ than from the construction."""
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -47,9 +46,6 @@ class SurgeryReport:
     complexity_after: list[dict]
     strictly_smaller: bool
     depth: int
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, indent=2)
 
 
 class SurgeryError(RuntimeError):

@@ -13,12 +13,7 @@ from conftest import random_cyclically_reduced, random_graph, random_subgraph
 from rosefold.complexity import Thresholds, UWordIndex, brute_force_c1, c1, reduction_move
 from rosefold.covers import survey_two_cover_characterization
 from rosefold.folding import fold_all, wedge_of_loops
-from rosefold.genericity import (
-    SampleConfig,
-    nonperiodic_coverage_experiment,
-    repeat_length_bound,
-    repeated_subword_experiment,
-)
+from rosefold.genericity import SampleConfig, repeat_length_bound, word_stats_experiment
 from rosefold.graphs import betti, collapse, is_rose, isomorphic_labeled, subgraph_as_graph
 from rosefold.presentations import build_relators, piece_report
 from rosefold.surgery import surgery_demo
@@ -136,7 +131,8 @@ def test_05_repeated_subword_statistics():
     cfg = SampleConfig(rank=2, length=4096, samples=200, seed=SEED)
     bound = repeat_length_bound(2, 4096)
     assert bound == 84 == math.ceil(11 / math.log(3) * math.log(4096))
-    rep = repeated_subword_experiment(cfg, bound)
+    rep = word_stats_experiment(cfg, eps_target=0.05)
+    assert rep.config["bound"] == bound
     frac = rep.aggregate["within_bound"]["fraction"]
     elapsed = time.monotonic() - t0
     report(5, frac >= 0.95, f"repeat length <= {bound} in {frac:.3f} of 200 samples ({elapsed:.1f}s)")
@@ -147,7 +143,8 @@ def test_05_repeated_subword_statistics():
 def test_06_disjoint_coverage_statistics():
     t0 = time.monotonic()
     cfg = SampleConfig(rank=2, length=4096, samples=200, seed=SEED)
-    rep = nonperiodic_coverage_experiment(cfg, eps_target=0.05, min_len=84)
+    rep = word_stats_experiment(cfg, eps_target=0.05)
+    assert rep.config["bound"] == 84
     frac = rep.aggregate["within_eps"]["fraction"]
     elapsed = time.monotonic() - t0
     report(6, frac >= 0.95, f"coverage <= 0.05 in {frac:.3f} of 200 samples ({elapsed:.1f}s)")

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from rosefold import genericity
 from rosefold.cli import main
 
 
@@ -122,6 +123,19 @@ class TestWordStats:
         assert a["samples"] == b["samples"]
         assert a["aggregate"] == b["aggregate"]
 
+    def test_rows_and_aggregate_are_the_library_report(self, capsys):
+        code, out = run_cli(
+            capsys, "word-stats", "--rank", "3", "--length", "200",
+            "--samples", "7", "--seed", "5", "--epsilon", "0.1",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        cfg = genericity.SampleConfig(rank=3, length=200, samples=7, seed=5)
+        report = genericity.word_stats_experiment(cfg, 0.1)
+        assert payload["samples"] == report.rows
+        assert payload["aggregate"] == report.aggregate
+        assert payload["config"]["bound"] == report.config["bound"]
+
     def test_csv_format(self, capsys):
         code, out = run_cli(
             capsys, "word-stats", "--length", "64", "--samples", "2",
@@ -166,6 +180,31 @@ class TestPresentationCommands:
         assert "lambda_value" in payload
         assert sorted(payload["pair_table"]) == ["0,0", "0,1", "1,1"]
         assert max(payload["pair_table"].values()) == payload["max_piece_length"]
+
+    SC_CHECK_CSV = (
+        "# presentation=None\n"
+        "# rank=2\n"
+        "# length=8\n"
+        "# seed=1\n"
+        "# lam=0.125\n"
+        "# max_piece_length=31\n"
+        "# min_relator_length=63\n"
+        "# lambda_value=0.49206349206349204\n"
+        "# satisfies=False\n"
+        "relator_i,relator_j,max_piece\n"
+        "0,0,16\n"
+        "0,1,31\n"
+        "1,1,15\n"
+    )
+
+    def test_sc_check_csv_text(self, capsys, tmp_path):
+        argv = ("sc-check", "--rank", "2", "--length", "8", "--seed", "1", "--format", "csv")
+        code, out = run_cli(capsys, *argv)
+        assert (code, out) == (1, self.SC_CHECK_CSV)
+        path = tmp_path / "sc.csv"
+        code, out = run_cli(capsys, *argv, "--out", str(path))
+        assert (code, out) == (1, "")
+        assert path.read_text() == self.SC_CHECK_CSV
 
 
 class TestComplexityCommands:
@@ -338,6 +377,13 @@ class TestInputErrors:
     def test_nonpositive_relator_length_rejected_by_parser(self, capsys, value):
         self.assert_parser_rejects(
             capsys, "--relator-length", "surgery-demo", "--relator-length", value
+        )
+
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_nonpositive_max_candidates_rejected_by_parser(self, capsys, value):
+        # a cap below one used to enumerate first and then fail on the cap
+        self.assert_parser_rejects(
+            capsys, "--max-candidates", "verify-covers", "--max-candidates", value
         )
 
     def test_negative_max_path_len_rejected_by_parser(self, capsys):

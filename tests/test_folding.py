@@ -4,6 +4,7 @@ import pytest
 
 from conftest import random_cyclically_reduced
 from rosefold.folding import (
+    FoldRecord,
     fold_all,
     fold_once,
     fold_to_delta,
@@ -109,6 +110,29 @@ class TestFoldOnce:
         folded, record = fold_once(g)
         assert (folded.num_vertices, folded.num_edges) == (1, 2)
         assert is_rose(folded)
+
+    def test_greatest_folds_the_greatest_letter(self):
+        # both folds of the wedge a2 a1 | a2 a2 a1 sit at the base: least
+        # takes the a1^-1 pair of the last letters, greatest the a2 pair
+        # of the first letters
+        g = wedge_of_loops(tup("a2 a1", "a2 a2 a1"))
+        assert fold_once(g)[1] == FoldRecord(kept=-5, removed=-2)
+        folded, record = fold_once(g, "greatest")
+        assert record == FoldRecord(kept=1, removed=3)
+        assert (folded.num_vertices, folded.num_edges) == (3, 4)
+
+    def test_defer_rose_skips_the_lift_making_fold(self):
+        # the least fold identifies the a1 loop with the a1 edge into the
+        # base, which turns the first a2 edge into a second loop there;
+        # defer_rose folds the two a2 edges leaving the base instead
+        g = wedge_of_loops(tup("a1", "a2 a1", "a2 a2"))
+        least, least_record = fold_once(g)
+        assert least_record == FoldRecord(kept=-3, removed=-1)
+        assert least.has_rose_lift()
+        folded, record = fold_once(g, "defer_rose")
+        assert record == FoldRecord(kept=2, removed=4)
+        assert (folded.num_vertices, folded.num_edges) == (2, 4)
+        assert not folded.has_rose_lift()
 
 
 class TestFoldAll:

@@ -14,12 +14,11 @@ from rosefold.genericity import (
     disjoint_coverage_bidirectional,
     gap_distribution_experiment,
     longest_repeated_subword,
-    nonperiodic_coverage_experiment,
     random_reduced_word,
     repeat_length_bound,
-    repeated_subword_experiment,
     repeated_subwords_at_least,
     wilson_interval,
+    word_stats_experiment,
 )
 from rosefold.graphs import EdgePath, rose
 from rosefold.words import Word, parse_word
@@ -224,19 +223,26 @@ class TestExperiments:
 
     def test_repeat_experiment_shape(self):
         cfg = SampleConfig(rank=2, length=64, samples=10, seed=3)
-        report = repeated_subword_experiment(cfg)
-        assert len(report.rows) == 10
+        report = word_stats_experiment(cfg, 0.05)
+        assert [row["sample"] for row in report.rows] == list(range(10))
         frac = report.aggregate["within_bound"]["fraction"]
         assert 0.0 <= frac <= 1.0
 
     def test_eps_one_always_passes(self):
+        # every repeated subword of length >= 2 is scanned, far below the
+        # bound that gates the scan in the report
         cfg = SampleConfig(rank=2, length=64, samples=10, seed=3)
-        report = nonperiodic_coverage_experiment(cfg, eps_target=1.0, min_len=2)
-        assert report.aggregate["within_eps"]["fraction"] == 1.0
+        scanned = 0
+        for i in range(cfg.samples):
+            word = random_reduced_word(cfg, i)
+            for gamma in repeated_subwords_at_least(word, 2):
+                assert disjoint_coverage_bidirectional(word, gamma) <= 1.0
+                scanned += 1
+        assert scanned > 0
 
     def test_tiny_control_run_well_formed(self):
         cfg = SampleConfig(rank=2, length=16, samples=5, seed=8)
-        report = nonperiodic_coverage_experiment(cfg, eps_target=0.05)
+        report = word_stats_experiment(cfg, 0.05)
         for row in report.rows:
             assert 0.0 <= row["max_coverage"] <= 1.0
 
@@ -248,7 +254,7 @@ class TestExperiments:
             top = longest_repeated_subword(word, True)
             if top == 0:
                 continue
-            found = repeated_subwords_at_least(word, top, True)
+            found = repeated_subwords_at_least(word, top)
             assert any(len(g) == top for g in found)
 
     def test_gap_experiment(self):
