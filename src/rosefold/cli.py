@@ -73,13 +73,27 @@ def _config_echo(args: argparse.Namespace, names: list[str]) -> dict:
     return {name: getattr(args, name) for name in names}
 
 
+def _read_words_json(path: str, *families: str) -> tuple[int, list[list[words.Word]]]:
+    """Read ``{"rank": n, family: [word text, ...], ...}`` from a JSON file
+    and parse every family's words at rank n."""
+    with open(path) as fh:
+        data = json.load(fh)
+    rank = data.get("rank") if isinstance(data, dict) else None
+    if type(rank) is not int or rank < 1:
+        raise ValueError(f"{path}: expected a JSON object with a positive integer rank")
+    parsed = []
+    for family in families:
+        texts = data.get(family)
+        if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+            raise ValueError(f"{path}: {family!r} must be a list of word strings")
+        parsed.append([words.parse_word(t, rank) for t in texts])
+    return rank, parsed
+
+
 def _parse_tuple(args: argparse.Namespace) -> words.GenTuple:
     if args.tuple_json:
-        with open(args.tuple_json) as fh:
-            data = json.load(fh)
-        rank = data["rank"]
-        entries = tuple(words.parse_word(s, rank) for s in data["words"])
-        return words.GenTuple(rank, entries)
+        rank, (entries,) = _read_words_json(args.tuple_json, "words")
+        return words.GenTuple(rank, tuple(entries))
     entries = tuple(words.parse_word(s, args.rank) for s in args.words)
     return words.GenTuple(args.rank, entries)
 
@@ -179,11 +193,7 @@ def cmd_build_presentation(args: argparse.Namespace) -> int:
 
 def cmd_sc_check(args: argparse.Namespace) -> int:
     if args.presentation:
-        with open(args.presentation) as fh:
-            data = json.load(fh)
-        rank = data["rank"]
-        v = [words.parse_word(s, rank) for s in data["v"]]
-        u = [words.parse_word(s, rank) for s in data["u"]]
+        _, (v, u) = _read_words_json(args.presentation, "v", "u")
         p = presentations.build_relators(v, u)
     else:
         p, _ = presentations.sample_presentation(args.rank, args.length, args.seed)
@@ -305,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("fold", help="wedge a tuple and fold it")
-    p.add_argument("--rank", type=int, default=2)
+    p.add_argument("--rank", type=_positive_int, default=2)
     p.add_argument("--words", nargs="*", default=[], help="tuple entries as word text")
     p.add_argument("--tuple-json", dest="tuple_json", default=None)
     p.add_argument("--policy", choices=folding.POLICIES, default="least")
@@ -317,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-covers",
         help="exhaustively classify small core graphs against the cover characterization",
     )
-    p.add_argument("--rank", type=int, default=2)
+    p.add_argument("--rank", type=_positive_int, default=2)
     p.add_argument("--max-edges", dest="max_edges", type=_positive_int, default=6)
     p.add_argument("--max-path-len", dest="max_path_len", type=_nonnegative_int, default=14)
     p.add_argument("--max-candidates", dest="max_candidates", type=_positive_int, default=None)
@@ -325,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_covers)
 
     p = sub.add_parser("word-stats", help="repeated-subword and coverage statistics")
-    p.add_argument("--rank", type=int, default=2)
+    p.add_argument("--rank", type=_positive_int, default=2)
     p.add_argument("--length", type=_positive_int, default=4096)
     p.add_argument("--samples", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=0)
@@ -335,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_word_stats)
 
     p = sub.add_parser("alpha-injectivity", help="injectivity ratios of lifts")
-    p.add_argument("--rank", type=int, default=2)
+    p.add_argument("--rank", type=_positive_int, default=2)
     p.add_argument("--length", type=_positive_int, default=256)
     p.add_argument("--samples", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, default=0)
@@ -345,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_alpha_injectivity)
 
     p = sub.add_parser("build-presentation", help="sample a two-family presentation")
-    p.add_argument("--rank", type=int, default=2)
+    p.add_argument("--rank", type=_positive_int, default=2)
     p.add_argument("--length", type=_positive_int, default=60)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--attempts", type=_positive_int, default=64)
@@ -354,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sc-check", help="piece statistics and the lambda condition")
     p.add_argument("--presentation", default=None, help="presentation JSON path")
-    p.add_argument("--rank", type=int, default=2)
+    p.add_argument("--rank", type=_positive_int, default=2)
     p.add_argument("--length", type=_positive_int, default=60)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lambda", dest="lam", type=float, default=1 / 8)
@@ -362,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sc_check)
 
     p = sub.add_parser("complexity", help="factor complexity of a word")
-    p.add_argument("--rank", type=int, default=2)
+    p.add_argument("--rank", type=_positive_int, default=2)
     p.add_argument("--relators", nargs="+", required=True)
     p.add_argument("--word", required=True)
     p.add_argument("--depth", type=_nonnegative_int, default=1)
@@ -370,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_complexity)
 
     p = sub.add_parser("reduce", help="apply an occurrence-replacement move")
-    p.add_argument("--rank", type=int, default=2)
+    p.add_argument("--rank", type=_positive_int, default=2)
     p.add_argument("--relators", nargs="+", required=True)
     p.add_argument("--word", required=True)
     p.add_argument(
@@ -384,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("surgery-demo", help="end-to-end fold/replace/refold pipeline")
-    p.add_argument("--rank", type=int, default=2)
+    p.add_argument("--rank", type=_positive_int, default=2)
     p.add_argument("--relator-length", dest="relator_length", type=_positive_int, default=40)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--depth", type=_nonnegative_int, default=0)

@@ -165,7 +165,7 @@ def has_sub_cover(g: LabeledGraph, max_degree: int = 2) -> bool:
         return True
     if max_degree < 2:
         return False
-    loops: list[set[int]] = [g.loop_generators(v) for v in range(g.num_vertices)]
+    loops = g.vertex_loops()
     for v, w in itertools.combinations(range(g.num_vertices), 2):
         forward: dict[int, set[int]] = {}
         for src, dst, label in g.edges:

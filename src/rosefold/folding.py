@@ -93,18 +93,6 @@ class _Engine:
             self.adj[src].setdefault(label, set()).add(k + 1)
             self.adj[dst].setdefault(-label, set()).add(-(k + 1))
 
-    def clone(self) -> "_Engine":
-        other = _Engine.__new__(_Engine)
-        other.graph = self.graph
-        other.parent = list(self.parent)
-        other.cls_min = list(self.cls_min)
-        other.size = list(self.size)
-        other.alive = list(self.alive)
-        other.adj = [
-            {letter: set(toks) for letter, toks in bucket.items()} for bucket in self.adj
-        ]
-        return other
-
     def find(self, v: int) -> int:
         parent = self.parent
         while parent[v] != v:
@@ -114,22 +102,6 @@ class _Engine:
 
     def head(self, token: int) -> int:
         return self.find(self.graph.omega(token))
-
-    def roots(self) -> list[int]:
-        return [v for v in range(self.graph.num_vertices) if self.find(v) == v]
-
-    def has_rose_lift(self) -> bool:
-        rank = self.graph.rank
-        for root in self.roots():
-            gens = set()
-            for letter, toks in self.adj[root].items():
-                if letter < 0:
-                    continue
-                if any(self.head(tok) == root for tok in toks):
-                    gens.add(letter)
-            if len(gens) == rank:
-                return True
-        return False
 
     def remove_edge(self, eid: int) -> None:
         src, dst, label = self.graph.edges[eid - 1]
@@ -163,15 +135,21 @@ class _Engine:
     def foldable_letters(self, root: int) -> list[int]:
         return [letter for letter, toks in self.adj[root].items() if len(toks) >= 2]
 
-    def fold_at(self, root: int, letter: int) -> FoldRecord:
-        toks = sorted(self.adj[root][letter])
-        t1, t2 = toks[0], toks[1]
-        record = FoldRecord(kept=t1, removed=t2)
-        h1, h2 = self.head(t1), self.head(t2)
-        self.remove_edge(abs(t2))
-        if h1 != h2:
-            self.union(h1, h2)
-        return record
+    def pair(self, root: int, letter: int) -> FoldRecord:
+        """The fold of the two least tokens leaving ``root`` with ``letter``."""
+        t1, t2 = sorted(self.adj[root][letter])[:2]
+        return FoldRecord(kept=t1, removed=t2)
+
+    def makes_lift(self, record: FoldRecord) -> bool:
+        """Whether every generator labels an edge between the heads of the
+        record's tokens.  Only the merged vertex can gain loops, so on a
+        graph with no rose lift this says whether the fold creates one.
+        (When the removed edge counts, the kept edge does too.)"""
+        ends = {self.head(record.kept), self.head(record.removed)}
+        return all(
+            any(self.head(tok) in ends for end in ends for tok in self.adj[end].get(gen, ()))
+            for gen in range(1, self.graph.rank + 1)
+        )
 
     def apply_record(self, record: FoldRecord) -> None:
         h1 = self.head(record.kept)
@@ -219,7 +197,8 @@ class FoldTrace:
     ``stage(k)`` replays k records; ``stages()`` yields them all in one
     replay.
     ``first_lift_stage`` is the first stage containing a rose lift (only
-    tracked under the defer_rose policy).
+    tracked under the defer_rose policy): 0, or the stage after the first
+    fold that passes the local lift test ``_Engine.makes_lift``.
     """
 
     initial: LabeledGraph
@@ -290,71 +269,53 @@ def fold_all(g: LabeledGraph, policy: str = "least") -> FoldTrace:
     Policies: "least" picks the least (vertex, letter) pair, "greatest"
     the greatest; "defer_rose" picks the least pair whose fold does not
     create a vertex carrying loops for every generator, falling back to
-    the least pair when every available fold creates one.
+    the least pair when every available fold creates one.  Until the
+    first lift it sets aside the popped pairs that ``_Engine.makes_lift``
+    rejects; they return to the heap after the next fold, and the first
+    (least) of them is folded when the heap runs dry.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    if policy == "defer_rose":
-        return _fold_all_deferring(g)
-
     greatest = policy == "greatest"
+    defer = policy == "defer_rose"
     engine = _Engine(g)
     records: list[FoldRecord] = []
+    first_lift: int | None = 0 if defer and g.has_rose_lift() else None
     heap: list = []
+
+    def push(root: int) -> None:
+        for letter in engine.foldable_letters(root):
+            heapq.heappush(heap, (_heap_key(engine, root, letter, greatest), root, letter))
+
     for v in range(g.num_vertices):
-        for letter in engine.foldable_letters(v):
-            heapq.heappush(heap, (_heap_key(engine, v, letter, greatest), v, letter))
-    while heap:
-        key, root, letter = heapq.heappop(heap)
-        if engine.find(root) != root:
-            continue
-        toks = engine.adj[root].get(letter)
-        if not toks or len(toks) < 2:
-            continue
-        fresh = _heap_key(engine, root, letter, greatest)
-        if fresh != key:
-            heapq.heappush(heap, (fresh, root, letter))
-            continue
-        record = engine.fold_at(root, letter)
+        push(v)
+    set_aside: list = []
+    while heap or set_aside:
+        if heap:
+            key, root, letter = heapq.heappop(heap)
+            if engine.find(root) != root or len(engine.adj[root].get(letter, ())) < 2:
+                continue
+            fresh = _heap_key(engine, root, letter, greatest)
+            if fresh != key:
+                heapq.heappush(heap, (fresh, root, letter))
+                continue
+            record = engine.pair(root, letter)
+            if defer and first_lift is None and engine.makes_lift(record):
+                set_aside.append((key, root, letter))
+                continue
+        else:
+            _, root, letter = set_aside[0]
+            record = engine.pair(root, letter)
+            first_lift = len(records) + 1
+        engine.apply_record(record)
         records.append(record)
-        r0 = engine.find(root)
-        r1 = engine.head(record.kept)
-        for r in {r0, r1}:
-            for l in engine.foldable_letters(r):
-                heapq.heappush(heap, (_heap_key(engine, r, l, greatest), r, l))
+        for entry in set_aside:
+            heapq.heappush(heap, entry)
+        set_aside.clear()
+        for r in {engine.find(root), engine.head(record.kept)}:
+            push(r)
     terminal, _, _ = engine.materialize()
-    return FoldTrace(g, tuple(records), terminal, policy, None)
-
-
-def _fold_all_deferring(g: LabeledGraph) -> FoldTrace:
-    """Exact (clone-and-simulate) implementation of the lift-deferring
-    policy; intended for desk-scale graphs."""
-    engine = _Engine(g)
-    records: list[FoldRecord] = []
-    first_lift: int | None = 0 if engine.has_rose_lift() else None
-    while True:
-        candidates = sorted(
-            ((engine.cls_min[root], letter_key(letter)), root, letter)
-            for root in engine.roots()
-            for letter in engine.foldable_letters(root)
-        )
-        if not candidates:
-            break
-        pick = None
-        if first_lift is None:
-            for _, root, letter in candidates:
-                probe = engine.clone()
-                probe.fold_at(root, letter)
-                if not probe.has_rose_lift():
-                    pick = (root, letter)
-                    break
-        if pick is None:
-            pick = (candidates[0][1], candidates[0][2])
-        records.append(engine.fold_at(*pick))
-        if first_lift is None and engine.has_rose_lift():
-            first_lift = len(records)
-    terminal, _, _ = engine.materialize()
-    return FoldTrace(g, tuple(records), terminal, "defer_rose", first_lift)
+    return FoldTrace(g, tuple(records), terminal, policy, first_lift)
 
 
 def fold_once(g: LabeledGraph, policy: str = "least") -> tuple[LabeledGraph, FoldRecord] | None:
@@ -367,11 +328,7 @@ def fold_once(g: LabeledGraph, policy: str = "least") -> tuple[LabeledGraph, Fol
 
 
 def is_folded(g: LabeledGraph) -> bool:
-    for v in range(g.num_vertices):
-        letters = [lab for lab, _, _ in g.adjacency[v]]
-        if len(letters) != len(set(letters)):
-            return False
-    return True
+    return all(len({lab for lab, _, _ in out}) == len(out) for out in g.adjacency)
 
 
 def folds_onto_rose(g: LabeledGraph) -> bool:
@@ -416,6 +373,16 @@ def _prune_psi(delta: LabeledGraph, edge_ids: list[int]) -> list[int]:
     return current
 
 
+def _lift_loops(g: LabeledGraph) -> list[int]:
+    """The least loop of each generator at the least rose-lift vertex."""
+    v = g.rose_lift_vertex()
+    assert v is not None, "expected a rose lift"
+    return [
+        min(k for k, (s, d, l) in enumerate(g.edges) if s == d == v and abs(l) == gen)
+        for gen in range(1, g.rank + 1)
+    ]
+
+
 def fold_to_delta(g: LabeledGraph) -> DeltaExtraction:
     """Run the lift-deferring fold sequence and extract the last stage
     with no rose lift, together with a witness subgraph of at most
@@ -424,6 +391,8 @@ def fold_to_delta(g: LabeledGraph) -> DeltaExtraction:
     When the input itself already carries a rose lift there is no
     pre-lift stage; the stage before the final fold is returned instead
     and flagged degenerate (with a zero-fold sequence this is an error).
+    Otherwise every fold available on delta is checked to pass the local
+    lift test ``_Engine.makes_lift``.
     """
     trace = fold_all(g, policy="defer_rose")
     if not is_rose(trace.terminal):
@@ -444,33 +413,14 @@ def fold_to_delta(g: LabeledGraph) -> DeltaExtraction:
     delta = stage.graph
 
     if degenerate:
-        lift_vertex = delta.rose_lift_vertex()
-        assert lift_vertex is not None
-        psi_ids = sorted(
-            min(
-                k
-                for k, (s, d, l) in enumerate(delta.edges)
-                if s == d == lift_vertex and abs(l) == gen
-            )
-            for gen in range(1, n + 1)
-        )
+        psi_ids = sorted(_lift_loops(delta))
     else:
+        # the folded pair and the edges that become the lift's loops
         record = trace.records[delta_index]
         next_stage = trace.stage(delta_index + 1)
-        lift_vertex = next_stage.graph.rose_lift_vertex()
-        assert lift_vertex is not None, "fold after delta must create a lift"
         inverse_emap = {new: orig for orig, new in next_stage.edge_map.items()}
-        kept_new = next_stage.edge_map[abs(record.kept) - 1]
         psi_orig = {abs(record.kept) - 1, abs(record.removed) - 1}
-        for gen in range(1, n + 1):
-            loop = min(
-                k
-                for k, (s, d, l) in enumerate(next_stage.graph.edges)
-                if s == d == lift_vertex and abs(l) == gen
-            )
-            if loop == kept_new:
-                psi_orig.add(abs(record.removed) - 1)
-            psi_orig.add(inverse_emap[loop])
+        psi_orig.update(inverse_emap[loop] for loop in _lift_loops(next_stage.graph))
         psi_ids = sorted(stage.edge_map[e] for e in psi_orig)
 
     psi_ids = _prune_psi(delta, psi_ids)
@@ -482,11 +432,9 @@ def fold_to_delta(g: LabeledGraph) -> DeltaExtraction:
         assert not delta.has_rose_lift()
         # every fold available on delta must produce a lift
         engine = _Engine(delta)
-        for root in engine.roots():
-            for letter in engine.foldable_letters(root):
-                probe = engine.clone()
-                probe.fold_at(root, letter)
-                assert probe.has_rose_lift(), "delta admits a lift-free fold"
+        for v in range(delta.num_vertices):
+            for letter in engine.foldable_letters(v):
+                assert engine.makes_lift(engine.pair(v, letter)), "delta admits a lift-free fold"
     return DeltaExtraction(
         trace, delta, stage, delta_index, PsiWitness(tuple(psi_ids), psi_graph), degenerate
     )

@@ -66,16 +66,22 @@ class LabeledGraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def loop_generators(self, v: int) -> set[int]:
-        return {abs(label) for src, dst, label in self.edges if src == dst == v}
+    def vertex_loops(self) -> list[set[int]]:
+        """Per-vertex set of the generators labelling a loop there."""
+        loops: list[set[int]] = [set() for _ in range(self.num_vertices)]
+        for src, dst, label in self.edges:
+            if src == dst:
+                loops[src].add(abs(label))
+        return loops
 
     def has_rose_lift(self) -> bool:
         """True when some vertex carries a loop for every generator."""
         return self.rose_lift_vertex() is not None
 
     def rose_lift_vertex(self) -> int | None:
-        for v in range(self.num_vertices):
-            if len(self.loop_generators(v)) == self.rank:
+        """The least vertex carrying a loop for every generator, if any."""
+        for v, gens in enumerate(self.vertex_loops()):
+            if len(gens) == self.rank:
                 return v
         return None
 

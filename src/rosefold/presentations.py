@@ -101,6 +101,8 @@ def build_relators(v_words: Sequence[Word], u_words: Sequence[Word]) -> Presenta
     n = len(v_words)
     if len(u_words) != n:
         raise ValueError("need equally many words in both families")
+    if n == 0:
+        raise ValueError("need at least one word in each family")
     rank = v_words[0].rank
     lengths = {len(w) for w in v_words} | {len(w) for w in u_words}
     for w in list(v_words) + list(u_words):

@@ -102,20 +102,26 @@ def free_reduce(rank: int, letters: Sequence[int]) -> Word:
 
 
 def _least_rotation(letters: tuple[int, ...]) -> int:
-    """Index of the lexicographically least rotation (Booth-style scan)."""
-    if not letters:
-        return 0
-    keys = [letter_key(l) for l in letters]
-    best = 0
-    for cand in range(1, len(letters)):
-        for off in range(len(letters)):
-            a = keys[(best + off) % len(letters)]
-            b = keys[(cand + off) % len(letters)]
-            if a != b:
-                if b < a:
-                    best = cand
-                break
-    return best
+    """Smallest index of a lexicographically least rotation, in linear time:
+    the two-pointer scan over candidate starts i != j with common prefix k.
+    A mismatch rules out the greater candidate and the k starts after it;
+    a common prefix of full length makes the lesser start the answer."""
+    n = len(letters)
+    keys = [2 * abs(l) + (l < 0) for l in letters]  # the order of letter_key
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = keys[(i + k) % n], keys[(j + k) % n]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    return min(i, j)
 
 
 @dataclass(frozen=True)

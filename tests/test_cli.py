@@ -1,6 +1,11 @@
+import csv
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from rosefold import genericity
 from rosefold.cli import main
@@ -390,3 +395,190 @@ class TestInputErrors:
         self.assert_parser_rejects(
             capsys, "--max-path-len", "verify-covers", "--max-path-len", "-1"
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fold",), ("verify-covers",), ("word-stats",), ("alpha-injectivity",),
+            ("build-presentation",), ("sc-check",), ("surgery-demo",),
+            ("complexity", "--relators", "a1 a2", "--word", "a1"),
+            ("reduce", "--relators", "a1 a2", "--word", "a1", "--relator-rotation", "0:1:0:1"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_nonpositive_rank_rejected_by_parser(self, capsys, argv, value):
+        # sc-check and surgery-demo used to fail with an IndexError
+        self.assert_parser_rejects(capsys, "--rank", *argv, f"--rank={value}")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1, 2]", "expected a JSON object with a positive integer rank"),
+            ("null", "expected a JSON object with a positive integer rank"),
+            ('{"words": ["a1"]}', "positive integer rank"),
+            ('{"rank": "two", "words": ["a1"]}', "positive integer rank"),
+            ('{"rank": 0, "words": []}', "positive integer rank"),
+            ('{"rank": 2, "words": 5}', "'words' must be a list of word strings"),
+            ('{"rank": 2, "words": [5]}', "'words' must be a list of word strings"),
+        ],
+    )
+    def test_fold_tuple_json_of_the_wrong_shape(self, capsys, tmp_path, text, message):
+        # a list, null or a non-list field used to raise a TypeError
+        path = tmp_path / "tuple.json"
+        path.write_text(text)
+        assert message in self.assert_error(capsys, "fold", "--tuple-json", str(path))
+
+    def test_sc_check_presentation_of_the_wrong_shape(self, capsys, tmp_path):
+        path = tmp_path / "presentation.json"
+        path.write_text('{"rank": 2, "v": ["a1 a2"]}')
+        error = self.assert_error(capsys, "sc-check", "--presentation", str(path))
+        assert "'u' must be a list of word strings" in error
+
+    def test_sc_check_empty_presentation(self, capsys, tmp_path):
+        # no words in either family used to raise an IndexError
+        path = tmp_path / "presentation.json"
+        path.write_text(json.dumps({"rank": 2, "v": [], "u": []}))
+        error = self.assert_error(capsys, "sc-check", "--presentation", str(path))
+        assert "at least one word" in error
+
+
+# -- property-based fuzz of the exit-code contract ---------------------------
+
+LETTERS = ("a1", "a2", "a3", "a1^-1", "a2^-1", "a3^-1")
+WORD = st.one_of(
+    st.lists(st.sampled_from(LETTERS), min_size=1, max_size=8).map(" ".join),
+    st.sampled_from(("1", "", "a0", "a9", "b1", "A1", "a1^2", "a1^-", "a-1", " a1", "a1 a1^-1")),
+)
+MALFORMED_INT = st.sampled_from(("0", "-1", "-0", "x", "", "1.5"))
+
+
+def size(hi: int):
+    """A small valid value (three times in four), or a zero, negative or
+    non-integer one."""
+    valid = st.integers(1, hi).map(str)
+    return st.one_of(valid, valid, valid, MALFORMED_INT)
+
+
+RANK = st.sampled_from(("2", "2", "2", "3", "1", "0", "-1", "x"))
+REAL = st.sampled_from(("0.5", "0", "-1", "nan", "inf", "x"))
+DEPTH = st.sampled_from(("0", "1", "2", "-1", "x"))
+ROTATION = st.one_of(
+    st.lists(st.integers(-2, 5).map(str), min_size=3, max_size=5).map(":".join),
+    st.sampled_from(("", "a:b", "1:1:0:2", "0:-1:1:2")),
+)
+WORDS = st.lists(WORD, max_size=4)
+# relators and words that they cover, so that complexity and reduce get past
+# their input checks
+RELATORS = st.one_of(WORDS, st.just(["a1 a2 a1^-1 a2^-1", "a2 a2 a1"]))
+COVERED = st.one_of(WORD, st.sampled_from(("a1 a2 a1^-1", "a1 a2 a2 a1", "a2 a1 a2^-1 a1^-1 a2")))
+FLAG = st.none()
+
+# every subcommand: the size options it always gets (so that no default
+# runs a full-size experiment) and the options it may get
+FUZZ = {
+    "fold": ({}, {"--rank": RANK, "--words": WORDS, "--tuple-json": "FILE",
+                  "--policy": st.sampled_from(("least", "greatest", "defer_rose", "bogus")),
+                  "--dump-stages": FLAG}),
+    "verify-covers": ({"--max-edges": size(3)},
+                      {"--rank": RANK, "--max-path-len": size(6), "--max-candidates": size(40)}),
+    "word-stats": ({"--length": size(40), "--samples": size(3)},
+                   {"--rank": RANK, "--seed": size(9), "--epsilon": REAL,
+                    "--jobs": st.sampled_from(("1", "0", "-1", "x"))}),
+    "alpha-injectivity": ({"--length": size(40), "--samples": size(3), "--max-edges": size(3)},
+                          {"--rank": RANK, "--seed": size(9), "--alpha": REAL}),
+    "build-presentation": ({"--length": size(40)},
+                           {"--rank": RANK, "--seed": size(9), "--attempts": size(4)}),
+    "sc-check": ({"--length": size(40)},
+                 {"--presentation": "FILE", "--rank": RANK, "--seed": size(9), "--lambda": REAL}),
+    "complexity": ({}, {"--rank": RANK, "--relators": RELATORS, "--word": COVERED,
+                        "--depth": DEPTH}),
+    "reduce": ({}, {"--rank": RANK, "--relators": RELATORS, "--word": COVERED,
+                    "--relator-rotation": ROTATION, "--depth": DEPTH}),
+    "surgery-demo": ({"--relator-length": size(40)},
+                     {"--rank": RANK, "--seed": size(9), "--depth": DEPTH}),
+}
+
+FUZZ_FILES = {
+    "empty": "",
+    "garbled": '{"rank": 2, "words": ["a1"',
+    "list": "[1, 2]",
+    "null": "null",
+    "tuple": json.dumps({"rank": 2, "words": ["a1 a2", "a1", "1"]}),
+    "tuple-bad-rank": json.dumps({"rank": "two", "words": ["a1"]}),
+    "tuple-zero-rank": json.dumps({"rank": 0, "words": []}),
+    "tuple-words-int": json.dumps({"rank": 2, "words": 5}),
+    "presentation": json.dumps({"rank": 2, "v": ["a1 a2", "a2 a1"], "u": ["a1 a2", "a2 a2"]}),
+    "presentation-empty": json.dumps({"rank": 2, "v": [], "u": []}),
+    "presentation-uneven": json.dumps({"rank": 2, "v": ["a1 a2"], "u": ["a1", "a2"]}),
+    "presentation-bad-letter": json.dumps({"rank": 2, "v": ["a7"], "u": ["a1"]}),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, text in FUZZ_FILES.items():
+        (root / f"{name}.json").write_text(text)
+    return root
+
+
+def run_captured(argv: list[str]) -> tuple[int, str, str]:
+    """Run the CLI in process; any exception but SystemExit propagates, as
+    it would print a traceback from the console entry point."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestFuzz:
+    @settings(max_examples=800, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_exit_code_and_output_contract(self, fuzz_dir, data):
+        command = data.draw(st.sampled_from(sorted(FUZZ)), label="command")
+        always, optional = FUZZ[command]
+        chosen = data.draw(st.lists(st.sampled_from(sorted(optional)), unique=True))
+        files = st.sampled_from(
+            [str(fuzz_dir / f"{name}.json") for name in FUZZ_FILES]
+            + [str(fuzz_dir / "missing.json"), str(fuzz_dir)]
+        )
+        argv = [command]
+        for flag in [*always, *chosen]:
+            strategy = {**always, **optional}[flag]
+            value = data.draw(files if strategy == "FILE" else strategy, label=flag)
+            if value is None:
+                argv.append(flag)
+            elif isinstance(value, list):
+                argv += [flag, *value]
+            else:
+                argv.append(f"{flag}={value}")
+        fmt = data.draw(st.sampled_from((None, None, "json", "csv", "xml")), label="format")
+        if fmt:
+            argv.append(f"--format={fmt}")
+        out = data.draw(
+            st.sampled_from((None, None, None, "out.txt", "no-such-dir/out.txt")), label="out"
+        )
+        if out:
+            (fuzz_dir / "out.txt").unlink(missing_ok=True)
+            argv.append(f"--out={fuzz_dir / out}")
+
+        code, stdout, stderr = run_captured(argv)
+        event(f"{command} exit {code}")
+        assert code in (0, 1, 2)
+        assert "Traceback" not in stderr
+        if code == 2:
+            if stdout:
+                assert list(json.loads(stdout)) == ["error"]
+            else:
+                assert "usage:" in stderr  # rejected by argument parsing
+            return
+        text = (fuzz_dir / out).read_text() if out else stdout
+        if fmt == "csv":
+            rows = list(csv.reader(line for line in text.splitlines() if not line.startswith("#")))
+            assert len({len(row) for row in rows}) <= 1
+        else:
+            json.loads(text)

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from conftest import random_cyclically_reduced
+from conftest import random_cyclically_reduced, random_graph
 from rosefold.folding import (
     FoldRecord,
+    _Engine,
     fold_all,
     fold_once,
     fold_to_delta,
@@ -29,6 +30,7 @@ from rosefold.words import (
     Word,
     apply_nielsen,
     free_reduce,
+    letter_key,
     parse_word,
     random_nielsen_moves,
     random_reduced_letters,
@@ -251,6 +253,141 @@ class TestFoldAll:
             for k in (0, trace.num_stages // 2, trace.num_stages - 1):
                 image = trace.push_path(path, k)
                 assert image.label_letters() == path.label_letters()
+
+
+def clone_engine(engine: _Engine) -> _Engine:
+    other = _Engine.__new__(_Engine)
+    other.graph = engine.graph
+    other.parent = list(engine.parent)
+    other.cls_min = list(engine.cls_min)
+    other.size = list(engine.size)
+    other.alive = list(engine.alive)
+    other.adj = [{letter: set(toks) for letter, toks in bucket.items()} for bucket in engine.adj]
+    return other
+
+
+def engine_roots(engine: _Engine) -> list[int]:
+    return [v for v in range(engine.graph.num_vertices) if engine.find(v) == v]
+
+
+def engine_has_rose_lift(engine: _Engine) -> bool:
+    for root in engine_roots(engine):
+        gens = {
+            letter
+            for letter, toks in engine.adj[root].items()
+            if letter > 0 and any(engine.head(tok) == root for tok in toks)
+        }
+        if len(gens) == engine.graph.rank:
+            return True
+    return False
+
+
+def makes_lift_by_simulation(engine: _Engine, root: int, letter: int) -> bool:
+    probe = clone_engine(engine)
+    probe.apply_record(probe.pair(root, letter))
+    return engine_has_rose_lift(probe)
+
+
+def oracle_fold_deferring(g: LabeledGraph) -> tuple[list[FoldRecord], int | None]:
+    """The lift-deferring policy by clone-and-simulate: sort every
+    candidate after each fold and fold a copy of the engine to test it."""
+    engine = _Engine(g)
+    records: list[FoldRecord] = []
+    first_lift: int | None = 0 if engine_has_rose_lift(engine) else None
+    while True:
+        candidates = sorted(
+            ((engine.cls_min[root], letter_key(letter)), root, letter)
+            for root in engine_roots(engine)
+            for letter in engine.foldable_letters(root)
+        )
+        if not candidates:
+            return records, first_lift
+        pick = candidates[0][1:]
+        if first_lift is None:
+            pick = next(
+                (c[1:] for c in candidates if not makes_lift_by_simulation(engine, *c[1:])),
+                pick,
+            )
+        record = engine.pair(*pick)
+        engine.apply_record(record)
+        records.append(record)
+        if first_lift is None and engine_has_rose_lift(engine):
+            first_lift = len(records)
+
+
+class TestDeferRoseOracle:
+    """``fold_all(g, "defer_rose")`` tests candidates with the local lift
+    test in the heap loop; the oracle sorts and simulates every fold."""
+
+    def assert_matches(self, g: LabeledGraph) -> tuple[list[FoldRecord], int | None]:
+        records, first_lift = oracle_fold_deferring(g)
+        trace = fold_all(g, "defer_rose")
+        assert list(trace.records) == records
+        assert trace.first_lift_stage == first_lift
+        return records, first_lift
+
+    def test_random_graphs(self, rng):
+        lifts = {0: 0, "later": 0, None: 0}
+        for _ in range(400):
+            rank = rng.choice((2, 3))
+            g = random_graph(rng, rank, max_v=6, max_e=10)
+            if rng.random() < 0.5:
+                g = LabeledGraph(g.rank, g.num_vertices, g.edges, base=0)
+            _, first_lift = self.assert_matches(g)
+            lifts[first_lift if first_lift in (0, None) else "later"] += 1
+        assert all(count > 20 for count in lifts.values())
+
+    def test_random_wedges(self, rng):
+        for rank in (2, 3):
+            for _ in range(15):
+                self.assert_matches(wedge_of_loops(nielsen_basis_tuple(rng, rank, moves=10)))
+
+    def test_every_fold_makes_a_lift(self):
+        # the only fold merges the a1-loop vertex with the a2-loop vertex
+        g = LabeledGraph(2, 2, ((0, 0, 1), (1, 1, 2), (0, 1, 1)), base=0)
+        assert makes_lift_by_simulation(_Engine(g), 0, 1)
+        assert self.assert_matches(g) == ([FoldRecord(kept=1, removed=3)], 1)
+
+    def test_input_with_a_lift(self):
+        g = wedge_of_loops(tup("a1 a2", "a1", "a2"))
+        assert self.assert_matches(g)[1] == 0
+
+    def test_local_test_matches_simulation_on_delta(self, rng):
+        # on delta every available fold makes a lift, by both tests
+        checked = 0
+        for rank in (2, 3):
+            for _ in range(15):
+                g = wedge_of_loops(nielsen_basis_tuple(rng, rank, moves=10))
+                if g.has_rose_lift():
+                    continue
+                delta = fold_to_delta(g).delta
+                self.assert_matches(delta)
+                engine = _Engine(delta)
+                for v in range(delta.num_vertices):
+                    for letter in engine.foldable_letters(v):
+                        assert makes_lift_by_simulation(engine, v, letter)
+                        assert engine.makes_lift(engine.pair(v, letter))
+                        checked += 1
+        assert checked > 0
+
+    def test_fold_to_delta_matches_oracle_trace(self, rng):
+        for rank in (2, 3):
+            for _ in range(15):
+                g = wedge_of_loops(nielsen_basis_tuple(rng, rank, moves=10))
+                records, first_lift = oracle_fold_deferring(g)
+                try:
+                    ext = fold_to_delta(g)
+                except ValueError:
+                    assert g.has_rose_lift() and not records
+                    continue
+                index = len(records) - 1 if first_lift == 0 else first_lift - 1
+                engine = _Engine(g)
+                for record in records[:index]:
+                    engine.apply_record(record)
+                assert list(ext.trace.records) == records
+                assert ext.degenerate == (first_lift == 0)
+                assert ext.delta_stage_index == index
+                assert ext.delta == engine.materialize()[0]
 
 
 class TestFoldToDelta:

@@ -15,7 +15,9 @@ from rosefold.words import (
     cyclic_reduce,
     empty_word,
     format_word,
+    _least_rotation,
     free_reduce,
+    letter_key,
     parse_word,
     random_nielsen_moves,
     random_reduced_letters,
@@ -120,6 +122,62 @@ class TestCyclicReduce:
         assert CyclicWord.from_cyclically_reduced(cyc.word) == cyc
         inv = cyc.inverse()
         assert CyclicWord(Word(inv.rank, inv.word.letters)) == inv
+
+
+def oracle_least_rotation(letters: tuple[int, ...]) -> int:
+    """The quadratic scan: each start against the best so far, keeping the
+    smallest index among least rotations."""
+    if not letters:
+        return 0
+    keys = [letter_key(l) for l in letters]
+    best = 0
+    for cand in range(1, len(letters)):
+        for off in range(len(letters)):
+            a = keys[(best + off) % len(letters)]
+            b = keys[(cand + off) % len(letters)]
+            if a != b:
+                if b < a:
+                    best = cand
+                break
+    return best
+
+
+class TestLeastRotation:
+    @given(raw_letters)
+    @settings(max_examples=300)
+    def test_matches_oracle(self, letters):
+        assert _least_rotation(tuple(letters)) == oracle_least_rotation(tuple(letters))
+
+    @given(raw_letters.filter(bool), st.integers(min_value=1, max_value=6))
+    @settings(max_examples=300)
+    def test_proper_powers_match_oracle(self, root, power):
+        # every least rotation of a proper power is repeated; the smallest
+        # index must win
+        letters = tuple(root) * power
+        k = _least_rotation(letters)
+        assert k == oracle_least_rotation(letters)
+        assert k < len(root)
+
+    @given(raw_letters.filter(bool), st.integers(min_value=1, max_value=60))
+    @settings(max_examples=300)
+    def test_truncated_periodic_words_match_oracle(self, root, length):
+        letters = tuple((tuple(root) * length)[:length])
+        assert _least_rotation(letters) == oracle_least_rotation(letters)
+
+    def test_fixed_cases(self):
+        assert _least_rotation(()) == 0
+        assert _least_rotation((2,)) == 0
+        assert _least_rotation((2, 1, 2, 1)) == 1
+        assert _least_rotation((-1, 1, 1)) == 1
+        assert _least_rotation((1, 2, -1, 2) * 5) == 0
+        assert _least_rotation((2, -1, 2, 1) * 5) == 3
+
+    def test_long_periodic_word(self):
+        # the oracle compares 1,000 of the 4,000 starts with the best one
+        # over the whole word here
+        letters = (1, 2, -1, 2) * 1000
+        assert _least_rotation(letters) == 0
+        assert _least_rotation(letters[1:] + letters[:1]) == 3
 
 
 class TestNielsen:
