@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -143,8 +144,11 @@ def cmd_word_stats(args: argparse.Namespace) -> int:
     cfg = genericity.SampleConfig(
         rank=args.rank, length=args.length, samples=args.samples, seed=args.seed
     )
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a fork-started pool starts every worker at once: ask for no more than
+    # the cores
+    workers = min(args.jobs, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             report = genericity.word_stats_experiment(cfg, args.epsilon, pool)
     else:
         report = genericity.word_stats_experiment(cfg, args.epsilon)
@@ -340,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epsilon", type=float, default=0.05)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     common(p)
     p.set_defaults(func=cmd_word_stats)
 

@@ -1,11 +1,14 @@
 """Path lifting, bounded path-surjectivity, the two-vertex cover
 characterization, and the exhaustive desk-scale survey that checks it.
 
-Bounded path-surjectivity is decided by a power-set walk: track the set
-of vertices at which some lift of the word read so far can end.  The
-word fails to lift exactly when that set empties, so the shortest
-non-lifting reduced word is a breadth-first search over (vertex set,
-last letter) states; the state space is tiny for desk-scale graphs.
+Bounded path-surjectivity is decided by a power-set walk (the subset
+construction of Rabin and Scott, 1959): track the set of vertices at
+which some lift of the word read so far can end.  The word fails to lift
+exactly when that set empties, so the shortest non-lifting reduced word
+is a breadth-first search over (vertex set, last letter) states; the
+state space is tiny for desk-scale graphs.  A vertex set is an int
+bitmask, and one step ORs the per-letter target masks of its set bits
+(``letter_rows``), so no set object is built per step.
 
 The survey's candidates come from orderly generation (Read 1978; McKay,
 "Isomorph-free exhaustive generation", J. Algorithms 1998).  Unlabelled
@@ -62,27 +65,41 @@ def _letters(rank: int) -> list[int]:
     return sorted(out, key=letter_key)
 
 
+def letter_rows(g: LabeledGraph) -> dict[int, list[int]]:
+    """Per letter, the bitmask of the vertices each vertex reaches by one
+    edge reading that letter; built in one pass over the edges."""
+    rows = {letter: [0] * g.num_vertices for letter in _letters(g.rank)}
+    for src, dst, label in g.edges:
+        rows[label][src] |= 1 << dst
+        rows[-label][dst] |= 1 << src
+    return rows
+
+
+def _mask_image(row: list[int], mask: int) -> int:
+    """The image of the vertex set ``mask`` under one letter's ``row``:
+    the union of the rows of its set bits."""
+    image = 0
+    while mask:
+        low = mask & -mask
+        image |= row[low.bit_length() - 1]
+        mask ^= low
+    return image
+
+
 def shortest_non_lifting_word(g: LabeledGraph, max_len: int) -> Word | None:
     """Lexicographically least shortest reduced word with no lift anywhere
     in ``g``, or None when every reduced word of length <= max_len lifts."""
-    full = frozenset(range(g.num_vertices))
-    seen: set[tuple[frozenset[int], int]] = set()
-    frontier: list[tuple[frozenset[int], int, tuple[int, ...]]] = [(full, 0, ())]
     letters = _letters(g.rank)
-    step: dict[tuple[int, int], frozenset[int]] = {}
-    for v in range(g.num_vertices):
-        for lab, tgt, _ in g.adjacency[v]:
-            key = (v, lab)
-            step[key] = step.get(key, frozenset()) | {tgt}
+    rows = letter_rows(g)
+    seen: set[tuple[int, int]] = set()
+    frontier: list[tuple[int, int, tuple[int, ...]]] = [((1 << g.num_vertices) - 1, 0, ())]
     for _ in range(max_len):
-        next_frontier: list[tuple[frozenset[int], int, tuple[int, ...]]] = []
-        for subset, last, word in frontier:
+        next_frontier: list[tuple[int, int, tuple[int, ...]]] = []
+        for mask, last, word in frontier:
             for letter in letters:
                 if last == -letter:
                     continue
-                image = frozenset().union(
-                    *(step.get((v, letter), frozenset()) for v in subset)
-                )
+                image = _mask_image(rows[letter], mask)
                 if not image:
                     return Word(g.rank, word + (letter,))
                 state = (image, letter)
@@ -94,6 +111,17 @@ def shortest_non_lifting_word(g: LabeledGraph, max_len: int) -> Word | None:
         if not frontier:
             break
     return None
+
+
+def lifts_somewhere(rows: dict[int, list[int]], num_vertices: int, w: Word) -> bool:
+    """Does ``w`` lift from some vertex of the graph whose ``letter_rows``
+    are ``rows``?  One power-set walk from the full vertex set."""
+    mask = (1 << num_vertices) - 1
+    for letter in w.letters:
+        mask = _mask_image(rows[letter], mask)
+        if not mask:
+            return False
+    return True
 
 
 def is_path_surjective_up_to(g: LabeledGraph, max_len: int) -> tuple[bool, Word | None]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import strsearch
-from .covers import enumerate_candidates, has_sub_cover, lift_paths
+from .covers import enumerate_candidates, has_sub_cover, letter_rows, lift_paths, lifts_somewhere
 from .graphs import EdgePath
 from .words import Word, random_reduced_letters
 
@@ -232,8 +232,10 @@ def alpha_injectivity_experiment(
     """Over candidate graphs with no sub-cover of degree 1 or 2, measure
     the injectivity ratio of the first 16 lifts from each start vertex of
     sampled reduced words; samples with no lift anywhere are recorded but
-    not scored."""
-    graphs = [g for g in enumerate_candidates(cfg.rank, max_edges) if not has_sub_cover(g)]
+    not scored.  A power-set walk over each graph's ``letter_rows`` skips
+    the per-start lift search on graphs where the word lifts nowhere."""
+    candidates = enumerate_candidates(cfg.rank, max_edges)
+    graphs = [(g, letter_rows(g)) for g in candidates if not has_sub_cover(g)]
     report = StatsReport(
         config={**cfg.__dict__, "alpha_target": alpha_target, "graphs": len(graphs)}
     )
@@ -241,7 +243,9 @@ def alpha_injectivity_experiment(
         w = random_reduced_word(cfg, i)
         worst: float | None = None
         lift_count = 0
-        for g in graphs:
+        for g, rows in graphs:
+            if not lifts_somewhere(rows, g.num_vertices, w):
+                continue
             for start in range(g.num_vertices):
                 for lift in lift_paths(g, w, start, max_lifts=16):
                     ratio = alpha_injectivity(lift)

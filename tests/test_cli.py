@@ -128,6 +128,37 @@ class TestWordStats:
         assert a["samples"] == b["samples"]
         assert a["aggregate"] == b["aggregate"]
 
+    def test_jobs_capped_at_cpu_count(self, capsys, monkeypatch):
+        started = []
+
+        class RecordingExecutor:
+            """Serial stand-in that records the pool size it was asked for."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr("rosefold.cli.ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr("rosefold.cli.os.cpu_count", lambda: 3)
+        base = ("word-stats", "--length", "32", "--samples", "2")
+        _, out = run_cli(capsys, *base, "--jobs", "100000")
+        assert started == [3]
+        # the echo keeps the value as given
+        assert json.loads(out)["config"]["jobs"] == 100000
+        run_cli(capsys, *base, "--jobs", "2")
+        assert started == [3, 2]
+        monkeypatch.setattr("rosefold.cli.os.cpu_count", lambda: None)
+        run_cli(capsys, *base, "--jobs", "8")
+        assert started == [3, 2]
+
     def test_rows_and_aggregate_are_the_library_report(self, capsys):
         code, out = run_cli(
             capsys, "word-stats", "--rank", "3", "--length", "200",
@@ -390,6 +421,13 @@ class TestInputErrors:
         self.assert_parser_rejects(
             capsys, "--max-candidates", "verify-covers", "--max-candidates", value
         )
+
+    def test_word_stats_zero_jobs_rejected_by_parser(self, capsys):
+        # zero and negative values used to run serially without a word
+        self.assert_parser_rejects(capsys, "--jobs", "word-stats", "--jobs", "0")
+
+    def test_word_stats_negative_jobs_rejected_by_parser(self, capsys):
+        self.assert_parser_rejects(capsys, "--jobs", "word-stats", "--jobs", "-1")
 
     def test_negative_max_path_len_rejected_by_parser(self, capsys):
         self.assert_parser_rejects(

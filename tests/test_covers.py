@@ -4,13 +4,16 @@ import random
 import pytest
 
 from rosefold.covers import (
+    _letters,
     _unlabeled_shapes,
     all_two_sheeted_covers,
     enumerate_candidates,
     has_sub_cover,
     is_path_surjective_up_to,
     is_two_sheeted_cover,
+    letter_rows,
     lift_paths,
+    lifts_somewhere,
     shortest_non_lifting_word,
     survey_two_cover_characterization,
     two_sheeted_cover,
@@ -117,6 +120,102 @@ class TestPathSurjectivity:
                     lift_paths(g, prefix, start) for start in range(g.num_vertices)
                 )
         assert count > 50
+
+
+def oracle_shortest_non_lifting_word(g: LabeledGraph, max_len: int) -> Word | None:
+    """Differential oracle for ``shortest_non_lifting_word``: the same
+    breadth-first search over (vertex set, last letter) states, with each
+    vertex set a frozenset built from a per-(vertex, letter) target map."""
+    full = frozenset(range(g.num_vertices))
+    seen: set[tuple[frozenset[int], int]] = set()
+    frontier: list[tuple[frozenset[int], int, tuple[int, ...]]] = [(full, 0, ())]
+    letters = _letters(g.rank)
+    step: dict[tuple[int, int], frozenset[int]] = {}
+    for v in range(g.num_vertices):
+        for lab, tgt, _ in g.adjacency[v]:
+            key = (v, lab)
+            step[key] = step.get(key, frozenset()) | {tgt}
+    for _ in range(max_len):
+        next_frontier: list[tuple[frozenset[int], int, tuple[int, ...]]] = []
+        for subset, last, word in frontier:
+            for letter in letters:
+                if last == -letter:
+                    continue
+                image = frozenset().union(
+                    *(step.get((v, letter), frozenset()) for v in subset)
+                )
+                if not image:
+                    return Word(g.rank, word + (letter,))
+                state = (image, letter)
+                if state in seen:
+                    continue
+                seen.add(state)
+                next_frontier.append((image, letter, word + (letter,)))
+        frontier = next_frontier
+        if not frontier:
+            break
+    return None
+
+
+def random_labeled_graph(rng: random.Random, rank: int) -> LabeledGraph:
+    """Up to six vertices and eight edges drawn independently, so isolated
+    vertices, parallel edges and loops all occur."""
+    nv = rng.randrange(1, 7)
+    edges = tuple(
+        (rng.randrange(nv), rng.randrange(nv), rng.choice(_letters(rank)))
+        for _ in range(rng.randrange(0, 9))
+    )
+    return LabeledGraph(rank, nv, edges)
+
+
+class TestBitmaskPowerSet:
+    @pytest.mark.parametrize("rank,max_edges", [(2, 5), (3, 4)])
+    def test_matches_frozenset_oracle_on_survey_candidates(self, rank, max_edges):
+        checked = 0
+        for g in enumerate_candidates(rank, max_edges):
+            if g.has_rose_lift():
+                continue
+            checked += 1
+            # the witness itself, not just the verdict
+            assert shortest_non_lifting_word(g, 14) == oracle_shortest_non_lifting_word(g, 14)
+        assert checked > 2000
+
+    def test_matches_frozenset_oracle_on_random_graphs(self):
+        rng = random.Random(10)
+        kinds = {"isolated": 0, "parallel": 0, "loop": 0, "none": 0}
+        for _ in range(400):
+            rank = rng.choice((2, 3))
+            g = random_labeled_graph(rng, rank)
+            touched = {v for s, d, _ in g.edges for v in (s, d)}
+            kinds["isolated"] += len(touched) < g.num_vertices
+            kinds["parallel"] += len({(s, d) for s, d, _ in g.edges}) < g.num_edges
+            kinds["loop"] += any(s == d for s, d, _ in g.edges)
+            for max_len in range(7):
+                ours = shortest_non_lifting_word(g, max_len)
+                assert ours == oracle_shortest_non_lifting_word(g, max_len)
+                kinds["none"] += ours is None
+        assert min(kinds.values()) > 20, kinds
+
+    def test_rows_read_every_oriented_edge(self):
+        g = LabeledGraph(2, 3, ((0, 1, 1), (0, 1, 1), (2, 2, -2), (1, 0, 2)))
+        rows = letter_rows(g)
+        assert sorted(rows) == [-2, -1, 1, 2]
+        for letter, row in rows.items():
+            for v in range(g.num_vertices):
+                targets = {tgt for lab, tgt, _ in g.adjacency[v] if lab == letter}
+                assert row[v] == sum(1 << t for t in targets)
+
+    def test_lifts_somewhere_matches_lift_paths(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            g = random_labeled_graph(rng, 2)
+            rows = letter_rows(g)
+            word = Word(2, random_reduced_letters(rng, 2, rng.randrange(0, 7)))
+            expected = any(
+                lift_paths(g, word, start, max_lifts=1)
+                for start in range(g.num_vertices)
+            )
+            assert lifts_somewhere(rows, g.num_vertices, word) == expected
 
 
 class TestTwoSheetedCovers:

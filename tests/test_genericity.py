@@ -5,8 +5,10 @@ from collections import Counter
 import pytest
 
 from rosefold import strsearch
+from rosefold.covers import enumerate_candidates, has_sub_cover, lift_paths
 from rosefold.genericity import (
     SampleConfig,
+    StatsReport,
     alpha_injectivity,
     alpha_injectivity_experiment,
     complementary_distribution,
@@ -269,6 +271,73 @@ class TestExperiments:
         for row in report.rows:
             if "min_alpha" in row:
                 assert 0.0 < row["min_alpha"] <= 1.0
+
+
+def oracle_alpha_injectivity_experiment(
+    cfg: SampleConfig, alpha_target: float = 0.9, max_edges: int = 4
+) -> StatsReport:
+    """Differential oracle for ``alpha_injectivity_experiment``: the same
+    loop with no power-set check, searching lifts from every start of
+    every graph for every sample."""
+    graphs = [g for g in enumerate_candidates(cfg.rank, max_edges) if not has_sub_cover(g)]
+    report = StatsReport(
+        config={**cfg.__dict__, "alpha_target": alpha_target, "graphs": len(graphs)}
+    )
+    for i in range(cfg.samples):
+        word = random_reduced_word(cfg, i)
+        worst: float | None = None
+        lift_count = 0
+        for g in graphs:
+            for start in range(g.num_vertices):
+                for lift in lift_paths(g, word, start, max_lifts=16):
+                    ratio = alpha_injectivity(lift)
+                    lift_count += 1
+                    if worst is None or ratio < worst:
+                        worst = ratio
+        row: dict = {"sample": i, "lifts": lift_count}
+        if worst is not None:
+            row["min_alpha"] = round(worst, 6)
+            row["alpha_ok"] = worst >= alpha_target
+        report.rows.append(row)
+    report.aggregate = {
+        "samples": len(report.rows),
+        "lifting_samples": sum(1 for row in report.rows if "alpha_ok" in row),
+    }
+    report.finalize(["alpha_ok"])
+    return report
+
+
+class TestAlphaOracle:
+    @pytest.mark.parametrize("length", [4, 5, 6, 8])
+    def test_short_words_where_the_lift_cap_binds(self, length):
+        cfg = SampleConfig(rank=2, length=length, samples=30, seed=length)
+        ours = alpha_injectivity_experiment(cfg)
+        oracle = oracle_alpha_injectivity_experiment(cfg)
+        assert (ours.config, ours.rows, ours.aggregate) == (
+            oracle.config,
+            oracle.rows,
+            oracle.aggregate,
+        )
+        # some graph has more than 16 lifts from one start, so the rows
+        # depend on which 16 the lift search keeps
+        graphs = [g for g in enumerate_candidates(2, 4) if not has_sub_cover(g)]
+        assert any(
+            len(lift_paths(g, random_reduced_word(cfg, i), start, max_lifts=17)) > 16
+            for i in range(cfg.samples)
+            for g in graphs
+            for start in range(g.num_vertices)
+        )
+
+    def test_long_words_that_lift_nowhere(self):
+        cfg = SampleConfig(rank=2, length=256, samples=12, seed=3)
+        ours = alpha_injectivity_experiment(cfg)
+        oracle = oracle_alpha_injectivity_experiment(cfg)
+        assert (ours.config, ours.rows, ours.aggregate) == (
+            oracle.config,
+            oracle.rows,
+            oracle.aggregate,
+        )
+        assert all(row["lifts"] == 0 for row in ours.rows)
 
 
 def test_wilson_interval_sane():
