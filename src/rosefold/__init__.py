@@ -41,15 +41,12 @@ from .folding import (
     fold_all,
     fold_once,
     fold_to_delta,
-    folds_onto_rose,
     injective_arcs,
-    is_folded,
     replace_arc,
     wedge_of_loops,
 )
 from .covers import (
     enumerate_candidates,
-    is_path_surjective_up_to,
     is_two_sheeted_cover,
     lift_paths,
     shortest_non_lifting_word,
@@ -77,7 +74,6 @@ from .complexity import (
     ComplexityValue,
     Thresholds,
     UWordIndex,
-    admissible_decompositions,
     c1,
     ell_hat,
     reduction_move,

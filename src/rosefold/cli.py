@@ -3,11 +3,12 @@
 Every subcommand echoes its full configuration (defaults and seed
 included) into the output header, writes JSON or CSV to stdout or
 --out, and uses the exit-code contract: 0 success, 1 verification
-failure (with a machine-readable report), 2 usage error.  A usage error
-caught by argument parsing prints argparse's usage message; bad input
+failure (with a machine-readable report), 2 usage error.  Every usage
+error prints ``{"error": ...}`` on stdout instead of a traceback: one
+caught by argument parsing (a value out of range, an unknown choice, a
+missing flag) also prints argparse's usage line on stderr, and bad input
 found later (an unreadable file, a letter outside the rank, a rank or
-cap the library rejects) prints ``{"error": ...}`` on stdout instead of
-a traceback.
+cap the library rejects) prints the error alone.
 """
 
 from __future__ import annotations
@@ -20,6 +21,19 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import complexity as cxmod
 from . import covers, folding, genericity, graphs, presentations, surgery, words
+
+
+def _print_error(message: str) -> None:
+    sys.stdout.write(json.dumps({"error": message}, indent=2) + "\n")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Parse errors print the JSON error too (usage stays on stderr)."""
+
+    def error(self, message: str) -> None:
+        self.print_usage(sys.stderr)
+        _print_error(f"{self.prog}: {message}")
+        sys.exit(2)
 
 
 def _emit(payload: dict | str, args: argparse.Namespace) -> None:
@@ -105,13 +119,9 @@ def cmd_fold(args: argparse.Namespace) -> int:
     t = _parse_tuple(args)
     wedge = folding.wedge_of_loops(t)
     trace = folding.fold_all(wedge, policy=args.policy)
-    digests = []
-    dumps = []
-    for stage in trace.stages():
-        key = graphs.canonical_key(stage.graph)
-        digests.append(hashlib.sha256(repr(key).encode()).hexdigest()[:16])
-        if args.dump_stages:
-            dumps.append(graphs.format_graph(stage.graph))
+    digests = [
+        hashlib.sha256(repr(key).encode()).hexdigest()[:16] for key in trace.stage_keys()
+    ]
     payload = {
         "config": _config_echo(args, ["rank", "words", "tuple_json", "policy", "dump_stages"]),
         "initial_edges": wedge.num_edges,
@@ -123,7 +133,7 @@ def cmd_fold(args: argparse.Namespace) -> int:
         "delta_index": trace.delta_index,
     }
     if args.dump_stages:
-        payload["stages"] = dumps
+        payload["stages"] = [graphs.format_graph(stage.graph) for stage in trace.stages()]
     _emit(payload, args)
     return 0
 
@@ -309,7 +319,7 @@ def cmd_surgery_demo(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rosefold", description="labeled-graph folding and genericity toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -413,8 +423,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
-        error = {"error": f"{type(exc).__name__}: {exc}"}
-        sys.stdout.write(json.dumps(error, indent=2) + "\n")
+        _print_error(f"{type(exc).__name__}: {exc}")
         return 2
 
 

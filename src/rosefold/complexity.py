@@ -201,10 +201,6 @@ class Segmentation:
     boundaries: tuple[int, ...]  # interior cut positions, increasing
     certificates: tuple[UCert, ...]
 
-    @property
-    def factor_count(self) -> int:
-        return len(self.boundaries) + 1
-
     def spans(self) -> list[tuple[int, int]]:
         cuts = (0,) + self.boundaries + (len(self.word),)
         return [(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)]
@@ -339,32 +335,6 @@ def _cut_sequences(
             q = pos + jump
             if G[q] == k - used:
                 stack.append((q, cuts + ((q,) if q < n else ())))
-
-
-def admissible_decompositions(
-    w: Word, idx: UWordIndex, cap: int | None = 64
-) -> Iterator[Segmentation]:
-    """All segmentations into exactly c1(w) certified factors, in
-    lexicographic cut order; stops after ``cap`` when given."""
-    maxstart = idx.max_factor_starting(w)
-    if any(m == 0 for m in maxstart):
-        raise ValueError("some letter is not a factor of any relator power")
-    _, G = _min_factor_tables(w, maxstart)
-    emitted = 0
-    for cuts in _cut_sequences(len(w), maxstart, G, None):
-        certs = []
-        lo = 0
-        for cut in cuts + (len(w),):
-            cert = idx.is_u_word(w.subword(lo, cut))
-            if cert is None:
-                break
-            certs.append(cert)
-            lo = cut
-        else:
-            yield Segmentation(w, cuts, tuple(certs))
-            emitted += 1
-            if cap is not None and emitted >= cap:
-                return
 
 
 def _ith_factor_maxima(maxstart: list[int], F: list[int], G: list[int]) -> list[int]:

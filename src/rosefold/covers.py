@@ -124,13 +124,6 @@ def lifts_somewhere(rows: dict[int, list[int]], num_vertices: int, w: Word) -> b
     return True
 
 
-def is_path_surjective_up_to(g: LabeledGraph, max_len: int) -> tuple[bool, Word | None]:
-    """True when every reduced word of length <= max_len lifts somewhere in
-    ``g``; on failure also returns a shortest non-lifting word."""
-    witness = shortest_non_lifting_word(g, max_len)
-    return (witness is None, witness)
-
-
 def is_two_sheeted_cover(g: LabeledGraph) -> bool:
     """Two vertices; per generator either loops at both vertices or a pair
     of opposite edges between them; at least one generator in the second
@@ -176,14 +169,6 @@ def two_sheeted_cover(rank: int, loop_generators: frozenset[int] = frozenset()) 
             edges.append((0, 1, gen))
             edges.append((1, 0, gen))
     return LabeledGraph(rank, 2, tuple(edges))
-
-
-def all_two_sheeted_covers(rank: int) -> list[LabeledGraph]:
-    covers = []
-    for r in range(rank):
-        for combo in itertools.combinations(range(1, rank + 1), r):
-            covers.append(two_sheeted_cover(rank, frozenset(combo)))
-    return covers
 
 
 def has_sub_cover(g: LabeledGraph, max_degree: int = 2) -> bool:

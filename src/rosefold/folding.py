@@ -21,6 +21,7 @@ from .graphs import (
     LabeledGraph,
     arc_endpoints,
     arc_interior,
+    canonical_key,
     is_connected,
     is_rose,
     maximal_arcs,
@@ -179,6 +180,46 @@ class _Engine:
         return LabeledGraph(g.rank, len(roots), tuple(edges), base), vmap, emap
 
 
+class _StageView:
+    """The engine's current stage of a based graph as ``canonical_key``
+    reads it, without materializing it: union-find roots are the vertex
+    ids, and the live vertex and edge counts make the header.  Each root
+    keeps its label groups until a fold touches it."""
+
+    def __init__(self, engine: _Engine):
+        g = engine.graph
+        self.engine = engine
+        self.rank = g.rank
+        self.num_vertices = g.num_vertices
+        self.num_edges = g.num_edges
+        self.base = g.base
+        self.label_groups: list[list | None] = [self._groups(v) for v in range(g.num_vertices)]
+
+    def _groups(self, root: int) -> list:
+        adj, head = self.engine.adj[root], self.engine.head
+        out = []
+        for letter in sorted(adj, key=letter_key):
+            targets = [head(tok) for tok in adj[letter]]
+            out.append(letter_key(letter) + (targets, list(dict.fromkeys(targets))))
+        return out
+
+    def apply_record(self, record: FoldRecord) -> None:
+        """Fold, then rebuild the groups that name a head: the merged head's
+        and its neighbours' (the fold vertex and both heads' neighbours)."""
+        engine = self.engine
+        heads = engine.head(record.kept), engine.head(record.removed)
+        engine.apply_record(record)
+        self.num_edges -= 1
+        root = engine.find(heads[0])
+        if heads[0] != heads[1]:
+            self.num_vertices -= 1
+            self.label_groups[heads[0] + heads[1] - root] = None  # absorbed
+        self.base = engine.find(self.base)
+        dirty = {root, *(engine.head(tok) for toks in engine.adj[root].values() for tok in toks)}
+        for v in dirty:
+            self.label_groups[v] = self._groups(v)
+
+
 @dataclass(frozen=True)
 class Stage:
     """A materialized fold stage, with maps from the initial graph."""
@@ -212,10 +253,6 @@ class FoldTrace:
         return len(self.records)
 
     @property
-    def num_stages(self) -> int:
-        return len(self.records) + 1
-
-    @property
     def delta_index(self) -> int | None:
         if self.first_lift_stage is None or self.first_lift_stage == 0:
             return None
@@ -229,6 +266,20 @@ class FoldTrace:
             engine.apply_record(record)
         graph, vmap, emap = engine.materialize()
         return Stage(graph, vmap, emap)
+
+    def stage_keys(self) -> Iterator[tuple]:
+        """``canonical_key(stage(k).graph)`` for every k in order, from one
+        replay; a based initial graph's stages are read off the engine
+        (``_StageView``) instead of being materialized."""
+        if self.initial.base is None:
+            for stage in self.stages():
+                yield canonical_key(stage.graph)
+            return
+        view = _StageView(_Engine(self.initial))
+        yield canonical_key(view)
+        for record in self.records:
+            view.apply_record(record)
+            yield canonical_key(view)
 
     def stages(self) -> Iterator[Stage]:
         """Every stage in order, replaying the records once; each equals
@@ -325,14 +376,6 @@ def fold_once(g: LabeledGraph, policy: str = "least") -> tuple[LabeledGraph, Fol
     if not trace.records:
         return None
     return trace.stage(1).graph, trace.records[0]
-
-
-def is_folded(g: LabeledGraph) -> bool:
-    return all(len({lab for lab, _, _ in out}) == len(out) for out in g.adjacency)
-
-
-def folds_onto_rose(g: LabeledGraph) -> bool:
-    return is_rose(fold_all(g).terminal)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .words import Word, check_letter, format_letter, letter_key, parse_letter
+from .words import check_letter, format_letter, letter_key, parse_letter
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,19 @@ class LabeledGraph:
             out[dst].append((-label, src, -(k + 1)))
         key = lambda rec: (letter_key(rec[0]), rec[1], rec[2])
         return tuple(tuple(sorted(lst, key=key)) for lst in out)
+
+    @cached_property
+    def label_groups(self) -> tuple[list[tuple], ...]:
+        """Per vertex, its label groups in label order, as ``canonical_key``
+        reads them: ``(gen, sign, targets with multiplicity, distinct
+        targets)``."""
+        out = []
+        for recs in self.adjacency:
+            by_label: dict[int, list[int]] = {}
+            for label, target, _ in recs:  # sorted by (label, target)
+                by_label.setdefault(label, []).append(target)
+            out.append([letter_key(l) + (t, list(dict.fromkeys(t))) for l, t in by_label.items()])
+        return tuple(out)
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -276,10 +289,6 @@ def arc_interior(g: LabeledGraph, arc: Arc) -> list[int]:
     return [g.omega(tok) for tok in arc.edges[:-1]]
 
 
-def arc_label(g: LabeledGraph, arc: Arc) -> Word:
-    return Word(g.rank, tuple(g.letter(tok) for tok in arc.edges))
-
-
 def make_arc(g: LabeledGraph, tokens: Sequence[int], kind: str = "plain") -> Arc:
     """Validate a token chain as an arc (interior degree 2, consecutive)."""
     if not tokens:
@@ -374,30 +383,23 @@ class EdgePath:
     def end(self) -> int:
         return self.graph.omega(self.tokens[-1]) if self.tokens else self.start
 
-    @property
-    def is_reduced(self) -> bool:
-        return all(a != -b for a, b in zip(self.tokens, self.tokens[1:]))
-
-    def label_letters(self) -> tuple[int, ...]:
-        return tuple(self.graph.letter(tok) for tok in self.tokens)
-
-    def label_word(self) -> Word:
-        return Word(self.graph.rank, self.label_letters())
-
 
 # ---------------------------------------------------------------------------
 # canonical form and isomorphism
 
 
-def _encode_from(g: LabeledGraph, start: int, bound: tuple | None = None) -> tuple:
+def _encode_from(g, start: int, bound: tuple | None = None) -> tuple:
     """Least BFS encoding from ``start``, or ``bound`` when that is less.
 
-    Vertices are numbered in discovery order.  At each vertex the label
-    groups are visited in label order; when a group reaches several
-    still-unnumbered targets at once the assignment is ambiguous, so all
-    orders are explored and the least full encoding wins.  Tokens are
-    emitted only after every target of the vertex has its final number,
-    sorted by (label, number), so the encoding depends on the
+    ``g`` is a ``LabeledGraph`` or a view with ``num_vertices`` and
+    ``label_groups`` (see ``LabeledGraph.label_groups``), indexed by
+    vertex ids below ``len(label_groups)`` that may skip numbers.
+
+    Vertices are numbered in discovery order.  When a label group reaches
+    several still-unnumbered targets at once the assignment is ambiguous,
+    so all orders are explored and the least full encoding wins.  Tokens
+    are emitted only after every target of the vertex has its final
+    number, sorted by (label, number), so the encoding depends on the
     isomorphism class alone.
 
     The search backtracks over one shared numbering: each choice at a
@@ -408,45 +410,37 @@ def _encode_from(g: LabeledGraph, start: int, bound: tuple | None = None) -> tup
     so a branch stops as soon as its token prefix is strictly greater
     than the same-length prefix of the best encoding so far; ``bound``
     seeds that best, which lets ``canonical_key`` prune every start
-    after the first.  A complete numbering that misses a vertex means the
-    graph is disconnected, which raises ValueError.
+    after the first.  Choices are tried in order of their label profile
+    (each group's letter and multiplicity), which tends to find the least
+    encoding early; only the pruning depends on it.  A complete numbering
+    that misses a vertex means the graph is disconnected (ValueError).
     """
-    adj = g.adjacency
-    ids = [-1] * g.num_vertices
+    groups = g.label_groups
+    ids = [-1] * len(groups)
     ids[start] = 0
     order = [start]
     tokens: list[int] = []
-    # per vertex and label group, in label order: the group's key, its
-    # targets with multiplicity and its distinct targets in vertex order;
-    # built on first visit
-    groups: list[list | None] = [None] * g.num_vertices
     best = bound
 
-    def label_groups(v: int) -> list:
-        # adjacency is sorted by (label, target), so groups are runs
-        out = []
-        prev = None
-        for label, target, _ in adj[v]:
-            if label != prev:
-                prev = label
-                targets: list[int] = []
-                distinct: list[int] = []
-                out.append(letter_key(label) + (targets, distinct))
-            if not distinct or distinct[-1] != target:
-                distinct.append(target)
-            targets.append(target)
-        groups[v] = out
-        return out
+    def profile(v: int) -> list:
+        return [(k0, k1, len(targets)) for k0, k1, targets, _ in groups[v]]
 
     def search(qi: int, gi: int, tight: bool) -> None:
         # ``tight``: the tokens so far equal the best encoding's prefix
         nonlocal best
         while qi < len(order):
-            v = order[qi]
-            vgroups = groups[v] or label_groups(v)
+            vgroups = groups[order[qi]]
             while gi < len(vgroups):
-                pending = [t for t in vgroups[gi][3] if ids[t] < 0]
+                distinct = vgroups[gi][3]
+                if len(distinct) == 1:  # most groups; skip the list
+                    if ids[distinct[0]] < 0:
+                        ids[distinct[0]] = len(order)
+                        order.append(distinct[0])
+                    gi += 1
+                    continue
+                pending = [t for t in distinct if ids[t] < 0]
                 if len(pending) > 1:
+                    pending.sort(key=profile)
                     mark, mark_tokens = len(order), len(tokens)
                     for first in pending:
                         ids[first] = mark
@@ -481,7 +475,7 @@ def _encode_from(g: LabeledGraph, start: int, bound: tuple | None = None) -> tup
                 tight = segment == reference
             qi += 1
             gi = 0
-        if len(order) < len(ids):
+        if len(order) < g.num_vertices:
             raise ValueError("canonical_key expects a connected graph")
         if not tight:
             best = tuple(tokens)
@@ -495,7 +489,8 @@ def canonical_key(g: LabeledGraph, respect_base: bool = True) -> tuple:
     """Canonical encoding deciding label-preserving isomorphism.
 
     Based graphs are encoded from the base; otherwise the least encoding
-    over all start vertices is used.  Connected graphs only.
+    over all start vertices is used.  Connected graphs only.  ``g`` may
+    also be a based view that ``_encode_from`` reads (a fold stage).
     """
     header = (g.rank, g.num_vertices, g.num_edges)
     if respect_base and g.base is not None:

@@ -71,7 +71,7 @@ class TestFold:
         assert code == 0
         payload = json.loads(out)
         trace = fold_all(wedge_of_loops(t), policy=policy)
-        stages = [trace.stage(k).graph for k in range(trace.num_stages)]
+        stages = [trace.stage(k).graph for k in range(len(trace.records) + 1)]
         assert payload["stage_digests"] == [
             hashlib.sha256(repr(oracle_canonical_key(g)).encode()).hexdigest()[:16]
             for g in stages
@@ -324,10 +324,7 @@ class TestInputErrors:
         assert "missing.json" in error
 
     def test_word_stats_zero_samples_rejected_by_parser(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["word-stats", "--samples", "0"])
-        assert err.value.code == 2
-        assert "--samples" in capsys.readouterr().err
+        self.assert_parser_rejects(capsys, "--samples", "word-stats", "--samples", "0")
 
     def test_verify_covers_cap_overflow_names_cap(self, capsys):
         error = self.assert_error(
@@ -363,18 +360,12 @@ class TestInputErrors:
         ids=lambda argv: argv[0],
     )
     def test_negative_depth_rejected_by_parser(self, capsys, argv):
-        with pytest.raises(SystemExit) as err:
-            main([*argv, "--depth", "-1"])
-        assert err.value.code == 2
-        assert "--depth" in capsys.readouterr().err
+        self.assert_parser_rejects(capsys, "--depth", *argv, "--depth", "-1")
 
     @pytest.mark.parametrize("command", ["verify-covers", "alpha-injectivity"])
     @pytest.mark.parametrize("value", ["-1", "0"])
     def test_nonpositive_max_edges_rejected_by_parser(self, capsys, command, value):
-        with pytest.raises(SystemExit) as err:
-            main([command, "--max-edges", value])
-        assert err.value.code == 2
-        assert "--max-edges" in capsys.readouterr().err
+        self.assert_parser_rejects(capsys, "--max-edges", command, "--max-edges", value)
 
     def test_surgery_demo_relator_length_one(self, capsys):
         # a relator shorter than the rank cannot cover every generator; the
@@ -389,10 +380,31 @@ class TestInputErrors:
         assert "below the rank" in error
 
     def assert_parser_rejects(self, capsys, flag, *argv) -> None:
+        # argparse's rejection: the JSON error naming the flag on stdout,
+        # the usage line on stderr
         with pytest.raises(SystemExit) as err:
             main(list(argv))
         assert err.value.code == 2
-        assert flag in capsys.readouterr().err
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert list(payload) == ["error"]
+        assert flag in payload["error"]
+        assert captured.err.startswith("usage: rosefold")
+
+    def test_unknown_policy_rejected_by_parser(self, capsys):
+        self.assert_parser_rejects(capsys, "--policy", "fold", "--policy", "bogus")
+
+    def test_missing_required_flag_rejected_by_parser(self, capsys):
+        self.assert_parser_rejects(capsys, "--relators", "complexity", "--word", "a1")
+
+    def test_missing_command_rejected_by_parser(self, capsys):
+        self.assert_parser_rejects(capsys, "command")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["fold", "--help"])
+        assert err.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: rosefold fold")
 
     @pytest.mark.parametrize(
         "command", ["word-stats", "alpha-injectivity", "build-presentation", "sc-check"]
@@ -609,10 +621,9 @@ class TestFuzz:
         assert code in (0, 1, 2)
         assert "Traceback" not in stderr
         if code == 2:
-            if stdout:
-                assert list(json.loads(stdout)) == ["error"]
-            else:
-                assert "usage:" in stderr  # rejected by argument parsing
+            # argument parsing adds the usage line on stderr
+            assert list(json.loads(stdout)) == ["error"]
+            assert not stderr or stderr.startswith("usage: rosefold")
             return
         text = (fuzz_dir / out).read_text() if out else stdout
         if fmt == "csv":

@@ -1,4 +1,5 @@
 import random
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +10,11 @@ from rosefold import strsearch
 from rosefold.complexity import (
     ComplexityValue,
     Thresholds,
+    Segmentation,
     UWordIndex,
     _Ball,
+    _cut_sequences,
     _min_factor_tables,
-    admissible_decompositions,
     brute_force_c1,
     c1,
     complexity,
@@ -27,6 +29,33 @@ from test_acceptance import SEED, _reduction_index
 
 def w(text: str, rank: int = 2) -> Word:
     return parse_word(text, rank)
+
+
+def admissible_decompositions(
+    w: Word, idx: UWordIndex, cap: int | None = 64
+) -> Iterator[Segmentation]:
+    """All segmentations into exactly c1(w) certified factors, in
+    lexicographic cut order; stops after ``cap`` when given.  The c1
+    oracle's enumerator: no pipeline lists the decompositions."""
+    maxstart = idx.max_factor_starting(w)
+    if any(m == 0 for m in maxstart):
+        raise ValueError("some letter is not a factor of any relator power")
+    _, G = _min_factor_tables(w, maxstart)
+    emitted = 0
+    for cuts in _cut_sequences(len(w), maxstart, G, None):
+        certs = []
+        lo = 0
+        for cut in cuts + (len(w),):
+            cert = idx.is_u_word(w.subword(lo, cut))
+            if cert is None:
+                break
+            certs.append(cert)
+            lo = cut
+        else:
+            yield Segmentation(w, cuts, tuple(certs))
+            emitted += 1
+            if cap is not None and emitted >= cap:
+                return
 
 
 def exhaustive_cut_c1(w: Word, idx: UWordIndex) -> int:
@@ -300,7 +329,7 @@ class TestCertificates:
 class TestC1:
     def test_single_relator_word(self, toy):
         k, seg = c1(Word(2, toy.relators[0].letters), toy)
-        assert k == 1 and seg.factor_count == 1
+        assert k == 1 and len(seg.boundaries) + 1 == 1
 
     def test_single_letter(self, toy):
         k, _ = c1(w("a1"), toy)
@@ -325,7 +354,7 @@ class TestC1:
         for _ in range(30):
             word = Word(2, random_reduced_letters(rng, 2, 25))
             k, seg = c1(word, toy)
-            assert seg.factor_count == k
+            assert len(seg.boundaries) + 1 == k
             assert len(seg.certificates) == k
             for factor in seg.factors():
                 assert toy.is_u_word(factor) is not None
@@ -362,7 +391,7 @@ class TestAdmissibleDecompositions:
             word = Word(2, random_reduced_letters(rng, 2, 20))
             k = c1(word, toy)[0]
             for seg in admissible_decompositions(word, toy, cap=16):
-                assert seg.factor_count == k
+                assert len(seg.boundaries) + 1 == k
 
     def test_overlap_law(self, toy):
         # i-th factors of any two admissible decompositions overlap

@@ -6,10 +6,8 @@ import pytest
 from rosefold.covers import (
     _letters,
     _unlabeled_shapes,
-    all_two_sheeted_covers,
     enumerate_candidates,
     has_sub_cover,
-    is_path_surjective_up_to,
     is_two_sheeted_cover,
     letter_rows,
     lift_paths,
@@ -34,11 +32,26 @@ def w(text: str, rank: int = 2) -> Word:
     return parse_word(text, rank)
 
 
+def is_path_surjective_up_to(g: LabeledGraph, max_len: int) -> tuple[bool, Word | None]:
+    """True when every reduced word of length <= max_len lifts somewhere in
+    ``g``; on failure also returns a shortest non-lifting word."""
+    witness = shortest_non_lifting_word(g, max_len)
+    return (witness is None, witness)
+
+
+def all_two_sheeted_covers(rank: int) -> list[LabeledGraph]:
+    covers = []
+    for r in range(rank):
+        for combo in itertools.combinations(range(1, rank + 1), r):
+            covers.append(two_sheeted_cover(rank, frozenset(combo)))
+    return covers
+
+
 class TestLiftPaths:
     def test_unique_lift_in_rose(self):
         lifts = lift_paths(rose(2), w("a1 a2"), 0)
         assert len(lifts) == 1
-        assert lifts[0].label_word() == w("a1 a2")
+        assert tuple(map(rose(2).letter, lifts[0].tokens)) == w("a1 a2").letters
 
     def test_cover_lifts_uniquely_everywhere(self):
         rng = random.Random(2)

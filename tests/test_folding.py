@@ -3,15 +3,14 @@ import random
 import pytest
 
 from conftest import random_cyclically_reduced, random_graph
+from test_graphs import branching_star, oracle_canonical_key
 from rosefold.folding import (
     FoldRecord,
     _Engine,
     fold_all,
     fold_once,
     fold_to_delta,
-    folds_onto_rose,
     injective_arcs,
-    is_folded,
     petal_paths,
     replace_arc,
     wedge_of_loops,
@@ -20,6 +19,7 @@ from rosefold.graphs import (
     EdgePath,
     LabeledGraph,
     betti,
+    is_connected,
     is_rose,
     isomorphic_labeled,
     make_arc,
@@ -29,6 +29,7 @@ from rosefold.words import (
     GenTuple,
     Word,
     apply_nielsen,
+    format_word,
     free_reduce,
     letter_key,
     parse_word,
@@ -40,6 +41,10 @@ from rosefold.words import (
 
 def w(text: str, rank: int = 2) -> Word:
     return parse_word(text, rank)
+
+
+def path_letters(path: EdgePath) -> tuple[int, ...]:
+    return tuple(path.graph.letter(tok) for tok in path.tokens)
 
 
 def tup(*texts: str, rank: int = 2) -> GenTuple:
@@ -92,7 +97,7 @@ class TestWedge:
         t = tup("a1 a2", "a2^-1 a1")
         g = wedge_of_loops(t)
         for entry, path in zip(t.entries, petal_paths(t, g)):
-            assert path.label_word() == entry
+            assert path_letters(path) == entry.letters
             assert path.start == 0 and path.end == 0
 
 
@@ -164,7 +169,7 @@ class TestFoldAll:
     def test_betti_never_increases(self, rng):
         t = nielsen_basis_tuple(rng, 2, moves=8)
         trace = fold_all(wedge_of_loops(t))
-        values = [betti(trace.stage(k).graph) for k in range(trace.num_stages)]
+        values = [betti(trace.stage(k).graph) for k in range(len(trace.records) + 1)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_confluence_across_policies(self, rng):
@@ -226,20 +231,22 @@ class TestFoldAll:
         for rank in (2, 3):
             for _ in range(20):
                 t = proper_factor_tuple(rng, rank)
-                assert not folds_onto_rose(wedge_of_loops(t))
+                assert not is_rose(fold_all(wedge_of_loops(t)).terminal)
 
     def test_terminal_is_folded(self, rng):
         t = nielsen_basis_tuple(rng, 3, moves=10)
-        assert is_folded(fold_all(wedge_of_loops(t)).terminal)
+        terminal = fold_all(wedge_of_loops(t)).terminal
+        # no two edges leave a vertex with one letter
+        assert all(len({lab for lab, _, _ in out}) == len(out) for out in terminal.adjacency)
 
     @pytest.mark.parametrize("policy", ["least", "greatest", "defer_rose"])
     def test_stages_match_stage(self, rng, policy):
         for _ in range(6):
             t = nielsen_basis_tuple(rng, 2, moves=10)
             trace = fold_all(wedge_of_loops(t), policy=policy)
-            replayed = [trace.stage(k) for k in range(trace.num_stages)]
+            replayed = [trace.stage(k) for k in range(len(trace.records) + 1)]
             streamed = list(trace.stages())
-            assert len(streamed) == trace.num_stages
+            assert len(streamed) == len(replayed)
             for a, b in zip(streamed, replayed):
                 assert a.graph == b.graph
                 assert a.vertex_map == b.vertex_map
@@ -250,9 +257,100 @@ class TestFoldAll:
         g = wedge_of_loops(t)
         trace = fold_all(g)
         for path in petal_paths(t, g):
-            for k in (0, trace.num_stages // 2, trace.num_stages - 1):
+            for k in (0, len(trace.records) // 2, len(trace.records)):
                 image = trace.push_path(path, k)
-                assert image.label_letters() == path.label_letters()
+                assert path_letters(image) == path_letters(path)
+
+
+def stage_key_wedges() -> list[GenTuple]:
+    """Small seeded tuples whose fold sequences pass through every kind of
+    stage the group cache must follow: shared prefixes, repeated entries
+    (parallel edges once folded), loops such as a1 and a1 a1, identity
+    entries, at ranks 2 and 3."""
+    tuples = [
+        tup("a1", "a1 a1", "a2"),
+        tup("a1", "a1", "a2 a1 a2^-1"),
+        tup("a1 a2 a1^-1 a2", "1", "a1", "1", "a2"),
+        tup("a1 a2 a3", "a1 a2 a3^-1", "a3 a3", "1", rank=3),
+    ]
+    rng = random.Random(11)
+    for rank in (2, 3):
+        for _ in range(8):
+            first = random_reduced_letters(rng, rank, rng.randrange(3, 9))
+            cut = rng.randrange(1, len(first))
+            second = first
+            while second[cut] in (first[cut], -first[cut - 1]):
+                second = first[:cut] + random_reduced_letters(rng, rank, rng.randrange(1, 5))
+            entries = [first, second]
+            entries.append(first if rng.random() < 0.5 else (1,) * rng.randrange(1, 3))
+            entries.append(() if rng.random() < 0.5 else (rng.choice((-1, 1)) * rank,))
+            rng.shuffle(entries)
+            tuples.append(GenTuple(rank, tuple(Word(rank, e) for e in entries)))
+    return tuples
+
+
+def profile_star(arm_loops: list[tuple[int, ...]]) -> LabeledGraph:
+    """A based centre with an a1-edge to each arm vertex; arm i carries the
+    loops ``arm_loops[i]`` and closes back to the centre with a2, so the
+    centre branches over arms whose label profiles are equal or not."""
+    edges = []
+    for arm, loops in enumerate(arm_loops, start=1):
+        edges.append((0, arm, 1))
+        edges += [(arm, arm, label) for label in loops]
+        edges.append((arm, 0, 2))
+    return LabeledGraph(2, len(arm_loops) + 1, tuple(edges), base=0)
+
+
+class TestStageKeys:
+    """``FoldTrace.stage_keys`` (stages read off the fold engine, label
+    groups cached per root) against the copying encoder on every
+    materialized ``stage(k)``."""
+
+    POLICIES = ("least", "greatest", "defer_rose")
+
+    def assert_keys_match(self, g: LabeledGraph) -> None:
+        for policy in self.POLICIES:
+            trace = fold_all(g, policy=policy)
+            keys = list(trace.stage_keys())
+            assert len(keys) == len(trace.records) + 1
+            for k, key in enumerate(keys):
+                assert key == oracle_canonical_key(trace.stage(k).graph), (policy, k)
+
+    @pytest.mark.parametrize(
+        "t",
+        stage_key_wedges(),
+        ids=lambda t: ", ".join(format_word(e) or "1" for e in t.entries),
+    )
+    def test_wedges(self, t):
+        self.assert_keys_match(wedge_of_loops(t))
+
+    @pytest.mark.parametrize("arms", [2, 3, 4])
+    def test_branching_stars(self, arms):
+        # arm vertices with equal profiles that differ deep inside the arms
+        self.assert_keys_match(branching_star(arms))
+
+    @pytest.mark.parametrize(
+        "arm_loops",
+        [
+            [(2,), (2,), (2,)],
+            [(2,), (2, 2), (), (-2,)],
+            [(1,), (2,), (1, 2), (2, 1)],
+            [(), (), (1, 1), (1,)],
+        ],
+        ids=["equal", "multiplicity", "letters", "mixed"],
+    )
+    def test_profile_stars(self, arm_loops):
+        self.assert_keys_match(profile_star(arm_loops))
+
+    def test_unbased_graphs_materialize(self, rng):
+        # without a base the keys come from the materialized stages
+        checked = 0
+        while checked < 10:
+            g = random_graph(rng, max_v=6, max_e=9)
+            if not is_connected(g):
+                continue
+            checked += 1
+            self.assert_keys_match(g)
 
 
 def clone_engine(engine: _Engine) -> _Engine:
@@ -419,7 +517,7 @@ class TestFoldToDelta:
                 assert g.has_rose_lift()
                 continue
             assert len(ext.psi.edge_ids) <= 2 + 2
-            assert folds_onto_rose(ext.psi.graph)
+            assert is_rose(fold_all(ext.psi.graph).terminal)
             if not ext.degenerate:
                 found_nondegenerate += 1
                 assert not ext.delta.has_rose_lift()
