@@ -27,11 +27,7 @@ from .graphs import (
     collapse,
     core,
     format_graph,
-    is_core_graph,
     isomorphic_labeled,
-    maximal_arcs,
-    parse_graph,
-    rose,
     subgraph_as_graph,
     subgraph_from_edges,
 )
@@ -39,9 +35,7 @@ from .folding import (
     FoldTrace,
     PsiWitness,
     fold_all,
-    fold_once,
     fold_to_delta,
-    injective_arcs,
     replace_arc,
     wedge_of_loops,
 )
@@ -51,13 +45,10 @@ from .covers import (
     lift_paths,
     shortest_non_lifting_word,
     survey_two_cover_characterization,
-    two_sheeted_cover,
 )
 from .genericity import (
     SampleConfig,
     alpha_injectivity,
-    complementary_distribution,
-    disjoint_coverage,
     longest_repeated_subword,
     random_reduced_word,
     repeat_length_bound,
@@ -65,7 +56,6 @@ from .genericity import (
 from .presentations import (
     Presentation,
     build_relators,
-    find_sc_move,
     piece_report,
     sample_presentation,
     trim_surviving_middles,
@@ -75,7 +65,6 @@ from .complexity import (
     Thresholds,
     UWordIndex,
     c1,
-    ell_hat,
     reduction_move,
     tuple_complexity,
 )

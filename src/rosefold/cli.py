@@ -84,6 +84,18 @@ def _nonnegative_int(text: str) -> int:
     return int(text)
 
 
+def _fraction(text: str) -> float:
+    """A finite number from 0 to 1; NaN and infinities would reach the
+    JSON output as tokens that JSON does not have."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if value is None or not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number from 0 to 1")
+    return value
+
+
 def _config_echo(args: argparse.Namespace, names: list[str]) -> dict:
     return {name: getattr(args, name) for name in names}
 
@@ -353,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=_positive_int, default=4096)
     p.add_argument("--samples", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon", type=float, default=0.05)
+    p.add_argument("--epsilon", type=_fraction, default=0.05)
     p.add_argument("--jobs", type=_positive_int, default=1)
     common(p)
     p.set_defaults(func=cmd_word_stats)
@@ -363,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=_positive_int, default=256)
     p.add_argument("--samples", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=float, default=0.9)
+    p.add_argument("--alpha", type=_fraction, default=0.9)
     p.add_argument("--max-edges", dest="max_edges", type=_positive_int, default=4)
     common(p)
     p.set_defaults(func=cmd_alpha_injectivity)
@@ -381,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=_positive_int, default=2)
     p.add_argument("--length", type=_positive_int, default=60)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lambda", dest="lam", type=float, default=1 / 8)
+    p.add_argument("--lambda", dest="lam", type=_fraction, default=1 / 8)
     common(p)
     p.set_defaults(func=cmd_sc_check)
 

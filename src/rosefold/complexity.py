@@ -479,7 +479,8 @@ class _Ball:
         return node.edges
 
     def neighbors(self, nid: int, i: int) -> list[int]:
-        """The i-neighbours: what ``elementary_i_equivalents`` returns."""
+        """The i-neighbours: the qualifying words that replace one long
+        maximal factor other than the i-th by a long complementary word."""
         out: dict[int, None] = {}
         for cand, j in self.edges(nid):
             if j != i:
@@ -488,7 +489,9 @@ class _Ball:
 
     def i_ball(self, i: int, depth: int) -> list[int]:
         """The words scored for index i, in breadth-first order from the
-        root over the i-neighbours."""
+        root over the i-neighbours.  No word is scored once more than
+        ``max_ball`` words have been seen; the stop leaves only the loop
+        over one node's neighbours, so the search still runs on."""
         scored = [0]
         frontier = [0]
         seen = {0}
@@ -509,39 +512,8 @@ class _Ball:
         return scored
 
     def ell_hat(self, i: int, depth: int) -> int:
+        """Max i-th factor length over the depth-bounded i-ball."""
         return max(self.node(nid).max_ith_factor(i) for nid in self.i_ball(i, depth))
-
-
-def elementary_i_equivalents(
-    w: Word, i: int, idx: UWordIndex, thresholds: Thresholds = Thresholds()
-) -> list[Word]:
-    """Words obtained by replacing one long maximal factor other than the
-    i-th by a long complementary word.  Candidates whose splice fails to
-    stay freely reduced or to preserve c1 do not qualify and are dropped.
-    This is the root's i-neighbour list in its equivalence ball."""
-    if len(w) == 0:
-        return []
-    ball = _Ball(w, idx, thresholds)
-    return [ball.node(nid).word for nid in ball.neighbors(0, i)]
-
-
-def ell_hat(
-    w: Word,
-    i: int,
-    idx: UWordIndex,
-    thresholds: Thresholds = Thresholds(),
-    depth: int = 1,
-) -> int:
-    """Max i-th factor length over the depth-bounded equivalence ball.
-
-    The i-ball is a breadth-first search from w over the edges whose
-    replaced factor is not the i-th, read off the ball that
-    ``complexity`` explores once for every index.  No word is scored once
-    more than ``max_ball`` words have been seen; the stop leaves only the
-    loop over one node's neighbours, so the search still runs on."""
-    if len(w) == 0:
-        return 0
-    return _Ball(w, idx, thresholds).ell_hat(i, depth)
 
 
 @dataclass(frozen=True)

@@ -153,31 +153,11 @@ def is_two_sheeted_cover(g: LabeledGraph) -> bool:
     return saw_crossing
 
 
-def two_sheeted_cover(rank: int, loop_generators: frozenset[int] = frozenset()) -> LabeledGraph:
-    """Construct the degree-2 cover with loops for ``loop_generators`` and
-    an opposite-edge pair for every other generator."""
-    if not set(loop_generators) <= set(range(1, rank + 1)):
-        raise ValueError("loop generators outside rank")
-    if len(loop_generators) == rank:
-        raise ValueError("all-loops configuration is disconnected")
-    edges: list[tuple[int, int, int]] = []
-    for gen in range(1, rank + 1):
-        if gen in loop_generators:
-            edges.append((0, 0, gen))
-            edges.append((1, 1, gen))
-        else:
-            edges.append((0, 1, gen))
-            edges.append((1, 0, gen))
-    return LabeledGraph(rank, 2, tuple(edges))
-
-
-def has_sub_cover(g: LabeledGraph, max_degree: int = 2) -> bool:
+def has_sub_cover(g: LabeledGraph) -> bool:
     """Does some subgraph restrict to a covering of the rose of degree 1
     or 2?  Degree 1 is a rose lift; degree 2 is a two-vertex pattern."""
     if g.has_rose_lift():
         return True
-    if max_degree < 2:
-        return False
     loops = g.vertex_loops()
     for v, w in itertools.combinations(range(g.num_vertices), 2):
         forward: dict[int, set[int]] = {}

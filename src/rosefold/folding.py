@@ -24,7 +24,6 @@ from .graphs import (
     canonical_key,
     is_connected,
     is_rose,
-    maximal_arcs,
     subgraph_as_graph,
     subgraph_from_edges,
 )
@@ -369,15 +368,6 @@ def fold_all(g: LabeledGraph, policy: str = "least") -> FoldTrace:
     return FoldTrace(g, tuple(records), terminal, policy, first_lift)
 
 
-def fold_once(g: LabeledGraph, policy: str = "least") -> tuple[LabeledGraph, FoldRecord] | None:
-    """The first fold of ``fold_all(g, policy)`` with the graph it leaves,
-    or None when ``g`` is already folded."""
-    trace = fold_all(g, policy)
-    if not trace.records:
-        return None
-    return trace.stage(1).graph, trace.records[0]
-
-
 @dataclass(frozen=True)
 class PsiWitness:
     """A small connected subgraph of the pre-lift stage that folds onto
@@ -484,26 +474,7 @@ def fold_to_delta(g: LabeledGraph) -> DeltaExtraction:
 
 
 # ---------------------------------------------------------------------------
-# path-injective arcs and arc replacement
-
-
-def traversal_counts(path: EdgePath) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for tok in path.tokens:
-        k = abs(tok) - 1
-        counts[k] = counts.get(k, 0) + 1
-    return counts
-
-
-def injective_arcs(path: EdgePath) -> list[Arc]:
-    """Maximal arcs of the path's graph all of whose edges are traversed
-    exactly once by the path."""
-    counts = traversal_counts(path)
-    return [
-        arc
-        for arc in maximal_arcs(path.graph)
-        if all(counts.get(abs(tok) - 1, 0) == 1 for tok in arc.edges)
-    ]
+# arc replacement
 
 
 def replace_arc(g: LabeledGraph, arc: Arc, new_label: Word) -> LabeledGraph:

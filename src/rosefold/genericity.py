@@ -1,6 +1,6 @@
 """Uniform random reduced words and desk-scale sampling statistics:
-repeated subwords, disjoint-occurrence coverage, complementary-gap
-distributions, and injectivity of lifts.
+repeated subwords, disjoint-occurrence coverage, and injectivity of
+lifts.
 
 All sampling is seeded and per-sample seeds are derived from the run
 seed by index, so runs are reproducible and samples can be evaluated
@@ -57,19 +57,6 @@ def longest_repeated_subword(w: Word, include_inverses: bool = True) -> int:
     return strsearch.SuffixAutomaton(chars).longest_repeated()
 
 
-def disjoint_coverage(s: Word, gamma: Word) -> float:
-    """|gamma| * (max number of pairwise disjoint occurrences) / |s|.
-
-    The greedy left-to-right scan is optimal because all occurrence
-    intervals share one length.
-    """
-    if len(gamma) == 0:
-        raise ValueError("gamma must be nonempty")
-    if len(s) == 0:
-        return 0.0
-    return len(gamma) * len(strsearch.greedy_disjoint(s.letters, gamma.letters)) / len(s)
-
-
 def repeated_subwords_at_least(w: Word, min_len: int) -> list[Word]:
     """All distinct subwords of length >= ``min_len`` occurring at two
     distinct positions, an occurrence of the inverse word counting too.
@@ -91,29 +78,14 @@ def repeated_subwords_at_least(w: Word, min_len: int) -> list[Word]:
 
 
 def disjoint_coverage_bidirectional(s: Word, gamma: Word) -> float:
-    """Coverage where a disjoint collection may mix occurrences of gamma
-    and of its inverse (the strictest reading of non-overlapping copies)."""
+    """|gamma| * (most pairwise disjoint occurrences) / |s|, where the
+    collection may mix occurrences of gamma and of its inverse (the
+    strictest reading of non-overlapping copies)."""
     if len(gamma) == 0:
         raise ValueError("gamma must be nonempty")
     if len(s) == 0:
         return 0.0
     return len(gamma) * len(strsearch.greedy_disjoint(s.letters, gamma.letters, True)) / len(s)
-
-
-def complementary_distribution(s: Word, gamma: Word) -> dict[int, int]:
-    """Histogram of gap lengths between consecutive greedy disjoint
-    occurrences of ``gamma`` in ``s``."""
-    if len(gamma) == 0:
-        raise ValueError("gamma must be nonempty")
-    positions = [pos for pos, _ in strsearch.greedy_disjoint(s.letters, gamma.letters)]
-    if not positions:
-        raise ValueError("gamma does not occur in s")
-    hist: dict[int, int] = {}
-    for a, b in zip(positions, positions[1:]):
-        gap = b - (a + len(gamma))
-        if gap > 0:
-            hist[gap] = hist.get(gap, 0) + 1
-    return hist
 
 
 def alpha_injectivity(path: EdgePath) -> float:
@@ -195,34 +167,6 @@ def word_stats_experiment(
     bound = repeat_length_bound(cfg.rank, cfg.length)
     report = StatsReport({**cfg.__dict__, "bound": bound, "eps_target": eps_target}, rows)
     report.finalize(["within_bound", "within_eps"])
-    return report
-
-
-def gap_distribution_experiment(
-    cfg: SampleConfig, gamma_length: int = 2
-) -> StatsReport:
-    """Empirical gap histogram between disjoint occurrences of a short
-    sampled pattern, with the mass-balance identity checked per sample."""
-    report = StatsReport(config={**cfg.__dict__, "gamma_length": gamma_length})
-    for i in range(cfg.samples):
-        w = random_reduced_word(cfg, i)
-        rng = cfg.sample_rng(i ^ 0x5F5F)
-        gamma = Word(cfg.rank, random_reduced_letters(rng, cfg.rank, gamma_length))
-        positions = strsearch.greedy_disjoint(w.letters, gamma.letters)
-        row: dict = {"sample": i, "gamma": str(gamma), "occurrences": len(positions)}
-        if positions:
-            hist = (
-                complementary_distribution(w, gamma) if len(positions) > 1 else {}
-            )
-            covered = len(positions) * len(gamma)
-            gaps = sum(length * count for length, count in hist.items())
-            boundary = len(w) - covered - gaps
-            row["gap_mass"] = gaps
-            row["mass_balance_ok"] = boundary >= 0 and covered + gaps + boundary == len(w)
-        else:
-            row["mass_balance_ok"] = True
-        report.rows.append(row)
-    report.finalize(["mass_balance_ok"])
     return report
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .words import check_letter, format_letter, letter_key, parse_letter
+from .words import check_letter, format_letter, letter_key
 
 
 @dataclass(frozen=True)
@@ -97,10 +97,6 @@ class LabeledGraph:
             if len(gens) == self.rank:
                 return v
         return None
-
-
-def rose(rank: int, base: int | None = 0) -> LabeledGraph:
-    return LabeledGraph(rank, 1, tuple((0, 0, g) for g in range(1, rank + 1)), base)
 
 
 def is_rose(g: LabeledGraph) -> bool:
@@ -262,10 +258,6 @@ def core(g: LabeledGraph, relative_to: int | None = None) -> LabeledGraph:
     return LabeledGraph(g.rank, len(kept), edges, base)
 
 
-def is_core_graph(g: LabeledGraph) -> bool:
-    return all(g.degree(v) >= 2 for v in range(g.num_vertices))
-
-
 # ---------------------------------------------------------------------------
 # arcs
 
@@ -275,10 +267,6 @@ class Arc:
     """A chain of oriented edges whose interior vertices have degree 2."""
 
     edges: tuple[int, ...]
-    kind: str  # "maximal" | "semi-maximal" | "plain" | "circle"
-
-    def __len__(self) -> int:
-        return len(self.edges)
 
 
 def arc_endpoints(g: LabeledGraph, arc: Arc) -> tuple[int, int]:
@@ -289,7 +277,7 @@ def arc_interior(g: LabeledGraph, arc: Arc) -> list[int]:
     return [g.omega(tok) for tok in arc.edges[:-1]]
 
 
-def make_arc(g: LabeledGraph, tokens: Sequence[int], kind: str = "plain") -> Arc:
+def make_arc(g: LabeledGraph, tokens: Sequence[int]) -> Arc:
     """Validate a token chain as an arc (interior degree 2, consecutive)."""
     if not tokens:
         raise ValueError("empty arc")
@@ -304,57 +292,7 @@ def make_arc(g: LabeledGraph, tokens: Sequence[int], kind: str = "plain") -> Arc
     for tok in tokens[:-1]:
         if g.degree(g.omega(tok)) != 2:
             raise ValueError("arc interior vertex has degree != 2")
-    return Arc(tuple(tokens), kind)
-
-
-def maximal_arcs(g: LabeledGraph) -> list[Arc]:
-    """Partition the topological edges of a connected graph into maximal arcs.
-
-    A simplicially subdivided circle has no degree-!=2 vertex to cut at;
-    per the design contract it is returned as a single closed arc with
-    kind "circle", cut at its least vertex id.
-    """
-    if g.num_edges == 0:
-        raise ValueError("graph has no edges")
-    if not is_connected(g):
-        raise ValueError("maximal_arcs expects a connected graph")
-    used = [False] * g.num_edges
-    arcs: list[Arc] = []
-
-    def walk(start_tok: int) -> list[int]:
-        chain = [start_tok]
-        used[abs(start_tok) - 1] = True
-        while True:
-            v = g.omega(chain[-1])
-            if g.degree(v) != 2:
-                break
-            nxt = [tok for _, _, tok in g.adjacency[v] if tok != -chain[-1]]
-            if len(nxt) != 1:
-                break
-            tok = nxt[0]
-            if used[abs(tok) - 1]:
-                break
-            chain.append(tok)
-            used[abs(tok) - 1] = True
-        return chain
-
-    for v in range(g.num_vertices):
-        if g.degree(v) == 2:
-            continue
-        for _, _, tok in g.adjacency[v]:
-            if used[abs(tok) - 1]:
-                continue
-            arcs.append(Arc(tuple(walk(tok)), "maximal"))
-
-    # leftovers are circle components made entirely of degree-2 vertices
-    for k in range(g.num_edges):
-        if used[k]:
-            continue
-        src, dst, _ = g.edges[k]
-        start = min(src, dst)
-        tok = k + 1 if src == start else -(k + 1)
-        arcs.append(Arc(tuple(walk(tok)), "circle"))
-    return arcs
+    return Arc(tuple(tokens))
 
 
 # ---------------------------------------------------------------------------
@@ -523,34 +461,3 @@ def format_graph(g: LabeledGraph) -> str:
     for src, dst, label in g.edges:
         lines.append(f"edge {src} {dst} {format_letter(label)}")
     return "\n".join(lines) + "\n"
-
-
-def parse_graph(text: str) -> LabeledGraph:
-    rank: int | None = None
-    num_vertices: int | None = None
-    base: int | None = None
-    edges: list[tuple[int, int, int]] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "rank":
-            rank = int(parts[1])
-        elif parts[0] == "vertices":
-            num_vertices = int(parts[1])
-        elif parts[0] == "base":
-            base = int(parts[1])
-        elif parts[0] == "edge":
-            if rank is None:
-                raise ValueError("edge line before rank line")
-            edges.append((int(parts[1]), int(parts[2]), parse_letter(parts[3], rank)))
-        else:
-            raise ValueError(f"unknown graph line {line!r}")
-    if rank is None:
-        raise ValueError("missing rank line")
-    if num_vertices is None:
-        num_vertices = 1 + max(
-            (max(s, d) for s, d, _ in edges), default=(base if base is not None else 0)
-        )
-    return LabeledGraph(rank, num_vertices, tuple(edges), base)

@@ -1,7 +1,6 @@
 """Two-family presentations: substitute the first-family words into the
 second family to derive one-relator-family presentations, trim the
-surviving middles, compute small-cancellation piece statistics, and find
-and apply long-overlap rewriting moves.
+surviving middles, and compute small-cancellation piece statistics.
 
 Pieces follow the symmetrized convention: a piece is a word that occurs
 at two distinct cyclic sites (relator index, sign, cyclic offset), with
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import strsearch
-from .words import CyclicWord, Word, free_reduce, random_reduced_letters
+from .words import CyclicWord, Word, random_reduced_letters
 
 
 class DegeneratePresentationError(ValueError):
@@ -400,148 +399,3 @@ def piece_report(relators: Sequence[CyclicWord]) -> PieceReport:
         lambda_value=max_piece / min(len(r) for r in relators),
         pair_table=pair_table,
     )
-
-
-# ---------------------------------------------------------------------------
-# long-overlap rewriting moves
-
-
-@dataclass(frozen=True)
-class SCMove:
-    """Replace w[start:start+length] (which matches a long prefix of a
-    cyclic rotation of a relator or its inverse) by the inverse of the
-    rotation's remainder."""
-
-    start: int
-    length: int
-    relator: int
-    sign: int
-    rotation: int
-    replacement: Word
-    alpha_achieved: float
-
-
-def find_sc_move(w: Word, p: Presentation, alpha: float) -> SCMove | None:
-    """Longest subword of ``w`` matching at least an alpha fraction of some
-    relator rotation; None when no match is long enough."""
-    if not (0 < alpha < 1):
-        raise ValueError("alpha must be in (0, 1)")
-    if p.degenerate:
-        raise DegeneratePresentationError("presentation has empty relators")
-    chars = strsearch.letters_to_chars(w.letters)
-    best: tuple[int, int, int, int, int] | None = None  # (length, -start, rel, sign, off)
-    for rel_index, relator in enumerate(p.relator_words):
-        L = len(relator)
-        for sign, base in ((1, relator), (-1, relator.inverse())):
-            rel_chars = strsearch.letters_to_chars(base.letters)
-            doubled = rel_chars + rel_chars
-            sam = strsearch.SuffixAutomaton(doubled)
-            for pos, (m, endpos) in enumerate(sam.matching_statistics(chars)):
-                m = min(m, L)
-                if m == 0:
-                    continue
-                start = pos - m + 1
-                rotation = (endpos - m + 1) % L
-                if best is None or m > best[0] or (m == best[0] and -start > best[1]):
-                    best = (m, -start, rel_index, sign, rotation)
-    if best is None:
-        return None
-    length, neg_start, rel_index, sign, rotation = best
-    L = len(p.relator_words[rel_index])
-    if length < alpha * L:
-        return None
-    start = -neg_start
-    relator = p.relator_words[rel_index]
-    rot = (relator if sign > 0 else relator.inverse()).rotation(rotation)
-    assert rot.letters[:length] == w.letters[start : start + length]
-    replacement = rot.subword(length, L).inverse()
-    return SCMove(
-        start=start,
-        length=length,
-        relator=rel_index,
-        sign=sign,
-        rotation=rotation,
-        replacement=replacement,
-        alpha_achieved=length / L,
-    )
-
-
-def apply_sc_move(w: Word, move: SCMove) -> Word:
-    head = w.letters[: move.start]
-    tail = w.letters[move.start + move.length :]
-    return free_reduce(w.rank, head + move.replacement.letters + tail)
-
-
-@dataclass
-class RewriteOutcome:
-    reached_target: bool
-    already_target: bool
-    moves_applied: int
-    capped: bool
-    final_length: int
-
-
-def rewrite_toward(
-    w: Word, target: Word, p: Presentation, alpha: float, max_moves: int = 64
-) -> RewriteOutcome:
-    """Apply the longest-overlap move repeatedly, aiming for ``target``.
-
-    The move count has no a-priori bound, so the loop is capped and a
-    capped run is reported as such rather than as a failure.
-    """
-    if w.letters == target.letters:
-        return RewriteOutcome(True, True, 0, False, len(w))
-    current = w
-    for step in range(max_moves):
-        if current.letters == target.letters:
-            return RewriteOutcome(True, False, step, False, len(current))
-        move = find_sc_move(current, p, alpha)
-        if move is None:
-            return RewriteOutcome(False, False, step, False, len(current))
-        current = apply_sc_move(current, move)
-    reached = current.letters == target.letters
-    return RewriteOutcome(reached, False, max_moves, not reached, len(current))
-
-
-def representative_rewrite_experiment(
-    p: Presentation, trials: int, alpha: float, seed: int = 0, max_moves: int = 64
-) -> dict:
-    """Constructed-witness suite: splice a relator rotation into the i-th
-    first-family word (same group element, different word) and check a
-    long-overlap move exists; then iterate back toward the original."""
-    rng = random.Random(seed)
-    rotations = [
-        (base, off)
-        for rel in p.relator_words
-        for base in (rel, rel.inverse())
-        for off in range(len(rel))
-    ]
-    found = 0
-    vacuous = 0
-    recovered = 0
-    capped = 0
-    for _ in range(trials):
-        i = rng.randrange(len(p.v_words))
-        target = p.v_words[i]
-        base, off = rotations[rng.randrange(len(rotations))]
-        w = target * base.rotation(off)
-        if w.letters == target.letters:
-            vacuous += 1
-            continue
-        move = find_sc_move(w, p, alpha)
-        if move is not None:
-            found += 1
-            outcome = rewrite_toward(w, target, p, alpha, max_moves)
-            if outcome.reached_target:
-                recovered += 1
-            elif outcome.capped:
-                capped += 1
-    scored = trials - vacuous
-    return {
-        "trials": trials,
-        "vacuous": vacuous,
-        "move_found": found,
-        "move_found_fraction": found / scored if scored else 1.0,
-        "recovered": recovered,
-        "capped": capped,
-    }

@@ -391,6 +391,14 @@ class TestInputErrors:
         assert flag in payload["error"]
         assert captured.err.startswith("usage: rosefold")
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("word-stats", "--epsilon"), ("alpha-injectivity", "--alpha"), ("sc-check", "--lambda")],
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "1.5"])
+    def test_fraction_outside_unit_interval_rejected_by_parser(self, capsys, command, flag, value):
+        self.assert_parser_rejects(capsys, flag, command, flag, value)
+
     def test_unknown_policy_rejected_by_parser(self, capsys):
         self.assert_parser_rejects(capsys, "--policy", "fold", "--policy", "bogus")
 
@@ -573,6 +581,16 @@ def fuzz_dir(tmp_path_factory):
     return root
 
 
+def strict_json(text: str):
+    """``json.loads`` without the NaN and Infinity tokens, which RFC 8259
+    JSON does not have."""
+
+    def reject(token: str):
+        raise ValueError(f"{token} is not valid JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def run_captured(argv: list[str]) -> tuple[int, str, str]:
     """Run the CLI in process; any exception but SystemExit propagates, as
     it would print a traceback from the console entry point."""
@@ -622,7 +640,7 @@ class TestFuzz:
         assert "Traceback" not in stderr
         if code == 2:
             # argument parsing adds the usage line on stderr
-            assert list(json.loads(stdout)) == ["error"]
+            assert list(strict_json(stdout)) == ["error"]
             assert not stderr or stderr.startswith("usage: rosefold")
             return
         text = (fuzz_dir / out).read_text() if out else stdout
@@ -630,4 +648,4 @@ class TestFuzz:
             rows = list(csv.reader(line for line in text.splitlines() if not line.startswith("#")))
             assert len({len(row) for row in rows}) <= 1
         else:
-            json.loads(text)
+            strict_json(text)

@@ -18,8 +18,6 @@ from rosefold.complexity import (
     brute_force_c1,
     c1,
     complexity,
-    elementary_i_equivalents,
-    ell_hat,
     reduction_move,
     tuple_complexity,
 )
@@ -423,16 +421,15 @@ class TestEllHat:
     def test_depth_zero_is_max_over_decompositions(self, big):
         rel = big.relators[0]
         word = Word(2, rel.letters)
-        assert ell_hat(word, 1, big, depth=0) == len(rel)
+        assert _Ball(word, big, Thresholds()).ell_hat(1, 0) == len(rel)
 
     def test_monotone_in_depth(self, big):
         rng = random.Random(13)
         th = Thresholds(long_factor_fraction=0.3)
         for _ in range(6):
             word = Word(2, random_reduced_letters(rng, 2, 30))
-            d0 = ell_hat(word, 1, big, th, depth=0)
-            d1 = ell_hat(word, 1, big, th, depth=1)
-            d2 = ell_hat(word, 1, big, th, depth=2)
+            ball = _Ball(word, big, th)
+            d0, d1, d2 = (ball.ell_hat(1, depth) for depth in (0, 1, 2))
             assert d0 <= d1 <= d2
 
     def test_neighbor_inequality(self, big):
@@ -440,13 +437,14 @@ class TestEllHat:
         rel = big.relators[0]
         flank = (2,) if rel.letters[0] != -2 else (-1,)
         word = free_reduce(2, flank + rel.letters)
-        for neighbor in elementary_i_equivalents(word, 1, big, th)[:4]:
-            assert ell_hat(neighbor, 1, big, th, 0) <= ell_hat(word, 1, big, th, 1)
+        ball = _Ball(word, big, th)
+        for nid in ball.neighbors(0, 1)[:4]:
+            assert _Ball(ball.node(nid).word, big, th).ell_hat(1, 0) <= ball.ell_hat(1, 1)
 
 
 class TestElementaryEquivalents:
     def test_no_long_factor_no_neighbors(self, big):
-        assert elementary_i_equivalents(w("a1"), 1, big) == []
+        assert _Ball(w("a1"), big, Thresholds()).neighbors(0, 1) == []
 
     def test_replacement_family_enumerated(self, big):
         # glue long chunks of the two relators; the factor away from the
@@ -466,7 +464,7 @@ class TestElementaryEquivalents:
             word = Word(2, letters)
             if c1(word, big)[0] != 2:
                 continue
-            if elementary_i_equivalents(word, 1, big, th):
+            if _Ball(word, big, th).neighbors(0, 1):
                 found += 1
         assert found >= 5
 
@@ -476,8 +474,9 @@ class TestElementaryEquivalents:
         for _ in range(8):
             word = Word(2, random_reduced_letters(rng, 2, 40))
             k = c1(word, big)[0]
-            for neighbor in elementary_i_equivalents(word, 1, big, th)[:8]:
-                assert c1(neighbor, big)[0] == k
+            ball = _Ball(word, big, th)
+            for nid in ball.neighbors(0, 1)[:8]:
+                assert c1(ball.node(nid).word, big)[0] == k
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +621,7 @@ class TestSharedBall:
             k = c1(word, idx)[0]
             for i in range(0, k + 2):
                 for depth in (0, 1, 2):
-                    assert ell_hat(word, i, idx, thresholds, depth) == oracle_ell_hat(
+                    assert _Ball(word, idx, thresholds).ell_hat(i, depth) == oracle_ell_hat(
                         word, i, idx, thresholds, depth
                     )
 
@@ -644,17 +643,19 @@ class TestSharedBall:
                 for i in range(0, k + 2):
                     got = [ball.node(n).word for n in ball.neighbors(nid, i)]
                     assert got == oracle_elementary_i_equivalents(node, i, idx, thresholds)
-                    assert elementary_i_equivalents(node, i, idx, thresholds) == got
+                    fresh = _Ball(node, idx, thresholds)
+                    assert [fresh.node(n).word for n in fresh.neighbors(0, i)] == got
 
     def test_uncovered_word(self):
         idx = UWordIndex([Word(2, (1, 1, 1))])
         word = w("a1 a2")
-        assert ell_hat(word, 1, idx, depth=0) == oracle_ell_hat(word, 1, idx, depth=0)
-        for call in (oracle_ell_hat, ell_hat):
-            with pytest.raises(ValueError, match="not a factor"):
-                call(word, 1, idx, depth=1)
+        assert _Ball(word, idx, Thresholds()).ell_hat(1, 0) == oracle_ell_hat(word, 1, idx, depth=0)
         with pytest.raises(ValueError, match="not a factor"):
-            elementary_i_equivalents(word, 1, idx)
+            oracle_ell_hat(word, 1, idx, depth=1)
+        with pytest.raises(ValueError, match="not a factor"):
+            _Ball(word, idx, Thresholds()).ell_hat(1, 1)
+        with pytest.raises(ValueError, match="not a factor"):
+            _Ball(word, idx, Thresholds()).neighbors(0, 1)
 
     @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=20, max_value=80))
     @settings(max_examples=30, deadline=None)
@@ -679,9 +680,10 @@ class TestSharedBall:
             for extra in range(2):
                 checked(idx.u_complement(factor, cert, extra))
         th = Thresholds(long_factor_fraction=0.3)
+        ball = _Ball(word, idx, th)
         for i in range(c1(word, idx)[0] + 1):
-            for neighbor in elementary_i_equivalents(word, i, idx, th):
-                checked(neighbor)
+            for nid in ball.neighbors(0, i):
+                checked(ball.node(nid).word)
 
 
 class TestComplexityValue:

@@ -2,15 +2,13 @@ import random
 
 import pytest
 
-from conftest import random_cyclically_reduced, random_graph
+from conftest import random_cyclically_reduced, random_graph, rose
 from test_graphs import branching_star, oracle_canonical_key
 from rosefold.folding import (
     FoldRecord,
     _Engine,
     fold_all,
-    fold_once,
     fold_to_delta,
-    injective_arcs,
     petal_paths,
     replace_arc,
     wedge_of_loops,
@@ -23,8 +21,8 @@ from rosefold.graphs import (
     is_rose,
     isomorphic_labeled,
     make_arc,
-    rose,
 )
+from rosefold.surgery import _arc_runs
 from rosefold.words import (
     GenTuple,
     Word,
@@ -101,20 +99,26 @@ class TestWedge:
             assert path.start == 0 and path.end == 0
 
 
+def first_fold(g: LabeledGraph, policy: str = "least") -> tuple[LabeledGraph, FoldRecord]:
+    """The first fold of ``fold_all(g, policy)`` and the graph it leaves."""
+    trace = fold_all(g, policy)
+    return trace.stage(1).graph, trace.records[0]
+
+
 class TestFoldOnce:
     def test_identifies_double_loop(self):
         g = wedge_of_loops(tup("a1", "a1"))
-        folded, record = fold_once(g)
+        folded, record = first_fold(g)
         assert (folded.num_vertices, folded.num_edges) == (1, 1)
 
     def test_folded_graph_returns_none(self):
-        assert fold_once(rose(2)) is None
+        assert fold_all(rose(2)).records == ()
 
     def test_first_fold_of_mixed_wedge(self):
         # the two initial a1-edges get identified; the interior vertex
         # merges into the base and the result is already the rank-2 rose
         g = wedge_of_loops(tup("a1 a2", "a1"))
-        folded, record = fold_once(g)
+        folded, record = first_fold(g)
         assert (folded.num_vertices, folded.num_edges) == (1, 2)
         assert is_rose(folded)
 
@@ -123,8 +127,8 @@ class TestFoldOnce:
         # takes the a1^-1 pair of the last letters, greatest the a2 pair
         # of the first letters
         g = wedge_of_loops(tup("a2 a1", "a2 a2 a1"))
-        assert fold_once(g)[1] == FoldRecord(kept=-5, removed=-2)
-        folded, record = fold_once(g, "greatest")
+        assert first_fold(g)[1] == FoldRecord(kept=-5, removed=-2)
+        folded, record = first_fold(g, "greatest")
         assert record == FoldRecord(kept=1, removed=3)
         assert (folded.num_vertices, folded.num_edges) == (3, 4)
 
@@ -133,10 +137,10 @@ class TestFoldOnce:
         # base, which turns the first a2 edge into a second loop there;
         # defer_rose folds the two a2 edges leaving the base instead
         g = wedge_of_loops(tup("a1", "a2 a1", "a2 a2"))
-        least, least_record = fold_once(g)
+        least, least_record = first_fold(g)
         assert least_record == FoldRecord(kept=-3, removed=-1)
         assert least.has_rose_lift()
-        folded, record = fold_once(g, "defer_rose")
+        folded, record = first_fold(g, "defer_rose")
         assert record == FoldRecord(kept=2, removed=4)
         assert (folded.num_vertices, folded.num_edges) == (2, 4)
         assert not folded.has_rose_lift()
@@ -526,23 +530,24 @@ class TestFoldToDelta:
 
 
 class TestInjectiveArcs:
+    """The surgery's arc search: runs of path edges traversed exactly once."""
+
     def test_simple_path_is_one_arc(self):
         g = LabeledGraph(2, 3, ((0, 1, 1), (1, 2, 2)))
         path = EdgePath(g, (1, 2), 0)
-        arcs = injective_arcs(path)
-        assert len(arcs) == 1 and len(arcs[0]) == 2
+        assert _arc_runs(g, [path], ()) == [(0, 0, 2)]
 
     def test_doubled_loop_excluded(self):
         g = rose(1, base=None)
         path = EdgePath(g, (1, 1), 0)
-        assert injective_arcs(path) == []
+        assert _arc_runs(g, [path], ()) == []
 
     def test_figure_eight_partial(self):
         g = rose(2, base=None)
         path = EdgePath(g, (1, 2, 1), 0)
-        arcs = injective_arcs(path)
-        labels = {abs(g.letter(a.edges[0])) for a in arcs}
-        assert labels == {2}
+        runs = _arc_runs(g, [path], ())
+        assert runs == [(0, 1, 1)]
+        assert abs(g.letter(path.tokens[1])) == 2
 
 
 class TestReplaceArc:

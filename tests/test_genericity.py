@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from conftest import rose
 from rosefold import strsearch
 from rosefold.covers import enumerate_candidates, has_sub_cover, lift_paths
 from rosefold.genericity import (
@@ -11,10 +12,7 @@ from rosefold.genericity import (
     StatsReport,
     alpha_injectivity,
     alpha_injectivity_experiment,
-    complementary_distribution,
-    disjoint_coverage,
     disjoint_coverage_bidirectional,
-    gap_distribution_experiment,
     longest_repeated_subword,
     random_reduced_word,
     repeat_length_bound,
@@ -22,7 +20,7 @@ from rosefold.genericity import (
     wilson_interval,
     word_stats_experiment,
 )
-from rosefold.graphs import EdgePath, rose
+from rosefold.graphs import EdgePath
 from rosefold.words import Word, parse_word
 
 
@@ -122,20 +120,20 @@ class TestLongestRepeatedSubword:
 
 class TestDisjointCoverage:
     def test_whole_word(self):
-        assert disjoint_coverage(w("a1 a2"), w("a1 a2")) == 1.0
+        assert disjoint_coverage_bidirectional(w("a1 a2"), w("a1 a2")) == 1.0
 
     def test_absent_pattern(self):
-        assert disjoint_coverage(w("a1 a2"), w("a2 a1")) == 0.0
+        assert disjoint_coverage_bidirectional(w("a1 a2"), w("a2 a1")) == 0.0
 
     def test_overlapping_occurrences(self):
         s = w("a1 a2 a1 a2 a1")
         gamma = w("a1 a2 a1")
-        assert disjoint_coverage(s, gamma) == pytest.approx(3 / 5)
+        assert disjoint_coverage_bidirectional(s, gamma) == pytest.approx(3 / 5)
         assert brute_force_max_disjoint(s, gamma) == 1
 
     def test_empty_pattern_rejected(self):
         with pytest.raises(ValueError):
-            disjoint_coverage(w("a1"), Word(2, ()))
+            disjoint_coverage_bidirectional(w("a1"), Word(2, ()))
 
     def test_greedy_equals_brute_force(self):
         rng = random.Random(77)
@@ -152,7 +150,8 @@ class TestDisjointCoverage:
     def test_bidirectional_at_least_unidirectional(self):
         s = w("a1 a2 a1 a2")
         gamma = w("a1 a2")
-        assert disjoint_coverage_bidirectional(s, gamma) >= disjoint_coverage(s, gamma)
+        one_way = len(gamma) * len(strsearch.greedy_disjoint(s.letters, gamma.letters)) / len(s)
+        assert disjoint_coverage_bidirectional(s, gamma) >= one_way
 
     def test_disjoint_count_monotone_under_prefix_nesting(self):
         # the occurrence count is monotone under taking longer patterns;
@@ -169,23 +168,20 @@ class TestDisjointCoverage:
             count = lambda g: len(strsearch.greedy_disjoint(s.letters, g.letters))
             assert count(short_gamma) >= count(long_gamma)
         s = w("a1 a2 a1 a2")
-        assert disjoint_coverage(s, w("a1")) == 0.5
-        assert disjoint_coverage(s, w("a1 a2")) == 1.0
+        assert disjoint_coverage_bidirectional(s, w("a1")) == 0.5
+        assert disjoint_coverage_bidirectional(s, w("a1 a2")) == 1.0
 
 
 class TestComplementaryDistribution:
+    """Gaps between the greedy disjoint occurrences of a pattern."""
+
     def test_single_gap(self):
         s = w("a1 a2 a1 a1 a2")  # gamma a1 a2 at 0 and 3, gap a1 of length 1
-        hist = complementary_distribution(s, w("a1 a2"))
-        assert hist == {1: 1}
+        assert strsearch.greedy_disjoint(s.letters, w("a1 a2").letters) == [(0, 1), (3, 1)]
 
     def test_adjacent_occurrences_no_gap(self):
         s = w("a1 a2 a1 a2")
-        assert complementary_distribution(s, w("a1 a2")) == {}
-
-    def test_absent_pattern_rejected(self):
-        with pytest.raises(ValueError):
-            complementary_distribution(w("a1 a1"), w("a2"))
+        assert strsearch.greedy_disjoint(s.letters, w("a1 a2").letters) == [(0, 1), (2, 1)]
 
     def test_mass_balance(self):
         rng = random.Random(13)
@@ -193,13 +189,10 @@ class TestComplementaryDistribution:
             cfg = SampleConfig(rank=2, length=60, samples=1, seed=rng.randrange(1 << 20))
             s = random_reduced_word(cfg, 0)
             gamma = s.subword(0, 2)
-            positions = strsearch.greedy_disjoint(s.letters, gamma.letters)
-            hist = (
-                complementary_distribution(s, gamma) if len(positions) > 1 else {}
-            )
-            covered = len(positions) * len(gamma)
-            gaps = sum(k * v for k, v in hist.items())
-            assert covered + gaps <= len(s)
+            positions = [pos for pos, _ in strsearch.greedy_disjoint(s.letters, gamma.letters)]
+            gaps = [b - (a + len(gamma)) for a, b in zip(positions, positions[1:])]
+            assert positions[0] == 0 and min(gaps, default=0) >= 0
+            assert len(positions) * len(gamma) + sum(gaps) <= len(s)
 
 
 class TestAlphaInjectivity:
@@ -258,11 +251,6 @@ class TestExperiments:
                 continue
             found = repeated_subwords_at_least(word, top)
             assert any(len(g) == top for g in found)
-
-    def test_gap_experiment(self):
-        cfg = SampleConfig(rank=2, length=128, samples=8, seed=21)
-        report = gap_distribution_experiment(cfg)
-        assert report.aggregate["mass_balance_ok"]["fraction"] == 1.0
 
     def test_alpha_experiment_small(self):
         cfg = SampleConfig(rank=2, length=128, samples=8, seed=90)

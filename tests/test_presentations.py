@@ -4,17 +4,11 @@ import pytest
 
 from conftest import random_cyclically_reduced
 from rosefold import presentations, strsearch
-from rosefold.complexity import UWordIndex
 from rosefold.presentations import (
     DegeneratePresentationError,
     PieceReport,
-    Presentation,
-    apply_sc_move,
     build_relators,
-    find_sc_move,
     piece_report,
-    representative_rewrite_experiment,
-    rewrite_toward,
     sample_presentation,
     trim_surviving_middles,
 )
@@ -410,62 +404,6 @@ class TestOnePassPieces:
         for _ in range(25):
             rels = random_relators(rng, rng.choice((1, 2, 3)), 2, 30)
             assert piece_report(rels).pair_table == brute_force_max_piece(rels)[1]
-
-
-class TestSCMoves:
-    def build_toy(self, rng, length=12) -> Presentation:
-        while True:
-            v = [Word(2, random_reduced_letters(rng, 2, length)) for _ in range(2)]
-            u = [Word(2, random_reduced_letters(rng, 2, length)) for _ in range(2)]
-            p = build_relators(v, u)
-            if not p.degenerate and all(len(r) > 20 for r in p.relator_words):
-                return p
-
-    def test_planted_witness_found(self, rng):
-        p = self.build_toy(rng)
-        rel = p.relator_words[0]
-        cut = int(0.9 * len(rel))
-        word = Word(2, rel.letters[:cut])
-        move = find_sc_move(word, p, alpha=0.8)
-        assert move is not None
-        assert move.alpha_achieved >= 0.8
-        # the move rewrites to the complementary side of the relator
-        out = apply_sc_move(word, move)
-        assert len(out) < len(word)
-
-    def test_short_word_no_move(self, rng):
-        p = self.build_toy(rng)
-        assert find_sc_move(w("a1"), p, alpha=0.8) is None
-
-    def test_move_preserves_group_element_syntactically(self, rng):
-        p = self.build_toy(rng)
-        rel = p.relator_words[1]
-        word = Word(2, rel.letters[: int(0.95 * len(rel))])
-        move = find_sc_move(word, p, alpha=0.8)
-        assert move is not None
-        matched = word.letters[move.start : move.start + move.length]
-        glued = free_reduce(2, matched + move.replacement.inverse().letters)
-        assert tuple(glued.letters) in UWordIndex(p.relator_words).rotation_set()
-
-    def test_no_immediate_undo_when_replacement_short(self, rng):
-        p = self.build_toy(rng)
-        rel = p.relator_words[0]
-        word = Word(2, rel.letters[: int(0.9 * len(rel))])
-        move = find_sc_move(word, p, alpha=0.8)
-        out = apply_sc_move(word, move)
-        back = find_sc_move(out, p, alpha=0.8)
-        if back is not None:
-            assert apply_sc_move(out, back).letters != word.letters or len(out) < len(word)
-
-    def test_rewrite_experiment_full_success(self, rng):
-        p = self.build_toy(rng)
-        stats = representative_rewrite_experiment(p, trials=100, alpha=0.8, seed=4)
-        assert stats["move_found_fraction"] == 1.0
-
-    def test_rewrite_toward_target_vacuous(self, rng):
-        p = self.build_toy(rng)
-        out = rewrite_toward(p.v_words[0], p.v_words[0], p, alpha=0.8)
-        assert out.already_target and out.moves_applied == 0
 
 
 class TestSampler:
