@@ -25,7 +25,6 @@ from .graphs import (
     betti,
     canonical_key,
     collapse,
-    core,
     format_graph,
     isomorphic_labeled,
     subgraph_as_graph,
@@ -49,7 +48,6 @@ from .covers import (
 from .genericity import (
     SampleConfig,
     alpha_injectivity,
-    longest_repeated_subword,
     random_reduced_word,
     repeat_length_bound,
 )

@@ -242,17 +242,20 @@ def _min_factor_tables(w: Word, maxstart: list[int]) -> tuple[list[int], list[in
     return F, G
 
 
+def _check_covered(maxstart: list[int]) -> None:
+    """Raise at the first position where no relator-power factor starts."""
+    for pos, m in enumerate(maxstart):
+        if m == 0:
+            raise ValueError(f"letter at position {pos} is not a factor of any relator power")
+
+
 def c1(w: Word, idx: UWordIndex) -> tuple[int, Segmentation]:
     """Minimal number of relator-power factors, with one witness
     segmentation (longest-first-factor among the minimal ones)."""
     if len(w) == 0:
         raise ValueError("c1 is undefined on the empty word")
     maxstart = idx.max_factor_starting(w)
-    for pos, m in enumerate(maxstart):
-        if m == 0:
-            raise ValueError(
-                f"letter at position {pos} is not a factor of any relator power"
-            )
+    _check_covered(maxstart)
     F, G = _min_factor_tables(w, maxstart)
     k = G[0]
     cuts: list[int] = []
@@ -458,8 +461,7 @@ class _Ball:
     def edges(self, nid: int) -> list[tuple[int, int]]:
         node = self.node(nid)
         if node.edges is None:
-            if not all(node.maxstart):
-                raise ValueError("some letter is not a factor of any relator power")
+            _check_covered(node.maxstart)
             n = len(node.word)
             by_span: dict[tuple[int, int], list[int]] = {}
             seen: set[tuple[int, int]] = set()
@@ -553,9 +555,10 @@ def complexity(
     """Depth-bounded complexity; the empty word is the bottom element."""
     if len(w) == 0:
         return ComplexityValue(0, 0, (), depth)
-    k, _ = c1(w, idx)
-    zero_at = thresholds.zero_letters(idx.max_relator_length)
     ball = _Ball(w, idx, thresholds)
+    _check_covered(ball.node(0).maxstart)
+    k = ball.node(0).k
+    zero_at = thresholds.zero_letters(idx.max_relator_length)
     per = []
     for i in range(1, k + 1):
         hat = ball.ell_hat(i, depth)

@@ -32,7 +32,7 @@ from .graphs import (
     betti,
     format_graph,
 )
-from .words import Word, letter_key
+from .words import Word
 
 
 def lift_paths(
@@ -58,11 +58,8 @@ def lift_paths(
 
 
 def _letters(rank: int) -> list[int]:
-    out = []
-    for gen in range(1, rank + 1):
-        out.append(gen)
-        out.append(-gen)
-    return sorted(out, key=letter_key)
+    """The 2 * rank letters in ``letter_key`` order."""
+    return [s * gen for gen in range(1, rank + 1) for s in (1, -1)]
 
 
 def letter_rows(g: LabeledGraph) -> dict[int, list[int]]:
@@ -124,33 +121,32 @@ def lifts_somewhere(rows: dict[int, list[int]], num_vertices: int, w: Word) -> b
     return True
 
 
+def _pair_covers(rows: dict[int, list[int]], rank: int, v: int, w: int) -> bool:
+    """Do vertices ``v`` and ``w`` carry a two-sheeted cover of the rose,
+    read off ``letter_rows``?  Every generator labels a loop at both
+    vertices or swaps them, and at least one swaps them (this forces
+    connectivity)."""
+    swapped = False
+    for gen in range(1, rank + 1):
+        row = rows[gen]
+        if row[v] >> w & 1 and row[w] >> v & 1:
+            swapped = True
+        elif not (row[v] >> v & 1 and row[w] >> w & 1):
+            return False
+    return swapped
+
+
 def is_two_sheeted_cover(g: LabeledGraph) -> bool:
-    """Two vertices; per generator either loops at both vertices or a pair
-    of opposite edges between them; at least one generator in the second
-    configuration (this forces connectivity)."""
-    if g.num_vertices != 2:
-        return False
-    per_gen: dict[int, list[tuple[int, int, int]]] = {gen: [] for gen in range(1, g.rank + 1)}
-    for src, dst, label in g.edges:
-        per_gen[abs(label)].append((src, dst, label))
-    saw_crossing = False
-    for gen in range(1, g.rank + 1):
-        recs = per_gen[gen]
-        if len(recs) != 2:
-            return False
-        loops = [r for r in recs if r[0] == r[1]]
-        if len(loops) == 2:
-            if {loops[0][0], loops[1][0]} != {0, 1}:
-                return False
-        elif len(loops) == 0:
-            # normalized as traversed 0 -> 1: need letters gen and -gen
-            traversed = sorted(label if src == 0 else -label for src, dst, label in recs)
-            if traversed != [-gen, gen]:
-                return False
-            saw_crossing = True
-        else:
-            return False
-    return saw_crossing
+    """Two vertices carrying the two-vertex pattern (``_pair_covers``)
+    with no edge left over.  The rows drop multiplicity, but an edge
+    labelled gen or -gen sets exactly one bit of ``rows[gen]``, so each
+    generator's pattern takes two distinct edges, and ``2 * rank`` edges
+    leave none over."""
+    return (
+        g.num_vertices == 2
+        and g.num_edges == 2 * g.rank
+        and _pair_covers(letter_rows(g), g.rank, 0, 1)
+    )
 
 
 def has_sub_cover(g: LabeledGraph) -> bool:
@@ -158,26 +154,11 @@ def has_sub_cover(g: LabeledGraph) -> bool:
     or 2?  Degree 1 is a rose lift; degree 2 is a two-vertex pattern."""
     if g.has_rose_lift():
         return True
-    loops = g.vertex_loops()
-    for v, w in itertools.combinations(range(g.num_vertices), 2):
-        forward: dict[int, set[int]] = {}
-        for src, dst, label in g.edges:
-            if {src, dst} == {v, w}:
-                as_from_v = label if src == v else -label
-                forward.setdefault(abs(label), set()).add(as_from_v)
-        ok = True
-        crossing = False
-        for gen in range(1, g.rank + 1):
-            if gen in loops[v] and gen in loops[w]:
-                continue
-            if {gen, -gen} <= forward.get(gen, set()):
-                crossing = True
-                continue
-            ok = False
-            break
-        if ok and crossing:
-            return True
-    return False
+    rows = letter_rows(g)
+    return any(
+        _pair_covers(rows, g.rank, v, w)
+        for v, w in itertools.combinations(range(g.num_vertices), 2)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +310,7 @@ def enumerate_candidates(
     if rank < 2:
         raise ValueError("rank must be >= 2")
     loop_labels = list(range(1, rank + 1))
-    arc_labels = [g for gen in range(1, rank + 1) for g in (gen, -gen)]
+    arc_labels = _letters(rank)
     count = 0
     for nv, pairs in _unlabeled_shapes(max_edges, 2 * rank - 1):
         groups = _parallel_groups(pairs)

@@ -289,10 +289,9 @@ class FoldTrace:
             engine.apply_record(record)
             yield Stage(*engine.materialize())
 
-    def push_path(self, path: EdgePath, k: int, stage: Stage | None = None) -> EdgePath:
-        """Image of a path of the initial graph in stage ``k``."""
-        if stage is None:
-            stage = self.stage(k)
+    def push_path(self, path: EdgePath, k: int, stage: Stage) -> EdgePath:
+        """Image of a path of the initial graph in stage ``k``, which is
+        ``stage``."""
         replaced: dict[int, FoldRecord] = {}
         for record in self.records[:k]:
             replaced[abs(record.removed)] = record

@@ -22,6 +22,7 @@ from .graphs import EdgePath
 from .words import Word, random_reduced_letters
 
 _SEED_STRIDE = 0x9E3779B97F4A7C15
+_WILSON_Z = 1.96  # two-sided 95 % normal quantile
 
 
 def derived_seed(seed: int, index: int) -> int:
@@ -48,32 +49,31 @@ def random_reduced_word(cfg: SampleConfig, index: int = 0) -> Word:
     return Word(cfg.rank, random_reduced_letters(cfg.sample_rng(index), cfg.rank, cfg.length))
 
 
-def longest_repeated_subword(w: Word, include_inverses: bool = True) -> int:
-    """Longest length occurring at two distinct start positions; with the
-    flag set, an occurrence of the inverse word also counts."""
-    chars = strsearch.letters_to_chars(w.letters)
-    if include_inverses:
-        return strsearch.repeat_lengths(chars)[1]
-    return strsearch.SuffixAutomaton(chars).longest_repeated()
-
-
 def repeated_subwords_at_least(w: Word, min_len: int) -> list[Word]:
     """All distinct subwords of length >= ``min_len`` occurring at two
     distinct positions, an occurrence of the inverse word counting too.
-    This window scan only pays when the repeat statistic reaches the
-    bound, which is rare for generic samples."""
+    Repeats are prefix-closed (a reduced word never equals its inverse),
+    so the scan stops at the first length with none.  This window scan
+    only pays when the repeat statistic reaches the bound, which is rare
+    for generic samples."""
     chars = strsearch.letters_to_chars(w.letters)
     inv = strsearch.inverse_chars(chars)
-    found: dict[str, None] = {}
-    top = longest_repeated_subword(w)
-    for length in range(min_len, top + 1):
+    found: list[str] = []
+    length = min_len
+    while True:
         windows: dict[str, int] = {}
         for p in range(len(chars) - length + 1):
             sub = chars[p : p + length]
             windows[sub] = windows.get(sub, 0) + 1
-        for sub, count in windows.items():
-            if count + len(strsearch.all_occurrences(inv, sub)) >= 2:
-                found.setdefault(sub)
+        repeated = [
+            sub
+            for sub, count in windows.items()
+            if count + len(strsearch.all_occurrences(inv, sub)) >= 2
+        ]
+        if not repeated:
+            break
+        found += repeated
+        length += 1
     return [Word(w.rank, strsearch.chars_to_letters(s)) for s in found]
 
 
@@ -96,9 +96,10 @@ def alpha_injectivity(path: EdgePath) -> float:
     return distinct / len(path)
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     if trials == 0:
         return (0.0, 1.0)
+    z = _WILSON_Z
     phat = successes / trials
     denom = 1 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom

@@ -1,5 +1,5 @@
-"""Labeled graphs over the rank-n rose: Betti numbers, cores, arcs,
-subgraph collapse, and label-preserving isomorphism.
+"""Labeled graphs over the rank-n rose: Betti numbers, arcs, subgraph
+collapse, and label-preserving isomorphism.
 
 A graph is stored with one record per topological edge: (src, dst, label),
 where the label is a signed generator index giving the letter read when
@@ -79,21 +79,17 @@ class LabeledGraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def vertex_loops(self) -> list[set[int]]:
-        """Per-vertex set of the generators labelling a loop there."""
-        loops: list[set[int]] = [set() for _ in range(self.num_vertices)]
-        for src, dst, label in self.edges:
-            if src == dst:
-                loops[src].add(abs(label))
-        return loops
-
     def has_rose_lift(self) -> bool:
         """True when some vertex carries a loop for every generator."""
         return self.rose_lift_vertex() is not None
 
     def rose_lift_vertex(self) -> int | None:
         """The least vertex carrying a loop for every generator, if any."""
-        for v, gens in enumerate(self.vertex_loops()):
+        loops: list[set[int]] = [set() for _ in range(self.num_vertices)]
+        for src, dst, label in self.edges:
+            if src == dst:
+                loops[src].add(abs(label))
+        for v, gens in enumerate(loops):
             if len(gens) == self.rank:
                 return v
         return None
@@ -197,65 +193,6 @@ def collapse(g: LabeledGraph, sub: Subgraph) -> LabeledGraph:
     )
     base = remap[root[g.base]] if g.base is not None else None
     return LabeledGraph(g.rank, len(roots), edges, base)
-
-
-# ---------------------------------------------------------------------------
-# cores
-
-
-def core(g: LabeledGraph, relative_to: int | None = None) -> LabeledGraph:
-    """Iteratively delete degree-1 vertices, sparing ``relative_to`` if given.
-
-    Without a spared vertex the input must be non-contractible; with one,
-    the result is the core pair (core graph with respect to that vertex).
-    """
-    alive_v = [True] * g.num_vertices
-    alive_e = [True] * g.num_edges
-    deg = [0] * g.num_vertices
-    incident: list[list[int]] = [[] for _ in range(g.num_vertices)]
-    for k, (src, dst, _) in enumerate(g.edges):
-        deg[src] += 1
-        deg[dst] += 1
-        incident[src].append(k)
-        incident[dst].append(k)
-
-    queue = [
-        v
-        for v in range(g.num_vertices)
-        if deg[v] <= 1 and v != relative_to
-    ]
-    while queue:
-        v = queue.pop()
-        if not alive_v[v] or deg[v] > 1 or v == relative_to:
-            continue
-        alive_v[v] = False
-        for k in incident[v]:
-            if not alive_e[k]:
-                continue
-            alive_e[k] = False
-            src, dst, _ = g.edges[k]
-            other = dst if src == v else src
-            deg[src] -= 1
-            deg[dst] -= 1
-            if alive_v[other] and deg[other] <= 1 and other != relative_to:
-                queue.append(other)
-
-    kept = [v for v in range(g.num_vertices) if alive_v[v]]
-    if not kept or not any(alive_e):
-        if relative_to is None:
-            raise ValueError("contractible graph has no core; pass relative_to")
-        kept = [relative_to] if not kept else kept
-    remap = {v: i for i, v in enumerate(kept)}
-    edges = tuple(
-        (remap[src], remap[dst], label)
-        for k, (src, dst, label) in enumerate(g.edges)
-        if alive_e[k]
-    )
-    base = g.base
-    if relative_to is not None:
-        base = relative_to
-    base = remap.get(base) if base is not None and base in remap else None
-    return LabeledGraph(g.rank, len(kept), edges, base)
 
 
 # ---------------------------------------------------------------------------

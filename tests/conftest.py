@@ -32,6 +32,61 @@ def is_core_graph(g: LabeledGraph) -> bool:
     return all(g.degree(v) >= 2 for v in range(g.num_vertices))
 
 
+def core(g: LabeledGraph, relative_to: int | None = None) -> LabeledGraph:
+    """Iteratively delete degree-1 vertices, sparing ``relative_to`` if given.
+
+    Without a spared vertex the input must be non-contractible; with one,
+    the result is the core pair (core graph with respect to that vertex).
+    """
+    alive_v = [True] * g.num_vertices
+    alive_e = [True] * g.num_edges
+    deg = [0] * g.num_vertices
+    incident: list[list[int]] = [[] for _ in range(g.num_vertices)]
+    for k, (src, dst, _) in enumerate(g.edges):
+        deg[src] += 1
+        deg[dst] += 1
+        incident[src].append(k)
+        incident[dst].append(k)
+
+    queue = [
+        v
+        for v in range(g.num_vertices)
+        if deg[v] <= 1 and v != relative_to
+    ]
+    while queue:
+        v = queue.pop()
+        if not alive_v[v] or deg[v] > 1 or v == relative_to:
+            continue
+        alive_v[v] = False
+        for k in incident[v]:
+            if not alive_e[k]:
+                continue
+            alive_e[k] = False
+            src, dst, _ = g.edges[k]
+            other = dst if src == v else src
+            deg[src] -= 1
+            deg[dst] -= 1
+            if alive_v[other] and deg[other] <= 1 and other != relative_to:
+                queue.append(other)
+
+    kept = [v for v in range(g.num_vertices) if alive_v[v]]
+    if not kept or not any(alive_e):
+        if relative_to is None:
+            raise ValueError("contractible graph has no core; pass relative_to")
+        kept = [relative_to] if not kept else kept
+    remap = {v: i for i, v in enumerate(kept)}
+    edges = tuple(
+        (remap[src], remap[dst], label)
+        for k, (src, dst, label) in enumerate(g.edges)
+        if alive_e[k]
+    )
+    base = g.base
+    if relative_to is not None:
+        base = relative_to
+    base = remap.get(base) if base is not None and base in remap else None
+    return LabeledGraph(g.rank, len(kept), edges, base)
+
+
 def random_graph(rng: random.Random, rank: int = 2, max_v: int = 8, max_e: int = 12) -> LabeledGraph:
     nv = rng.randrange(1, max_v + 1)
     ne = rng.randrange(0, max_e + 1)

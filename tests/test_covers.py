@@ -275,8 +275,137 @@ class TestTwoSheetedCovers:
                     return False
             return True
 
-        for g in itertools.islice(enumerate_candidates(2, 5), 500):
+        for g in enumerate_candidates(2, 5):
             assert is_two_sheeted_cover(g) == local(g)
+
+
+def oracle_is_two_sheeted_cover(g: LabeledGraph) -> bool:
+    """Differential oracle for ``is_two_sheeted_cover``: per generator,
+    its two edge records are loops at both vertices or a pair of opposite
+    edges between them, and at least one generator is of the second kind."""
+    if g.num_vertices != 2:
+        return False
+    per_gen: dict[int, list[tuple[int, int, int]]] = {gen: [] for gen in range(1, g.rank + 1)}
+    for src, dst, label in g.edges:
+        per_gen[abs(label)].append((src, dst, label))
+    saw_crossing = False
+    for gen in range(1, g.rank + 1):
+        recs = per_gen[gen]
+        if len(recs) != 2:
+            return False
+        loops = [r for r in recs if r[0] == r[1]]
+        if len(loops) == 2:
+            if {loops[0][0], loops[1][0]} != {0, 1}:
+                return False
+        elif len(loops) == 0:
+            # normalized as traversed 0 -> 1: need letters gen and -gen
+            traversed = sorted(label if src == 0 else -label for src, dst, label in recs)
+            if traversed != [-gen, gen]:
+                return False
+            saw_crossing = True
+        else:
+            return False
+    return saw_crossing
+
+
+def oracle_has_sub_cover(g: LabeledGraph) -> bool:
+    """Differential oracle for ``has_sub_cover``: a rose lift, or a vertex
+    pair where every generator loops at both or has edges between them
+    reading it in both directions, found by scanning the edges per pair."""
+    if g.has_rose_lift():
+        return True
+    loops: list[set[int]] = [set() for _ in range(g.num_vertices)]
+    for src, dst, label in g.edges:
+        if src == dst:
+            loops[src].add(abs(label))
+    for v, w in itertools.combinations(range(g.num_vertices), 2):
+        forward: dict[int, set[int]] = {}
+        for src, dst, label in g.edges:
+            if {src, dst} == {v, w}:
+                as_from_v = label if src == v else -label
+                forward.setdefault(abs(label), set()).add(as_from_v)
+        ok = True
+        crossing = False
+        for gen in range(1, g.rank + 1):
+            if gen in loops[v] and gen in loops[w]:
+                continue
+            if {gen, -gen} <= forward.get(gen, set()):
+                crossing = True
+                continue
+            ok = False
+            break
+        if ok and crossing:
+            return True
+    return False
+
+
+def row_blind_variants(g: LabeledGraph) -> list[LabeledGraph]:
+    """``g``, ``g`` with its first edge doubled, and two disjoint copies of
+    ``g``: the letter rows cannot see edge multiplicity, and a two-vertex
+    pattern with no swap is disconnected, so these probe exactly what the
+    edge-count guard and the swap clause decide."""
+    n = g.num_vertices
+    doubled = LabeledGraph(g.rank, n, g.edges + g.edges[:1])
+    shifted = tuple((src + n, dst + n, label) for src, dst, label in g.edges)
+    return [g, doubled, LabeledGraph(g.rank, 2 * n, g.edges + shifted)]
+
+
+def random_near_cover(rng: random.Random, rank: int) -> LabeledGraph:
+    """A two-vertex pattern (per generator loops at both vertices or a
+    swap) placed among two to four vertices, then up to two random edits:
+    a dropped, a duplicated or an added edge."""
+    nv = rng.randrange(2, 5)
+    v, w = rng.sample(range(nv), 2)
+    edges = []
+    for gen in range(1, rank + 1):
+        if rng.random() < 0.5:
+            edges += [(v, v, rng.choice((gen, -gen))), (w, w, rng.choice((gen, -gen)))]
+        else:
+            edges += [(v, w, gen), rng.choice(((w, v, gen), (v, w, -gen)))]
+    for _ in range(rng.randrange(3)):
+        edit = rng.randrange(3)
+        if edit == 0 and edges:
+            edges.pop(rng.randrange(len(edges)))
+        elif edit == 1 and edges:
+            edges.append(rng.choice(edges))
+        else:
+            edges.append((rng.randrange(nv), rng.randrange(nv), rng.choice(_letters(rank))))
+    rng.shuffle(edges)
+    return LabeledGraph(rank, nv, tuple(edges))
+
+
+class TestCoverPredicateOracles:
+    @pytest.mark.parametrize("rank,max_edges", [(2, 5), (3, 4)])
+    def test_match_on_survey_candidates(self, rank, max_edges):
+        seen = {"two_sheeted": 0, "no_swap": 0}
+        for g in enumerate_candidates(rank, max_edges):
+            for h in row_blind_variants(g):
+                expected = oracle_is_two_sheeted_cover(h)
+                assert is_two_sheeted_cover(h) == expected
+                assert has_sub_cover(h) == oracle_has_sub_cover(h)
+                seen["two_sheeted"] += expected
+                seen["no_swap"] += h.num_vertices == 2 and h.num_edges == 2 * rank and all(
+                    (v, v, gen) in h.edges for v in (0, 1) for gen in range(1, rank + 1)
+                )
+        # rank 2 has its three covers within 5 edges; the copies of the
+        # rose are the all-loops pattern at either rank
+        assert seen == {"two_sheeted": 3 if rank == 2 else 0, "no_swap": 1}
+
+    def test_match_on_random_graphs(self):
+        rng = random.Random(13)
+        kinds = {"two_sheeted": 0, "pair_only": 0, "padded_pair": 0, "none": 0}
+        for i in range(2000):
+            rank = rng.randrange(1, 4)
+            g = random_near_cover(rng, rank) if i % 2 else random_labeled_graph(rng, rank)
+            cover, sub = oracle_is_two_sheeted_cover(g), oracle_has_sub_cover(g)
+            assert is_two_sheeted_cover(g) == cover
+            assert has_sub_cover(g) == sub
+            pair_only = sub and not g.has_rose_lift()
+            kinds["two_sheeted"] += cover
+            kinds["pair_only"] += pair_only
+            kinds["padded_pair"] += pair_only and g.num_vertices == 2 and g.num_edges > 2 * rank
+            kinds["none"] += not sub
+        assert min(kinds.values()) > 20, kinds
 
 
 def canonical_key_candidates(rank: int, max_edges: int) -> list[LabeledGraph]:

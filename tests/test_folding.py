@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import random_cyclically_reduced, random_graph, rose
+from conftest import core, random_cyclically_reduced, random_graph, rose
 from test_graphs import branching_star, oracle_canonical_key
 from rosefold.folding import (
     FoldRecord,
@@ -262,7 +262,7 @@ class TestFoldAll:
         trace = fold_all(g)
         for path in petal_paths(t, g):
             for k in (0, len(trace.records) // 2, len(trace.records)):
-                image = trace.push_path(path, k)
+                image = trace.push_path(path, k, trace.stage(k))
                 assert path_letters(image) == path_letters(path)
 
 
@@ -601,8 +601,6 @@ class TestReplaceArc:
             out = replace_arc(g, arc, repl)
             # folding absorbs the junction backtracks but can leave spur
             # tips behind, so compare based cores
-            from rosefold.graphs import core
-
             rebuilt_t = fold_all(out).terminal
             rebuilt = core(rebuilt_t, relative_to=rebuilt_t.base)
             expected_word = free_reduce(2, head + repl.letters + tail)

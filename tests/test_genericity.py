@@ -13,7 +13,6 @@ from rosefold.genericity import (
     alpha_injectivity,
     alpha_injectivity_experiment,
     disjoint_coverage_bidirectional,
-    longest_repeated_subword,
     random_reduced_word,
     repeat_length_bound,
     repeated_subwords_at_least,
@@ -81,26 +80,35 @@ class TestRandomReducedWord:
         assert random_reduced_word(cfg, 3) == random_reduced_word(cfg, 3)
 
 
+def longest_repeats(word: Word) -> tuple[int, int]:
+    """The longest repeat without and with inverse occurrences, read off
+    ``strsearch.repeat_lengths``, with the plain one also checked against
+    ``SuffixAutomaton.longest_repeated``."""
+    chars = strsearch.letters_to_chars(word.letters)
+    plain, with_inv = strsearch.repeat_lengths(chars)
+    assert plain == strsearch.SuffixAutomaton(chars).longest_repeated()
+    return plain, with_inv
+
+
 class TestLongestRepeatedSubword:
     def test_small_example(self):
-        assert longest_repeated_subword(w("a1 a2 a1 a2")) == 2
+        assert longest_repeats(w("a1 a2 a1 a2"))[1] == 2
 
     def test_injective_word(self):
-        assert longest_repeated_subword(w("a1 a2"), include_inverses=True) == 0
+        assert longest_repeats(w("a1 a2")) == (0, 0)
 
     def test_inverse_occurrence_counts_with_flag(self):
         # a1 a2 a1^-1: the subword a1 has an inverse occurrence
-        word = w("a1 a2 a2 a1^-1")
-        assert longest_repeated_subword(word, include_inverses=False) == 1
-        assert longest_repeated_subword(word, include_inverses=True) >= 1
+        plain, with_inv = longest_repeats(w("a1 a2 a2 a1^-1"))
+        assert plain == 1
+        assert with_inv >= 1
 
     def test_against_naive_scan(self):
         rng = random.Random(31)
         for _ in range(60):
             cfg = SampleConfig(rank=2, length=rng.randrange(2, 40), samples=1, seed=rng.randrange(1 << 20))
             word = random_reduced_word(cfg, 0)
-            for flag in (False, True):
-                got = longest_repeated_subword(word, flag)
+            for flag, got in zip((False, True), longest_repeats(word)):
                 naive = 0
                 chars = strsearch.letters_to_chars(word.letters)
                 inv = strsearch.inverse_chars(chars)
@@ -246,11 +254,42 @@ class TestExperiments:
         for _ in range(40):
             cfg = SampleConfig(rank=2, length=48, samples=1, seed=rng.randrange(1 << 20))
             word = random_reduced_word(cfg, 0)
-            top = longest_repeated_subword(word, True)
+            top = longest_repeats(word)[1]
             if top == 0:
                 continue
             found = repeated_subwords_at_least(word, top)
             assert any(len(g) == top for g in found)
+
+    def test_repeated_subwords_match_scan_of_every_length(self):
+        # the oracle scans every length up to |w| instead of stopping at
+        # the first length with no repeat; periodic words repeat at most
+        # lengths
+        def oracle(word, min_len):
+            chars = strsearch.letters_to_chars(word.letters)
+            inv = strsearch.inverse_chars(chars)
+            found = []
+            for length in range(min_len, len(chars) + 1):
+                windows = Counter(chars[p : p + length] for p in range(len(chars) - length + 1))
+                found += [
+                    sub
+                    for sub, count in windows.items()
+                    if count + len(strsearch.all_occurrences(inv, sub)) >= 2
+                ]
+            return [Word(word.rank, strsearch.chars_to_letters(sub)) for sub in found]
+
+        rng = random.Random(6)
+        checked = nonempty = 0
+        for _ in range(150):
+            cfg = SampleConfig(rank=2, length=rng.randrange(1, 40), samples=1, seed=rng.randrange(1 << 20))
+            word = random_reduced_word(cfg, 0)
+            if rng.random() < 0.4 and word.is_cyclically_reduced:
+                word = Word(2, word.letters * rng.randrange(2, 4))
+            for min_len in range(1, 7):
+                found = repeated_subwords_at_least(word, min_len)
+                assert found == oracle(word, min_len)
+                checked += 1
+                nonempty += bool(found)
+        assert nonempty > 100 and checked - nonempty > 100
 
     def test_alpha_experiment_small(self):
         cfg = SampleConfig(rank=2, length=128, samples=8, seed=90)

@@ -2,13 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import is_core_graph, random_graph, random_subgraph, rose, two_sheeted_cover
+from conftest import core, is_core_graph, random_graph, random_subgraph, rose, two_sheeted_cover
 from rosefold.graphs import (
     LabeledGraph,
     betti,
     canonical_key,
     collapse,
-    core,
     format_graph,
     is_connected,
     isomorphic_labeled,
