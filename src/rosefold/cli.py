@@ -131,9 +131,19 @@ def cmd_fold(args: argparse.Namespace) -> int:
     t = _parse_tuple(args)
     wedge = folding.wedge_of_loops(t)
     trace = folding.fold_all(wedge, policy=args.policy)
-    digests = [
-        hashlib.sha256(repr(key).encode()).hexdigest()[:16] for key in trace.stage_keys()
-    ]
+
+    def digest(key: tuple) -> str:
+        return hashlib.sha256(repr(key).encode()).hexdigest()[:16]
+
+    dumps: list[str] = []
+    if args.dump_stages:
+        # one replay gives both the keys and the dumps
+        digests = []
+        for key, stage in trace.keyed_stages():
+            digests.append(digest(key))
+            dumps.append(graphs.format_graph(stage))
+    else:
+        digests = [digest(key) for key in trace.stage_keys()]
     payload = {
         "config": _config_echo(args, ["rank", "words", "tuple_json", "policy", "dump_stages"]),
         "initial_edges": wedge.num_edges,
@@ -145,7 +155,7 @@ def cmd_fold(args: argparse.Namespace) -> int:
         "delta_index": trace.delta_index,
     }
     if args.dump_stages:
-        payload["stages"] = [graphs.format_graph(stage.graph) for stage in trace.stages()]
+        payload["stages"] = dumps
     _emit(payload, args)
     return 0
 

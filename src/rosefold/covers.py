@@ -8,7 +8,8 @@ exactly when that set empties, so the shortest non-lifting reduced word
 is a breadth-first search over (vertex set, last letter) states; the
 state space is tiny for desk-scale graphs.  A vertex set is an int
 bitmask, and one step ORs the per-letter target masks of its set bits
-(``letter_rows``), so no set object is built per step.
+(``LabeledGraph.letter_rows``, built once per graph), so no set object
+is built per step.
 
 The survey's candidates come from orderly generation (Read 1978; McKay,
 "Isomorph-free exhaustive generation", J. Algorithms 1998).  Unlabelled
@@ -62,16 +63,6 @@ def _letters(rank: int) -> list[int]:
     return [s * gen for gen in range(1, rank + 1) for s in (1, -1)]
 
 
-def letter_rows(g: LabeledGraph) -> dict[int, list[int]]:
-    """Per letter, the bitmask of the vertices each vertex reaches by one
-    edge reading that letter; built in one pass over the edges."""
-    rows = {letter: [0] * g.num_vertices for letter in _letters(g.rank)}
-    for src, dst, label in g.edges:
-        rows[label][src] |= 1 << dst
-        rows[-label][dst] |= 1 << src
-    return rows
-
-
 def _mask_image(row: list[int], mask: int) -> int:
     """The image of the vertex set ``mask`` under one letter's ``row``:
     the union of the rows of its set bits."""
@@ -87,7 +78,7 @@ def shortest_non_lifting_word(g: LabeledGraph, max_len: int) -> Word | None:
     """Lexicographically least shortest reduced word with no lift anywhere
     in ``g``, or None when every reduced word of length <= max_len lifts."""
     letters = _letters(g.rank)
-    rows = letter_rows(g)
+    rows = g.letter_rows
     seen: set[tuple[int, int]] = set()
     frontier: list[tuple[int, int, tuple[int, ...]]] = [((1 << g.num_vertices) - 1, 0, ())]
     for _ in range(max_len):
@@ -110,10 +101,11 @@ def shortest_non_lifting_word(g: LabeledGraph, max_len: int) -> Word | None:
     return None
 
 
-def lifts_somewhere(rows: dict[int, list[int]], num_vertices: int, w: Word) -> bool:
-    """Does ``w`` lift from some vertex of the graph whose ``letter_rows``
-    are ``rows``?  One power-set walk from the full vertex set."""
-    mask = (1 << num_vertices) - 1
+def lifts_somewhere(g: LabeledGraph, w: Word) -> bool:
+    """Does ``w`` lift from some vertex of ``g``?  One power-set walk over
+    ``g.letter_rows`` from the full vertex set."""
+    rows = g.letter_rows
+    mask = (1 << g.num_vertices) - 1
     for letter in w.letters:
         mask = _mask_image(rows[letter], mask)
         if not mask:
@@ -123,8 +115,8 @@ def lifts_somewhere(rows: dict[int, list[int]], num_vertices: int, w: Word) -> b
 
 def _pair_covers(rows: dict[int, list[int]], rank: int, v: int, w: int) -> bool:
     """Do vertices ``v`` and ``w`` carry a two-sheeted cover of the rose,
-    read off ``letter_rows``?  Every generator labels a loop at both
-    vertices or swaps them, and at least one swaps them (this forces
+    read off a graph's ``letter_rows``?  Every generator labels a loop at
+    both vertices or swaps them, and at least one swaps them (this forces
     connectivity)."""
     swapped = False
     for gen in range(1, rank + 1):
@@ -145,7 +137,7 @@ def is_two_sheeted_cover(g: LabeledGraph) -> bool:
     return (
         g.num_vertices == 2
         and g.num_edges == 2 * g.rank
-        and _pair_covers(letter_rows(g), g.rank, 0, 1)
+        and _pair_covers(g.letter_rows, g.rank, 0, 1)
     )
 
 
@@ -154,7 +146,7 @@ def has_sub_cover(g: LabeledGraph) -> bool:
     or 2?  Degree 1 is a rose lift; degree 2 is a two-vertex pattern."""
     if g.has_rose_lift():
         return True
-    rows = letter_rows(g)
+    rows = g.letter_rows
     return any(
         _pair_covers(rows, g.rank, v, w)
         for v, w in itertools.combinations(range(g.num_vertices), 2)

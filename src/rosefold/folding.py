@@ -274,11 +274,28 @@ class FoldTrace:
             for stage in self.stages():
                 yield canonical_key(stage.graph)
             return
+        for view in self._views():
+            yield canonical_key(view)
+
+    def keyed_stages(self) -> Iterator[tuple[tuple, LabeledGraph]]:
+        """``(canonical_key(g), g)`` for the graph ``g`` of every stage in
+        order, from one replay; a based graph's keys are read off the
+        engine as in ``stage_keys``."""
+        if self.initial.base is None:
+            for stage in self.stages():
+                yield canonical_key(stage.graph), stage.graph
+            return
+        for view in self._views():
+            yield canonical_key(view), view.engine.materialize()[0]
+
+    def _views(self) -> Iterator[_StageView]:
+        """One ``_StageView`` of a based initial graph, advanced by one
+        record per step."""
         view = _StageView(_Engine(self.initial))
-        yield canonical_key(view)
+        yield view
         for record in self.records:
             view.apply_record(record)
-            yield canonical_key(view)
+            yield view
 
     def stages(self) -> Iterator[Stage]:
         """Every stage in order, replaying the records once; each equals

@@ -17,8 +17,14 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import strsearch
-from .covers import enumerate_candidates, has_sub_cover, letter_rows, lift_paths, lifts_somewhere
-from .graphs import EdgePath
+from .covers import (
+    enumerate_candidates,
+    has_sub_cover,
+    lift_paths,
+    lifts_somewhere,
+    shortest_non_lifting_word,
+)
+from .graphs import EdgePath, LabeledGraph
 from .words import Word, random_reduced_letters
 
 _SEED_STRIDE = 0x9E3779B97F4A7C15
@@ -177,26 +183,45 @@ def alpha_injectivity_experiment(
     """Over candidate graphs with no sub-cover of degree 1 or 2, measure
     the injectivity ratio of the first 16 lifts from each start vertex of
     sampled reduced words; samples with no lift anywhere are recorded but
-    not scored.  A power-set walk over each graph's ``letter_rows`` skips
-    the per-start lift search on graphs where the word lifts nowhere."""
-    candidates = enumerate_candidates(cfg.rank, max_edges)
-    graphs = [(g, letter_rows(g)) for g in candidates if not has_sub_cover(g)]
+    not scored.
+
+    The words that lift somewhere in a graph are closed under taking
+    factors, so a sample lifts nowhere in a graph once it contains the
+    graph's shortest non-lifting word (its witness, searched up to the
+    sample length, since a longer one cannot be a factor).  The graphs are
+    grouped by witness, and one substring scan per sample skips every
+    graph of a group whose witness occurs in it; on the others a power-set
+    walk (``lifts_somewhere``) still skips the per-start lift search where
+    the sample lifts nowhere.  The lift count and the least ratio do not
+    depend on the order in which the graphs are visited."""
+    by_witness: dict[str | None, list[LabeledGraph]] = {}
+    for g in enumerate_candidates(cfg.rank, max_edges):
+        if has_sub_cover(g):
+            continue
+        witness = shortest_non_lifting_word(g, cfg.length)
+        key = strsearch.letters_to_chars(witness.letters) if witness else None
+        by_witness.setdefault(key, []).append(g)
+    graph_count = sum(map(len, by_witness.values()))
     report = StatsReport(
-        config={**cfg.__dict__, "alpha_target": alpha_target, "graphs": len(graphs)}
+        config={**cfg.__dict__, "alpha_target": alpha_target, "graphs": graph_count}
     )
     for i in range(cfg.samples):
         w = random_reduced_word(cfg, i)
+        chars = strsearch.letters_to_chars(w.letters)
         worst: float | None = None
         lift_count = 0
-        for g, rows in graphs:
-            if not lifts_somewhere(rows, g.num_vertices, w):
+        for witness, graphs in by_witness.items():
+            if witness is not None and witness in chars:
                 continue
-            for start in range(g.num_vertices):
-                for lift in lift_paths(g, w, start, max_lifts=16):
-                    ratio = alpha_injectivity(lift)
-                    lift_count += 1
-                    if worst is None or ratio < worst:
-                        worst = ratio
+            for g in graphs:
+                if not lifts_somewhere(g, w):
+                    continue
+                for start in range(g.num_vertices):
+                    for lift in lift_paths(g, w, start, max_lifts=16):
+                        ratio = alpha_injectivity(lift)
+                        lift_count += 1
+                        if worst is None or ratio < worst:
+                            worst = ratio
         row: dict = {"sample": i, "lifts": lift_count}
         if worst is not None:
             row["min_alpha"] = round(worst, 6)

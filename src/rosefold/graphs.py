@@ -72,6 +72,20 @@ class LabeledGraph:
             out.append([letter_key(l) + (t, list(dict.fromkeys(t))) for l, t in by_label.items()])
         return tuple(out)
 
+    @cached_property
+    def letter_rows(self) -> dict[int, list[int]]:
+        """Per letter, the bitmask of the vertices each vertex reaches by one
+        edge reading that letter; built in one pass over the edges.  Shared
+        by every reader: not to be mutated."""
+        rows: dict[int, list[int]] = {}
+        for gen in range(1, self.rank + 1):
+            rows[gen] = [0] * self.num_vertices
+            rows[-gen] = [0] * self.num_vertices
+        for src, dst, label in self.edges:
+            rows[label][src] |= 1 << dst
+            rows[-label][dst] |= 1 << src
+        return rows
+
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 

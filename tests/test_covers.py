@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import is_core_graph, rose, two_sheeted_cover
+from conftest import is_core_graph, random_graph, rose, two_sheeted_cover
 from test_graphs import maximal_arc_count
 from rosefold.covers import (
     _letters,
@@ -11,7 +11,6 @@ from rosefold.covers import (
     enumerate_candidates,
     has_sub_cover,
     is_two_sheeted_cover,
-    letter_rows,
     lift_paths,
     lifts_somewhere,
     shortest_non_lifting_word,
@@ -23,6 +22,7 @@ from rosefold.graphs import (
     canonical_key,
     is_connected,
 )
+from rosefold.strsearch import letters_to_chars
 from rosefold.words import Word, parse_word, random_reduced_letters
 
 
@@ -209,7 +209,8 @@ class TestBitmaskPowerSet:
 
     def test_rows_read_every_oriented_edge(self):
         g = LabeledGraph(2, 3, ((0, 1, 1), (0, 1, 1), (2, 2, -2), (1, 0, 2)))
-        rows = letter_rows(g)
+        rows = g.letter_rows
+        assert rows is g.letter_rows  # built once per graph
         assert sorted(rows) == [-2, -1, 1, 2]
         for letter, row in rows.items():
             for v in range(g.num_vertices):
@@ -220,13 +221,69 @@ class TestBitmaskPowerSet:
         rng = random.Random(11)
         for _ in range(300):
             g = random_labeled_graph(rng, 2)
-            rows = letter_rows(g)
             word = Word(2, random_reduced_letters(rng, 2, rng.randrange(0, 7)))
             expected = any(
                 lift_paths(g, word, start, max_lifts=1)
                 for start in range(g.num_vertices)
             )
-            assert lifts_somewhere(rows, g.num_vertices, word) == expected
+            assert lifts_somewhere(g, word) == expected
+
+
+def reduced_word_around(
+    rng: random.Random, rank: int, factor: tuple[int, ...], before: int, after: int
+) -> Word:
+    """A reduced word of ``before`` random letters, then ``factor`` (reduced),
+    then ``after`` random letters."""
+    letters = list(factor)
+    for _ in range(after):
+        letters.append(rng.choice([l for l in _letters(rank) if not letters or l != -letters[-1]]))
+    for _ in range(before):
+        letters.insert(0, rng.choice([l for l in _letters(rank) if not letters or l != -letters[0]]))
+    return Word(rank, tuple(letters))
+
+
+class TestFactorLemma:
+    """The words that lift somewhere in a graph are closed under taking
+    factors, so a word that contains the graph's shortest non-lifting word
+    lifts nowhere; ``alpha_injectivity_experiment`` skips a graph on this
+    alone."""
+
+    def test_words_containing_the_witness_lift_nowhere(self):
+        rng = random.Random(14)
+        kinds = {"isolated": 0, "parallel": 0, "loop": 0, "rank3": 0, "long": 0}
+        checked = 0
+        for _ in range(400):
+            rank = rng.choice((2, 3))
+            g = random_graph(rng, rank, max_v=6, max_e=10)
+            witness = shortest_non_lifting_word(g, 6)
+            if witness is None:
+                continue
+            factor = witness.letters
+            pattern = letters_to_chars(factor)
+            samples = [Word(rank, factor)]
+            samples += [
+                reduced_word_around(rng, rank, factor, rng.randrange(8), rng.randrange(8))
+                for _ in range(4)
+            ]
+            samples += [
+                Word(rank, random_reduced_letters(rng, rank, rng.randrange(1, 40)))
+                for _ in range(4)
+            ]
+            for word in samples:
+                if pattern not in letters_to_chars(word.letters):
+                    continue
+                checked += 1
+                assert not lifts_somewhere(g, word)
+                for start in range(g.num_vertices):
+                    assert lift_paths(g, word, start) == []
+            touched = {v for src, dst, _ in g.edges for v in (src, dst)}
+            kinds["isolated"] += len(touched) < g.num_vertices
+            kinds["parallel"] += len({(src, dst) for src, dst, _ in g.edges}) < g.num_edges
+            kinds["loop"] += any(src == dst for src, dst, _ in g.edges)
+            kinds["rank3"] += rank == 3
+            kinds["long"] += len(witness) >= 2
+        assert checked > 1500
+        assert min(kinds.values()) > 20, kinds
 
 
 class TestTwoSheetedCovers:

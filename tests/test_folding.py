@@ -306,9 +306,9 @@ def profile_star(arm_loops: list[tuple[int, ...]]) -> LabeledGraph:
 
 
 class TestStageKeys:
-    """``FoldTrace.stage_keys`` (stages read off the fold engine, label
-    groups cached per root) against the copying encoder on every
-    materialized ``stage(k)``."""
+    """``FoldTrace.stage_keys`` and ``keyed_stages`` (stages read off the
+    fold engine, label groups cached per root) against the copying
+    encoder on every materialized ``stage(k)``."""
 
     POLICIES = ("least", "greatest", "defer_rose")
 
@@ -316,9 +316,12 @@ class TestStageKeys:
         for policy in self.POLICIES:
             trace = fold_all(g, policy=policy)
             keys = list(trace.stage_keys())
-            assert len(keys) == len(trace.records) + 1
-            for k, key in enumerate(keys):
-                assert key == oracle_canonical_key(trace.stage(k).graph), (policy, k)
+            keyed = list(trace.keyed_stages())
+            assert len(keys) == len(keyed) == len(trace.records) + 1
+            for k, (key, (same_key, graph)) in enumerate(zip(keys, keyed)):
+                stage = trace.stage(k).graph
+                assert key == same_key == oracle_canonical_key(stage), (policy, k)
+                assert graph == stage, (policy, k)
 
     @pytest.mark.parametrize(
         "t",

@@ -6,7 +6,12 @@ import pytest
 
 from conftest import rose
 from rosefold import strsearch
-from rosefold.covers import enumerate_candidates, has_sub_cover, lift_paths
+from rosefold.covers import (
+    enumerate_candidates,
+    has_sub_cover,
+    lift_paths,
+    shortest_non_lifting_word,
+)
 from rosefold.genericity import (
     SampleConfig,
     StatsReport,
@@ -304,8 +309,8 @@ def oracle_alpha_injectivity_experiment(
     cfg: SampleConfig, alpha_target: float = 0.9, max_edges: int = 4
 ) -> StatsReport:
     """Differential oracle for ``alpha_injectivity_experiment``: the same
-    loop with no power-set check, searching lifts from every start of
-    every graph for every sample."""
+    loop with no witness filter and no power-set check, searching lifts
+    from every start of every graph for every sample."""
     graphs = [g for g in enumerate_candidates(cfg.rank, max_edges) if not has_sub_cover(g)]
     report = StatsReport(
         config={**cfg.__dict__, "alpha_target": alpha_target, "graphs": len(graphs)}
@@ -334,17 +339,22 @@ def oracle_alpha_injectivity_experiment(
     return report
 
 
+def assert_alpha_matches_oracle(cfg: SampleConfig, max_edges: int = 4) -> StatsReport:
+    ours = alpha_injectivity_experiment(cfg, max_edges=max_edges)
+    oracle = oracle_alpha_injectivity_experiment(cfg, max_edges=max_edges)
+    assert (ours.config, ours.rows, ours.aggregate) == (
+        oracle.config,
+        oracle.rows,
+        oracle.aggregate,
+    )
+    return ours
+
+
 class TestAlphaOracle:
     @pytest.mark.parametrize("length", [4, 5, 6, 8])
     def test_short_words_where_the_lift_cap_binds(self, length):
         cfg = SampleConfig(rank=2, length=length, samples=30, seed=length)
-        ours = alpha_injectivity_experiment(cfg)
-        oracle = oracle_alpha_injectivity_experiment(cfg)
-        assert (ours.config, ours.rows, ours.aggregate) == (
-            oracle.config,
-            oracle.rows,
-            oracle.aggregate,
-        )
+        assert_alpha_matches_oracle(cfg)
         # some graph has more than 16 lifts from one start, so the rows
         # depend on which 16 the lift search keeps
         graphs = [g for g in enumerate_candidates(2, 4) if not has_sub_cover(g)]
@@ -355,15 +365,30 @@ class TestAlphaOracle:
             for start in range(g.num_vertices)
         )
 
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_words_no_longer_than_a_witness(self, length):
+        # at lengths 1 and 2 some graphs have no witness that short, so
+        # only the power-set walk can skip them
+        cfg = SampleConfig(rank=2, length=length, samples=20, seed=length)
+        ours = assert_alpha_matches_oracle(cfg)
+        assert ours.aggregate["lifting_samples"] == cfg.samples
+        graphs = [g for g in enumerate_candidates(2, 4) if not has_sub_cover(g)]
+        missing = sum(shortest_non_lifting_word(g, length) is None for g in graphs)
+        assert (missing > 0) == (length < 3)
+
+    @pytest.mark.parametrize("length", [4, 8, 256])
+    def test_rank_three(self, length):
+        cfg = SampleConfig(rank=3, length=length, samples=20, seed=length)
+        assert_alpha_matches_oracle(cfg, max_edges=3)
+
     def test_long_words_that_lift_nowhere(self):
         cfg = SampleConfig(rank=2, length=256, samples=12, seed=3)
-        ours = alpha_injectivity_experiment(cfg)
-        oracle = oracle_alpha_injectivity_experiment(cfg)
-        assert (ours.config, ours.rows, ours.aggregate) == (
-            oracle.config,
-            oracle.rows,
-            oracle.aggregate,
-        )
+        ours = assert_alpha_matches_oracle(cfg)
+        assert all(row["lifts"] == 0 for row in ours.rows)
+
+    def test_long_words_on_three_edge_graphs(self):
+        cfg = SampleConfig(rank=2, length=256, samples=12, seed=4)
+        ours = assert_alpha_matches_oracle(cfg, max_edges=3)
         assert all(row["lifts"] == 0 for row in ours.rows)
 
 
