@@ -135,15 +135,11 @@ def cmd_fold(args: argparse.Namespace) -> int:
     def digest(key: tuple) -> str:
         return hashlib.sha256(repr(key).encode()).hexdigest()[:16]
 
-    dumps: list[str] = []
-    if args.dump_stages:
-        # one replay gives both the keys and the dumps
-        digests = []
-        for key, stage in trace.keyed_stages():
-            digests.append(digest(key))
-            dumps.append(graphs.format_graph(stage))
-    else:
-        digests = [digest(key) for key in trace.stage_keys()]
+    digests, dumps = [], []
+    for view in trace.stage_views():
+        digests.append(digest(graphs.canonical_key(view)))
+        if args.dump_stages:
+            dumps.append(graphs.format_graph(view.graph()))
     payload = {
         "config": _config_echo(args, ["rank", "words", "tuple_json", "policy", "dump_stages"]),
         "initial_edges": wedge.num_edges,

@@ -95,10 +95,6 @@ class UWordIndex:
     def max_relator_length(self) -> int:
         return max(len(r) for r in self.relators)
 
-    @property
-    def min_relator_length(self) -> int:
-        return min(len(r) for r in self.relators)
-
     def _periods_key(self, relator: int, sign: int, min_length: int) -> tuple[int, int, int]:
         """Cache key of the shortest power of the signed relator holding
         ``min_length`` letters and at least two periods, with the period
@@ -156,13 +152,9 @@ class UWordIndex:
         base = self.relators[cert.relator]
         return (base if cert.sign > 0 else base.inverse()).rotation(cert.rotation)
 
-    def u_complement(self, z: Word, cert: UCert | None = None, extra_power: int = 0) -> Word:
+    def u_complement(self, z: Word, cert: UCert, extra_power: int = 0) -> Word:
         """Minimal V with z * V^-1 a power of the certified rotation;
         ``extra_power`` appends whole extra periods to the family."""
-        if cert is None:
-            cert = self.is_u_word(z)
-            if cert is None:
-                raise ValueError("word is not a relator-power factor")
         rot = self.rotation_word(cert)
         L = len(rot)
         m = max(1, math.ceil(len(z) / L)) + extra_power
@@ -186,7 +178,7 @@ class UWordIndex:
             for sign in (1, -1):
                 sam = self._reversed_sam(i, sign, len(w) + len(self.relators[i]))
                 stats = sam.matching_statistics(rev)
-                for rev_pos, (m, _) in enumerate(stats):
+                for rev_pos, m in enumerate(stats):
                     pos = len(w) - 1 - rev_pos
                     if m > best[pos]:
                         best[pos] = m
@@ -200,13 +192,6 @@ class Segmentation:
     word: Word
     boundaries: tuple[int, ...]  # interior cut positions, increasing
     certificates: tuple[UCert, ...]
-
-    def spans(self) -> list[tuple[int, int]]:
-        cuts = (0,) + self.boundaries + (len(self.word),)
-        return [(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)]
-
-    def factors(self) -> list[Word]:
-        return [self.word.subword(a, b) for a, b in self.spans()]
 
     def to_dict(self) -> dict:
         return {
@@ -567,15 +552,13 @@ def complexity(
 
 
 def tuple_complexity(
-    words: Sequence[Word],
-    idx: UWordIndex,
-    thresholds: Thresholds = Thresholds(),
-    depth: int = 1,
+    words: Sequence[Word], idx: UWordIndex, depth: int = 1
 ) -> tuple[ComplexityValue, ...]:
-    """Complexity vector over the first n entries (n = relator count);
-    the trailing stabilization entries are disregarded."""
+    """Complexity vector over the first n entries (n = relator count) at
+    the default thresholds; the trailing stabilization entries are
+    disregarded."""
     n = len(idx.relators)
-    return tuple(complexity(w, idx, thresholds, depth) for w in words[:n])
+    return tuple(complexity(w, idx, depth=depth) for w in words[:n])
 
 
 @dataclass
@@ -623,7 +606,7 @@ def reduction_move(
     if tuple(glued) not in idx.rotation_set():
         raise ValueError("pattern * replacement^-1 is not a relator rotation")
     if occurrence_set is None:
-        occurrence_set = strsearch.greedy_disjoint(w.letters, pattern.letters, True)
+        occurrence_set = strsearch.greedy_disjoint(w.letters, pattern.letters)
     L = len(pattern)
     inv = pattern.inverse().letters
     last_end = -1

@@ -36,26 +36,21 @@ from .graphs import (
 from .words import Word
 
 
-def lift_paths(
-    g: LabeledGraph, w: Word, start: int, max_lifts: int | None = None
-) -> list[EdgePath]:
-    """All paths from ``start`` reading ``w``; at most one in a folded graph."""
+def lift_paths(g: LabeledGraph, w: Word, start: int) -> Iterator[EdgePath]:
+    """Every path from ``start`` reading ``w``, depth first; at most one in
+    a folded graph.  The rank check runs at the first ``next``."""
     if w.rank != g.rank:
         raise ValueError("rank mismatch")
-    lifts: list[EdgePath] = []
     stack: list[tuple[int, tuple[int, ...]]] = [(start, ())]
     while stack:
         v, tokens = stack.pop()
         if len(tokens) == len(w):
-            lifts.append(EdgePath(g, tokens, start))
-            if max_lifts is not None and len(lifts) >= max_lifts:
-                break
+            yield EdgePath(g, tokens, start)
             continue
         letter = w.letters[len(tokens)]
         for lab, tgt, tok in g.adjacency[v]:
             if lab == letter:
                 stack.append((tgt, tokens + (tok,)))
-    return lifts
 
 
 def _letters(rank: int) -> list[int]:
@@ -293,9 +288,9 @@ def enumerate_candidates(
     Aut(shape) orbit is kept; no canonical key is computed.  The order is
     fixed: shapes as ``_unlabeled_shapes`` sorts them, then the orbit-least
     assignments in ``itertools.product`` order.  Callers that cap their
-    work per graph (``alpha_injectivity_experiment`` keeps at most 16
-    lifts per start vertex) depend on which representative
-    each class gets.
+    work per graph (``alpha_injectivity_experiment`` scores the first 16
+    lifts per start vertex) depend on which representative each class
+    gets.
 
     Raises RuntimeError when ``max_graphs`` distinct graphs are exceeded.
     """

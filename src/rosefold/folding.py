@@ -21,7 +21,6 @@ from .graphs import (
     LabeledGraph,
     arc_endpoints,
     arc_interior,
-    canonical_key,
     is_connected,
     is_rose,
     subgraph_as_graph,
@@ -218,6 +217,10 @@ class _StageView:
         for v in dirty:
             self.label_groups[v] = self._groups(v)
 
+    def graph(self) -> LabeledGraph:
+        """The stage materialized, as ``FoldTrace.stage`` builds it."""
+        return self.engine.materialize()[0]
+
 
 @dataclass(frozen=True)
 class Stage:
@@ -234,8 +237,8 @@ class FoldTrace:
 
     Stages are replayed on demand from the records rather than stored;
     stage(0) is the initial graph and stage(len(records)) the terminal.
-    ``stage(k)`` replays k records; ``stages()`` yields them all in one
-    replay.
+    ``stage(k)`` replays k records; ``stage_views()`` yields every stage
+    of a based trace in one replay.
     ``first_lift_stage`` is the first stage containing a rose lift (only
     tracked under the defer_rose policy): 0, or the stage after the first
     fold that passes the local lift test ``_Engine.makes_lift``.
@@ -266,45 +269,16 @@ class FoldTrace:
         graph, vmap, emap = engine.materialize()
         return Stage(graph, vmap, emap)
 
-    def stage_keys(self) -> Iterator[tuple]:
-        """``canonical_key(stage(k).graph)`` for every k in order, from one
-        replay; a based initial graph's stages are read off the engine
-        (``_StageView``) instead of being materialized."""
-        if self.initial.base is None:
-            for stage in self.stages():
-                yield canonical_key(stage.graph)
-            return
-        for view in self._views():
-            yield canonical_key(view)
-
-    def keyed_stages(self) -> Iterator[tuple[tuple, LabeledGraph]]:
-        """``(canonical_key(g), g)`` for the graph ``g`` of every stage in
-        order, from one replay; a based graph's keys are read off the
-        engine as in ``stage_keys``."""
-        if self.initial.base is None:
-            for stage in self.stages():
-                yield canonical_key(stage.graph), stage.graph
-            return
-        for view in self._views():
-            yield canonical_key(view), view.engine.materialize()[0]
-
-    def _views(self) -> Iterator[_StageView]:
-        """One ``_StageView`` of a based initial graph, advanced by one
-        record per step."""
+    def stage_views(self) -> Iterator[_StageView]:
+        """Every stage of a based initial graph in order, from one replay:
+        one ``_StageView``, advanced by one record per step, which
+        ``canonical_key`` reads as it stands and whose ``graph()`` equals
+        ``stage(k).graph``."""
         view = _StageView(_Engine(self.initial))
         yield view
         for record in self.records:
             view.apply_record(record)
             yield view
-
-    def stages(self) -> Iterator[Stage]:
-        """Every stage in order, replaying the records once; each equals
-        ``stage(k)``."""
-        engine = _Engine(self.initial)
-        yield Stage(*engine.materialize())
-        for record in self.records:
-            engine.apply_record(record)
-            yield Stage(*engine.materialize())
 
     def push_path(self, path: EdgePath, k: int, stage: Stage) -> EdgePath:
         """Image of a path of the initial graph in stage ``k``, which is

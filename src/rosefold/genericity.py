@@ -10,6 +10,7 @@ independently in any order.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from concurrent.futures import Executor
@@ -91,7 +92,7 @@ def disjoint_coverage_bidirectional(s: Word, gamma: Word) -> float:
         raise ValueError("gamma must be nonempty")
     if len(s) == 0:
         return 0.0
-    return len(gamma) * len(strsearch.greedy_disjoint(s.letters, gamma.letters, True)) / len(s)
+    return len(gamma) * len(strsearch.greedy_disjoint(s.letters, gamma.letters)) / len(s)
 
 
 def alpha_injectivity(path: EdgePath) -> float:
@@ -177,13 +178,17 @@ def word_stats_experiment(
     return report
 
 
+# a short word can have many lifts from one start; the cap bounds that search
+_LIFTS_PER_START = 16
+
+
 def alpha_injectivity_experiment(
     cfg: SampleConfig, alpha_target: float = 0.9, max_edges: int = 4
 ) -> StatsReport:
     """Over candidate graphs with no sub-cover of degree 1 or 2, measure
-    the injectivity ratio of the first 16 lifts from each start vertex of
-    sampled reduced words; samples with no lift anywhere are recorded but
-    not scored.
+    the injectivity ratio of the first 16 lifts (``_LIFTS_PER_START``, in
+    ``lift_paths`` order) from each start vertex of sampled reduced words;
+    samples with no lift anywhere are recorded but not scored.
 
     The words that lift somewhere in a graph are closed under taking
     factors, so a sample lifts nowhere in a graph once it contains the
@@ -217,7 +222,7 @@ def alpha_injectivity_experiment(
                 if not lifts_somewhere(g, w):
                     continue
                 for start in range(g.num_vertices):
-                    for lift in lift_paths(g, w, start, max_lifts=16):
+                    for lift in itertools.islice(lift_paths(g, w, start), _LIFTS_PER_START):
                         ratio = alpha_injectivity(lift)
                         lift_count += 1
                         if worst is None or ratio < worst:

@@ -157,11 +157,9 @@ class Subgraph:
     edges: frozenset[int]
 
 
-def subgraph_from_edges(
-    g: LabeledGraph, edge_ids: Iterable[int], extra_vertices: Iterable[int] = ()
-) -> Subgraph:
+def subgraph_from_edges(g: LabeledGraph, edge_ids: Iterable[int]) -> Subgraph:
     edge_ids = frozenset(edge_ids)
-    verts = set(extra_vertices)
+    verts = set()
     for k in edge_ids:
         src, dst, _ = g.edges[k]
         verts.add(src)
@@ -374,15 +372,15 @@ def _encode_from(g, start: int, bound: tuple | None = None) -> tuple:
     return best
 
 
-def canonical_key(g: LabeledGraph, respect_base: bool = True) -> tuple:
-    """Canonical encoding deciding label-preserving isomorphism.
+def canonical_key(g: LabeledGraph) -> tuple:
+    """Canonical encoding deciding label- and base-preserving isomorphism.
 
     Based graphs are encoded from the base; otherwise the least encoding
     over all start vertices is used.  Connected graphs only.  ``g`` may
     also be a based view that ``_encode_from`` reads (a fold stage).
     """
     header = (g.rank, g.num_vertices, g.num_edges)
-    if respect_base and g.base is not None:
+    if g.base is not None:
         return header + (1,) + _encode_from(g, g.base)
     body = None
     for v in range(g.num_vertices):
@@ -390,15 +388,15 @@ def canonical_key(g: LabeledGraph, respect_base: bool = True) -> tuple:
     return header + (0,) + body
 
 
-def isomorphic_labeled(g1: LabeledGraph, g2: LabeledGraph, respect_base: bool = True) -> bool:
-    """Label-preserving (and base-preserving, by default) graph isomorphism."""
+def isomorphic_labeled(g1: LabeledGraph, g2: LabeledGraph) -> bool:
+    """Label- and base-preserving graph isomorphism."""
     if g1.rank != g2.rank or g1.num_vertices != g2.num_vertices:
         return False
     if g1.num_edges != g2.num_edges:
         return False
-    if respect_base and (g1.base is None) != (g2.base is None):
+    if (g1.base is None) != (g2.base is None):
         return False
-    return canonical_key(g1, respect_base) == canonical_key(g2, respect_base)
+    return canonical_key(g1) == canonical_key(g2)
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,6 @@ class Presentation:
     sites: tuple[SubstitutionSite, ...]
     degenerate_indices: tuple[int, ...] = ()
     v_prime: tuple[Word, ...] | None = None
-    v_prime_offsets: tuple[int, ...] | None = None
     n_prime: int | None = None
 
     @property
@@ -164,16 +163,13 @@ def build_relators(v_words: Sequence[Word], u_words: Sequence[Word]) -> Presenta
     )
 
 
-def trim_surviving_middles(
-    p: Presentation, eps0: float | None = None
-) -> Presentation:
+def trim_surviving_middles(p: Presentation) -> Presentation:
     """Compute, per first-family word, the longest middle that survives
     uncancelled at every substitution site, then cut all of them to one
     common length.
 
     Raises DegeneratePresentationError when some word is consumed
-    entirely at a site; with ``eps0`` given, also when the common length
-    falls below (1 - eps0) * N.
+    entirely at a site.
     """
     if p.degenerate:
         raise DegeneratePresentationError("presentation has empty relators")
@@ -192,10 +188,6 @@ def trim_surviving_middles(
                 f"word {j} has no commonly surviving middle"
             )
     n_prime = min(hi - lo for lo, hi in intervals)
-    if eps0 is not None and n_prime < (1 - eps0) * p.length:
-        raise DegeneratePresentationError(
-            f"surviving middle length {n_prime} below (1-eps0)N"
-        )
     v_prime = []
     offsets = []
     for j, (lo, hi) in enumerate(intervals):
@@ -209,7 +201,6 @@ def trim_surviving_middles(
         off = offsets[site.word_index]
         assert lo <= off and off + n_prime <= hi, "trimmed middle not covered at a site"
     p.v_prime = tuple(v_prime)
-    p.v_prime_offsets = tuple(offsets)
     p.n_prime = n_prime
     return p
 

@@ -4,10 +4,10 @@ Each signed letter (or signed edge token of a graph path) is mapped to
 a single character, so the hot loops ride on C-level string and dict
 operations.  The module holds the two occurrence scans the package
 uses: all (overlapping) occurrences in an encoded string, and greedy
-left-to-right disjoint occurrences in a letter or token sequence,
-optionally counting the inverse pattern, which encodes its arguments
-itself.  It also holds the suffix automaton behind the repeat
-statistics and the relator-factor tables.
+left-to-right disjoint occurrences of a pattern or its inverse in a
+letter or token sequence, which encodes its arguments itself.  It also
+holds the suffix automaton behind the repeat statistics and the
+relator-factor tables.
 """
 
 from __future__ import annotations
@@ -37,29 +37,26 @@ def inverse_chars(s: str) -> str:
 
 
 class SuffixAutomaton:
-    """Suffix automaton of one string, with occurrence counts and first
-    end positions, enough for repeated-substring and common-substring
-    queries."""
+    """Suffix automaton of one string, with occurrence counts, enough for
+    repeated-substring and common-substring queries."""
 
-    __slots__ = ("next", "link", "length", "last", "occ", "endpos")
+    __slots__ = ("next", "link", "length", "last", "occ")
 
     def __init__(self, text: str = ""):
         self.next: list[dict[str, int]] = [{}]
         self.link: list[int] = [-1]
         self.length: list[int] = [0]
         self.occ: list[int] = [0]
-        self.endpos: list[int] = [-1]
         self.last = 0
-        for i, ch in enumerate(text):
-            self.extend(ch, i)
+        for ch in text:
+            self.extend(ch)
 
-    def extend(self, ch: str, pos: int) -> None:
+    def extend(self, ch: str) -> None:
         cur = len(self.next)
         self.next.append({})
         self.length.append(self.length[self.last] + 1)
         self.link.append(0)
         self.occ.append(1)
-        self.endpos.append(pos)
         p = self.last
         while p >= 0 and ch not in self.next[p]:
             self.next[p][ch] = cur
@@ -76,7 +73,6 @@ class SuffixAutomaton:
                 self.length.append(self.length[p] + 1)
                 self.link.append(self.link[q])
                 self.occ.append(0)
-                self.endpos.append(self.endpos[q])
                 while p >= 0 and self.next[p].get(ch) == q:
                     self.next[p][ch] = clone
                     p = self.link[p]
@@ -102,27 +98,9 @@ class SuffixAutomaton:
                 best = self.length[v]
         return best
 
-    def longest_common_with(self, other: str) -> int:
-        """Length of the longest substring of the indexed text that also
-        occurs in ``other`` (classic streaming match)."""
-        v, length, best = 0, 0, 0
-        for ch in other:
-            while v and ch not in self.next[v]:
-                v = self.link[v]
-                length = self.length[v]
-            if ch in self.next[v]:
-                v = self.next[v][ch]
-                length += 1
-            else:
-                v, length = 0, 0
-            if length > best:
-                best = length
-        return best
-
-    def matching_statistics(self, query: str) -> list[tuple[int, int]]:
-        """For each query position i: (m, e) where m is the longest factor
-        of the indexed text ending at i and e is an end position of one of
-        its occurrences in the text."""
+    def matching_statistics(self, query: str) -> list[int]:
+        """For each query position i, the length of the longest factor of
+        the indexed text ending at i (classic streaming match)."""
         out = []
         v, length = 0, 0
         for ch in query:
@@ -134,7 +112,7 @@ class SuffixAutomaton:
                 length += 1
             else:
                 v, length = 0, 0
-            out.append((length, self.endpos[v]))
+            out.append(length)
         return out
 
 
@@ -146,7 +124,7 @@ def repeat_lengths(chars: str) -> tuple[int, int]:
         return 0, 0
     sam = SuffixAutomaton(chars)
     plain = sam.longest_repeated()
-    return plain, max(plain, sam.longest_common_with(inverse_chars(chars)))
+    return plain, max(plain, *sam.matching_statistics(inverse_chars(chars)))
 
 
 def all_occurrences(chars: str, pattern: str) -> list[int]:
@@ -162,20 +140,18 @@ def all_occurrences(chars: str, pattern: str) -> list[int]:
     return hits
 
 
-def greedy_disjoint(
-    letters: Sequence[int], pattern: Sequence[int], include_inverses: bool = False
-) -> list[tuple[int, int]]:
+def greedy_disjoint(letters: Sequence[int], pattern: Sequence[int]) -> list[tuple[int, int]]:
     """Left-to-right pairwise disjoint occurrences of ``pattern`` (sign 1)
-    and, with the flag, of its inverse (sign -1) in a sequence of nonzero
-    signed ints (letters or edge tokens), as (position, sign) pairs: each
-    hit is the leftmost occurrence past the previous one, and sign 1 wins
-    where both start.  Greedy is optimal here because all occurrence
-    intervals share one length."""
+    and of its inverse (sign -1) in a sequence of nonzero signed ints
+    (letters or edge tokens), as (position, sign) pairs: each hit is the
+    leftmost occurrence past the previous one, and sign 1 wins where both
+    start.  Greedy is optimal here because all occurrence intervals share
+    one length."""
     if not pattern:
         raise ValueError("pattern must be nonempty")
     chars = letters_to_chars(letters)
     target = letters_to_chars(pattern)
-    targets = [target, inverse_chars(target)] if include_inverses else [target]
+    targets = [target, inverse_chars(target)]
     found = [chars.find(t) for t in targets]
     hits: list[tuple[int, int]] = []
     while any(at >= 0 for at in found):

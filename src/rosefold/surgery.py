@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import strsearch
-from .complexity import Thresholds, UWordIndex, tuple_complexity
+from .complexity import UWordIndex, tuple_complexity
 from .folding import (
     fold_all,
     fold_to_delta,
@@ -52,6 +52,17 @@ class SurgeryError(RuntimeError):
     pass
 
 
+# The planted first entry carries 9/10 of a relator rotation, so trading
+# it for the complementary tenth shortens the entry; 5-letter random flanks
+# put non-relator material on both sides of it, as in a generic tuple.
+_FLANK_LENGTH = 5
+_CARRIED_FRACTION = 0.9
+# the shortest arc, and relator-power factor on it, that surgery replaces
+_MIN_ARC_LENGTH = 4
+# instances surgery_demo builds, seeds counting up, before it gives up
+_MAX_ATTEMPTS = 20
+
+
 def _random_cyclically_reduced(rng: random.Random, rank: int, length: int) -> Word:
     while True:
         letters = random_reduced_letters(rng, rank, length)
@@ -64,11 +75,7 @@ def _random_cyclically_reduced(rng: random.Random, rank: int, length: int) -> Wo
 
 
 def build_instance(
-    rank: int = 2,
-    relator_length: int = 40,
-    seed: int = 7,
-    flank_length: int = 5,
-    carried_fraction: float = 0.9,
+    rank: int = 2, relator_length: int = 40, seed: int = 7
 ) -> tuple[list[Word], GenTuple]:
     """Relators plus a generating tuple whose first entry carries most of
     a relator rotation; the remaining entries form a short basis so the
@@ -87,10 +94,10 @@ def build_instance(
     u = relators[0]
     offset = rng.randrange(len(u))
     rotated = u.letters[offset:] + u.letters[:offset]
-    carried = rotated[: max(1, int(carried_fraction * len(u)))]
+    carried = rotated[: max(1, int(_CARRIED_FRACTION * len(u)))]
     for _ in range(1000):
-        head = random_reduced_letters(rng, rank, flank_length)
-        tail = random_reduced_letters(rng, rank, flank_length)
+        head = random_reduced_letters(rng, rank, _FLANK_LENGTH)
+        tail = random_reduced_letters(rng, rank, _FLANK_LENGTH)
         letters = head + carried + tail
         if all(a != -b for a, b in zip(letters, letters[1:])):
             first = Word(rank, letters)
@@ -147,15 +154,10 @@ def _arc_runs(
     return runs
 
 
-def run_surgery(
-    relators: Sequence[Word],
-    t: GenTuple,
-    thresholds: Thresholds = Thresholds(),
-    depth: int = 0,
-    min_arc_length: int = 4,
-) -> SurgeryReport:
-    """The full pipeline; raises SurgeryError when no qualifying arc is
-    found (the constructed instances always provide one)."""
+def run_surgery(relators: Sequence[Word], t: GenTuple, depth: int = 0) -> SurgeryReport:
+    """The full pipeline, comparing complexities at the default
+    thresholds; raises SurgeryError when no qualifying arc is found (the
+    constructed instances always provide one)."""
     idx = UWordIndex(list(relators))
     if idx.missing_letters():
         raise SurgeryError("relators do not cover every generator")
@@ -172,7 +174,7 @@ def run_surgery(
     ]
 
     runs = _arc_runs(delta, images, extraction.psi.edge_ids)
-    runs = [r for r in runs if r[2] >= min_arc_length]
+    runs = [r for r in runs if r[2] >= _MIN_ARC_LENGTH]
     if not runs:
         raise SurgeryError("no once-traversed arc off the witness subgraph")
     # within each run, keep the longest stretch reading a relator-power
@@ -189,7 +191,7 @@ def run_surgery(
         maxstart = idx.max_factor_starting(label)
         best_p = max(range(run_length), key=lambda p: (maxstart[p], -p))
         best_len = maxstart[best_p]
-        if best_len < min_arc_length:
+        if best_len < _MIN_ARC_LENGTH:
             continue
         sub = label.subword(best_p, best_p + best_len)
         cert = idx.is_u_word(sub)
@@ -208,7 +210,7 @@ def run_surgery(
     occurrences = [
         (p_i, pos, sign)
         for p_i, path in enumerate(images)
-        for pos, sign in strsearch.greedy_disjoint(path.tokens, arc_tokens, True)
+        for pos, sign in strsearch.greedy_disjoint(path.tokens, arc_tokens)
     ]
     # every traversal of an arc edge must lie inside a designated window
     covered = set()
@@ -236,8 +238,8 @@ def run_surgery(
     delta_after = replace_arc(delta, arc, replacement)
     delta_refolds = is_rose(fold_all(delta_after).terminal)
 
-    before = tuple_complexity(list(t.entries), idx, thresholds, depth)
-    after = tuple_complexity(list(new_tuple.entries), idx, thresholds, depth)
+    before = tuple_complexity(list(t.entries), idx, depth)
+    after = tuple_complexity(list(new_tuple.entries), idx, depth)
     strictly = tuple(c.key() for c in after) < tuple(c.key() for c in before)
 
     return SurgeryReport(
@@ -261,20 +263,15 @@ def run_surgery(
 
 
 def surgery_demo(
-    rank: int = 2,
-    relator_length: int = 40,
-    seed: int = 7,
-    thresholds: Thresholds = Thresholds(),
-    depth: int = 0,
-    max_attempts: int = 20,
+    rank: int = 2, relator_length: int = 40, seed: int = 7, depth: int = 0
 ) -> SurgeryReport:
     """Build instances until the pipeline succeeds end to end; the attempt
     count is bounded and failures surface as SurgeryError."""
     last: SurgeryError | None = None
-    for attempt in range(max_attempts):
+    for attempt in range(_MAX_ATTEMPTS):
         relators, t = build_instance(rank, relator_length, seed + attempt)
         try:
-            return run_surgery(relators, t, thresholds, depth)
+            return run_surgery(relators, t, depth)
         except SurgeryError as err:
             last = err
-    raise SurgeryError(f"no instance succeeded in {max_attempts} attempts: {last}")
+    raise SurgeryError(f"no instance succeeded in {_MAX_ATTEMPTS} attempts: {last}")

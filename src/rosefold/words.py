@@ -219,10 +219,8 @@ class GenTuple:
         return iter(self.entries)
 
 
-def standard_tuple(rank: int, arity: int | None = None) -> GenTuple:
+def standard_tuple(rank: int, arity: int) -> GenTuple:
     """(a_1, ..., a_n, 1, ..., 1) padded with identities up to ``arity``."""
-    if arity is None:
-        arity = rank
     if arity < rank:
         raise ValueError("arity must be >= rank")
     entries = [Word(rank, (g,)) for g in range(1, rank + 1)]

@@ -104,7 +104,8 @@ def random_graph(rng: random.Random, rank: int = 2, max_v: int = 8, max_e: int =
 def random_subgraph(rng: random.Random, g: LabeledGraph) -> Subgraph:
     edge_ids = [k for k in range(g.num_edges) if rng.random() < 0.5]
     extra = [v for v in range(g.num_vertices) if rng.random() < 0.3]
-    return subgraph_from_edges(g, edge_ids, extra)
+    sub = subgraph_from_edges(g, edge_ids)
+    return Subgraph(sub.vertices | frozenset(extra), sub.edges)
 
 
 def random_cyclically_reduced(rng: random.Random, rank: int, length: int) -> Word:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -5,6 +6,7 @@ from collections import Counter
 import pytest
 
 from conftest import rose
+from test_strsearch import oracle_greedy_disjoint
 from rosefold import strsearch
 from rosefold.covers import (
     enumerate_candidates,
@@ -33,12 +35,12 @@ def w(text: str, rank: int = 2) -> Word:
 
 
 def brute_force_max_disjoint(s: Word, gamma: Word) -> int:
-    """Exhaustive maximum over subsets of occurrence positions; cross-check
-    oracle for the greedy scan on short words."""
+    """Exhaustive maximum over subsets of occurrence positions of gamma or
+    its inverse; cross-check oracle for the greedy scan on short words."""
     positions = [
         p
         for p in range(len(s) - len(gamma) + 1)
-        if s.letters[p : p + len(gamma)] == gamma.letters
+        if s.letters[p : p + len(gamma)] in (gamma.letters, gamma.inverse().letters)
     ]
     best = 0
 
@@ -163,7 +165,7 @@ class TestDisjointCoverage:
     def test_bidirectional_at_least_unidirectional(self):
         s = w("a1 a2 a1 a2")
         gamma = w("a1 a2")
-        one_way = len(gamma) * len(strsearch.greedy_disjoint(s.letters, gamma.letters)) / len(s)
+        one_way = len(gamma) * len(oracle_greedy_disjoint(s.letters, gamma.letters)) / len(s)
         assert disjoint_coverage_bidirectional(s, gamma) >= one_way
 
     def test_disjoint_count_monotone_under_prefix_nesting(self):
@@ -321,7 +323,7 @@ def oracle_alpha_injectivity_experiment(
         lift_count = 0
         for g in graphs:
             for start in range(g.num_vertices):
-                for lift in lift_paths(g, word, start, max_lifts=16):
+                for lift in itertools.islice(lift_paths(g, word, start), 16):
                     ratio = alpha_injectivity(lift)
                     lift_count += 1
                     if worst is None or ratio < worst:
@@ -359,7 +361,7 @@ class TestAlphaOracle:
         # depend on which 16 the lift search keeps
         graphs = [g for g in enumerate_candidates(2, 4) if not has_sub_cover(g)]
         assert any(
-            len(lift_paths(g, random_reduced_word(cfg, i), start, max_lifts=17)) > 16
+            len(list(itertools.islice(lift_paths(g, random_reduced_word(cfg, i), start), 17))) > 16
             for i in range(cfg.samples)
             for g in graphs
             for start in range(g.num_vertices)

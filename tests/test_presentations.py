@@ -5,7 +5,6 @@ import pytest
 from conftest import random_cyclically_reduced
 from rosefold import presentations, strsearch
 from rosefold.presentations import (
-    DegeneratePresentationError,
     PieceReport,
     build_relators,
     piece_report,
@@ -130,12 +129,6 @@ class TestTrim:
             if p.n_prime >= 0.9 * 60:
                 good += 1
         assert total and good / total >= 0.9
-
-    def test_eps0_enforced(self):
-        v = [w("a1 a2"), w("a2 a1")]
-        u = [w("a1 a2"), w("a2 a1")]
-        with pytest.raises(DegeneratePresentationError):
-            trim_surviving_middles(build_relators(v, u), eps0=0.1)
 
 
 def brute_force_max_piece(relators) -> tuple[int, dict[tuple[int, int], int]]:

@@ -1,6 +1,9 @@
 """Differential tests for the two occurrence scans of ``strsearch``
 against window-comparing oracles over signed-int sequences (reduced
-words, and edge-token sequences as ``run_surgery`` scans them)."""
+words, and edge-token sequences as ``run_surgery`` scans them), and for
+the suffix automaton's streaming match against brute force."""
+
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,7 +39,8 @@ def oracle_greedy_disjoint(
 ) -> list[tuple[int, int]]:
     """Left-to-right disjoint occurrences as (position, sign) pairs: the
     window compare ``complexity.greedy_disjoint_occurrences`` used, with
-    the inverse made optional."""
+    the inverse made optional (the one-way scan the tests compare
+    against)."""
     if len(pattern) == 0:
         raise ValueError("pattern must be nonempty")
     hits: list[tuple[int, int]] = []
@@ -58,13 +62,14 @@ def oracle_greedy_disjoint(
 
 def scans(text, pattern, include_inverses):
     """Both scans; with inverses, all occurrences are those of the
-    pattern merged with those of its inverse."""
+    pattern merged with those of its inverse.  The disjoint scan always
+    counts the inverse."""
     chars = strsearch.letters_to_chars(text)
     pat = strsearch.letters_to_chars(pattern)
     every = strsearch.all_occurrences(chars, pat)
     if include_inverses:
         every = sorted(set(every) | set(strsearch.all_occurrences(chars, strsearch.inverse_chars(pat))))
-    return every, strsearch.greedy_disjoint(text, pattern, include_inverses)
+    return every, strsearch.greedy_disjoint(text, pattern)
 
 
 def signed(magnitudes):
@@ -111,9 +116,70 @@ class TestScansAgainstOracles:
         text, pattern = case
         every, greedy = scans(text, pattern, include_inverses)
         assert every == oracle_occurrences(text, pattern, include_inverses)
-        assert greedy == oracle_greedy_disjoint(text, pattern, include_inverses)
+        assert greedy == oracle_greedy_disjoint(text, pattern, True)
 
     def test_plus_sign_wins_a_shared_start(self):
         # a token path that turns back on itself equals its own inverse
         text, pattern = (1, 2, -2, -1, 3), (1, 2, -2, -1)
         assert scans(text, pattern, True) == ([0], [(0, 1)])
+
+
+def brute_matching_statistics(text: str, query: str) -> list[int]:
+    """Per query position i, the longest suffix of ``query[:i + 1]`` that
+    occurs in ``text``."""
+    return [
+        next(m for m in range(i + 1, -1, -1) if query[i + 1 - m : i + 1] in text)
+        for i in range(len(query))
+    ]
+
+
+def brute_common_length(a: str, b: str) -> int:
+    """Length of the longest common substring of ``a`` and ``b``."""
+    return max(
+        (j - i for i in range(len(a)) for j in range(i + 1, len(a) + 1) if a[i:j] in b),
+        default=0,
+    )
+
+
+def brute_repeat_length(a: str) -> int:
+    """Length of the longest substring of ``a`` at two distinct positions."""
+    return max(
+        (m for m in range(1, len(a)) for i in range(len(a) - m + 1) if a.find(a[i : i + m], i + 1) >= 0),
+        default=0,
+    )
+
+
+def match_cases() -> list[tuple[str, str]]:
+    """(text, query) pairs over encoded letters: seeded random strings,
+    periodic strings, and a one-letter text, where a mismatch walks a
+    suffix link and the match goes on from a shorter length."""
+    rng = random.Random(23)
+    enc = strsearch.letters_to_chars
+
+    def rand(n: int) -> str:
+        alphabet = rng.choice(((1, -1), (1, -1, 2, -2)))
+        return enc(rng.choice(alphabet) for _ in range(n))
+
+    cases = [(rand(rng.randrange(1, 30)), rand(rng.randrange(1, 30))) for _ in range(40)]
+    cases += [
+        (enc((1, 2) * 6), enc((1, 2, 1, 1, 2, 1, 2, 2, 1, 2))),
+        (enc((1, 1, 2) * 5), enc((1, 1, 1, 2, 1, 1, 2, 2, 1, 1))),
+        (enc((1,) * 7), enc((1, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1, -1, 1))),
+        (enc((1,)), enc((1, 1, 2, 1))),
+    ]
+    return cases
+
+
+class TestStreamingMatch:
+    def test_matching_statistics_against_brute_force(self):
+        for text, query in match_cases():
+            sam = strsearch.SuffixAutomaton(text)
+            assert sam.matching_statistics(query) == brute_matching_statistics(text, query)
+
+    def test_repeat_lengths_against_brute_force(self):
+        for text, query in match_cases():
+            for chars in (text, query, text + query):
+                plain, with_inv = strsearch.repeat_lengths(chars)
+                assert plain == brute_repeat_length(chars)
+                common = brute_common_length(chars, strsearch.inverse_chars(chars))
+                assert with_inv == max(plain, common)

@@ -202,7 +202,7 @@ class TestNielsen:
         with pytest.raises(ValueError):
             NielsenMove("multiply", 0, 0)
         with pytest.raises(IndexError):
-            apply_nielsen(standard_tuple(2), NielsenMove("invert", 5))
+            apply_nielsen(standard_tuple(2, 2), NielsenMove("invert", 5))
 
     def test_each_move_invertible(self):
         rng = random.Random(7)
