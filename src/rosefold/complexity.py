@@ -505,8 +505,8 @@ class _Ball:
 
 @dataclass(frozen=True)
 class ComplexityValue:
-    """(c1, c2) with per-index robust lengths; ordered lexicographically
-    on the pair only."""
+    """(c1, c2) with per-index robust lengths; ``key()`` orders values
+    lexicographically on the pair only."""
 
     c1: int
     c2: int
@@ -515,12 +515,6 @@ class ComplexityValue:
 
     def key(self) -> tuple[int, int]:
         return (self.c1, self.c2)
-
-    def __lt__(self, other: "ComplexityValue") -> bool:
-        return self.key() < other.key()
-
-    def __le__(self, other: "ComplexityValue") -> bool:
-        return self.key() <= other.key()
 
     def to_dict(self) -> dict:
         return {

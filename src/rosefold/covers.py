@@ -190,8 +190,7 @@ def _degree_deficit(nv: int, edges: tuple[tuple[int, int], ...]) -> int:
 def _shape_children(
     nv: int, edges: tuple[tuple[int, int], ...], max_edges: int, max_betti: int
 ) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
-    if len(edges) >= max_edges:
-        return
+    # the caller grows level k < max_edges, so every child fits the bound
     b = len(edges) - nv + 1  # connected throughout construction
     # edge between existing vertices (raises betti)
     if b + 1 <= max_betti:

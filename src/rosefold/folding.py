@@ -60,9 +60,6 @@ def petal_paths(t: GenTuple, wedge: LabeledGraph) -> list[EdgePath]:
     paths = []
     eid = 0
     for word in t.entries:
-        if not word.letters:
-            paths.append(EdgePath(wedge, (), 0))
-            continue
         tokens = tuple(range(eid + 1, eid + 1 + len(word.letters)))
         eid += len(word.letters)
         paths.append(EdgePath(wedge, tokens, 0))
@@ -117,10 +114,8 @@ class _Engine:
                 del self.adj[rd][-label]
         self.alive[eid - 1] = False
 
-    def union(self, a: int, b: int) -> int:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
+    def union(self, ra: int, rb: int) -> None:
+        """Merge the classes of two distinct roots into the larger's root."""
         if self.size[ra] < self.size[rb]:
             ra, rb = rb, ra
         for letter, toks in self.adj[rb].items():
@@ -129,7 +124,6 @@ class _Engine:
         self.parent[rb] = ra
         self.size[ra] += self.size[rb]
         self.cls_min[ra] = min(self.cls_min[ra], self.cls_min[rb])
-        return ra
 
     def foldable_letters(self, root: int) -> list[int]:
         return [letter for letter, toks in self.adj[root].items() if len(toks) >= 2]
@@ -469,7 +463,11 @@ def fold_to_delta(g: LabeledGraph) -> DeltaExtraction:
 
 def replace_arc(g: LabeledGraph, arc: Arc, new_label: Word) -> LabeledGraph:
     """Delete the arc and glue a fresh chain reading ``new_label`` between
-    the same endpoints.  The arc interior must avoid the base vertex."""
+    the same endpoints.  The arc interior must avoid the base vertex.
+
+    An empty label identifies the endpoints (a loop arc just goes).
+    Surgery meets one when the replaced pattern is whole periods of its
+    relator rotation, which short relators allow."""
     if new_label.rank != g.rank:
         raise ValueError("rank mismatch")
     for a, b in zip(arc.edges, arc.edges[1:]):

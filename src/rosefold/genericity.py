@@ -146,13 +146,15 @@ def repeat_length_bound(rank: int, length: int) -> int:
 def word_stats_row(cfg: SampleConfig, eps_target: float, index: int) -> dict:
     """One sample's longest repeat, without and with inverse occurrences,
     against the log-scale bound, and the worst disjoint coverage over the
-    repeated subwords at or beyond the bound (zero when none reach it)."""
+    repeated subwords at or beyond the bound (zero when none reach it).
+    The bound is 0 at N = 1, and subwords are scanned from length 1."""
     w = random_reduced_word(cfg, index)
     bound = repeat_length_bound(cfg.rank, cfg.length)
     plain, with_inv = strsearch.repeat_lengths(strsearch.letters_to_chars(w.letters))
     worst = 0.0
-    if with_inv >= bound:
-        for gamma in repeated_subwords_at_least(w, bound):
+    scan_from = max(bound, 1)
+    if with_inv >= scan_from:
+        for gamma in repeated_subwords_at_least(w, scan_from):
             worst = max(worst, disjoint_coverage_bidirectional(w, gamma))
     return {
         "sample": index,

@@ -266,17 +266,13 @@ class EdgePath:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    @property
-    def end(self) -> int:
-        return self.graph.omega(self.tokens[-1]) if self.tokens else self.start
-
 
 # ---------------------------------------------------------------------------
 # canonical form and isomorphism
 
 
-def _encode_from(g, start: int, bound: tuple | None = None) -> tuple:
-    """Least BFS encoding from ``start``, or ``bound`` when that is less.
+def _encode_from(g, start: int) -> tuple:
+    """Least BFS encoding from ``start``.
 
     ``g`` is a ``LabeledGraph`` or a view with ``num_vertices`` and
     ``label_groups`` (see ``LabeledGraph.label_groups``), indexed by
@@ -295,19 +291,18 @@ def _encode_from(g, start: int, bound: tuple | None = None) -> tuple:
     vertices they discovered cleared) before the next choice.  Every
     complete encoding of a connected graph has the same length, 6E + V,
     so a branch stops as soon as its token prefix is strictly greater
-    than the same-length prefix of the best encoding so far; ``bound``
-    seeds that best, which lets ``canonical_key`` prune every start
-    after the first.  Choices are tried in order of their label profile
-    (each group's letter and multiplicity), which tends to find the least
-    encoding early; only the pruning depends on it.  A complete numbering
-    that misses a vertex means the graph is disconnected (ValueError).
+    than the same-length prefix of the best encoding so far.  Choices
+    are tried in order of their label profile (each group's letter and
+    multiplicity), which tends to find the least encoding early; only the
+    pruning depends on it.  A complete numbering that misses a vertex
+    means the graph is disconnected (ValueError).
     """
     groups = g.label_groups
     ids = [-1] * len(groups)
     ids[start] = 0
     order = [start]
     tokens: list[int] = []
-    best = bound
+    best = None
 
     def profile(v: int) -> list:
         return [(k0, k1, len(targets)) for k0, k1, targets, _ in groups[v]]
@@ -367,35 +362,25 @@ def _encode_from(g, start: int, bound: tuple | None = None) -> tuple:
         if not tight:
             best = tuple(tokens)
 
-    search(0, 0, best is not None)
+    search(0, 0, False)
     assert best is not None
     return best
 
 
 def canonical_key(g: LabeledGraph) -> tuple:
-    """Canonical encoding deciding label- and base-preserving isomorphism.
-
-    Based graphs are encoded from the base; otherwise the least encoding
-    over all start vertices is used.  Connected graphs only.  ``g`` may
-    also be a based view that ``_encode_from`` reads (a fold stage).
-    """
-    header = (g.rank, g.num_vertices, g.num_edges)
-    if g.base is not None:
-        return header + (1,) + _encode_from(g, g.base)
-    body = None
-    for v in range(g.num_vertices):
-        body = _encode_from(g, v, body)
-    return header + (0,) + body
+    """Canonical encoding deciding label- and base-preserving isomorphism
+    of based connected graphs: the least encoding from the base, behind
+    a header of rank, vertex and edge counts.  A based core graph stands
+    for a subgroup, and every pipeline keys based graphs only; an
+    unbased or disconnected graph raises ValueError.  ``g`` may also be
+    a based view that ``_encode_from`` reads (a fold stage)."""
+    if g.base is None:
+        raise ValueError("canonical_key expects a based graph")
+    return (g.rank, g.num_vertices, g.num_edges, 1) + _encode_from(g, g.base)
 
 
 def isomorphic_labeled(g1: LabeledGraph, g2: LabeledGraph) -> bool:
-    """Label- and base-preserving graph isomorphism."""
-    if g1.rank != g2.rank or g1.num_vertices != g2.num_vertices:
-        return False
-    if g1.num_edges != g2.num_edges:
-        return False
-    if (g1.base is None) != (g2.base is None):
-        return False
+    """Label- and base-preserving isomorphism of based connected graphs."""
     return canonical_key(g1) == canonical_key(g2)
 
 

@@ -119,6 +119,11 @@ def build_relators(v_words: Sequence[Word], u_words: Sequence[Word]) -> Presenta
         block_meta: list[tuple[int, int]] = []  # block_id -> (word_index, sign)
         for letter in u.letters:
             j = abs(letter) - 1
+            if j >= n:
+                raise ValueError(
+                    f"second-family letter a{j + 1} names a generator beyond "
+                    f"the {n} first-family words"
+                )
             sign = 1 if letter > 0 else -1
             v = v_words[j] if sign > 0 else v_words[j].inverse()
             block_id = len(block_meta)

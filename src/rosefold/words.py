@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 
 def check_letter(letter: int, rank: int) -> None:
@@ -44,9 +44,6 @@ class Word:
 
     def __len__(self) -> int:
         return len(self.letters)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.letters)
 
     def __bool__(self) -> bool:
         return bool(self.letters)
@@ -151,15 +148,8 @@ class CyclicWord:
     def __len__(self) -> int:
         return len(self.word)
 
-    @property
-    def rank(self) -> int:
-        return self.word.rank
-
     def inverse(self) -> "CyclicWord":
         return CyclicWord.from_cyclically_reduced(self.word.inverse())
-
-    def __str__(self) -> str:
-        return format_word(self.word)
 
 
 def cyclic_reduce(word: Word) -> tuple[CyclicWord, Word]:
@@ -215,9 +205,6 @@ class GenTuple:
     def arity(self) -> int:
         return len(self.entries)
 
-    def __iter__(self) -> Iterator[Word]:
-        return iter(self.entries)
-
 
 def standard_tuple(rank: int, arity: int) -> GenTuple:
     """(a_1, ..., a_n, 1, ..., 1) padded with identities up to ``arity``."""
@@ -249,11 +236,6 @@ class NielsenMove:
                 raise ValueError(f"{self.kind} needs two distinct indices")
         if self.kind == "multiply" and self.exponent not in (1, -1):
             raise ValueError("exponent must be +1 or -1")
-
-    def inverse(self) -> "NielsenMove":
-        if self.kind == "multiply":
-            return NielsenMove("multiply", self.i, self.j, -self.exponent)
-        return self
 
 
 def apply_nielsen(t: GenTuple, move: NielsenMove) -> GenTuple:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rosefold.graphs import LabeledGraph, Subgraph, subgraph_from_edges
+from rosefold.graphs import LabeledGraph, Subgraph, _encode_from, subgraph_from_edges
 from rosefold.words import Word, random_reduced_letters
 
 
@@ -85,6 +85,15 @@ def core(g: LabeledGraph, relative_to: int | None = None) -> LabeledGraph:
         base = relative_to
     base = remap.get(base) if base is not None and base in remap else None
     return LabeledGraph(g.rank, len(kept), edges, base)
+
+
+def unbased_key(g: LabeledGraph) -> tuple:
+    """A key deciding label-preserving isomorphism of unbased connected
+    graphs: the least encoding over every start vertex.  The library keys
+    based graphs only (``canonical_key``); the enumeration oracles and the
+    unbased isomorphism tests use this one."""
+    header = (g.rank, g.num_vertices, g.num_edges)
+    return header + (0,) + min(_encode_from(g, v) for v in range(g.num_vertices))
 
 
 def random_graph(rng: random.Random, rank: int = 2, max_v: int = 8, max_e: int = 12) -> LabeledGraph:

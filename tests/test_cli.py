@@ -275,6 +275,28 @@ class TestSurgeryDemo:
         assert payload["strictly_smaller"] is True
         assert payload["refolds_to_rose"] is True
 
+    @pytest.mark.parametrize(
+        "argv, pattern",
+        [
+            # the arc joins two vertices, which the empty label identifies
+            (("--relator-length", "2", "--seed", "2"), "a2^-1 a1 a2^-1 a1"),
+            # the arc is a loop, which the empty label deletes
+            (("--rank", "3", "--relator-length", "6", "--seed", "20"),
+             "a1 a3 a2^-1 a3^-1 a2 a3"),
+        ],
+        ids=["distinct-ends", "loop"],
+    )
+    def test_whole_relator_periods_leave_an_empty_replacement(self, capsys, argv, pattern):
+        # the longest relator-power factor on the arc can be whole periods
+        # of a short relator; its complement is the empty word, and the
+        # pre-lift stage without the arc still folds onto the rose
+        code, out = run_cli(capsys, "surgery-demo", *argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["pattern"], payload["replacement"]) == (pattern, "")
+        assert payload["delta_after_refolds"] is True
+        assert payload["strictly_smaller"] is True
+
 
 class TestUsageErrors:
     def test_unknown_command_exits_two(self, capsys):
@@ -493,6 +515,22 @@ class TestInputErrors:
         error = self.assert_error(capsys, "sc-check", "--presentation", str(path))
         assert "'u' must be a list of word strings" in error
 
+    def test_sc_check_second_family_letter_beyond_first_family(self, capsys, tmp_path):
+        # a u-word letter a3 with two v words used to raise an IndexError
+        path = tmp_path / "presentation.json"
+        path.write_text(json.dumps({"rank": 3, "v": ["a1", "a2"], "u": ["a3", "a1"]}))
+        error = self.assert_error(capsys, "sc-check", "--presentation", str(path))
+        assert "a3 names a generator beyond the 2 first-family words" in error
+
+    def test_word_stats_length_one(self, capsys):
+        # the bound is 0 at N = 1; the repeat scan used to ask for
+        # subwords of length 0 and exit 2
+        code, out = run_cli(capsys, "word-stats", "--length", "1", "--samples", "1")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["config"]["bound"] == 0
+        assert [row["max_coverage"] for row in payload["samples"]] == [0.0]
+
     def test_sc_check_empty_presentation(self, capsys, tmp_path):
         # no words in either family used to raise an IndexError
         path = tmp_path / "presentation.json"
@@ -570,6 +608,7 @@ FUZZ_FILES = {
     "presentation-empty": json.dumps({"rank": 2, "v": [], "u": []}),
     "presentation-uneven": json.dumps({"rank": 2, "v": ["a1 a2"], "u": ["a1", "a2"]}),
     "presentation-bad-letter": json.dumps({"rank": 2, "v": ["a7"], "u": ["a1"]}),
+    "presentation-u-beyond-v": json.dumps({"rank": 3, "v": ["a1", "a2"], "u": ["a3", "a1"]}),
 }
 
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import is_core_graph, random_graph, rose, two_sheeted_cover
+from conftest import is_core_graph, random_graph, rose, two_sheeted_cover, unbased_key
 from test_graphs import maximal_arc_count
 from rosefold.covers import (
     _letters,
@@ -16,12 +16,7 @@ from rosefold.covers import (
     shortest_non_lifting_word,
     survey_two_cover_characterization,
 )
-from rosefold.graphs import (
-    LabeledGraph,
-    betti,
-    canonical_key,
-    is_connected,
-)
+from rosefold.graphs import LabeledGraph, betti, is_connected
 from rosefold.strsearch import letters_to_chars
 from rosefold.words import Word, parse_word, random_reduced_letters
 
@@ -468,7 +463,7 @@ class TestCoverPredicateOracles:
 def canonical_key_candidates(rank: int, max_edges: int) -> list[LabeledGraph]:
     """Differential oracle for ``enumerate_candidates``: every label
     assignment on every shape in ``itertools.product`` order, keeping the
-    first graph of each ``canonical_key`` class."""
+    first graph of each ``unbased_key`` class."""
     emitted: set[tuple] = set()
     out = []
     for nv, pairs in _unlabeled_shapes(max_edges, 2 * rank - 1):
@@ -481,7 +476,7 @@ def canonical_key_candidates(rank: int, max_edges: int) -> list[LabeledGraph]:
         for assignment in itertools.product(*label_choices):
             edges = tuple((a, b, lab) for (a, b), lab in zip(pairs, assignment))
             g = LabeledGraph(rank, nv, edges)
-            key = canonical_key(g)
+            key = unbased_key(g)
             if key not in emitted:
                 emitted.add(key)
                 out.append(g)
@@ -490,7 +485,7 @@ def canonical_key_candidates(rank: int, max_edges: int) -> list[LabeledGraph]:
 
 def brute_force_candidates(rank: int, max_edges: int) -> list[LabeledGraph]:
     """Independent generate-and-filter oracle for small bounds: raw product
-    over endpoint and label choices, naive dedup by canonical key."""
+    over endpoint and label choices, naive dedup by ``unbased_key``."""
     out: dict[tuple, LabeledGraph] = {}
     max_betti = 2 * rank - 1
     for nv in range(1, max_edges + 1):
@@ -515,7 +510,7 @@ def brute_force_candidates(rank: int, max_edges: int) -> list[LabeledGraph]:
                         continue
                     if betti(g) > max_betti:
                         continue
-                    out.setdefault(canonical_key(g), g)
+                    out.setdefault(unbased_key(g), g)
     return list(out.values())
 
 
@@ -558,8 +553,8 @@ class TestEnumeration:
         assert len(list(enumerate_candidates(2, 4))) == 558
 
     def test_matches_brute_force_at_two_edges(self):
-        ours = {canonical_key(g) for g in enumerate_candidates(2, 2)}
-        brute = {canonical_key(g) for g in brute_force_candidates(2, 2)}
+        ours = {unbased_key(g) for g in enumerate_candidates(2, 2)}
+        brute = {unbased_key(g) for g in brute_force_candidates(2, 2)}
         assert ours == brute
 
     def test_counts_match_independent_dedup(self):
@@ -581,7 +576,7 @@ class TestEnumeration:
             assert betti(g) <= 3
 
     def test_no_duplicates(self):
-        keys = [canonical_key(g) for g in enumerate_candidates(2, 4)]
+        keys = [unbased_key(g) for g in enumerate_candidates(2, 4)]
         assert len(keys) == len(set(keys))
 
     def test_rank_below_two_rejected(self):

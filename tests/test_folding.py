@@ -96,7 +96,7 @@ class TestWedge:
         g = wedge_of_loops(t)
         for entry, path in zip(t.entries, petal_paths(t, g)):
             assert path_letters(path) == entry.letters
-            assert path.start == 0 and path.end == 0
+            assert path.start == 0 and g.omega(path.tokens[-1]) == 0
 
 
 def first_fold(g: LabeledGraph, policy: str = "least") -> tuple[LabeledGraph, FoldRecord]:
@@ -560,6 +560,11 @@ class TestReplaceArc:
         arc = make_arc(g, (2, 3))
         out = replace_arc(g, arc, Word(2, ()))
         assert out.num_vertices == 1 and out.num_edges == 2
+
+    def test_empty_replacement_of_a_loop_deletes_it(self):
+        g = self.chain()
+        out = replace_arc(g, make_arc(g, (4,)), Word(2, ()))
+        assert out == LabeledGraph(2, 3, g.edges[:3], base=0)
 
     def test_base_in_interior_rejected(self):
         # 2-cycle based at 0: the arc 1 -> 0 -> 1 has the base inside
