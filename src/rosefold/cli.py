@@ -264,7 +264,8 @@ def cmd_complexity(args: argparse.Namespace) -> int:
     w = words.parse_word(args.word, args.rank)
     thresholds = cxmod.Thresholds()
     value = cxmod.complexity(w, idx, thresholds, args.depth)
-    k, seg = cxmod.c1(w, idx)
+    # the identity has the bottom value and no factors to segment
+    seg = cxmod.c1(w, idx)[1] if w else cxmod.Segmentation(w, (), ())
     payload = {
         "config": _config_echo(args, ["rank", "relators", "word", "depth"]),
         **value.to_dict(),

@@ -102,6 +102,9 @@ def build_relators(v_words: Sequence[Word], u_words: Sequence[Word]) -> Presenta
     if n == 0:
         raise ValueError("need at least one word in each family")
     rank = v_words[0].rank
+    if n > rank:
+        # relator i starts with the generator inverse a_(i+1)^-1
+        raise ValueError(f"{n} word pairs need rank at least {n}, but the words have rank {rank}")
     lengths = {len(w) for w in v_words} | {len(w) for w in u_words}
     for w in list(v_words) + list(u_words):
         if w.rank != rank:

@@ -17,10 +17,27 @@ from typing import Iterable, Sequence
 _BASE = 0x100  # keep letter characters clear of separators below
 
 
+class _Table(dict):
+    """A dict that fills itself from ``fill`` on a miss, so a lookup table
+    can serve ``map`` and ``str.translate`` at C speed over any key."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+# signed letter or edge token -> its character; character code -> the code
+# of the inverse letter's character
+_CHARS = _Table(lambda token: chr(_BASE + (abs(token) << 1) + (0 if token > 0 else 1)))
+_SWAP = _Table(lambda code: code ^ 1)
+
+
 def letters_to_chars(letters: Iterable[int]) -> str:
-    return "".join(
-        chr(_BASE + (abs(l) << 1) + (0 if l > 0 else 1)) for l in letters
-    )
+    return "".join(map(_CHARS.__getitem__, letters))
 
 
 def chars_to_letters(s: str) -> tuple[int, ...]:
@@ -33,20 +50,19 @@ def chars_to_letters(s: str) -> tuple[int, ...]:
 
 
 def inverse_chars(s: str) -> str:
-    return "".join(chr(ord(ch) ^ 1) for ch in reversed(s))
+    return s[::-1].translate(_SWAP)
 
 
 class SuffixAutomaton:
-    """Suffix automaton of one string, with occurrence counts, enough for
-    repeated-substring and common-substring queries."""
+    """Suffix automaton of one string, enough for repeated-substring and
+    common-substring queries."""
 
-    __slots__ = ("next", "link", "length", "last", "occ")
+    __slots__ = ("next", "link", "length", "last")
 
     def __init__(self, text: str = ""):
         self.next: list[dict[str, int]] = [{}]
         self.link: list[int] = [-1]
         self.length: list[int] = [0]
-        self.occ: list[int] = [0]
         self.last = 0
         for ch in text:
             self.extend(ch)
@@ -56,7 +72,6 @@ class SuffixAutomaton:
         self.next.append({})
         self.length.append(self.length[self.last] + 1)
         self.link.append(0)
-        self.occ.append(1)
         p = self.last
         while p >= 0 and ch not in self.next[p]:
             self.next[p][ch] = cur
@@ -72,31 +87,18 @@ class SuffixAutomaton:
                 self.next.append(dict(self.next[q]))
                 self.length.append(self.length[p] + 1)
                 self.link.append(self.link[q])
-                self.occ.append(0)
                 while p >= 0 and self.next[p].get(ch) == q:
                     self.next[p][ch] = clone
                     p = self.link[p]
                 self.link[q] = self.link[cur] = clone
         self.last = cur
 
-    def occurrence_counts(self) -> list[int]:
-        order = sorted(range(len(self.length)), key=self.length.__getitem__, reverse=True)
-        occ = list(self.occ)
-        for v in order:
-            if self.link[v] > 0:
-                occ[self.link[v]] += occ[v]
-            elif self.link[v] == 0:
-                occ[0] += occ[v]
-        return occ
-
     def longest_repeated(self) -> int:
-        """Length of the longest substring occurring at least twice."""
-        occ = self.occurrence_counts()
-        best = 0
-        for v in range(1, len(self.length)):
-            if occ[v] >= 2 and self.length[v] > best:
-                best = self.length[v]
-        return best
+        """Length of the longest substring occurring at least twice.  A
+        state other than the root is a suffix-link target exactly when its
+        substrings end at two or more positions, so this is the longest
+        such target."""
+        return max(map(self.length.__getitem__, self.link[1:]), default=0)
 
     def matching_statistics(self, query: str) -> list[int]:
         """For each query position i, the length of the longest factor of

@@ -277,16 +277,29 @@ def random_reduced_letters(rng: random.Random, rank: int, length: int) -> tuple[
     """Uniform sample over the 2n(2n-1)^(length-1) reduced words of ``length``.
 
     First letter uniform over the 2n letters, each later letter uniform
-    over the 2n-1 non-inverses of its predecessor; no rejection step.
+    over the 2n-1 non-inverses of its predecessor; no word is rejected.
+    The later letters' indices are drawn as ``rng.randrange(2n - 1)``
+    draws them (``getrandbits`` of the bit length until the value is in
+    range), inlined, so a seed gives the same word as a loop over
+    ``randrange``.
     """
     if length == 0:
         return ()
     alphabet = [g for g in range(1, rank + 1)] + [-g for g in range(1, rank + 1)]
     # the allowed successors of each letter, in alphabet order
     choices = {prev: [l for l in alphabet if l != -prev] for prev in alphabet}
-    letters = [alphabet[rng.randrange(2 * rank)]]
+    prev = alphabet[rng.randrange(2 * rank)]
+    letters = [prev]
+    append = letters.append
+    getrandbits = rng.getrandbits
+    m = 2 * rank - 1
+    bits = m.bit_length()
     for _ in range(length - 1):
-        letters.append(choices[letters[-1]][rng.randrange(2 * rank - 1)])
+        r = getrandbits(bits)
+        while r >= m:
+            r = getrandbits(bits)
+        prev = choices[prev][r]
+        append(prev)
     return tuple(letters)
 
 

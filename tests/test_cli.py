@@ -255,6 +255,17 @@ class TestComplexityCommands:
         payload = json.loads(out)
         assert payload["c1"] == 1
 
+    def test_complexity_of_the_identity(self, capsys):
+        # the identity used to exit 2: the segmentation called c1 again,
+        # which is undefined on the empty word
+        code, out = run_cli(
+            capsys, "complexity", "--relators", self.RELATOR, "--word", "1", "--depth", "0",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["c1"], payload["c2"], payload["per_index"]) == (0, 0, [])
+        assert payload["segmentation"] == {"word": "", "boundaries": [], "certificates": []}
+
     def test_reduce(self, capsys):
         code, out = run_cli(
             capsys, "reduce", "--relators", self.RELATOR,
@@ -522,6 +533,14 @@ class TestInputErrors:
         error = self.assert_error(capsys, "sc-check", "--presentation", str(path))
         assert "a3 names a generator beyond the 2 first-family words" in error
 
+    def test_sc_check_more_word_pairs_than_rank(self, capsys, tmp_path):
+        # relator 3 starts with a3^-1, which used to be reported as
+        # "letter -3 outside rank-2 alphabet"
+        path = tmp_path / "presentation.json"
+        path.write_text(json.dumps({"rank": 2, "v": ["a1", "a2", "a1"], "u": ["a1", "a2", "a2"]}))
+        error = self.assert_error(capsys, "sc-check", "--presentation", str(path))
+        assert "3 word pairs need rank at least 3, but the words have rank 2" in error
+
     def test_word_stats_length_one(self, capsys):
         # the bound is 0 at N = 1; the repeat scan used to ask for
         # subwords of length 0 and exit 2
@@ -609,6 +628,8 @@ FUZZ_FILES = {
     "presentation-uneven": json.dumps({"rank": 2, "v": ["a1 a2"], "u": ["a1", "a2"]}),
     "presentation-bad-letter": json.dumps({"rank": 2, "v": ["a7"], "u": ["a1"]}),
     "presentation-u-beyond-v": json.dumps({"rank": 3, "v": ["a1", "a2"], "u": ["a3", "a1"]}),
+    "presentation-pairs-beyond-rank": json.dumps(
+        {"rank": 2, "v": ["a1", "a2", "a1"], "u": ["a1", "a2", "a2"]}),
 }
 
 
@@ -642,17 +663,53 @@ def run_captured(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+# the file names a FILE option gets: every fuzz file, one that does not
+# exist and a directory
+FILE_NAMES = [*FUZZ_FILES, "missing", "directory"]
+# every (command, option) pair that reads a file
+FILE_OPTIONS = [(command, flag) for command, (always, optional) in sorted(FUZZ.items())
+                for flag, strategy in {**always, **optional}.items() if strategy == "FILE"]
+
+
+def fuzz_path(fuzz_dir, name: str):
+    return fuzz_dir if name == "directory" else fuzz_dir / f"{name}.json"
+
+
+def check_contract(argv: list[str], fuzz_dir, fmt: str | None = None, out: str | None = None) -> int:
+    """Exit code 0, 1 or 2, no traceback, a JSON error on exit 2 and
+    otherwise well-formed output in the asked format; returns the code."""
+    code, stdout, stderr = run_captured(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stderr
+    if code == 2:
+        # argument parsing adds the usage line on stderr
+        assert list(strict_json(stdout)) == ["error"]
+        assert not stderr or stderr.startswith("usage: rosefold")
+        return code
+    text = (fuzz_dir / out).read_text() if out else stdout
+    if fmt == "csv":
+        rows = list(csv.reader(line for line in text.splitlines() if not line.startswith("#")))
+        assert len({len(row) for row in rows}) <= 1
+    else:
+        strict_json(text)
+    return code
+
+
 class TestFuzz:
+    # every file on every option that reads one, before the random draws,
+    # which may never pick the one pair that crashes
+    @pytest.mark.parametrize("name", FILE_NAMES)
+    @pytest.mark.parametrize(("command", "flag"), FILE_OPTIONS)
+    def test_every_file_option_on_every_file(self, fuzz_dir, command, flag, name):
+        check_contract([command, f"{flag}={fuzz_path(fuzz_dir, name)}"], fuzz_dir)
+
     @settings(max_examples=800, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(data=st.data())
     def test_exit_code_and_output_contract(self, fuzz_dir, data):
         command = data.draw(st.sampled_from(sorted(FUZZ)), label="command")
         always, optional = FUZZ[command]
         chosen = data.draw(st.lists(st.sampled_from(sorted(optional)), unique=True))
-        files = st.sampled_from(
-            [str(fuzz_dir / f"{name}.json") for name in FUZZ_FILES]
-            + [str(fuzz_dir / "missing.json"), str(fuzz_dir)]
-        )
+        files = st.sampled_from([str(fuzz_path(fuzz_dir, name)) for name in FILE_NAMES])
         argv = [command]
         for flag in [*always, *chosen]:
             strategy = {**always, **optional}[flag]
@@ -673,18 +730,4 @@ class TestFuzz:
             (fuzz_dir / "out.txt").unlink(missing_ok=True)
             argv.append(f"--out={fuzz_dir / out}")
 
-        code, stdout, stderr = run_captured(argv)
-        event(f"{command} exit {code}")
-        assert code in (0, 1, 2)
-        assert "Traceback" not in stderr
-        if code == 2:
-            # argument parsing adds the usage line on stderr
-            assert list(strict_json(stdout)) == ["error"]
-            assert not stderr or stderr.startswith("usage: rosefold")
-            return
-        text = (fuzz_dir / out).read_text() if out else stdout
-        if fmt == "csv":
-            rows = list(csv.reader(line for line in text.splitlines() if not line.startswith("#")))
-            assert len({len(row) for row in rows}) <= 1
-        else:
-            strict_json(text)
+        event(f"{command} exit {check_contract(argv, fuzz_dir, fmt, out)}")

@@ -1,7 +1,9 @@
 """Differential tests for the two occurrence scans of ``strsearch``
 against window-comparing oracles over signed-int sequences (reduced
-words, and edge-token sequences as ``run_surgery`` scans them), and for
-the suffix automaton's streaming match against brute force."""
+words, and edge-token sequences as ``run_surgery`` scans them), for
+the suffix automaton's streaming match and longest repeat against brute
+force and end-position counts, and for the table-driven character codes
+against their per-character formula."""
 
 import random
 
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rosefold import strsearch
-from rosefold.words import free_reduce
+from rosefold.words import free_reduce, random_reduced_letters
 
 
 def inverse(seq: tuple[int, ...]) -> tuple[int, ...]:
@@ -183,3 +185,66 @@ class TestStreamingMatch:
                 assert plain == brute_repeat_length(chars)
                 common = brute_common_length(chars, strsearch.inverse_chars(chars))
                 assert with_inv == max(plain, common)
+
+
+def occurrence_count_longest_repeated(text: str) -> int:
+    """The longest repeat read off end-position counts, as the automaton
+    once kept them: 1 on each prefix state, 0 on each clone, summed up the
+    suffix links in decreasing length order; the longest state other than
+    the root with a count of at least 2."""
+    sam = strsearch.SuffixAutomaton(text)
+    occ = [0] * len(sam.length)
+    v = 0
+    for ch in text:
+        v = sam.next[v][ch]
+        occ[v] = 1
+    for v in sorted(range(1, len(sam.length)), key=sam.length.__getitem__, reverse=True):
+        occ[sam.link[v]] += occ[v]
+    return max((sam.length[v] for v in range(1, len(occ)) if occ[v] >= 2), default=0)
+
+
+class TestLongestRepeated:
+    def test_against_occurrence_counts(self):
+        rng = random.Random(41)
+        texts = [text for case in match_cases() for text in (*case, case[0] + case[1])]
+        texts += [
+            strsearch.letters_to_chars(random_reduced_letters(rng, rank, length))
+            for rank in (1, 2, 3)
+            for length in (0, 1, 2, 3, 17, 64, 300, 1000)
+        ]
+        for text in texts:
+            sam = strsearch.SuffixAutomaton(text)
+            assert sam.longest_repeated() == occurrence_count_longest_repeated(text), text
+
+
+# the largest token whose character, either sign, is a code point
+MAX_TOKEN = (0x10FFFF - 0x100) >> 1
+
+
+def char_formula(letters) -> str:
+    """One character per signed letter or token, code by code."""
+    return "".join(chr(0x100 + (abs(l) << 1) + (0 if l > 0 else 1)) for l in letters)
+
+
+def inverse_formula(s: str) -> str:
+    """The inverse word's characters: reversed, each code's low bit flipped."""
+    return "".join(chr(ord(ch) ^ 1) for ch in reversed(s))
+
+
+class TestCharCodes:
+    @given(
+        st.lists(signed(st.one_of(st.integers(1, 8), st.integers(1, MAX_TOKEN))), max_size=40)
+    )
+    @settings(max_examples=300)
+    def test_against_per_character_formula(self, tokens):
+        chars = strsearch.letters_to_chars(tokens)
+        assert chars == char_formula(tokens)
+        assert strsearch.inverse_chars(chars) == inverse_formula(chars)
+        assert strsearch.chars_to_letters(chars) == tuple(tokens)
+
+    def test_tokens_past_the_letter_range(self):
+        # edge tokens of large graphs and separators below the letter range
+        tokens = [1, -1, 63, -63, 64, -64, 65, 4096, -40000, 0x7FFF, MAX_TOKEN, -MAX_TOKEN]
+        assert strsearch.letters_to_chars(tokens) == char_formula(tokens)
+        for s in ("", "#", "a\x00|" + char_formula(tokens)):
+            assert strsearch.inverse_chars(s) == inverse_formula(s)

@@ -302,3 +302,28 @@ def test_subword_and_inverse_pass_the_checked_constructor(letters, start, stop):
     word = free_reduce(3, letters)
     for value in (word.subword(start, stop), word.inverse(), word.subword(start, stop).inverse()):
         assert Word(value.rank, value.letters) == value
+
+
+def randrange_reduced_letters(rng: random.Random, rank: int, length: int) -> tuple[int, ...]:
+    """The sampler as a loop over ``randrange``: the slow path whose stream
+    ``random_reduced_letters`` reproduces with inlined ``getrandbits``."""
+    if length == 0:
+        return ()
+    alphabet = [*range(1, rank + 1), *range(-1, -rank - 1, -1)]
+    letters = [alphabet[rng.randrange(2 * rank)]]
+    for _ in range(length - 1):
+        letters.append([l for l in alphabet if l != -letters[-1]][rng.randrange(2 * rank - 1)])
+    return tuple(letters)
+
+
+class TestReducedLetterSampler:
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_matches_randrange_stream(self, rank):
+        for seed in range(50):
+            for length in (0, 1, 2, 256, 4096):
+                fast, slow = random.Random(seed), random.Random(seed)
+                assert random_reduced_letters(fast, rank, length) == randrange_reduced_letters(
+                    slow, rank, length
+                ), (rank, length, seed)
+                # both consumed the same draws
+                assert fast.getstate() == slow.getstate()
