@@ -132,8 +132,13 @@ def cmd_fold(args: argparse.Namespace) -> int:
     wedge = folding.wedge_of_loops(t)
     trace = folding.fold_all(wedge, policy=args.policy)
 
+    # repr(key) through a table of the strings of every token a stage key
+    # can hold (-1 to the wedge's largest count), at half repr's cost
+    names = {i: str(i) for i in range(-1, max(t.rank, wedge.num_vertices, wedge.num_edges) + 1)}
+
     def digest(key: tuple) -> str:
-        return hashlib.sha256(repr(key).encode()).hexdigest()[:16]
+        text = "(" + ", ".join(map(names.__getitem__, key)) + ")"
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
 
     digests, dumps = [], []
     for view in trace.stage_views():

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 from . import strsearch
@@ -271,8 +270,10 @@ def c1(w: Word, idx: UWordIndex) -> tuple[int, Segmentation]:
 
 
 def brute_force_c1(w: Word, idx: UWordIndex) -> int:
-    """Independent oracle: memoized exhaustive segmentation search using
-    direct substring membership, no per-position maximal-factor table."""
+    """Independent oracle: exhaustive segmentation search using direct
+    substring membership, no per-position maximal-factor table.
+    ``best[pos]`` is the least number of pieces covering the suffix from
+    ``pos`` (len(w) + 2 when none does), filled from the end."""
     if len(w) == 0:
         raise ValueError("c1 is undefined on the empty word")
     chars = strsearch.letters_to_chars(w.letters)
@@ -281,23 +282,15 @@ def brute_force_c1(w: Word, idx: UWordIndex) -> int:
         for i in range(len(idx.relators))
         for sign in (1, -1)
     ]
-
-    @lru_cache(maxsize=None)
-    def best(pos: int) -> int:
-        if pos == len(chars):
-            return 0
+    best = [0] * (len(chars) + 1)
+    for pos in range(len(chars) - 1, -1, -1):
         out = len(chars) + 2
         for q in range(pos + 1, len(chars) + 1):
             piece = chars[pos:q]
-            if any(piece in hay for hay in hays):
-                sub = best(q)
-                if 1 + sub < out:
-                    out = 1 + sub
-        return out
-
-    result = best(0)
-    best.cache_clear()
-    return result
+            if any(piece in hay for hay in hays) and 1 + best[q] < out:
+                out = 1 + best[q]
+        best[pos] = out
+    return best[0]
 
 
 def _cut_sequences(

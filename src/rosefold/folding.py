@@ -185,14 +185,31 @@ class _StageView:
         self.num_vertices = g.num_vertices
         self.num_edges = g.num_edges
         self.base = g.base
+        # the original end vertex of every oriented token, and the letters
+        # in label order with their keys
+        self.omega = {k + 1: dst for k, (_, dst, _) in enumerate(g.edges)}
+        self.omega.update({-(k + 1): src for k, (src, _, _) in enumerate(g.edges)})
+        self.letters = [(l, letter_key(l)) for gen in range(1, g.rank + 1) for l in (gen, -gen)]
         self.label_groups: list[list | None] = [self._groups(v) for v in range(g.num_vertices)]
 
-    def _groups(self, root: int) -> list:
-        adj, head = self.engine.adj[root], self.engine.head
+    def _heads(self, tokens) -> list[int]:
+        """``engine.head`` of each token, without path compression."""
+        parent, omega = self.engine.parent, self.omega
         out = []
-        for letter in sorted(adj, key=letter_key):
-            targets = [head(tok) for tok in adj[letter]]
-            out.append(letter_key(letter) + (targets, list(dict.fromkeys(targets))))
+        for tok in tokens:
+            v = omega[tok]
+            while parent[v] != v:
+                v = parent[v]
+            out.append(v)
+        return out
+
+    def _groups(self, root: int) -> list:
+        adj = self.engine.adj[root]
+        out = []
+        for letter, key in self.letters:
+            if letter in adj:
+                targets = self._heads(adj[letter])
+                out.append(key + (targets, targets if len(targets) == 1 else list(dict.fromkeys(targets))))
         return out
 
     def apply_record(self, record: FoldRecord) -> None:
@@ -207,7 +224,9 @@ class _StageView:
             self.num_vertices -= 1
             self.label_groups[heads[0] + heads[1] - root] = None  # absorbed
         self.base = engine.find(self.base)
-        dirty = {root, *(engine.head(tok) for toks in engine.adj[root].values() for tok in toks)}
+        dirty = {root}
+        for toks in engine.adj[root].values():
+            dirty.update(self._heads(toks))
         for v in dirty:
             self.label_groups[v] = self._groups(v)
 

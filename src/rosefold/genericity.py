@@ -26,7 +26,7 @@ from .covers import (
     shortest_non_lifting_word,
 )
 from .graphs import EdgePath, LabeledGraph
-from .words import Word, random_reduced_letters
+from .words import Word, _unchecked, random_reduced_letters
 
 _SEED_STRIDE = 0x9E3779B97F4A7C15
 _WILSON_Z = 1.96  # two-sided 95 % normal quantile
@@ -52,8 +52,11 @@ class SampleConfig:
 
 
 def random_reduced_word(cfg: SampleConfig, index: int = 0) -> Word:
-    """Uniform over the 2n(2n-1)^(N-1) reduced words of length N."""
-    return Word(cfg.rank, random_reduced_letters(cfg.sample_rng(index), cfg.rank, cfg.length))
+    """Uniform over the 2n(2n-1)^(N-1) reduced words of length N.  The
+    sampler only draws valid, reduced letters, so the word is built
+    without the letter checks."""
+    letters = random_reduced_letters(cfg.sample_rng(index), cfg.rank, cfg.length)
+    return _unchecked(Word, rank=cfg.rank, letters=letters)
 
 
 def repeated_subwords_at_least(w: Word, min_len: int) -> list[Word]:

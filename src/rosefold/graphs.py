@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .words import check_letter, format_letter, letter_key
@@ -271,6 +272,11 @@ class EdgePath:
 # canonical form and isomorphism
 
 
+#: Most tied numberings advanced in lockstep; the excess waits on a stack
+#: and resumes depth first, pruned against the best complete encoding.
+_LOCKSTEP = 16
+
+
 def _encode_from(g, start: int) -> tuple:
     """Least BFS encoding from ``start``.
 
@@ -278,93 +284,287 @@ def _encode_from(g, start: int) -> tuple:
     ``label_groups`` (see ``LabeledGraph.label_groups``), indexed by
     vertex ids below ``len(label_groups)`` that may skip numbers.
 
-    Vertices are numbered in discovery order.  When a label group reaches
-    several still-unnumbered targets at once the assignment is ambiguous,
-    so all orders are explored and the least full encoding wins.  Tokens
-    are emitted only after every target of the vertex has its final
-    number, sorted by (label, number), so the encoding depends on the
-    isomorphism class alone.
+    Vertices are numbered in discovery order, and vertex number q emits
+    segment q: per label group, in label order, one (gen, sign, number)
+    triple per edge with the numbers sorted, then -1.  Of all discovery
+    orders the least concatenation wins, so the encoding depends on the
+    isomorphism class alone.  Every segment ends in -1, the least token,
+    so comparing encodings segment by segment is comparing them token by
+    token.
 
-    The search backtracks over one shared numbering: each choice at a
-    branch point appends to ``order`` and ``tokens``, and both are cut
-    back to their lengths at the branch point (with the numbers of the
-    vertices they discovered cleared) before the next choice.  Every
-    complete encoding of a connected graph has the same length, 6E + V,
-    so a branch stops as soon as its token prefix is strictly greater
-    than the same-length prefix of the best encoding so far.  Choices
-    are tried in order of their label profile (each group's letter and
-    multiplicity), which tends to find the least encoding early; only the
-    pruning depends on it.  A complete numbering that misses a vertex
-    means the graph is disconnected (ValueError).
+    The search is one forward pass, with no recursion.  Targets that no
+    emitted segment tells apart share a cell: a run of numbers whose order
+    is still open (``cells`` maps each member to the end of its run).
+    Emitting a vertex's segment numbers its new targets and splits the
+    cells its edges touch, members sorted by their edge counts per label
+    group, most first: every other order gives a greater segment.  Only
+    when the segment of number q is due and q opens a cell does the
+    numbering fork, one child per member, and members whose segments read
+    off without numbering them (``_preview``) lose at once when greater.
+    The live children then advance in lockstep: a child whose segments
+    are strictly greater than another's is dropped, so only tied
+    numberings survive, and a tie that lasts takes longer strides between
+    comparisons.  A tied child is dropped too when an automorphism fixing
+    the numbered prefix maps a kept sibling to it (``_automorphic``): both
+    lead to the same encodings (McKay's automorphism pruning).  At most
+    ``_LOCKSTEP`` tied numberings advance together; the rest wait on a
+    stack and resume depth first, pruned against the best complete
+    encoding.  A single survivor runs a loop with no copying and, until it
+    resumes from the stack, no prefix compares.  A finished numbering that
+    misses a vertex means the graph is disconnected (ValueError).
     """
     groups = g.label_groups
     ids = [-1] * len(groups)
     ids[start] = 0
-    order = [start]
-    tokens: list[int] = []
+    tokens: list[int] = []  # the live numberings' common prefix
     best = None
-
-    def profile(v: int) -> list:
-        return [(k0, k1, len(targets)) for k0, k1, targets, _ in groups[v]]
-
-    def search(qi: int, gi: int, tight: bool) -> None:
-        # ``tight``: the tokens so far equal the best encoding's prefix
-        nonlocal best
-        while qi < len(order):
-            vgroups = groups[order[qi]]
-            while gi < len(vgroups):
-                distinct = vgroups[gi][3]
-                if len(distinct) == 1:  # most groups; skip the list
-                    if ids[distinct[0]] < 0:
-                        ids[distinct[0]] = len(order)
-                        order.append(distinct[0])
-                    gi += 1
-                    continue
-                pending = [t for t in distinct if ids[t] < 0]
-                if len(pending) > 1:
-                    pending.sort(key=profile)
-                    mark, mark_tokens = len(order), len(tokens)
-                    for first in pending:
-                        ids[first] = mark
-                        order.append(first)
-                        before = best
-                        search(qi, gi, tight)
-                        if best is not before:
-                            # the new best shares this branch point's prefix
-                            tight = True
-                        for u in order[mark:]:
-                            ids[u] = -1
-                        del order[mark:]
-                        del tokens[mark_tokens:]
-                    return
-                if pending:
-                    ids[pending[0]] = len(order)
-                    order.append(pending[0])
-                gi += 1
-            mark_tokens = len(tokens)
-            for k0, k1, targets, _ in vgroups:
-                if len(targets) == 1:  # most groups; skip sorting one id
-                    tokens.extend((k0, k1, ids[targets[0]]))
+    # (number, prefix length, numberings, equal to best's prefix, best then)
+    stack = [(0, 0, [(ids, [start], {})], False, best)]
+    while stack:
+        q, mark, live, tight, seen = stack.pop()
+        tight = tight or best is not seen  # a later best shares this prefix
+        del tokens[mark:]
+        span = 1  # segments per lockstep step
+        while live:
+            if len(live) == 1:
+                while tight:
+                    mark = len(tokens)
+                    if _advance(groups, live[0], q, q + 1, tokens) == q:
+                        break
+                    q += 1
+                    segment, reference = tokens[mark:], best[mark : len(tokens)]
+                    if segment > reference:
+                        live = []
+                        break
+                    tight = segment == reference
                 else:
-                    for tid in sorted([ids[t] for t in targets]):
-                        tokens.extend((k0, k1, tid))
-            tokens.append(-1)
+                    q = _advance(groups, live[0], q, len(groups), tokens)
+                if not live:
+                    break
+            if q == len(live[0][1]):
+                if q < g.num_vertices:
+                    raise ValueError("canonical_key expects a connected graph")
+                if not tight:
+                    best = tokens[:]
+                break
+            # one lockstep step: fork at cells, emit segments, keep the least
+            children, forks = [], []
+            for numbering in live:
+                if numbering[1][q] in numbering[2]:
+                    family = _fork(groups, numbering, q)
+                    forks += [len(children)] * len(family)
+                    children += family
+                    span = 1
+                else:
+                    forks.append(-1)
+                    children.append(numbering)
+            if len(children) == 1:  # one least member: no comparison to make
+                live = children
+                continue
+            # tied numberings open cells at the same numbers, so all stop
+            # where the first does unless they differ before
+            chunks = [[] for _ in children]
+            stop = _advance(groups, children[0], q, q + span, chunks[0])
+            ends = [stop] + [_advance(groups, c, q, stop, k) for c, k in zip(children[1:], chunks[1:])]
+            low = min(chunks)
             if tight:
-                segment = tuple(tokens[mark_tokens:])
-                reference = best[mark_tokens : len(tokens)]
-                if segment > reference:
-                    return
-                tight = segment == reference
-            qi += 1
-            gi = 0
-        if len(order) < g.num_vertices:
-            raise ValueError("canonical_key expects a connected graph")
-        if not tight:
-            best = tuple(tokens)
-
-    search(0, 0, False)
+                reference = best[len(tokens) : len(tokens) + len(low)]
+                if low > reference:
+                    break
+                tight = low == reference
+            tied = [i for i, chunk in enumerate(chunks) if chunk == low]
+            q_next = ends[tied[0]]
+            if len(tied) > 1:  # prune symmetric siblings before they multiply
+                kept: list[int] = []
+                for i in tied:
+                    ids, order, _ = children[i]
+                    if not any(
+                        forks[j] == forks[i] >= 0 and _automorphic(groups, ids, q, children[j][1][q], order[q])
+                        for j in kept
+                    ):
+                        kept.append(i)
+                tied = kept
+            live = [children[i] for i in tied]
+            tokens += low
+            q = q_next
+            span *= 2  # a long tie takes few steps
+            if len(live) > _LOCKSTEP:
+                stack.append((q, len(tokens), live[_LOCKSTEP:], tight, best))
+                del live[_LOCKSTEP:]
     assert best is not None
-    return best
+    return tuple(best)
+
+
+def _advance(groups, numbering: tuple, q: int, stop: int, out: list[int]) -> int:
+    """Append to ``out`` the segments of the vertices numbered ``q`` on,
+    up to ``stop``, the first undiscovered number or the first number that
+    opens a cell, whichever comes first, and return that number.  Each
+    segment numbers its vertex's new targets and splits the cells that
+    its edges tell apart."""
+    ids, order, cells = numbering
+    while q < stop and q < len(order):
+        vgroups = groups[order[q]]
+        if order[q] in cells:
+            break
+        for group in vgroups:
+            k0, k1, targets, distinct = group
+            if len(distinct) == 1 and distinct[0] not in cells:  # most groups
+                tid = ids[distinct[0]]
+                if tid < 0:
+                    tid = ids[distinct[0]] = len(order)
+                    order.append(distinct[0])
+                out += (k0, k1, tid) * len(targets)
+                continue
+            first = vgroups.index(group)
+            _refine(vgroups, first, ids, order, cells)
+            for k0, k1, targets, _ in vgroups[first:]:
+                for tid in sorted([ids[t] for t in targets]):
+                    out += (k0, k1, tid)
+            break
+        out.append(-1)
+        q += 1
+    return q
+
+
+def _refine(vgroups: list, first: int, ids: list[int], order: list[int], cells: dict) -> None:
+    """Number the new targets of groups ``first`` on and order the members
+    of every cell they touch, by their edge counts per group from
+    ``first`` on, most first; members with equal counts stay in one cell.
+    Earlier groups have one target each, already numbered and in no
+    cell."""
+    counts: dict[int, list[int]] = {}
+    width = len(vgroups) - first
+    for j in range(first, len(vgroups)):
+        for t in vgroups[j][2]:
+            if ids[t] < 0 or t in cells:
+                count = counts.get(t)
+                if count is None:
+                    counts[t] = count = [0] * width
+                count[j - first] += 1
+    spans: dict[int, int] = {}  # end -> start of each touched cell
+    new = []
+    for t in counts:
+        if ids[t] < 0:
+            new.append(t)
+        elif cells[t] not in spans:
+            hi = lo = cells[t]
+            while cells.get(order[lo - 1]) == hi:
+                lo -= 1
+            spans[hi] = lo
+    if new:
+        spans[len(order) + len(new)] = len(order)
+        order += new
+    none = [0] * width
+    for hi, lo in spans.items():
+        members = order[lo:hi]
+        keys = [counts.get(t, none) for t in members]
+        if keys.count(keys[0]) < len(keys):
+            ranked = sorted(zip(keys, members), key=itemgetter(0), reverse=True)
+            keys, members = [k for k, _ in ranked], [t for _, t in ranked]
+            order[lo:hi] = members
+        i = 0
+        while i < len(members):  # runs of equal counts stay cells
+            j = i + 1
+            while j < len(members) and keys[j] == keys[i]:
+                j += 1
+            for n in range(i, j):
+                ids[members[n]] = lo + n
+                if j - i == 1:
+                    cells.pop(members[n], None)
+                else:
+                    cells[members[n]] = lo + j
+            i = j
+
+
+def _fork(groups, numbering: tuple, q: int) -> list[tuple]:
+    """One copy of ``numbering`` per member of the cell that number ``q``
+    opens whose segment there may be least, that member numbered ``q`` and
+    the others left in a cell after it; the last child is ``numbering``
+    itself.  Members whose segments can be read off without numbering
+    them (``_preview``) and are greater than another's get no child."""
+    ids, order, cells = numbering
+    hi = cells[order[q]]
+    members = order[q:hi]
+    previews = [_preview(groups[x], ids, cells, len(order)) for x in members]
+    if None not in previews:
+        low = min(previews)
+        members = [x for x, segment in zip(members, previews) if segment == low]
+    children = [(ids[:], order[:], dict(cells)) for _ in members[1:]]
+    children.append(numbering)
+    for x, (ids, order, cells) in zip(members, children):
+        i, y = ids[x], order[q]
+        order[q], order[i] = x, y
+        ids[x], ids[y] = q, i
+        del cells[x]
+        if hi == q + 2:
+            del cells[order[q + 1]]
+    return children
+
+
+def _preview(vgroups: list, ids: list[int], cells: dict, n: int) -> list[int] | None:
+    """The segment of a vertex numbered next when ``n`` numbers are in
+    use, if each of its label groups has one target, numbered and in no
+    cell or not yet numbered; otherwise None."""
+    out: list[int] = []
+    new: dict[int, int] = {}
+    for k0, k1, targets, distinct in vgroups:
+        if len(distinct) > 1 or distinct[0] in cells:
+            return None
+        tid = ids[distinct[0]]
+        if tid < 0:
+            tid = new.setdefault(distinct[0], n + len(new))
+        out += (k0, k1, tid) * len(targets)
+    out.append(-1)
+    return out
+
+
+def _automorphic(groups, ids: list[int], q: int, x: int, y: int) -> bool:
+    """Whether some label-preserving automorphism fixes every vertex
+    numbered below ``q`` and maps ``x`` to ``y``.  The map is extended by
+    forced steps (a label group with one unmapped target on each side),
+    closed into a permutation (each path of the partial map becomes a
+    cycle; every other vertex stays fixed) and checked on the vertices it
+    moves.  False means none was found."""
+    image, preimage, todo = {x: y}, {y: x}, [x]
+    while todo:
+        a = todo.pop()
+        ga, gb = groups[a], groups[image[a]]
+        if len(ga) != len(gb):
+            return False
+        for (a0, a1, ta, da), (b0, b1, tb, db) in zip(ga, gb):
+            if a0 != b0 or a1 != b1 or len(ta) != len(tb) or len(da) != len(db):
+                return False
+            if len(da) == 1:  # most groups
+                t, u = da[0], db[0]
+                if t in image:
+                    if image[t] != u:
+                        return False
+                elif u in preimage or (t != u and (0 <= ids[t] < q or 0 <= ids[u] < q)):
+                    return False
+                elif t != u:
+                    image[t], preimage[u] = u, t
+                    todo.append(t)
+                continue
+            free = [t for t in da if t not in image and not 0 <= ids[t] < q]
+            if len(free) == 1:
+                to = [t for t in db if t not in preimage and not 0 <= ids[t] < q]
+                if len(to) != 1:
+                    return False
+                image[free[0]], preimage[to[0]] = to[0], free[0]
+                todo.append(free[0])
+    for b in [b for b in preimage if b not in image]:
+        a = preimage[b]
+        while a in preimage:
+            a = preimage[a]
+        image[b] = a
+    for a, b in image.items():
+        ga, gb = groups[a], groups[b]
+        if len(ga) != len(gb) or any(
+            a0 != b0 or a1 != b1 or sorted([image.get(t, t) for t in ta]) != sorted(tb)
+            for (a0, a1, ta, _), (b0, b1, tb, _) in zip(ga, gb)
+        ):
+            return False
+    return True
 
 
 def canonical_key(g: LabeledGraph) -> tuple:

@@ -5,6 +5,8 @@
   check or README's library example runs it: every public name in
   ``src/rosefold`` has a caller outside the unit tests, and so does every
   defaulted parameter.
+- No function in ``src/rosefold`` calls itself: a search keeps its own
+  stack, so input size never meets Python's recursion limit.
 - Every ``BENCH_*.json`` records its provenance.
 
 The callers are the modules of ``src/rosefold`` themselves,
@@ -128,6 +130,25 @@ def unpassed_defaults(src: dict[str, ast.Module], users: tuple[ast.Module, ...])
     return bad
 
 
+def self_calls(src: dict[str, ast.Module]) -> list[str]:
+    """Functions, nested ones and methods too, whose bodies call their own
+    name (a method through ``self`` or ``cls``)."""
+    bad = []
+    for path, tree in src.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for call in (n for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Call)):
+                func = call.func
+                if (isinstance(func, ast.Name) and func.id == node.name) or (
+                    isinstance(func, ast.Attribute) and func.attr == node.name
+                    and isinstance(func.value, ast.Name) and func.value.id in ("self", "cls")
+                ):
+                    bad.append(f"{path}:{node.lineno}: {node.name}")
+                    break
+    return bad
+
+
 def bench_provenance_gaps(paths: list[Path]) -> list[str]:
     """A perf claim names its parent commit, Python, machine, seeds and
     every run behind its summary."""
@@ -153,6 +174,11 @@ def test_every_public_name_has_a_caller_outside_the_unit_tests():
 def test_every_defaulted_parameter_is_passed_outside_the_unit_tests():
     bad = unpassed_defaults(sources(), callers())
     assert not bad, "defaulted parameters in src/rosefold passed by no caller outside the unit tests:\n" + "\n".join(bad)
+
+
+def test_no_function_calls_itself():
+    bad = self_calls(modules())
+    assert not bad, "functions in src/rosefold that call themselves:\n" + "\n".join(bad)
 
 
 def test_every_bench_json_records_its_provenance():
@@ -181,6 +207,20 @@ class Kept:
 def helper():
     shadow = 1
     return called(shadow, c=3), Kept(5)
+
+
+def _walk(n):
+    def inner(k):
+        return inner(k - 1) if k else 0
+    return _walk(n - 1) + inner(n) if n else 0
+
+
+class _Tree:
+    def depth(self):
+        return 1 + max((c.depth() for c in self.kids), default=0)
+
+    def size(self):
+        return 1 + self.size()
 '''
 
 
@@ -195,6 +235,12 @@ def test_rules_flag_planted_violations(tmp_path):
     ]
     # ``c`` is passed by keyword and ``n`` by position; ``b`` by nobody
     assert unpassed_defaults(src, tuple(src.values())) == ["src/rosefold/planted.py:9: called(b)"]
+    # a call through another object is not a self-call; one through ``self`` is
+    assert self_calls(src) == [
+        "src/rosefold/planted.py:23: _walk",
+        "src/rosefold/planted.py:24: inner",
+        "src/rosefold/planted.py:33: size",
+    ]
     (tmp_path / "BENCH_1.json").write_text(json.dumps({"what": "x", "runs": []}))
     (tmp_path / "BENCH_2.json").write_text("[]")
     assert bench_provenance_gaps(sorted(tmp_path.glob("BENCH_*.json"))) == [

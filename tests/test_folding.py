@@ -342,6 +342,26 @@ class TestStageKeys:
     def test_profile_stars(self, arm_loops):
         self.assert_keys_match(profile_star(arm_loops))
 
+    @pytest.mark.parametrize(
+        "t",
+        [
+            tup("a1 a2 a1^-1 a2 a2", "a1 a2 a1^-1 a2 a2", "a1 a2", "a2"),
+            tup("a2^-1 a1 a1 a2 a1^-1 a2^-1", "a2^-1 a1 a1 a2 a1^-1 a2^-1", "a1 a2", "a2"),
+            tup("a1 a2", "a1 a2", "a1 a2", "a2"),
+        ],
+        ids=lambda t: ", ".join(format_word(e) or "1" for e in t.entries),
+    )
+    def test_repeated_entries(self, t):
+        # equal petals: the base's label groups split into cells of equal
+        # members, whose orders tie until a later segment tells them apart
+        self.assert_keys_match(wedge_of_loops(t))
+
+    @pytest.mark.parametrize("arms", [2, 3, 4])
+    def test_identical_arm_stars(self, arms):
+        # every order of the arms gives the least encoding
+        self.assert_keys_match(wedge_of_loops(tup(*["a1 a2 a1 a2^-1 a1"] * arms)))
+        self.assert_keys_match(profile_star([(1, 2)] * arms))
+
 
 def clone_engine(engine: _Engine) -> _Engine:
     other = _Engine.__new__(_Engine)

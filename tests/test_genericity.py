@@ -60,7 +60,17 @@ class TestRandomReducedWord:
         cfg = SampleConfig(rank=3, length=50, samples=1, seed=9)
         for i in range(50):
             word = random_reduced_word(cfg, i)
-            assert len(word) == 50  # Word construction enforces reducedness
+            assert len(word) == 50
+            assert Word(3, word.letters) == word
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    @pytest.mark.parametrize("length", [1, 2, 4096])
+    def test_sampled_letters_pass_word_checks(self, rank, length):
+        # the sampler builds its words without the letter checks
+        for seed in range(20):
+            word = random_reduced_word(SampleConfig(rank, length, 1, seed))
+            assert Word(rank, word.letters) == word
+            assert len(word) == length
 
     def test_single_letter_uniform(self):
         cfg = SampleConfig(rank=2, length=1, samples=1, seed=17)

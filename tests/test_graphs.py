@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import pytest
@@ -348,6 +349,32 @@ def branching_star(arms=4, rank=2) -> LabeledGraph:
     return LabeledGraph(rank, nv, tuple(edges), base=0)
 
 
+def caterpillar(spine: int, rank: int = 2) -> LabeledGraph:
+    """A based path v0 ... v(spine-1) of a1-edges, each vi with one more
+    a1-edge to a leaf: every spine vertex's a1-group has two new targets,
+    so the least encoding branches once per spine vertex."""
+    edges = [(i, i + 1, 1) for i in range(spine - 1)]
+    edges += [(i, spine + i, 1) for i in range(spine)]
+    return LabeledGraph(rank, 2 * spine, tuple(edges), base=0)
+
+
+def twin_arms(extra: int) -> LabeledGraph:
+    """A based centre with two arms that look alike along their forced
+    steps: centre -a1-> x -a2-> x1, and x1 has two a1-edges to leaves.
+    On arm ``extra`` (0 or 1) one leaf has a further a2-edge, so no
+    automorphism swaps the arms, though a map built from the arms'
+    single-target groups alone would."""
+    edges, nv = [], 1
+    for arm in (0, 1):
+        x, x1, p, r = nv, nv + 1, nv + 2, nv + 3
+        edges += [(0, x, 1), (x, x1, 2), (x1, p, 1), (x1, r, 1)]
+        nv += 4
+        if arm == extra:
+            edges.append((p, nv, 2))
+            nv += 1
+    return LabeledGraph(2, nv, tuple(edges), base=0)
+
+
 class TestCanonicalKeyOracle:
     @given(connected_graphs())
     @settings(max_examples=200, deadline=None)
@@ -363,6 +390,25 @@ class TestCanonicalKeyOracle:
         assert canonical_key(g) == oracle_canonical_key(g)
         unbased = replace(g, base=None)
         assert unbased_key(unbased) == oracle_canonical_key(unbased)
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_twin_arms_are_not_swapped(self, extra):
+        g = twin_arms(extra)
+        assert canonical_key(g) == oracle_canonical_key(g)
+
+    def test_caterpillar_matches(self):
+        g = caterpillar(10)
+        assert canonical_key(g) == oracle_canonical_key(g)
+
+    def test_long_caterpillar(self):
+        # a branch point per spine vertex, far past Python's recursion limit
+        g = caterpillar(1500)
+        key = canonical_key(g)
+        assert len(key) == 6 * g.num_edges + g.num_vertices + 4
+        perm = list(range(g.num_vertices))
+        random.Random(5).shuffle(perm)
+        h = LabeledGraph(g.rank, g.num_vertices, tuple((perm[s], perm[d], l) for s, d, l in g.edges), perm[0])
+        assert canonical_key(h) == key
 
     def test_every_start_matches(self):
         from rosefold.graphs import _encode_from
