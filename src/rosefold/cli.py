@@ -144,7 +144,7 @@ def cmd_fold(args: argparse.Namespace) -> int:
     for view in trace.stage_views():
         digests.append(digest(graphs.canonical_key(view)))
         if args.dump_stages:
-            dumps.append(graphs.format_graph(view.graph()))
+            dumps.append(graphs.format_graph(view.materialize()[0]))
     payload = {
         "config": _config_echo(args, ["rank", "words", "tuple_json", "policy", "dump_stages"]),
         "initial_edges": wedge.num_edges,

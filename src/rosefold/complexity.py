@@ -469,9 +469,8 @@ class _Ball:
 
     def i_ball(self, i: int, depth: int) -> list[int]:
         """The words scored for index i, in breadth-first order from the
-        root over the i-neighbours.  No word is scored once more than
-        ``max_ball`` words have been seen; the stop leaves only the loop
-        over one node's neighbours, so the search still runs on."""
+        root over the i-neighbours.  The search ends at the first word past
+        ``max_ball``: no node is expanded after it."""
         scored = [0]
         frontier = [0]
         seen = {0}
@@ -483,7 +482,7 @@ class _Ball:
                         continue
                     seen.add(neighbor)
                     if len(seen) > self.thresholds.max_ball:
-                        break
+                        return scored
                     scored.append(neighbor)
                     next_frontier.append(neighbor)
             frontier = next_frontier

@@ -3,10 +3,11 @@ extraction of the last pre-rose-lift stage with its small witness
 subgraph, and arc-replacement surgery.
 
 A fold identifies two distinct oriented edges that leave one vertex with
-the same letter.  The engine below runs on a union-find structure so a
-full fold sequence costs near-linear time; traces record one (kept,
-removed) oriented-edge pair per fold, which is enough to replay any
-intermediate stage or push a path forward through the sequence.
+the same letter.  The engine below is a union-find quotient of the graph
+(``graphs._Quotient``) so a full fold sequence costs near-linear time;
+traces record one (kept, removed) oriented-edge pair per fold, which is
+enough to replay any intermediate stage or push a path forward through
+the sequence.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .graphs import (
     Arc,
     EdgePath,
     LabeledGraph,
+    _Quotient,
     arc_endpoints,
     arc_interior,
     is_connected,
@@ -40,18 +42,22 @@ def wedge_of_loops(t: GenTuple) -> LabeledGraph:
     edges: list[tuple[int, int, int]] = []
     next_vertex = 1
     for word in t.entries:
-        letters = word.letters
-        if not letters:
-            continue
-        prev = 0
-        for i, letter in enumerate(letters):
-            last = i == len(letters) - 1
-            target = 0 if last else next_vertex
-            if not last:
-                next_vertex += 1
-            edges.append((prev, target, letter))
-            prev = target
+        if word.letters:
+            next_vertex = _glue_chain(edges, 0, 0, word.letters, next_vertex)
     return LabeledGraph(t.rank, next_vertex, tuple(edges), base=0)
+
+
+def _glue_chain(edges: list, start: int, end: int, letters: tuple[int, ...], next_vertex: int) -> int:
+    """Append to ``edges`` a chain reading the nonempty ``letters`` from
+    ``start`` to ``end`` through new vertices numbered from ``next_vertex``
+    on, and return the next unused number."""
+    prev = start
+    for letter in letters[:-1]:
+        edges.append((prev, next_vertex, letter))
+        prev = next_vertex
+        next_vertex += 1
+    edges.append((prev, end, letters[-1]))
+    return next_vertex
 
 
 def petal_paths(t: GenTuple, wedge: LabeledGraph) -> list[EdgePath]:
@@ -75,55 +81,9 @@ class FoldRecord:
     removed: int
 
 
-class _Engine:
-    """Mutable fold state over the original edge set."""
-
-    def __init__(self, graph: LabeledGraph):
-        self.graph = graph
-        self.parent = list(range(graph.num_vertices))
-        self.cls_min = list(range(graph.num_vertices))
-        self.size = [1] * graph.num_vertices
-        self.alive = [True] * graph.num_edges
-        self.adj: list[dict[int, set[int]]] = [dict() for _ in range(graph.num_vertices)]
-        for k, (src, dst, label) in enumerate(graph.edges):
-            self.adj[src].setdefault(label, set()).add(k + 1)
-            self.adj[dst].setdefault(-label, set()).add(-(k + 1))
-
-    def find(self, v: int) -> int:
-        parent = self.parent
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def head(self, token: int) -> int:
-        return self.find(self.graph.omega(token))
-
-    def remove_edge(self, eid: int) -> None:
-        src, dst, label = self.graph.edges[eid - 1]
-        rs, rd = self.find(src), self.find(dst)
-        bucket = self.adj[rs].get(label)
-        if bucket is not None:
-            bucket.discard(eid)
-            if not bucket:
-                del self.adj[rs][label]
-        bucket = self.adj[rd].get(-label)
-        if bucket is not None:
-            bucket.discard(-eid)
-            if not bucket:
-                del self.adj[rd][-label]
-        self.alive[eid - 1] = False
-
-    def union(self, ra: int, rb: int) -> None:
-        """Merge the classes of two distinct roots into the larger's root."""
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        for letter, toks in self.adj[rb].items():
-            self.adj[ra].setdefault(letter, set()).update(toks)
-        self.adj[rb] = {}
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.cls_min[ra] = min(self.cls_min[ra], self.cls_min[rb])
+class _Engine(_Quotient):
+    """Mutable fold state over the original edge set: a quotient whose
+    folds merge the heads of two tokens and remove one of their edges."""
 
     def foldable_letters(self, root: int) -> list[int]:
         return [letter for letter, toks in self.adj[root].items() if len(toks) >= 2]
@@ -151,88 +111,25 @@ class _Engine:
         if h1 != h2:
             self.union(h1, h2)
 
-    def materialize(self) -> tuple[LabeledGraph, dict[int, int], dict[int, int]]:
-        """Current graph plus vertex map (original -> new) and edge map
-        (original topological id -> new topological id)."""
-        g = self.graph
-        roots = sorted(
-            {self.find(v) for v in range(g.num_vertices)},
-            key=lambda r: self.cls_min[r],
-        )
-        vmap_root = {r: i for i, r in enumerate(roots)}
-        vmap = {v: vmap_root[self.find(v)] for v in range(g.num_vertices)}
-        edges = []
-        emap: dict[int, int] = {}
-        for k, (src, dst, label) in enumerate(g.edges):
-            if not self.alive[k]:
-                continue
-            emap[k] = len(edges)
-            edges.append((vmap[src], vmap[dst], label))
-        base = vmap[g.base] if g.base is not None else None
-        return LabeledGraph(g.rank, len(roots), tuple(edges), base), vmap, emap
 
-
-class _StageView:
-    """The engine's current stage of a based graph as ``canonical_key``
-    reads it, without materializing it: union-find roots are the vertex
-    ids, and the live vertex and edge counts make the header.  Each root
-    keeps its label groups until a fold touches it."""
-
-    def __init__(self, engine: _Engine):
-        g = engine.graph
-        self.engine = engine
-        self.rank = g.rank
-        self.num_vertices = g.num_vertices
-        self.num_edges = g.num_edges
-        self.base = g.base
-        # the original end vertex of every oriented token, and the letters
-        # in label order with their keys
-        self.omega = {k + 1: dst for k, (_, dst, _) in enumerate(g.edges)}
-        self.omega.update({-(k + 1): src for k, (src, _, _) in enumerate(g.edges)})
-        self.letters = [(l, letter_key(l)) for gen in range(1, g.rank + 1) for l in (gen, -gen)]
-        self.label_groups: list[list | None] = [self._groups(v) for v in range(g.num_vertices)]
-
-    def _heads(self, tokens) -> list[int]:
-        """``engine.head`` of each token, without path compression."""
-        parent, omega = self.engine.parent, self.omega
-        out = []
-        for tok in tokens:
-            v = omega[tok]
-            while parent[v] != v:
-                v = parent[v]
-            out.append(v)
-        return out
-
-    def _groups(self, root: int) -> list:
-        adj = self.engine.adj[root]
-        out = []
-        for letter, key in self.letters:
-            if letter in adj:
-                targets = self._heads(adj[letter])
-                out.append(key + (targets, targets if len(targets) == 1 else list(dict.fromkeys(targets))))
-        return out
+class _StageView(_Engine):
+    """A fold engine whose label groups (``_Quotient.label_groups``) stay
+    current, so that ``canonical_key`` reads each stage as it stands: a
+    root keeps its groups until a fold touches it."""
 
     def apply_record(self, record: FoldRecord) -> None:
         """Fold, then rebuild the groups that name a head: the merged head's
-        and its neighbours' (the fold vertex and both heads' neighbours)."""
-        engine = self.engine
-        heads = engine.head(record.kept), engine.head(record.removed)
-        engine.apply_record(record)
-        self.num_edges -= 1
-        root = engine.find(heads[0])
+        and those of its groups' targets (the fold vertex and both heads'
+        neighbours)."""
+        heads = self.head(record.kept), self.head(record.removed)
+        super().apply_record(record)
+        groups = self.label_groups
+        root = self.find(heads[0])
         if heads[0] != heads[1]:
-            self.num_vertices -= 1
-            self.label_groups[heads[0] + heads[1] - root] = None  # absorbed
-        self.base = engine.find(self.base)
-        dirty = {root}
-        for toks in engine.adj[root].values():
-            dirty.update(self._heads(toks))
-        for v in dirty:
-            self.label_groups[v] = self._groups(v)
-
-    def graph(self) -> LabeledGraph:
-        """The stage materialized, as ``FoldTrace.stage`` builds it."""
-        return self.engine.materialize()[0]
+            groups[heads[0] + heads[1] - root] = None  # absorbed
+        groups[root] = self.groups(root)
+        for v in {t for group in groups[root] for t in group[3]} - {root}:
+            groups[v] = self.groups(v)
 
 
 @dataclass(frozen=True)
@@ -285,9 +182,9 @@ class FoldTrace:
     def stage_views(self) -> Iterator[_StageView]:
         """Every stage of a based initial graph in order, from one replay:
         one ``_StageView``, advanced by one record per step, which
-        ``canonical_key`` reads as it stands and whose ``graph()`` equals
-        ``stage(k).graph``."""
-        view = _StageView(_Engine(self.initial))
+        ``canonical_key`` reads as it stands and whose ``materialize()``
+        equals ``stage(k)``."""
+        view = _StageView(self.initial)
         yield view
         for record in self.records:
             view.apply_record(record)
@@ -522,13 +419,5 @@ def replace_arc(g: LabeledGraph, arc: Arc, new_label: Word) -> LabeledGraph:
             return LabeledGraph(g.rank, len(kept) - 1, tuple(edges), base)
         return LabeledGraph(g.rank, len(kept), tuple(edges), base)
 
-    prev = remap[start]
-    next_vertex = len(kept)
-    for i, letter in enumerate(new_label.letters):
-        last = i == len(new_label) - 1
-        target = remap[end] if last else next_vertex
-        if not last:
-            next_vertex += 1
-        edges.append((prev, target, letter))
-        prev = target
+    next_vertex = _glue_chain(edges, remap[start], remap[end], new_label.letters, len(kept))
     return LabeledGraph(g.rank, next_vertex, tuple(edges), base)

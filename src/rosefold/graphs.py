@@ -1,5 +1,5 @@
-"""Labeled graphs over the rank-n rose: Betti numbers, arcs, subgraph
-collapse, and label-preserving isomorphism.
+"""Labeled graphs over the rank-n rose: their union-find quotients,
+Betti numbers, arcs, subgraph collapse, and label-preserving isomorphism.
 
 A graph is stored with one record per topological edge: (src, dst, label),
 where the label is a signed generator index giving the letter read when
@@ -61,19 +61,6 @@ class LabeledGraph:
         return tuple(tuple(sorted(lst, key=key)) for lst in out)
 
     @cached_property
-    def label_groups(self) -> tuple[list[tuple], ...]:
-        """Per vertex, its label groups in label order, as ``canonical_key``
-        reads them: ``(gen, sign, targets with multiplicity, distinct
-        targets)``."""
-        out = []
-        for recs in self.adjacency:
-            by_label: dict[int, list[int]] = {}
-            for label, target, _ in recs:  # sorted by (label, target)
-                by_label.setdefault(label, []).append(target)
-            out.append([letter_key(l) + (t, list(dict.fromkeys(t))) for l, t in by_label.items()])
-        return tuple(out)
-
-    @cached_property
     def letter_rows(self) -> dict[int, list[int]]:
         """Per letter, the bitmask of the vertices each vertex reaches by one
         edge reading that letter; built in one pass over the edges.  Shared
@@ -116,25 +103,126 @@ def is_rose(g: LabeledGraph) -> bool:
     )
 
 
-def _components(num_vertices: int, edges: Iterable[tuple[int, int]]) -> list[int]:
-    parent = list(range(num_vertices))
+class _Quotient:
+    """A quotient of a graph: its vertices merged into classes by a
+    union-find (path halving, union by size), some of its edges removed.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    A class is named by its root and numbered by its least vertex
+    (``cls_min``); ``adj`` holds, for each root, the live oriented tokens
+    leaving its class by letter, and ``ends`` the original end vertex of
+    every token.  ``num_vertices`` and ``num_edges`` count the classes and
+    the live edges.  The fold engine (``folding._Engine``) is a quotient
+    that a fold sequence advances; ``collapse`` and ``component_count``
+    contract edges of one, and ``canonical_key`` encodes one."""
 
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    return [find(v) for v in range(num_vertices)]
+    def __init__(self, graph: LabeledGraph):
+        n = graph.num_vertices
+        self.graph = graph
+        self.num_vertices = n
+        self.num_edges = graph.num_edges
+        self.parent = list(range(n))
+        self.cls_min = list(range(n))
+        self.size = [1] * n
+        self.alive = [True] * graph.num_edges
+        self.adj: list[dict[int, set[int]]] = [dict() for _ in range(n)]
+        for k, (src, dst, label) in enumerate(graph.edges):
+            self.adj[src].setdefault(label, set()).add(k + 1)
+            self.adj[dst].setdefault(-label, set()).add(-(k + 1))
+        # ends[+(k+1)] is edge k's dst and ends[-(k+1)] its src, by
+        # Python's negative indexing
+        self.ends = [0] + [dst for _, dst, _ in graph.edges] + [src for src, _, _ in reversed(graph.edges)]
+
+    def find(self, v: int) -> int:
+        parent = self.parent
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def head(self, token: int) -> int:
+        return self.find(self.ends[token])
+
+    def remove_edge(self, eid: int) -> None:
+        src, dst, label = self.graph.edges[eid - 1]
+        for root, letter, token in ((self.find(src), label, eid), (self.find(dst), -label, -eid)):
+            bucket = self.adj[root].get(letter)
+            if bucket is not None:
+                bucket.discard(token)
+                if not bucket:
+                    del self.adj[root][letter]
+        self.alive[eid - 1] = False
+        self.num_edges -= 1
+
+    def union(self, ra: int, rb: int) -> None:
+        """Merge the classes of two distinct roots into the larger's root."""
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        for letter, toks in self.adj[rb].items():
+            self.adj[ra].setdefault(letter, set()).update(toks)
+        self.adj[rb] = {}
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+        self.cls_min[ra] = min(self.cls_min[ra], self.cls_min[rb])
+        self.num_vertices -= 1
+
+    def materialize(self) -> tuple[LabeledGraph, dict[int, int], dict[int, int]]:
+        """The quotient as a graph, its classes numbered in the order of
+        their least vertices and its live edges kept in input order, plus
+        the vertex map (original -> new) and the edge map (original
+        topological id -> new topological id)."""
+        g = self.graph
+        roots = sorted({self.find(v) for v in range(g.num_vertices)}, key=self.cls_min.__getitem__)
+        vmap_root = {r: i for i, r in enumerate(roots)}
+        vmap = {v: vmap_root[self.find(v)] for v in range(g.num_vertices)}
+        edges = []
+        emap: dict[int, int] = {}
+        for k, (src, dst, label) in enumerate(g.edges):
+            if self.alive[k]:
+                emap[k] = len(edges)
+                edges.append((vmap[src], vmap[dst], label))
+        base = vmap[g.base] if g.base is not None else None
+        return LabeledGraph(g.rank, len(roots), tuple(edges), base), vmap, emap
+
+    def groups(self, root: int) -> list:
+        """The label groups of a class, as ``_encode_from`` reads them: per
+        letter leaving it, in label order, ``(gen, sign, targets with
+        multiplicity, distinct targets)``, the targets being roots."""
+        adj, ends, parent = self.adj[root], self.ends, self.parent
+        out = []
+        for gen in range(1, self.graph.rank + 1):
+            for letter, sign in ((gen, 0), (-gen, 1)):
+                if letter in adj:
+                    targets = []
+                    for tok in adj[letter]:
+                        v = ends[tok]
+                        while parent[v] != v:  # ``find`` inlined, without halving
+                            v = parent[v]
+                        targets.append(v)
+                    out.append((gen, sign, targets, targets if len(targets) == 1 else list(dict.fromkeys(targets))))
+        return out
+
+    @cached_property
+    def label_groups(self) -> list[list | None]:
+        """Per vertex, its class's label groups if it is a root, else None;
+        built on first read (a fold stage keeps them current from then on,
+        see ``folding._StageView``)."""
+        return [self.groups(v) if self.parent[v] == v else None for v in range(self.graph.num_vertices)]
+
+
+def _contract(g: LabeledGraph, edge_ids: Iterable[int]) -> _Quotient:
+    """``g`` with the edges ``edge_ids`` removed and their ends merged."""
+    q = _Quotient(g)
+    for k in edge_ids:
+        src, dst, _ = g.edges[k]
+        rs, rd = q.find(src), q.find(dst)
+        q.remove_edge(k + 1)
+        if rs != rd:
+            q.union(rs, rd)
+    return q
 
 
 def component_count(g: LabeledGraph) -> int:
-    roots = _components(g.num_vertices, ((s, d) for s, d, _ in g.edges))
-    return len(set(roots))
+    return _contract(g, range(g.num_edges)).num_vertices
 
 
 def is_connected(g: LabeledGraph) -> bool:
@@ -196,16 +284,7 @@ def subgraph_as_graph(g: LabeledGraph, sub: Subgraph) -> LabeledGraph:
 def collapse(g: LabeledGraph, sub: Subgraph) -> LabeledGraph:
     """Quotient graph: every connected component of ``sub`` becomes a vertex."""
     check_subgraph(g, sub)
-    root = _components(g.num_vertices, (g.edges[k][:2] for k in sub.edges))
-    roots = sorted(set(root))
-    remap = {r: i for i, r in enumerate(roots)}
-    edges = tuple(
-        (remap[root[src]], remap[root[dst]], label)
-        for k, (src, dst, label) in enumerate(g.edges)
-        if k not in sub.edges
-    )
-    base = remap[root[g.base]] if g.base is not None else None
-    return LabeledGraph(g.rank, len(roots), edges, base)
+    return _contract(g, sub.edges).materialize()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +356,12 @@ class EdgePath:
 _LOCKSTEP = 16
 
 
-def _encode_from(g, start: int) -> tuple:
-    """Least BFS encoding from ``start``.
+def _encode_from(g: _Quotient, start: int) -> tuple:
+    """Least BFS encoding of the quotient ``g`` from the root ``start``.
 
-    ``g`` is a ``LabeledGraph`` or a view with ``num_vertices`` and
-    ``label_groups`` (see ``LabeledGraph.label_groups``), indexed by
-    vertex ids below ``len(label_groups)`` that may skip numbers.
+    The vertices are the roots of ``g``: their ids are the original
+    vertex ids, which may skip numbers, and ``g.label_groups`` gives
+    their label groups (``_Quotient.groups``).
 
     Vertices are numbered in discovery order, and vertex number q emits
     segment q: per label group, in label order, one (gen, sign, number)
@@ -299,12 +378,10 @@ def _encode_from(g, start: int) -> tuple:
     cells its edges touch, members sorted by their edge counts per label
     group, most first: every other order gives a greater segment.  Only
     when the segment of number q is due and q opens a cell does the
-    numbering fork, one child per member, and members whose segments read
-    off without numbering them (``_preview``) lose at once when greater.
-    The live children then advance in lockstep: a child whose segments
-    are strictly greater than another's is dropped, so only tied
-    numberings survive, and a tie that lasts takes longer strides between
-    comparisons.  A tied child is dropped too when an automorphism fixing
+    numbering fork, one child per member.  The live children then advance
+    in lockstep, one segment per step: a child whose segments are
+    strictly greater than another's is dropped, so only tied numberings
+    survive.  A tied child is dropped too when an automorphism fixing
     the numbered prefix maps a kept sibling to it (``_automorphic``): both
     lead to the same encodings (McKay's automorphism pruning).  At most
     ``_LOCKSTEP`` tied numberings advance together; the rest wait on a
@@ -324,7 +401,6 @@ def _encode_from(g, start: int) -> tuple:
         q, mark, live, tight, seen = stack.pop()
         tight = tight or best is not seen  # a later best shares this prefix
         del tokens[mark:]
-        span = 1  # segments per lockstep step
         while live:
             if len(live) == 1:
                 while tight:
@@ -351,10 +427,9 @@ def _encode_from(g, start: int) -> tuple:
             children, forks = [], []
             for numbering in live:
                 if numbering[1][q] in numbering[2]:
-                    family = _fork(groups, numbering, q)
+                    family = _fork(numbering, q)
                     forks += [len(children)] * len(family)
                     children += family
-                    span = 1
                 else:
                     forks.append(-1)
                     children.append(numbering)
@@ -364,7 +439,7 @@ def _encode_from(g, start: int) -> tuple:
             # tied numberings open cells at the same numbers, so all stop
             # where the first does unless they differ before
             chunks = [[] for _ in children]
-            stop = _advance(groups, children[0], q, q + span, chunks[0])
+            stop = _advance(groups, children[0], q, q + 1, chunks[0])
             ends = [stop] + [_advance(groups, c, q, stop, k) for c, k in zip(children[1:], chunks[1:])]
             low = min(chunks)
             if tight:
@@ -387,7 +462,6 @@ def _encode_from(g, start: int) -> tuple:
             live = [children[i] for i in tied]
             tokens += low
             q = q_next
-            span *= 2  # a long tie takes few steps
             if len(live) > _LOCKSTEP:
                 stack.append((q, len(tokens), live[_LOCKSTEP:], tight, best))
                 del live[_LOCKSTEP:]
@@ -476,19 +550,13 @@ def _refine(vgroups: list, first: int, ids: list[int], order: list[int], cells: 
             i = j
 
 
-def _fork(groups, numbering: tuple, q: int) -> list[tuple]:
+def _fork(numbering: tuple, q: int) -> list[tuple]:
     """One copy of ``numbering`` per member of the cell that number ``q``
-    opens whose segment there may be least, that member numbered ``q`` and
-    the others left in a cell after it; the last child is ``numbering``
-    itself.  Members whose segments can be read off without numbering
-    them (``_preview``) and are greater than another's get no child."""
+    opens, that member numbered ``q`` and the others left in a cell after
+    it; the last child is ``numbering`` itself."""
     ids, order, cells = numbering
     hi = cells[order[q]]
     members = order[q:hi]
-    previews = [_preview(groups[x], ids, cells, len(order)) for x in members]
-    if None not in previews:
-        low = min(previews)
-        members = [x for x, segment in zip(members, previews) if segment == low]
     children = [(ids[:], order[:], dict(cells)) for _ in members[1:]]
     children.append(numbering)
     for x, (ids, order, cells) in zip(members, children):
@@ -499,23 +567,6 @@ def _fork(groups, numbering: tuple, q: int) -> list[tuple]:
         if hi == q + 2:
             del cells[order[q + 1]]
     return children
-
-
-def _preview(vgroups: list, ids: list[int], cells: dict, n: int) -> list[int] | None:
-    """The segment of a vertex numbered next when ``n`` numbers are in
-    use, if each of its label groups has one target, numbered and in no
-    cell or not yet numbered; otherwise None."""
-    out: list[int] = []
-    new: dict[int, int] = {}
-    for k0, k1, targets, distinct in vgroups:
-        if len(distinct) > 1 or distinct[0] in cells:
-            return None
-        tid = ids[distinct[0]]
-        if tid < 0:
-            tid = new.setdefault(distinct[0], n + len(new))
-        out += (k0, k1, tid) * len(targets)
-    out.append(-1)
-    return out
 
 
 def _automorphic(groups, ids: list[int], q: int, x: int, y: int) -> bool:
@@ -567,16 +618,18 @@ def _automorphic(groups, ids: list[int], q: int, x: int, y: int) -> bool:
     return True
 
 
-def canonical_key(g: LabeledGraph) -> tuple:
+def canonical_key(g) -> tuple:
     """Canonical encoding deciding label- and base-preserving isomorphism
     of based connected graphs: the least encoding from the base, behind
     a header of rank, vertex and edge counts.  A based core graph stands
     for a subgroup, and every pipeline keys based graphs only; an
-    unbased or disconnected graph raises ValueError.  ``g`` may also be
-    a based view that ``_encode_from`` reads (a fold stage)."""
-    if g.base is None:
+    unbased or disconnected graph raises ValueError.  ``g`` is a
+    ``LabeledGraph``, keyed through its zero-fold ``_Quotient``, or a
+    quotient of a based graph (a fold stage)."""
+    q = g if isinstance(g, _Quotient) else _Quotient(g)
+    if q.graph.base is None:
         raise ValueError("canonical_key expects a based graph")
-    return (g.rank, g.num_vertices, g.num_edges, 1) + _encode_from(g, g.base)
+    return (q.graph.rank, q.num_vertices, q.num_edges, 1) + _encode_from(q, q.find(q.graph.base))
 
 
 def isomorphic_labeled(g1: LabeledGraph, g2: LabeledGraph) -> bool:

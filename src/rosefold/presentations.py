@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import strsearch
-from .words import CyclicWord, Word, random_reduced_letters
+from .words import CyclicWord, Word, _unchecked, random_reduced_letters
 
 
 class DegeneratePresentationError(ValueError):
@@ -139,8 +139,8 @@ def build_relators(v_words: Sequence[Word], u_words: Sequence[Word]) -> Presenta
             lo += 1
             hi -= 1
         trimmed = surviving[lo:hi]
-        letters = tuple(rec[0] for rec in trimmed)
-        word = Word(rank, letters)
+        # freely and cyclically reduced letters of the words' alphabet
+        word = _unchecked(Word, rank=rank, letters=tuple(rec[0] for rec in trimmed))
         if len(word) == 0:
             degenerate.append(i)
             relator_words.append(word)
@@ -221,8 +221,9 @@ def sample_presentation(
     rng = random.Random(seed)
     rejects = 0
     for _ in range(max_attempts):
-        v_words = [Word(rank, random_reduced_letters(rng, rank, length)) for _ in range(rank)]
-        u_words = [Word(rank, random_reduced_letters(rng, rank, length)) for _ in range(rank)]
+        # the sampler only draws valid, reduced letters
+        v_words = [_unchecked(Word, rank=rank, letters=random_reduced_letters(rng, rank, length)) for _ in range(rank)]
+        u_words = [_unchecked(Word, rank=rank, letters=random_reduced_letters(rng, rank, length)) for _ in range(rank)]
         p = build_relators(v_words, u_words)
         if not p.degenerate:
             try:

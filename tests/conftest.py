@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rosefold.graphs import LabeledGraph, Subgraph, _encode_from, subgraph_from_edges
+from rosefold.graphs import LabeledGraph, Subgraph, _encode_from, _Quotient, subgraph_from_edges
 from rosefold.words import Word, random_reduced_letters
 
 
@@ -93,7 +93,8 @@ def unbased_key(g: LabeledGraph) -> tuple:
     based graphs only (``canonical_key``); the enumeration oracles and the
     unbased isomorphism tests use this one."""
     header = (g.rank, g.num_vertices, g.num_edges)
-    return header + (0,) + min(_encode_from(g, v) for v in range(g.num_vertices))
+    q = _Quotient(g)
+    return header + (0,) + min(_encode_from(q, v) for v in range(g.num_vertices))
 
 
 def random_graph(rng: random.Random, rank: int = 2, max_v: int = 8, max_e: int = 12) -> LabeledGraph:

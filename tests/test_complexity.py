@@ -177,7 +177,8 @@ def oracle_ell_hat(
     thresholds: Thresholds = Thresholds(),
     depth: int = 1,
 ) -> int:
-    """Max i-th factor length over the depth-bounded equivalence ball."""
+    """Max i-th factor length over the depth-bounded equivalence ball; the
+    search ends at the first word past ``max_ball``."""
     if len(w) == 0:
         return 0
     best = oracle_max_ith_factor(w, i, idx)
@@ -191,7 +192,7 @@ def oracle_ell_hat(
                     continue
                 seen.add(neighbor.letters)
                 if len(seen) > thresholds.max_ball:
-                    break
+                    return best
                 best = max(best, oracle_max_ith_factor(neighbor, i, idx))
                 next_frontier.append(neighbor)
         frontier = next_frontier
@@ -219,7 +220,7 @@ def oracle_i_ball(
                     continue
                 seen.add(neighbor.letters)
                 if len(seen) > thresholds.max_ball:
-                    break
+                    return scored
                 scored.append(neighbor)
                 next_frontier.append(neighbor)
         frontier = next_frontier
@@ -590,6 +591,25 @@ class TestSharedBall:
                 want = oracle_i_ball(word, i, idx, thresholds, 2)
                 assert got == want
                 assert max(oracle_max_ith_factor(v, i, idx) for v in want) == ball.ell_hat(i, 2)
+
+    def test_ball_cap_ends_the_search(self, acceptance):
+        # the search ends at the first word past the cap: the nodes expanded
+        # are a prefix of the scored ones, and all but the last have every
+        # i-neighbour scored.  A stop that leaves only one node's neighbour
+        # loop goes on to expand the other scored nodes of the frontier.
+        idx, words = acceptance
+        bound = 0
+        for word in words[1:]:
+            for i in range(0, c1(word, idx)[0] + 2):
+                ball = _Ball(word, idx, Thresholds(max_ball=3))
+                scored = ball.i_ball(i, 2)
+                expanded = {nid for nid, node in enumerate(ball.nodes) if node is not None and node.edges is not None}
+                assert expanded == set(scored[: len(expanded)])
+                assert all(set(ball.neighbors(nid, i)) <= set(scored) for nid in scored[: len(expanded) - 1])
+                if uncapped_ball_size(ball, i, 2) > 3:
+                    bound += 1
+                    assert len(scored) == 3 and len(expanded) < 3
+        assert bound >= 10
 
     def test_corpus_reaches_the_caps(self, acceptance):
         # the decomposition caps 1 and 3 and the ball caps 3 and 12 bind

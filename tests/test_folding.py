@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -248,7 +249,7 @@ class TestFoldAll:
         for _ in range(6):
             t = nielsen_basis_tuple(rng, 2, moves=10)
             trace = fold_all(wedge_of_loops(t), policy=policy)
-            streamed = [view.graph() for view in trace.stage_views()]
+            streamed = [view.materialize()[0] for view in trace.stage_views()]
             assert streamed == [trace.stage(k).graph for k in range(len(trace.records) + 1)]
 
     def test_push_path_preserves_labels(self, rng):
@@ -313,7 +314,7 @@ class TestStageKeys:
             for k, view in enumerate(trace.stage_views()):
                 stage = trace.stage(k).graph
                 assert canonical_key(view) == oracle_canonical_key(stage), (policy, k)
-                assert view.graph() == stage, (policy, k)
+                assert view.materialize()[0] == stage, (policy, k)
             assert k == len(trace.records)
 
     @pytest.mark.parametrize(
@@ -364,8 +365,7 @@ class TestStageKeys:
 
 
 def clone_engine(engine: _Engine) -> _Engine:
-    other = _Engine.__new__(_Engine)
-    other.graph = engine.graph
+    other = copy.copy(engine)
     other.parent = list(engine.parent)
     other.cls_min = list(engine.cls_min)
     other.size = list(engine.size)

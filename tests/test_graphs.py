@@ -20,6 +20,7 @@ from rosefold.graphs import (
     betti,
     canonical_key,
     collapse,
+    component_count,
     format_graph,
     is_connected,
     isomorphic_labeled,
@@ -67,7 +68,65 @@ class TestBetti:
         assert betti(g) == 2  # 2 - 3 + 3 components
 
 
+def bfs_components(num_vertices: int, pairs) -> list[int]:
+    """Per vertex, the least vertex of its component under the edges
+    ``pairs``, by breadth-first search."""
+    nbrs: list[list[int]] = [[] for _ in range(num_vertices)]
+    for a, b in pairs:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    least = [-1] * num_vertices
+    for v in range(num_vertices):  # v is the least vertex of a new component
+        if least[v] < 0:
+            least[v] = v
+            queue = [v]
+            for x in queue:
+                for y in nbrs[x]:
+                    if least[y] < 0:
+                        least[y] = v
+                        queue.append(y)
+    return least
+
+
+def oracle_collapse(g: LabeledGraph, sub: Subgraph) -> LabeledGraph:
+    """``collapse`` by breadth-first search: the components of ``sub``
+    numbered in the order of their least vertices, the other edges in
+    input order, the base mapped."""
+    least = bfs_components(g.num_vertices, (g.edges[k][:2] for k in sub.edges))
+    number = {v: i for i, v in enumerate(sorted(set(least)))}
+    edges = tuple(
+        (number[least[s]], number[least[d]], l) for k, (s, d, l) in enumerate(g.edges) if k not in sub.edges
+    )
+    base = None if g.base is None else number[least[g.base]]
+    return LabeledGraph(g.rank, len(number), edges, base)
+
+
+def random_connected_graph(rng: random.Random, rank: int = 2, max_v: int = 8, max_extra: int = 6) -> LabeledGraph:
+    """A random spanning tree plus extra edges, vertex ids shuffled."""
+    nv = rng.randrange(1, max_v + 1)
+    perm = list(range(nv))
+    rng.shuffle(perm)
+    letter = lambda: rng.choice((1, -1)) * rng.randrange(1, rank + 1)
+    edges = [(perm[rng.randrange(v)], perm[v], letter()) for v in range(1, nv)]
+    edges += [(rng.randrange(nv), rng.randrange(nv), letter()) for _ in range(rng.randrange(max_extra + 1))]
+    rng.shuffle(edges)
+    return LabeledGraph(rank, nv, tuple(edges))
+
+
 class TestCollapse:
+    def test_matches_bfs_oracle(self, rng):
+        # connected and disconnected graphs, based or not, and edge subsets
+        # whose subgraphs carry isolated vertices
+        for _ in range(300):
+            for g in (random_connected_graph(rng), random_graph(rng)):
+                if rng.random() < 0.5:
+                    g = replace(g, base=rng.randrange(g.num_vertices))
+                sub = random_subgraph(rng, g)
+                assert collapse(g, sub) == oracle_collapse(g, sub)
+                whole = Subgraph(frozenset(range(g.num_vertices)), frozenset(range(g.num_edges)))
+                assert component_count(g) == len(set(bfs_components(g.num_vertices, (e[:2] for e in g.edges))))
+                assert component_count(g) == collapse(g, whole).num_vertices
+
     def test_collapse_one_loop_of_wedge(self):
         g = LabeledGraph(2, 1, ((0, 0, 1), (0, 0, 2)))
         sub = subgraph_from_edges(g, [0])
@@ -411,11 +470,12 @@ class TestCanonicalKeyOracle:
         assert canonical_key(h) == key
 
     def test_every_start_matches(self):
-        from rosefold.graphs import _encode_from
+        from rosefold.graphs import _encode_from, _Quotient
 
         g = branching_star(3)
+        q = _Quotient(g)
         for v in range(g.num_vertices):
-            assert _encode_from(g, v) == oracle_encode_from(g, v)
+            assert _encode_from(q, v) == oracle_encode_from(g, v)
 
     def test_encoding_length(self, rng):
         for _ in range(30):

@@ -406,6 +406,19 @@ class TestSampler:
         assert rejects >= 0
         assert p.n_prime is not None
 
+    @pytest.mark.parametrize("rank", [2, 3])
+    @pytest.mark.parametrize("length", [1, 2, 60])
+    def test_words_pass_the_checked_constructors(self, rank, length):
+        # the sampled words and the derived relators are built without the
+        # letter checks; each passes them
+        for seed in range(6):
+            p, _ = sample_presentation(rank, length, seed=seed)
+            for word in p.v_words + p.u_words + p.relator_words:
+                assert Word(rank, word.letters) == word
+            for word, relator in zip(p.relator_words, p.relators):
+                assert word.is_cyclically_reduced
+                assert CyclicWord(Word(rank, relator.word.letters)) == relator
+
     def test_serialization_round_trip(self):
         p, _ = sample_presentation(2, 12, seed=5)
         data = p.to_dict()
