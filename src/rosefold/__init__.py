@@ -40,7 +40,6 @@ from .folding import (
 )
 from .covers import (
     enumerate_candidates,
-    is_two_sheeted_cover,
     lift_paths,
     shortest_non_lifting_word,
     survey_two_cover_characterization,

@@ -19,11 +19,10 @@ from typing import Sequence
 
 from . import strsearch
 from .covers import (
+    CandidateShape,
     enumerate_candidates,
-    has_sub_cover,
     lift_paths,
     lifts_somewhere,
-    shortest_non_lifting_word,
 )
 from .graphs import EdgePath, LabeledGraph
 from .words import Word, _unchecked, random_reduced_letters
@@ -202,27 +201,34 @@ def alpha_injectivity_experiment(
     grouped by witness, and one substring scan per sample skips every
     graph of a group whose witness occurs in it; on the others a power-set
     walk (``lifts_somewhere``) still skips the per-start lift search where
-    the sample lifts nowhere.  The lift count and the least ratio do not
-    depend on the order in which the graphs are visited."""
-    by_witness: dict[str | None, list[LabeledGraph]] = {}
-    for g in enumerate_candidates(cfg.rank, max_edges):
-        if has_sub_cover(g):
+    the sample lifts nowhere.  The sub-cover test and the witnesses read
+    the candidates' masks (``CandidateShape``), and a group's graphs are
+    built the first time a sample does not contain its witness.  The lift
+    count and the least ratio do not depend on the order in which the
+    graphs are visited."""
+    by_witness: dict[str | None, list[tuple[CandidateShape, tuple]]] = {}
+    for shape, blocks, masks in enumerate_candidates(cfg.rank, max_edges):
+        if shape.sub_cover(blocks, masks):
             continue
-        witness = shortest_non_lifting_word(g, cfg.length)
-        key = strsearch.letters_to_chars(witness.letters) if witness else None
-        by_witness.setdefault(key, []).append(g)
+        witness = shape.witness(blocks, masks, cfg.length)
+        key = strsearch.letters_to_chars(witness) if witness else None
+        by_witness.setdefault(key, []).append((shape, blocks))
     graph_count = sum(map(len, by_witness.values()))
     report = StatsReport(
         config={**cfg.__dict__, "alpha_target": alpha_target, "graphs": graph_count}
     )
+    built: dict[str | None, list[LabeledGraph]] = {}
     for i in range(cfg.samples):
         w = random_reduced_word(cfg, i)
         chars = strsearch.letters_to_chars(w.letters)
         worst: float | None = None
         lift_count = 0
-        for witness, graphs in by_witness.items():
+        for witness, members in by_witness.items():
             if witness is not None and witness in chars:
                 continue
+            graphs = built.get(witness)
+            if graphs is None:
+                graphs = built[witness] = [shape.graph(blocks) for shape, blocks in members]
             for g in graphs:
                 if not lifts_somewhere(g, w):
                     continue

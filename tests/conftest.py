@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from rosefold.covers import enumerate_candidates
 from rosefold.graphs import LabeledGraph, Subgraph, _encode_from, _Quotient, subgraph_from_edges
 from rosefold.words import Word, random_reduced_letters
 
@@ -95,6 +97,54 @@ def unbased_key(g: LabeledGraph) -> tuple:
     header = (g.rank, g.num_vertices, g.num_edges)
     q = _Quotient(g)
     return header + (0,) + min(_encode_from(q, v) for v in range(g.num_vertices))
+
+
+def candidate_graphs(rank: int, max_edges: int, max_graphs: int | None = None):
+    """``enumerate_candidates`` with each candidate built as its graph."""
+    for shape, blocks, _ in enumerate_candidates(rank, max_edges, max_graphs):
+        yield shape.graph(blocks)
+
+
+def _pair_covers(rows: dict[int, list[int]], rank: int, v: int, w: int) -> bool:
+    """Do vertices ``v`` and ``w`` carry a two-sheeted cover of the rose,
+    read off a graph's ``letter_rows``?  Every generator labels a loop at
+    both vertices or swaps them, and at least one swaps them (this forces
+    connectivity)."""
+    swapped = False
+    for gen in range(1, rank + 1):
+        row = rows[gen]
+        if row[v] >> w & 1 and row[w] >> v & 1:
+            swapped = True
+        elif not (row[v] >> v & 1 and row[w] >> w & 1):
+            return False
+    return swapped
+
+
+def is_two_sheeted_cover(g: LabeledGraph) -> bool:
+    """Two vertices carrying the two-vertex pattern (``_pair_covers``)
+    with no edge left over.  The rows drop multiplicity, but an edge
+    labelled gen or -gen sets exactly one bit of ``rows[gen]``, so each
+    generator's pattern takes two distinct edges, and ``2 * rank`` edges
+    leave none over.  The survey's test on candidate masks
+    (``CandidateShape.two_sheeted_cover``) is checked against this one."""
+    return (
+        g.num_vertices == 2
+        and g.num_edges == 2 * g.rank
+        and _pair_covers(g.letter_rows, g.rank, 0, 1)
+    )
+
+
+def has_sub_cover(g: LabeledGraph) -> bool:
+    """Does some subgraph restrict to a covering of the rose of degree 1
+    or 2?  Degree 1 is a rose lift; degree 2 is a two-vertex pattern.
+    ``CandidateShape.sub_cover`` is checked against this one."""
+    if g.has_rose_lift():
+        return True
+    rows = g.letter_rows
+    return any(
+        _pair_covers(rows, g.rank, v, w)
+        for v, w in itertools.combinations(range(g.num_vertices), 2)
+    )
 
 
 def random_graph(rng: random.Random, rank: int = 2, max_v: int = 8, max_e: int = 12) -> LabeledGraph:

@@ -1,16 +1,28 @@
+import functools
 import itertools
+import operator
 import random
+from collections import Counter
 
 import pytest
 
-from conftest import is_core_graph, random_graph, rose, two_sheeted_cover, unbased_key
+from conftest import (
+    candidate_graphs,
+    has_sub_cover,
+    is_core_graph,
+    is_two_sheeted_cover,
+    random_graph,
+    rose,
+    two_sheeted_cover,
+    unbased_key,
+)
 from test_graphs import maximal_arc_count
 from rosefold.covers import (
+    CandidateShape,
     _letters,
+    _shape_key,
     _unlabeled_shapes,
     enumerate_candidates,
-    has_sub_cover,
-    is_two_sheeted_cover,
     lift_paths,
     lifts_somewhere,
     shortest_non_lifting_word,
@@ -94,7 +106,7 @@ class TestPathSurjectivity:
                 yield from nxt
                 frontier = nxt
 
-        for g in itertools.islice(enumerate_candidates(2, 3), 40):
+        for g in itertools.islice(candidate_graphs(2, 3), 40):
             ok, witness = is_path_surjective_up_to(g, 5)
             oracle_fail = None
             for letters in all_reduced_words(2, 5):
@@ -112,7 +124,7 @@ class TestPathSurjectivity:
     def test_witness_never_lifts(self):
         rng = random.Random(5)
         count = 0
-        for g in itertools.islice(enumerate_candidates(2, 4), 200):
+        for g in itertools.islice(candidate_graphs(2, 4), 200):
             witness = shortest_non_lifting_word(g, 10)
             if witness is None:
                 continue
@@ -178,13 +190,31 @@ class TestBitmaskPowerSet:
     @pytest.mark.parametrize("rank,max_edges", [(2, 5), (3, 4)])
     def test_matches_frozenset_oracle_on_survey_candidates(self, rank, max_edges):
         checked = 0
-        for g in enumerate_candidates(rank, max_edges):
+        for g in candidate_graphs(rank, max_edges):
             if g.has_rose_lift():
                 continue
             checked += 1
             # the witness itself, not just the verdict
             assert shortest_non_lifting_word(g, 14) == oracle_shortest_non_lifting_word(g, 14)
         assert checked > 2000
+
+    @pytest.mark.parametrize("rank,max_edges", [(2, 5), (3, 4)])
+    def test_bounds_below_the_breadth_first_search(self, rank, max_edges):
+        # the 1-letter test must not fire at bound 0, nor the 2-letter
+        # test at bound 1; ``shifted`` counts the graphs where it would
+        shifted = {0: 0, 1: 0, 2: 0}
+        for shape, blocks, masks in enumerate_candidates(rank, max_edges):
+            g = shape.graph(blocks)
+            found = {}
+            for max_len in range(4):
+                found[max_len] = oracle_shortest_non_lifting_word(g, max_len)
+                assert shortest_non_lifting_word(g, max_len) == found[max_len]
+                ours = shape.witness(blocks, masks, max_len)
+                assert ours == (found[max_len].letters if found[max_len] else None)
+            assert found[0] is None
+            for bound in shifted:
+                shifted[bound] += found[bound] is None and found[bound + 1] is not None
+        assert shifted[0] > 20 and shifted[1] > 20 and shifted[2] > 0, shifted
 
     def test_matches_frozenset_oracle_on_random_graphs(self):
         rng = random.Random(10)
@@ -211,6 +241,16 @@ class TestBitmaskPowerSet:
             for v in range(g.num_vertices):
                 targets = {tgt for lab, tgt, _ in g.adjacency[v] if lab == letter}
                 assert row[v] == sum(1 << t for t in targets)
+
+    def test_lifts_somewhere_rejects_another_rank(self):
+        g = LabeledGraph(2, 1, ((0, 0, 1), (0, 0, 2)))
+        # a letter beyond the graph's rank, and letters that fit it
+        for text in ("a3", "a1 a2"):
+            word = parse_word(text, 3)
+            with pytest.raises(ValueError, match="rank mismatch"):
+                lifts_somewhere(g, word)
+            with pytest.raises(ValueError, match="rank mismatch"):
+                next(lift_paths(g, word, 0))
 
     def test_lifts_somewhere_matches_lift_paths(self):
         rng = random.Random(11)
@@ -327,7 +367,7 @@ class TestTwoSheetedCovers:
                     return False
             return True
 
-        for g in enumerate_candidates(2, 5):
+        for g in candidate_graphs(2, 5):
             assert is_two_sheeted_cover(g) == local(g)
 
 
@@ -430,7 +470,7 @@ class TestCoverPredicateOracles:
     @pytest.mark.parametrize("rank,max_edges", [(2, 5), (3, 4)])
     def test_match_on_survey_candidates(self, rank, max_edges):
         seen = {"two_sheeted": 0, "no_swap": 0}
-        for g in enumerate_candidates(rank, max_edges):
+        for g in candidate_graphs(rank, max_edges):
             for h in row_blind_variants(g):
                 expected = oracle_is_two_sheeted_cover(h)
                 assert is_two_sheeted_cover(h) == expected
@@ -458,6 +498,86 @@ class TestCoverPredicateOracles:
             kinds["padded_pair"] += pair_only and g.num_vertices == 2 and g.num_edges > 2 * rank
             kinds["none"] += not sub
         assert min(kinds.values()) > 20, kinds
+
+
+class TestCandidateKernel:
+    """The survey and ``alpha_injectivity_experiment`` classify candidates
+    on their masks (``CandidateShape``) without building them; every
+    verdict must match the built graph's."""
+
+    @pytest.mark.parametrize("rank,max_edges", [(2, 5), (3, 4)])
+    def test_verdicts_match_the_built_graphs(self, rank, max_edges):
+        letters = _letters(rank)
+        seen = {"rose_lift": 0, "two_sheeted": 0, "pair_only": 0}
+        lengths = Counter()
+        for shape, blocks, masks in enumerate_candidates(rank, max_edges):
+            g = shape.graph(blocks)
+            rows = [g.letter_rows[letter] for letter in letters]
+            assert shape.rows(blocks) == rows
+            assert shape.heads(masks) == [functools.reduce(operator.or_, row) for row in rows]
+            assert shape.rose_lift(masks) == g.has_rose_lift()
+            assert shape.two_sheeted_cover(blocks, masks) == is_two_sheeted_cover(g)
+            assert shape.sub_cover(blocks, masks) == has_sub_cover(g)
+            witness = oracle_shortest_non_lifting_word(g, 14)
+            ours = shape.witness(blocks, masks, 14)
+            assert ours == (witness.letters if witness else None)
+            seen["rose_lift"] += g.has_rose_lift()
+            seen["two_sheeted"] += is_two_sheeted_cover(g)
+            seen["pair_only"] += has_sub_cover(g) and not g.has_rose_lift()
+            lengths[len(ours) if ours else 0] += 1
+        # the betti bound leaves room for a two-vertex pattern only as a
+        # whole two-sheeted cover (see the next test for padded pairs)
+        assert seen == ({"rose_lift": 125, "two_sheeted": 3, "pair_only": 3} if rank == 2
+                        else {"rose_lift": 4, "two_sheeted": 0, "pair_only": 0})
+        # every branch of the witness search: no witness, lengths 1, 2, 3
+        assert {0, 1, 2, 3} <= set(lengths), lengths
+
+    @pytest.mark.parametrize("rank,nv,pairs", [
+        # both generators swapped, a third vertex on two more edges
+        (2, 3, ((0, 1),) * 4 + ((1, 2),) * 2),
+        # one generator swapped, the other looping at both ends, padded
+        (2, 3, ((0, 0), (0, 1), (0, 1), (1, 1), (1, 2), (1, 2))),
+        # every generator swapped at rank 3, and a pendant edge
+        (3, 3, ((0, 1),) * 6 + ((1, 2),)),
+        # a two-vertex pattern with one edge left over
+        (2, 2, ((0, 0), (0, 1), (0, 1), (0, 1), (1, 1))),
+    ])
+    def test_pair_patterns_beyond_the_betti_bound(self, rank, nv, pairs):
+        # every assignment on shapes past the survey's betti bound, orbit
+        # least or not, where a pattern sits beside other edges
+        shape = CandidateShape(rank, nv, pairs)
+        kinds = {"pair_only": 0, "none": 0}
+        assignments = zip(itertools.product(*shape.blocks), itertools.product(*shape.contributions))
+        for blocks, contributions in assignments:
+            masks = functools.reduce(operator.or_, contributions)
+            g = shape.graph(blocks)
+            sub = oracle_has_sub_cover(g)
+            assert shape.rose_lift(masks) == g.has_rose_lift()
+            assert shape.two_sheeted_cover(blocks, masks) == oracle_is_two_sheeted_cover(g)
+            assert shape.sub_cover(blocks, masks) == sub
+            kinds["pair_only"] += sub and not g.has_rose_lift()
+            kinds["none"] += not sub
+        assert min(kinds.values()) > 0, kinds
+
+    def test_masks_hold_heads_and_loops(self):
+        # one vertex with loops a1, a1, a2: every letter ends at vertex 0,
+        # and both generators loop there
+        shape, blocks, masks = next(
+            (shape, blocks, masks)
+            for shape, blocks, masks in enumerate_candidates(2, 3)
+            if shape.graph(blocks).edges == ((0, 0, 1), (0, 0, 1), (0, 0, 2))
+        )
+        assert shape.heads(masks) == [1, 1, 1, 1]
+        assert shape.rose_lift(masks)
+        assert shape.witness(blocks, masks, 5) is None
+
+    def test_survey_builds_no_graph(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("LabeledGraph built during the survey")
+
+        monkeypatch.setattr("rosefold.covers.LabeledGraph", forbidden)
+        report = survey_two_cover_characterization(2, 5, 14)
+        assert report.violations == [] and report.total_candidates > 5000
 
 
 def canonical_key_candidates(rank: int, max_edges: int) -> list[LabeledGraph]:
@@ -539,9 +659,14 @@ class TestEnumeration:
     def test_matches_canonical_key_oracle(self, rank, max_edges):
         # same graphs, same edge order, same sequence: callers that cap
         # work per graph see the same representatives
-        ours = list(enumerate_candidates(rank, max_edges))
+        ours = list(candidate_graphs(rank, max_edges))
         oracle = canonical_key_candidates(rank, max_edges)
         assert ours == oracle
+
+    @pytest.mark.parametrize("max_edges,max_betti", [(4, 3), (6, 3), (5, 5)])
+    def test_shape_order(self, max_edges, max_betti):
+        shapes = _unlabeled_shapes(max_edges, max_betti)
+        assert shapes == sorted(shapes, key=lambda s: (len(s[1]), s[0], _shape_key(*s)))
 
     def test_no_canonical_key_calls(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -553,30 +678,30 @@ class TestEnumeration:
         assert len(list(enumerate_candidates(2, 4))) == 558
 
     def test_matches_brute_force_at_two_edges(self):
-        ours = {unbased_key(g) for g in enumerate_candidates(2, 2)}
+        ours = {unbased_key(g) for g in candidate_graphs(2, 2)}
         brute = {unbased_key(g) for g in brute_force_candidates(2, 2)}
         assert ours == brute
 
     def test_counts_match_independent_dedup(self):
         for max_edges in (1, 2, 3):
-            ours = list(enumerate_candidates(2, max_edges))
+            ours = list(candidate_graphs(2, max_edges))
             independent = {perm_min_key(g) for g in brute_force_candidates(2, max_edges)}
             assert len(ours) == len(independent)
             assert len({perm_min_key(g) for g in ours}) == len(ours)
 
     def test_single_edge_graphs(self):
-        got = list(enumerate_candidates(2, 1))
+        got = list(candidate_graphs(2, 1))
         assert len(got) == 2
         assert all(g.num_vertices == 1 and g.num_edges == 1 for g in got)
 
     def test_all_core_connected_within_betti(self):
-        for g in itertools.islice(enumerate_candidates(2, 5), 400):
+        for g in itertools.islice(candidate_graphs(2, 5), 400):
             assert is_connected(g)
             assert is_core_graph(g)
             assert betti(g) <= 3
 
     def test_no_duplicates(self):
-        keys = [unbased_key(g) for g in enumerate_candidates(2, 4)]
+        keys = [unbased_key(g) for g in candidate_graphs(2, 4)]
         assert len(keys) == len(set(keys))
 
     def test_rank_below_two_rejected(self):
@@ -593,7 +718,7 @@ class TestEnumeration:
         # a connected core graph of Betti m >= 2 splits into at most
         # 3m - 3 maximal arcs
         checked = 0
-        for g in itertools.islice(enumerate_candidates(2, 5), 600):
+        for g in itertools.islice(candidate_graphs(2, 5), 600):
             m = betti(g)
             if m < 2:
                 continue
@@ -632,6 +757,29 @@ class TestSurvey:
             report.witnessed,
             report.max_witness_length,
         ) == (2437, 4, 0, 2433, 3)
+
+    def test_rank_three_five_edge_counters(self):
+        report = survey_two_cover_characterization(3, 5, 14)
+        assert report.violations == []
+        assert (
+            report.total_candidates,
+            report.with_rose_lift,
+            report.two_sheeted_covers,
+            report.witnessed,
+            report.max_witness_length,
+        ) == (36010, 49, 0, 35961, 3)
+
+    def test_rank_two_six_edge_witness_lengths(self):
+        # per-graph witnesses of every candidate with no rose lift that is
+        # not a two-sheeted cover
+        lengths = Counter()
+        for shape, blocks, masks in enumerate_candidates(2, 6):
+            if shape.rose_lift(masks) or shape.two_sheeted_cover(blocks, masks):
+                continue
+            lengths[len(shape.witness(blocks, masks, 14))] += 1
+        assert lengths == {1: 2250, 2: 35151, 3: 9557, 4: 332, 5: 14}
+        report = survey_two_cover_characterization(2, 6, 14)
+        assert (report.witnessed, report.max_witness_length) == (sum(lengths.values()), 5)
 
     def test_survey_classifies_every_candidate(self):
         report = survey_two_cover_characterization(2, 4, 12)

@@ -5,15 +5,10 @@ from collections import Counter
 
 import pytest
 
-from conftest import rose
+from conftest import candidate_graphs, has_sub_cover, rose
 from test_strsearch import oracle_greedy_disjoint
 from rosefold import strsearch
-from rosefold.covers import (
-    enumerate_candidates,
-    has_sub_cover,
-    lift_paths,
-    shortest_non_lifting_word,
-)
+from rosefold.covers import lift_paths, shortest_non_lifting_word
 from rosefold.genericity import (
     SampleConfig,
     StatsReport,
@@ -323,7 +318,7 @@ def oracle_alpha_injectivity_experiment(
     """Differential oracle for ``alpha_injectivity_experiment``: the same
     loop with no witness filter and no power-set check, searching lifts
     from every start of every graph for every sample."""
-    graphs = [g for g in enumerate_candidates(cfg.rank, max_edges) if not has_sub_cover(g)]
+    graphs = [g for g in candidate_graphs(cfg.rank, max_edges) if not has_sub_cover(g)]
     report = StatsReport(
         config={**cfg.__dict__, "alpha_target": alpha_target, "graphs": len(graphs)}
     )
@@ -369,7 +364,7 @@ class TestAlphaOracle:
         assert_alpha_matches_oracle(cfg)
         # some graph has more than 16 lifts from one start, so the rows
         # depend on which 16 the lift search keeps
-        graphs = [g for g in enumerate_candidates(2, 4) if not has_sub_cover(g)]
+        graphs = [g for g in candidate_graphs(2, 4) if not has_sub_cover(g)]
         assert any(
             len(list(itertools.islice(lift_paths(g, random_reduced_word(cfg, i), start), 17))) > 16
             for i in range(cfg.samples)
@@ -384,7 +379,7 @@ class TestAlphaOracle:
         cfg = SampleConfig(rank=2, length=length, samples=20, seed=length)
         ours = assert_alpha_matches_oracle(cfg)
         assert ours.aggregate["lifting_samples"] == cfg.samples
-        graphs = [g for g in enumerate_candidates(2, 4) if not has_sub_cover(g)]
+        graphs = [g for g in candidate_graphs(2, 4) if not has_sub_cover(g)]
         missing = sum(shortest_non_lifting_word(g, length) is None for g in graphs)
         assert (missing > 0) == (length < 3)
 

@@ -18,4 +18,5 @@ def test_library_example_runs():
     namespace: dict = {}
     exec(compile(library_example(), str(README), "exec"), namespace)
     assert namespace["trace"].terminal.has_rose_lift()
+    assert str(namespace["witness"]) == "a1 a1"
     assert namespace["values"]
