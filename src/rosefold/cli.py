@@ -14,6 +14,7 @@ cap the library rejects) prints the error alone.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -97,7 +98,13 @@ def _fraction(text: str) -> float:
 
 
 def _config_echo(args: argparse.Namespace, names: list[str]) -> dict:
-    return {name: getattr(args, name) for name in names}
+    config = {}
+    for name in names:
+        value = getattr(args, name)
+        # a list option's default is a tuple, so that the shared parser
+        # holds nothing a call could change; echo it as a given list is
+        config[name] = list(value) if isinstance(value, tuple) else value
+    return config
 
 
 def _read_words_json(path: str, *families: str) -> tuple[int, list[list[words.Word]]]:
@@ -354,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fold", help="wedge a tuple and fold it")
     p.add_argument("--rank", type=_positive_int, default=2)
-    p.add_argument("--words", nargs="*", default=[], help="tuple entries as word text")
+    p.add_argument("--words", nargs="*", default=(), help="tuple entries as word text")
     p.add_argument("--tuple-json", dest="tuple_json", default=None)
     p.add_argument("--policy", choices=folding.POLICIES, default="least")
     p.add_argument("--dump-stages", dest="dump_stages", action="store_true")
@@ -442,8 +449,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """One parser per process: building it costs more than most commands
+    parse, and parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError, RuntimeError) as exc:

@@ -17,6 +17,12 @@ being the index of the replaced factor.  The i-ball is then the
 breadth-first search over the edges with j != i, with the same
 ``max_ball`` stop as a search of its own; every ell_hat_i reads its
 node scores from the shared tables.
+
+Every per-word table is linear in the word.  The longest factor starting
+at each position comes from one scan of the reversed word against one
+automaton of all reversed signed relator powers.  That table is exact,
+so the reach p + maxstart[p] never decreases, and the c1 tables and the
+longest i-th factors each take one pass (see ``_min_factor_tables``).
 """
 
 from __future__ import annotations
@@ -83,7 +89,7 @@ class UWordIndex:
             self._chars[(i, 1)] = strsearch.letters_to_chars(word.letters)
             self._chars[(i, -1)] = strsearch.letters_to_chars(word.inverse().letters)
         self._powers: dict[tuple[int, int, int], str] = {}
-        self._rev_sams: dict[tuple[int, int, int], strsearch.SuffixAutomaton] = {}
+        self._union_sams: dict[tuple[int, ...], strsearch.SuffixAutomaton] = {}
         self._rotations: set[tuple[int, ...]] | None = None
 
     def missing_letters(self) -> list[int]:
@@ -107,14 +113,6 @@ class UWordIndex:
         if cached is None:
             cached = self._powers[key] = self._chars[(relator, sign)] * key[2]
         return cached
-
-    def _reversed_sam(self, relator: int, sign: int, min_length: int):
-        key = self._periods_key(relator, sign, min_length)
-        sam = self._rev_sams.get(key)
-        if sam is None:
-            sam = strsearch.SuffixAutomaton((self._chars[(relator, sign)] * key[2])[::-1])
-            self._rev_sams[key] = sam
-        return sam
 
     def rotation_set(self) -> set[tuple[int, ...]]:
         if self._rotations is None:
@@ -164,24 +162,36 @@ class UWordIndex:
         # a subword of a power of a cyclically reduced rotation is reduced
         return _unchecked(Word, rank=self.rank, letters=tail).inverse()
 
+    def _union_sam(self, min_length: int) -> strsearch.SuffixAutomaton:
+        """Automaton of the reversed signed relator powers long enough for
+        a word of ``min_length`` letters, joined by a separator that no
+        word contains, so that no match runs from one power into the next.
+        Cached by the tuple of period counts."""
+        periods = tuple(
+            self._periods_key(i, 1, min_length + len(rel))[2]
+            for i, rel in enumerate(self.relators)
+        )
+        sam = self._union_sams.get(periods)
+        if sam is None:
+            powers = [
+                self._power_string(i, sign, min_length + len(rel))
+                for i, rel in enumerate(self.relators)
+                for sign in (1, -1)
+            ]
+            sam = strsearch.SuffixAutomaton(strsearch.SEPARATOR.join(powers)[::-1])
+            self._union_sams[periods] = sam
+        return sam
+
     def max_factor_starting(self, w: Word) -> list[int]:
         """For each position of w, the length of the longest factor of a
-        relator power starting there (computed in one scan per relator
-        sign via a reversed-text automaton)."""
+        relator power starting there.  The matching statistics of the
+        reversed word against the automaton of all reversed signed powers
+        give, at each position of the reversal, the longest factor of one
+        of them ending there; read backwards, that is the table."""
         if len(w) == 0:
             return []
-        chars = strsearch.letters_to_chars(w.letters)
-        rev = chars[::-1]
-        best = [0] * len(w)
-        for i in range(len(self.relators)):
-            for sign in (1, -1):
-                sam = self._reversed_sam(i, sign, len(w) + len(self.relators[i]))
-                stats = sam.matching_statistics(rev)
-                for rev_pos, m in enumerate(stats):
-                    pos = len(w) - 1 - rev_pos
-                    if m > best[pos]:
-                        best[pos] = m
-        return best
+        rev = strsearch.letters_to_chars(w.letters)[::-1]
+        return self._union_sam(len(w)).matching_statistics(rev)[::-1]
 
 
 @dataclass(frozen=True)
@@ -200,73 +210,78 @@ class Segmentation:
         }
 
 
-def _min_factor_tables(w: Word, maxstart: list[int]) -> tuple[list[int], list[int]]:
-    """Forward and backward minimal factor counts: F[p] = c1 of w[:p],
-    G[p] = c1 of w[p:]."""
-    n = len(w)
+def _min_factor_tables(maxstart: list[int]) -> tuple[list[int], list[int]]:
+    """Forward and backward minimal factor counts of a word with factor
+    table ``maxstart``: F[p] = c1 of w[:p], G[p] = c1 of w[p:], and n + 2
+    where no segmentation exists.
+
+    A subword of a relator-power factor is one too, and ``maxstart`` is
+    exact, so the factors starting at p are the prefixes of w[p:] of 1 to
+    maxstart[p] letters, and maxstart[p + 1] >= maxstart[p] - 1: the reach
+    p + maxstart[p] never decreases.  Trimming the first letter off a
+    segmentation of w[p:] leaves one of w[p + 1:] with no more factors, so
+    G never increases; likewise F never decreases.  Hence the best first
+    factor of w[p:] is the longest, G[p] = G[p + maxstart[p]] + 1, and the
+    best last factor of w[:q] starts at the least p that reaches q, a
+    start that moves right with q.  Each table takes one pass.
+    """
+    n = len(maxstart)
     INF = n + 2
-    F = [INF] * (n + 1)
-    F[0] = 0
-    for p in range(n):
-        if F[p] >= INF:
-            continue
-        reach = maxstart[p]
-        for q in range(p + 1, p + reach + 1):
-            if F[p] + 1 < F[q]:
-                F[q] = F[p] + 1
     G = [INF] * (n + 1)
     G[n] = 0
     for p in range(n - 1, -1, -1):
         reach = maxstart[p]
-        best = INF
-        for q in range(p + 1, p + reach + 1):
-            if G[q] + 1 < best:
-                best = G[q] + 1
-        G[p] = best
+        if not reach:
+            break  # no factor holds letter p, so no suffix from p or before is covered
+        G[p] = G[p + reach] + 1
+    F = [INF] * (n + 1)
+    F[0] = 0
+    p = 0
+    for q in range(1, n + 1):
+        while p < q and p + maxstart[p] < q:
+            p += 1
+        if p == q:
+            break  # letter q - 1 is in no factor
+        F[q] = F[p] + 1
     return F, G
 
 
 def _check_covered(maxstart: list[int]) -> None:
     """Raise at the first position where no relator-power factor starts."""
-    for pos, m in enumerate(maxstart):
-        if m == 0:
-            raise ValueError(f"letter at position {pos} is not a factor of any relator power")
+    if not all(maxstart):
+        pos = maxstart.index(0)
+        raise ValueError(f"letter at position {pos} is not a factor of any relator power")
+
+
+def _greedy_cuts(maxstart: list[int]) -> list[int]:
+    """Interior cuts of the segmentation whose every factor is the longest
+    one starting where the last ended.  By the monotone reach (see
+    ``_min_factor_tables``) it has the least number of factors, and its
+    first factor is the longest among minimal segmentations.  The word
+    must be covered."""
+    n = len(maxstart)
+    cuts = []
+    pos = maxstart[0]
+    while pos < n:
+        cuts.append(pos)
+        pos += maxstart[pos]
+    return cuts
 
 
 def c1(w: Word, idx: UWordIndex) -> tuple[int, Segmentation]:
-    """Minimal number of relator-power factors, with one witness
+    """Minimal number of relator-power factors, with the greedy witness
     segmentation (longest-first-factor among the minimal ones)."""
     if len(w) == 0:
         raise ValueError("c1 is undefined on the empty word")
     maxstart = idx.max_factor_starting(w)
     _check_covered(maxstart)
-    F, G = _min_factor_tables(w, maxstart)
-    k = G[0]
-    cuts: list[int] = []
-    pos = 0
-    while pos < len(w):
-        used = len(cuts) + 1
-        # longest jump keeping the suffix solvable in the remaining budget
-        q = None
-        for jump in range(maxstart[pos], 0, -1):
-            if G[pos + jump] == k - used:
-                q = pos + jump
-                break
-        assert q is not None
-        if q < len(w):
-            cuts.append(q)
-        pos = q
-    factors = []
-    lo = 0
-    for cut in cuts + [len(w)]:
-        factors.append(w.subword(lo, cut))
-        lo = cut
+    cuts = _greedy_cuts(maxstart)
     certs = []
-    for factor in factors:
-        cert = idx.is_u_word(factor)
+    for lo, hi in zip([0] + cuts, cuts + [len(w)]):
+        cert = idx.is_u_word(w.subword(lo, hi))
         assert cert is not None
         certs.append(cert)
-    return k, Segmentation(w, tuple(cuts), tuple(certs))
+    return len(cuts) + 1, Segmentation(w, tuple(cuts), tuple(certs))
 
 
 def brute_force_c1(w: Word, idx: UWordIndex) -> int:
@@ -299,7 +314,6 @@ def _cut_sequences(
     """Interior cuts of every segmentation of a length-``n`` word into
     G[0] factors, in lexicographic cut order; stops after ``cap`` when
     given."""
-    k = G[0]
     emitted = 0
     stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
     while stack:
@@ -310,34 +324,35 @@ def _cut_sequences(
             if cap is not None and emitted >= cap:
                 return
             continue
-        used = len(cuts) + 1
-        # push longer jumps last so the leftmost-shortest comes out first
-        for jump in range(maxstart[pos], 0, -1):
-            q = pos + jump
-            if G[q] == k - used:
-                stack.append((q, cuts + ((q,) if q < n else ())))
+        # a factor from pos keeps the count minimal when G falls by one
+        # across it; G does not increase, so those ends are the reach and
+        # the positions just below it.  Longer jumps are pushed first, so
+        # the shortest comes out first.
+        target = G[pos] - 1
+        q = pos + maxstart[pos]
+        while G[q] == target:
+            stack.append((q, cuts + ((q,) if q < n else ())))
+            q -= 1
 
 
 def _ith_factor_maxima(maxstart: list[int], F: list[int], G: list[int]) -> list[int]:
     """Entry i (1 <= i <= k = G[0]) is the longest i-th factor over all
     admissible decompositions, straight from the forward/backward tables;
-    entry 0 is unused."""
-    n = len(maxstart)
+    entry 0 is unused, and a word with no segmentation gets [0].
+
+    w[p:q] is an admissible i-th factor when F[p] = i - 1, G[q] = k - i
+    and q - p <= maxstart[p].  Since G[p] = G[p + maxstart[p]] + 1 and
+    F[p] + G[p] >= k, the whole reach has G >= k - i, and G does not
+    increase: so the longest i-th factor from p is the reach itself, and
+    it is admissible exactly when F[p] + G[p] = k.
+    """
     k = G[0]
+    if k > len(maxstart):
+        return [0]
     best = [0] * (k + 1)
-    for p in range(n):
-        i = F[p] + 1
-        if i > k:
-            continue
-        target = k - i
-        # G does not increase with q, so the last q with G[q] == target
-        # is found by walking down from the farthest reach while G[q] is
-        # below it; for a coverable word G[q] >= target on the whole reach
-        q = min(p + maxstart[p], n)
-        while q > p and G[q] < target:
-            q -= 1
-        if q > p and G[q] == target and q - p > best[i]:
-            best[i] = q - p
+    for f, g, reach in zip(F, G, maxstart):
+        if f + g == k and reach > best[f + 1]:
+            best[f + 1] = reach
     return best
 
 
@@ -347,11 +362,11 @@ class _Node:
 
     __slots__ = ("word", "maxstart", "G", "best", "edges")
 
-    def __init__(self, word: Word, idx: UWordIndex):
+    def __init__(self, word: Word, maxstart: list[int]):
         self.word = word
-        self.maxstart = idx.max_factor_starting(word)
-        F, self.G = _min_factor_tables(word, self.maxstart)
-        self.best = _ith_factor_maxima(self.maxstart, F, self.G)
+        self.maxstart = maxstart
+        F, self.G = _min_factor_tables(maxstart)
+        self.best = _ith_factor_maxima(maxstart, F, self.G)
         self.edges: list[tuple[int, int]] | None = None
 
     @property
@@ -359,7 +374,7 @@ class _Node:
         return self.G[0]
 
     def max_ith_factor(self, i: int) -> int:
-        return self.best[i] if 1 <= i <= self.k else 0
+        return self.best[i] if 1 <= i < len(self.best) else 0
 
 
 class _Ball:
@@ -376,13 +391,22 @@ class _Ball:
     edges with j != i, in first-occurrence order.
     """
 
-    def __init__(self, root: Word, idx: UWordIndex, thresholds: Thresholds):
+    def __init__(
+        self,
+        root: Word,
+        idx: UWordIndex,
+        thresholds: Thresholds,
+        maxstart: list[int] | None = None,
+    ):
+        """``maxstart`` is the root's factor table when the caller has it."""
         self.idx = idx
         self.thresholds = thresholds
         self.long = thresholds.long_factor_letters(idx.max_relator_length)
         self.rank = root.rank
         self.ids = {root.letters: 0}
-        self.nodes: list[_Node | None] = [_Node(root, idx)]
+        if maxstart is None:
+            maxstart = idx.max_factor_starting(root)
+        self.nodes: list[_Node | None] = [_Node(root, maxstart)]
 
     def node(self, nid: int) -> _Node:
         node = self.nodes[nid]
@@ -394,9 +418,11 @@ class _Ball:
         nid = self.ids.get(letters)
         if nid is None:
             nid = self.ids[letters] = len(self.nodes)
-            node = _Node(_unchecked(Word, rank=self.rank, letters=letters), self.idx)
-            ok = all(node.maxstart) and node.k == self.node(0).k
-            self.nodes.append(node if ok else None)
+            word = _unchecked(Word, rank=self.rank, letters=letters)
+            maxstart = self.idx.max_factor_starting(word)
+            # judged before any table is built: covered, and of the root's c1
+            ok = all(maxstart) and len(_greedy_cuts(maxstart)) + 1 == self.node(0).k
+            self.nodes.append(_Node(word, maxstart) if ok else None)
         return nid if self.nodes[nid] is not None else None
 
     def _span_candidates(self, node: _Node, p: int, q: int) -> list[int]:
@@ -526,8 +552,9 @@ def complexity(
     """Depth-bounded complexity; the empty word is the bottom element."""
     if len(w) == 0:
         return ComplexityValue(0, 0, (), depth)
-    ball = _Ball(w, idx, thresholds)
-    _check_covered(ball.node(0).maxstart)
+    maxstart = idx.max_factor_starting(w)
+    _check_covered(maxstart)
+    ball = _Ball(w, idx, thresholds, maxstart)
     k = ball.node(0).k
     zero_at = thresholds.zero_letters(idx.max_relator_length)
     per = []

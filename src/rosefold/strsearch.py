@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 _BASE = 0x100  # keep letter characters clear of separators below
+SEPARATOR = "\x00"  # joins indexed texts; no encoded letter or token equals it
 
 
 class _Table(dict):
@@ -57,41 +58,41 @@ class SuffixAutomaton:
     """Suffix automaton of one string, enough for repeated-substring and
     common-substring queries."""
 
-    __slots__ = ("next", "link", "length", "last")
+    __slots__ = ("next", "link", "length")
 
     def __init__(self, text: str = ""):
-        self.next: list[dict[str, int]] = [{}]
-        self.link: list[int] = [-1]
-        self.length: list[int] = [0]
-        self.last = 0
+        # the classic online construction, one letter at a time, on local
+        # names for the three tables
+        nxt: list[dict[str, int]] = [{}]
+        link = [-1]
+        length = [0]
+        last = 0
         for ch in text:
-            self.extend(ch)
-
-    def extend(self, ch: str) -> None:
-        cur = len(self.next)
-        self.next.append({})
-        self.length.append(self.length[self.last] + 1)
-        self.link.append(0)
-        p = self.last
-        while p >= 0 and ch not in self.next[p]:
-            self.next[p][ch] = cur
-            p = self.link[p]
-        if p == -1:
-            self.link[cur] = 0
-        else:
-            q = self.next[p][ch]
-            if self.length[p] + 1 == self.length[q]:
-                self.link[cur] = q
-            else:
-                clone = len(self.next)
-                self.next.append(dict(self.next[q]))
-                self.length.append(self.length[p] + 1)
-                self.link.append(self.link[q])
-                while p >= 0 and self.next[p].get(ch) == q:
-                    self.next[p][ch] = clone
-                    p = self.link[p]
-                self.link[q] = self.link[cur] = clone
-        self.last = cur
+            cur = len(nxt)
+            nxt.append({})
+            length.append(length[last] + 1)
+            link.append(0)
+            p = last
+            while p >= 0 and ch not in nxt[p]:
+                nxt[p][ch] = cur
+                p = link[p]
+            if p >= 0:
+                q = nxt[p][ch]
+                if length[p] + 1 == length[q]:
+                    link[cur] = q
+                else:
+                    clone = len(nxt)
+                    nxt.append(nxt[q].copy())
+                    length.append(length[p] + 1)
+                    link.append(link[q])
+                    while p >= 0 and nxt[p].get(ch) == q:
+                        nxt[p][ch] = clone
+                        p = link[p]
+                    link[q] = link[cur] = clone
+            last = cur
+        self.next = nxt
+        self.link = link
+        self.length = length
 
     def longest_repeated(self) -> int:
         """Length of the longest substring occurring at least twice.  A
@@ -103,18 +104,22 @@ class SuffixAutomaton:
     def matching_statistics(self, query: str) -> list[int]:
         """For each query position i, the length of the longest factor of
         the indexed text ending at i (classic streaming match)."""
-        out = []
-        v, length = 0, 0
+        nxt, link, length_of = self.next, self.link, self.length
+        out: list[int] = []
+        append = out.append
+        v = length = 0
         for ch in query:
-            while v and ch not in self.next[v]:
-                v = self.link[v]
-                length = self.length[v]
-            if ch in self.next[v]:
-                v = self.next[v][ch]
-                length += 1
+            trans = nxt[v]
+            while v and ch not in trans:
+                v = link[v]
+                trans = nxt[v]
+                length = length_of[v]
+            v = trans.get(ch)
+            if v is None:
+                v = length = 0
             else:
-                v, length = 0, 0
-            out.append(length)
+                length += 1
+            append(length)
         return out
 
 

@@ -28,6 +28,21 @@ class TestFold:
         assert payload["folds"] == 1
         assert payload["config"]["policy"] == "least"
 
+    def test_successive_calls_are_independent(self, capsys, tmp_path):
+        # one parser serves every call of a process: no value of one call,
+        # given or defaulted, reaches the next
+        path = tmp_path / "tuple.json"
+        path.write_text(json.dumps({"rank": 2, "words": ["a1 a2", "a1"]}))
+        first = json.loads(run_cli(capsys, "fold", "--words", "a1 a2", "a2")[1])
+        second = json.loads(run_cli(capsys, "fold", "--tuple-json", str(path))[1])
+        third = json.loads(run_cli(capsys, "fold", "--words", "a1")[1])
+        assert first["config"]["words"] == ["a1 a2", "a2"]
+        assert second["config"] == {
+            "rank": 2, "words": [], "tuple_json": str(path), "policy": "least", "dump_stages": False,
+        }
+        assert third["config"]["words"] == ["a1"] and third["config"]["tuple_json"] is None
+        assert second["terminal"] == first["terminal"] != third["terminal"]
+
     def test_tuple_json_input(self, capsys, tmp_path):
         path = tmp_path / "tuple.json"
         path.write_text(json.dumps({"rank": 2, "words": ["a1 a2", "a1", "1"]}))

@@ -14,6 +14,7 @@ from rosefold.complexity import (
     UWordIndex,
     _Ball,
     _cut_sequences,
+    _ith_factor_maxima,
     _min_factor_tables,
     brute_force_c1,
     c1,
@@ -35,6 +36,75 @@ def spans(seg: Segmentation) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
+def oracle_min_factor_tables(maxstart: list[int]) -> tuple[list[int], list[int]]:
+    """F[p] = c1 of w[:p] and G[p] = c1 of w[p:] (n + 2 where none exists)
+    by relaxing every jump of every reach: the quadratic tables, which
+    assume nothing of ``maxstart`` beyond its being the longest factor
+    starting at each position."""
+    n = len(maxstart)
+    INF = n + 2
+    F = [INF] * (n + 1)
+    F[0] = 0
+    for p in range(n):
+        if F[p] >= INF:
+            continue
+        for q in range(p + 1, p + maxstart[p] + 1):
+            F[q] = min(F[q], F[p] + 1)
+    G = [INF] * (n + 1)
+    G[n] = 0
+    for p in range(n - 1, -1, -1):
+        for q in range(p + 1, p + maxstart[p] + 1):
+            G[p] = min(G[p], G[q] + 1)
+    return F, G
+
+
+def oracle_ith_factor_maxima(maxstart: list[int], F: list[int], G: list[int]) -> list[int]:
+    """Entry i is the longest i-th factor over all admissible
+    decompositions: from each p with F[p] = i - 1, the last q within
+    reach with G[q] = k - i, found by walking down from the reach."""
+    n = len(maxstart)
+    k = G[0]
+    if k > n:
+        return [0]
+    best = [0] * (k + 1)
+    for p in range(n):
+        i = F[p] + 1
+        if i > k:
+            continue
+        for q in range(p + maxstart[p], p, -1):
+            if G[q] == k - i:
+                best[i] = max(best[i], q - p)
+                break
+    return best
+
+
+def brute_force_max_factor_starting(w: Word, idx: UWordIndex) -> list[int]:
+    """For each p, the longest prefix of w[p:] that is a substring of a
+    power of a relator or its inverse with ceil(|w| / L) + 2 periods,
+    by direct substring tests on the test's own character encoding."""
+    def enc(letters):
+        return "".join(chr(0x4000 + x) for x in letters)
+
+    hays = []
+    for rel in idx.relators:
+        periods = -(-len(w) // len(rel)) + 2
+        for base in (rel, rel.inverse()):
+            hays.append(enc(base.letters * periods))
+    chars = enc(w.letters)
+    out = []
+    for p in range(len(chars)):
+        # a prefix of a substring is one: bisect on the prefix length
+        lo, hi = 0, len(chars) - p
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if any(chars[p : p + mid] in hay for hay in hays):
+                lo = mid
+            else:
+                hi = mid - 1
+        out.append(lo)
+    return out
+
+
 def admissible_decompositions(
     w: Word, idx: UWordIndex, cap: int | None = 64
 ) -> Iterator[Segmentation]:
@@ -44,7 +114,7 @@ def admissible_decompositions(
     maxstart = idx.max_factor_starting(w)
     if any(m == 0 for m in maxstart):
         raise ValueError("some letter is not a factor of any relator power")
-    _, G = _min_factor_tables(w, maxstart)
+    _, G = oracle_min_factor_tables(maxstart)
     emitted = 0
     for cuts in _cut_sequences(len(w), maxstart, G, None):
         certs = []
@@ -93,7 +163,7 @@ def oracle_max_ith_factor(w: Word, i: int, idx: UWordIndex) -> int:
     """Longest i-th factor over all admissible decompositions (1-based i),
     straight from the forward/backward tables."""
     maxstart = idx.max_factor_starting(w)
-    F, G = _min_factor_tables(w, maxstart)
+    F, G = oracle_min_factor_tables(maxstart)
     k = G[0]
     if not (1 <= i <= k):
         return 0
@@ -120,7 +190,7 @@ def oracle_elementary_i_equivalents(
     maxstart = idx.max_factor_starting(w)
     if any(m == 0 for m in maxstart):
         raise ValueError("some letter is not a factor of any relator power")
-    _, G = _min_factor_tables(w, maxstart)
+    _, G = oracle_min_factor_tables(maxstart)
     k = G[0]
     thr = thresholds.long_factor_letters(idx.max_relator_length)
     out: dict[tuple[int, ...], Word] = {}
@@ -163,7 +233,7 @@ def oracle_elementary_i_equivalents(
                     cand_max = idx.max_factor_starting(candidate)
                     if any(m == 0 for m in cand_max):
                         continue
-                    _, cand_G = _min_factor_tables(candidate, cand_max)
+                    _, cand_G = oracle_min_factor_tables(cand_max)
                     if cand_G[0] != k:
                         continue
                     out[candidate.letters] = candidate
@@ -382,6 +452,102 @@ class TestC1:
         idx = UWordIndex([Word(2, (1, 1, 1))])  # no a2 anywhere
         with pytest.raises(ValueError):
             c1(w("a2"), idx)
+
+
+def table_indices() -> dict[str, UWordIndex]:
+    """Indices with one to three relators: lengths from 4 to 40, a proper
+    power, and one that leaves a generator out."""
+    rng = random.Random(0x7AB1E5)
+    return {
+        "one-24": UWordIndex([random_cyclically_reduced(rng, 2, 24)]),
+        "proper-power": UWordIndex([w("a1 a2 a1 a2")]),
+        "power-and-30": UWordIndex([w("a1 a2 a1 a2"), random_cyclically_reduced(rng, 2, 30)]),
+        "three-5-11-40": UWordIndex(
+            [random_cyclically_reduced(rng, 3, n) for n in (5, 11, 40)]
+        ),
+        "missing-a3": UWordIndex([w("a1 a2 a1 a2^-1", 3), w("a1 a1 a2", 3)]),
+    }
+
+
+TABLE_INDICES = table_indices()
+
+
+def mixed_word(rng: random.Random, idx: UWordIndex, length: int) -> Word:
+    """A reduced word of at most ``length`` letters: relator-power chunks of
+    1-60 letters between random reduced stretches of 0-8 letters."""
+    letters: list[int] = []
+    while len(letters) < length:
+        rel = idx.relators[rng.randrange(len(idx.relators))]
+        if rng.random() < 0.5:
+            rel = rel.inverse()
+        off = rng.randrange(len(rel))
+        size = rng.randrange(1, 61)
+        chunk = (rel.letters * (size // len(rel) + 2))[off : off + size]
+        letters += random_reduced_letters(rng, idx.rank, rng.randrange(0, 9)) + chunk
+    return free_reduce(idx.rank, letters[:length])
+
+
+def signed_powers(idx: UWordIndex, periods: int) -> list[tuple[int, ...]]:
+    return [
+        base.letters * periods for rel in idx.relators for base in (rel, rel.inverse())
+    ]
+
+
+class TestFactorTables:
+    @pytest.mark.parametrize("name", TABLE_INDICES)
+    def test_tables_match_oracle(self, name):
+        # the one-pass tables against the quadratic ones on words of 1-500
+        # letters; the linear passes rest on the reach invariant asserted
+        idx = TABLE_INDICES[name]
+        rng = random.Random(name)
+        uncovered = 0
+        for length in [1, 2, 3, 5, 8, 13, 40, 100, 250, 500] + [rng.randrange(1, 501) for _ in range(20)]:
+            for word in (
+                Word(idx.rank, random_reduced_letters(rng, idx.rank, length)),
+                mixed_word(rng, idx, length),
+            ):
+                if len(word) == 0:
+                    continue
+                maxstart = idx.max_factor_starting(word)
+                assert all(b >= a - 1 for a, b in zip(maxstart, maxstart[1:]))
+                F, G = _min_factor_tables(maxstart)
+                assert (F, G) == oracle_min_factor_tables(maxstart)
+                assert _ith_factor_maxima(maxstart, F, G) == oracle_ith_factor_maxima(
+                    maxstart, F, G
+                )
+                if all(maxstart):
+                    assert c1(word, idx)[0] == G[0]
+                else:
+                    uncovered += 1
+                    assert G[0] == len(word) + 2
+        assert (uncovered > 0) == (name == "missing-a3")
+
+    @pytest.mark.parametrize("name", TABLE_INDICES)
+    def test_max_factor_starting_matches_brute_force(self, name):
+        # lengths on both sides of each period-count boundary (the window
+        # doubles past 2, 6 and 14 periods), power chunks as long as the
+        # word, and words that join the end of one signed power to the
+        # start of another, which no match may span
+        idx = TABLE_INDICES[name]
+        rng = random.Random(name)
+        lengths = {1, 2, 3}
+        for rel in idx.relators:
+            for periods in (2, 6, 14):
+                edge = periods * len(rel)
+                lengths |= {n for n in (edge - 1, edge, edge + 1, edge + 2) if 1 <= n <= 600}
+        for length in sorted(lengths):
+            words = [mixed_word(rng, idx, length)]
+            shortest = min(len(rel) for rel in idx.relators)
+            for power in signed_powers(idx, length // shortest + 2):
+                off = rng.randrange(len(power) - length)
+                words.append(Word(idx.rank, power[off : off + length]))
+            joins = signed_powers(idx, length // shortest + 2)
+            for a, b in zip(joins, joins[1:] + joins[:1]):
+                split = rng.randrange(length + 1)
+                words.append(free_reduce(idx.rank, a[len(a) - split :] + b[: length - split]))
+            for word in words:
+                if len(word):
+                    assert idx.max_factor_starting(word) == brute_force_max_factor_starting(word, idx)
 
 
 class TestAdmissibleDecompositions:
