@@ -11,7 +11,9 @@ lambda value is max piece length over min relator length.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from . import strsearch
@@ -71,24 +73,6 @@ class Presentation:
         return out
 
 
-def _reduce_with_provenance(
-    blocks: Sequence[tuple[int, tuple[int, ...]]]
-) -> list[tuple[int, int, int]]:
-    """Free reduction of concatenated reduced blocks, tracking provenance.
-
-    Each block is (block_id, letters).  Returns the surviving letters as
-    (letter, block_id, offset_in_block).
-    """
-    stack: list[tuple[int, int, int]] = []
-    for block_id, letters in blocks:
-        for offset, letter in enumerate(letters):
-            if stack and stack[-1][0] == -letter:
-                stack.pop()
-            else:
-                stack.append((letter, block_id, offset))
-    return stack
-
-
 def build_relators(v_words: Sequence[Word], u_words: Sequence[Word]) -> Presentation:
     """Derive one relator per index: the generator inverse followed by the
     second-family word with every letter replaced by the corresponding
@@ -113,13 +97,13 @@ def build_relators(v_words: Sequence[Word], u_words: Sequence[Word]) -> Presenta
         raise ValueError("all words must share one length")
     (length,) = lengths
 
+    signed = [(v.letters, v.inverse().letters) for v in v_words]
     relators: list[CyclicWord] = []
     relator_words: list[Word] = []
     sites: list[SubstitutionSite] = []
     degenerate: list[int] = []
     for i, u in enumerate(u_words):
-        blocks: list[tuple[int, tuple[int, ...]]] = [(-1, (-(i + 1),))]
-        block_meta: list[tuple[int, int]] = []  # block_id -> (word_index, sign)
+        blocks: list[tuple[int, ...]] = [(-(i + 1),)]  # block b > 0 is u's letter b - 1
         for letter in u.letters:
             j = abs(letter) - 1
             if j >= n:
@@ -127,38 +111,48 @@ def build_relators(v_words: Sequence[Word], u_words: Sequence[Word]) -> Presenta
                     f"second-family letter a{j + 1} names a generator beyond "
                     f"the {n} first-family words"
                 )
-            sign = 1 if letter > 0 else -1
-            v = v_words[j] if sign > 0 else v_words[j].inverse()
-            block_id = len(block_meta)
-            block_meta.append((j, sign))
-            blocks.append((block_id, v.letters))
-        surviving = _reduce_with_provenance(blocks)
-        # cyclic cancellation trims matched prefix/suffix pairs
-        lo, hi = 0, len(surviving)
-        while hi - lo >= 2 and surviving[lo][0] == -surviving[hi - 1][0]:
-            lo += 1
-            hi -= 1
-        trimmed = surviving[lo:hi]
+            blocks.append(signed[j][letter < 0])
+        # free reduction on a stack of [block, letters, lo, hi] intervals:
+        # a new block cancels against the top only while letters match
+        stack: list[list] = []
+        for b, letters in enumerate(blocks):
+            lo, hi = 0, len(letters)
+            while stack and lo < hi:
+                top = stack[-1]
+                top_letters, top_lo, top_hi = top[1], top[2], top[3]
+                while top_lo < top_hi and lo < hi and top_letters[top_hi - 1] == -letters[lo]:
+                    top_hi -= 1
+                    lo += 1
+                top[3] = top_hi
+                if top_lo < top_hi:
+                    break
+                stack.pop()
+            if lo < hi:
+                stack.append([b, letters, lo, hi])
+        # cyclic cancellation trims the first and last intervals in pairs
+        first, last = 0, len(stack) - 1
+        total = sum(e[3] - e[2] for e in stack)
+        while total >= 2 and stack[first][1][stack[first][2]] == -stack[last][1][stack[last][3] - 1]:
+            stack[first][2] += 1
+            stack[last][3] -= 1
+            total -= 2
+            if stack[first][2] == stack[first][3]:
+                first += 1
+            if last >= first and stack[last][2] == stack[last][3]:
+                last -= 1
+        kept = stack[first : last + 1]
         # freely and cyclically reduced letters of the words' alphabet
-        word = _unchecked(Word, rank=rank, letters=tuple(rec[0] for rec in trimmed))
+        word = _unchecked(Word, rank=rank, letters=tuple(chain.from_iterable(e[1][e[2] : e[3]] for e in kept)))
+        relator_words.append(word)
         if len(word) == 0:
             degenerate.append(i)
-            relator_words.append(word)
             relators.append(CyclicWord(word))
             continue
-        relator_words.append(word)
         relators.append(CyclicWord.from_cyclically_reduced(word))
-        per_block: dict[int, tuple[int, int]] = {}
-        for letter, block_id, offset in trimmed:
-            if block_id < 0:
-                continue
-            lo_off, hi_off = per_block.get(block_id, (offset, offset + 1))
-            per_block[block_id] = (min(lo_off, offset), max(hi_off, offset + 1))
-        for block_id, (word_index, sign) in enumerate(block_meta):
-            span = per_block.get(block_id)
-            if span is None:
-                span = (0, 0)
-            sites.append(SubstitutionSite(i, block_id, word_index, sign, span))
+        spans = {e[0]: (e[2], e[3]) for e in kept}
+        for b, letter in enumerate(u.letters, 1):
+            sign = 1 if letter > 0 else -1
+            sites.append(SubstitutionSite(i, b - 1, abs(letter) - 1, sign, spans.get(b, (0, 0))))
     return Presentation(
         rank=rank,
         length=length,
@@ -201,13 +195,25 @@ def trim_surviving_middles(p: Presentation) -> Presentation:
     for j, (lo, hi) in enumerate(intervals):
         v_prime.append(p.v_words[j].subword(lo, lo + n_prime))
         offsets.append(lo)
-    # re-scan: the trimmed middle must occur uncancelled at every site
+    # re-scan: each relator reads its sites' surviving letters in block
+    # order after the generator letter, if that survived, and the trimmed
+    # middle must occur there uncancelled at every site
+    middles = {(j, 1): v.letters for j, v in enumerate(v_prime)}
+    middles.update({(j, -1): v.inverse().letters for j, v in enumerate(v_prime)})
+    at = [len(word) for word in p.relator_words]
+    for site in p.sites:
+        at[site.relator] -= site.survived[1] - site.survived[0]
     for site in p.sites:
         lo, hi = site.survived
-        if site.sign < 0:
-            lo, hi = p.length - hi, p.length - lo
+        start = at[site.relator]
+        at[site.relator] += hi - lo
         off = offsets[site.word_index]
-        assert lo <= off and off + n_prime <= hi, "trimmed middle not covered at a site"
+        skip = off - lo if site.sign > 0 else p.length - off - n_prime - lo
+        letters = p.relator_words[site.relator].letters
+        if not (0 <= start and 0 <= skip <= hi - lo - n_prime) or (
+            letters[start + skip : start + skip + n_prime] != middles[(site.word_index, site.sign)]
+        ):
+            raise DegeneratePresentationError("trimmed middle not covered at a site")
     p.v_prime = tuple(v_prime)
     p.n_prime = n_prime
     return p
@@ -296,10 +302,11 @@ def _pair_pieces(relators: Sequence[CyclicWord]) -> dict[tuple[int, int], int]:
     readings agree for ever (a proper power, or relators whose
     primitive roots are conjugate), which scores the cap.  Left-maximal
     pairs with extension >= ``_SEED_LENGTH`` share their first seed
-    window and are found by grouping windows; extensions are measured by
-    slice comparison, skipping pairs that cannot beat the pair's best so
-    far.  Pairs left below the seed length are settled by bisection over
-    window sets.
+    window, which follows two distinct letters there; only such windows
+    are grouped, by ``str.find``.  Extensions are measured by slice
+    comparison, skipping sites whose letters differ from every partner's
+    within the pair's best so far.  Pairs left below the seed length are
+    settled by bisection over window sets.
     """
     seed = _SEED_LENGTH
     lengths = [len(r) for r in relators]
@@ -329,41 +336,50 @@ def _pair_pieces(relators: Sequence[CyclicWord]) -> dict[tuple[int, int], int]:
                 key = (owner[t1], owner[t2])
                 best[key] = cap[key]
 
-    groups: dict[str, list[tuple[int, int]]] = {}
-    for t, d in enumerate(texts):
-        L = lengths[owner[t]]
-        if L < seed:
+    # a left-maximal pair's seed window follows two distinct letters: count
+    # the distinct (letter, seed window) windows of every seed window; those
+    # of an inverse text are the inverses of its plain text's windows
+    long_texts = [(t, d, lengths[owner[t]]) for t, d in enumerate(texts) if lengths[owner[t]] >= seed]
+    plain = {d[o - 1 : o + seed] for t, d, L in long_texts if t % 2 == 0 for o in range(1, L + 1)}
+    lefts = Counter(window[1:] for window in plain | set(map(strsearch.inverse_chars, plain)))
+    for window, count in lefts.items():
+        if count < 2:
             continue
-        for o in range(L):
-            window = d[o : o + seed]
-            group = groups.get(window)
-            if group is None:
-                groups[window] = [(t, o)]
-            else:
-                group.append((t, o))
-    for group in groups.values():
-        if len(group) < 2:
-            continue
+        group = [(t, o) for t, d, L in long_texts for o in strsearch.all_occurrences(d[: L + seed - 1], window)]
         by_prev: dict[str, list[tuple[int, int]]] = {}
         for t, o in group:
             by_prev.setdefault(texts[t][o - 1], []).append((t, o))
         runs = list(by_prev.values())
         for x, run in enumerate(runs):
             for other in runs[x + 1 :]:
+                partners: dict[int, list[tuple[int, int]]] = {}
+                for t2, o2 in other:
+                    partners.setdefault(owner[t2], []).append((t2, o2))
+                # (owner, known) -> the partners' letters past the seed, up to known + 1
+                ahead: dict[tuple[int, int], set[str]] = {}
                 for t1, o1 in run:
-                    for t2, o2 in other:
-                        i, j = owner[t1], owner[t2]
+                    a, i = texts[t1], owner[t1]
+                    for j, members in partners.items():
                         key = (i, j) if i <= j else (j, i)
                         known, limit = best[key], cap[key]
                         if known >= limit:
                             continue
-                        a, b = texts[t1], texts[t2]
-                        if known >= seed and (
-                            a[o1 + seed : o1 + known + 1] != b[o2 + seed : o2 + known + 1]
-                        ):
-                            continue  # cannot beat the best: its first known + 1 letters differ
-                        start = min(max(seed, known + 1), limit)
-                        best[key] = _common_extension(a, o1, b, o2, start, limit)
+                        if known >= seed:
+                            if (j, known) not in ahead:
+                                ahead[(j, known)] = {texts[t2][o2 + seed : o2 + known + 1] for t2, o2 in members}
+                            if a[o1 + seed : o1 + known + 1] not in ahead[(j, known)]:
+                                continue  # no partner can beat the best
+                        for t2, o2 in members:
+                            known = best[key]
+                            if known >= limit:
+                                break
+                            b = texts[t2]
+                            if known >= seed and (
+                                a[o1 + seed : o1 + known + 1] != b[o2 + seed : o2 + known + 1]
+                            ):
+                                continue  # cannot beat the best: its first known + 1 letters differ
+                            start = min(max(seed, known + 1), limit)
+                            best[key] = _common_extension(a, o1, b, o2, start, limit)
 
     def windows(i: int, m: int) -> list[str]:
         return [d[o : o + m] for d in texts[2 * i : 2 * i + 2] for o in range(lengths[i])]

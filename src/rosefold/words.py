@@ -14,6 +14,8 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
+from .strsearch import _Table, all_occurrences, letters_to_chars
+
 
 def check_letter(letter: int, rank: int) -> None:
     if letter == 0 or abs(letter) > rank:
@@ -98,16 +100,47 @@ def free_reduce(rank: int, letters: Sequence[int]) -> Word:
     return Word(rank, tuple(stack))
 
 
+# tied starts compared by one ``min`` over their rotations; the derived
+# relators of ``presentations`` have up to about N, and at 256 the slices
+# cost about one two-pointer scan of a proper power
+_ROTATION_STARTS = 256
+
+
 def _least_rotation(letters: tuple[int, ...]) -> int:
-    """Smallest index of a lexicographically least rotation, in linear time:
-    the two-pointer scan over candidate starts i != j with common prefix k.
-    A mismatch rules out the greater candidate and the k starts after it;
-    a common prefix of full length makes the lesser start the answer."""
+    """Smallest index of a lexicographically least rotation.  A least
+    rotation starts with the longest cyclic run of the least letter, found
+    by doubling ``in`` tests on the word read twice (character order is
+    ``letter_key`` order); with at most ``_ROTATION_STARTS`` such runs
+    one ``min`` over their rotations picks it, else ``_scan_least_rotation``
+    keeps the cost linear."""
     n = len(letters)
-    keys = [2 * abs(l) + (l < 0) for l in letters]  # the order of letter_key
+    if n == 0:
+        return 0
+    s = letters_to_chars(letters)
+    d, least = s + s, min(s)
+    lo, hi = 1, 2  # a run of lo least letters occurs; none of hi, or hi > n
+    while hi <= n and least * hi in d:
+        lo, hi = hi, 2 * hi
+    hi = min(hi, n + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if least * mid in d else (lo, mid)
+    if lo == n:
+        return 0
+    starts = all_occurrences(d[: n + lo - 1], least * lo)
+    if len(starts) > _ROTATION_STARTS:
+        return _scan_least_rotation(d, n)
+    return min(starts, key=lambda p: d[p : p + n])
+
+
+def _scan_least_rotation(d: str, n: int) -> int:
+    """The two-pointer scan over candidate starts i != j with common prefix
+    k, on a word of ``n`` letters read twice: a mismatch rules out the
+    greater candidate and the k starts after it; a common prefix of full
+    length makes the lesser start the answer."""
     i, j, k = 0, 1, 0
     while i < n and j < n and k < n:
-        a, b = keys[(i + k) % n], keys[(j + k) % n]
+        a, b = d[i + k], d[j + k]
         if a == b:
             k += 1
             continue
@@ -326,8 +359,11 @@ def format_letter(letter: int) -> str:
     return f"a{letter}" if letter > 0 else f"a{-letter}^-1"
 
 
+_FORMATTED = _Table(format_letter)
+
+
 def format_word(word: Word) -> str:
-    return " ".join(format_letter(l) for l in word.letters)
+    return " ".join(map(_FORMATTED.__getitem__, word.letters))
 
 
 def parse_letter(token: str, rank: int) -> int:

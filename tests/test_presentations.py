@@ -1,3 +1,4 @@
+import dataclasses
 from typing import Sequence
 
 import pytest
@@ -5,7 +6,9 @@ import pytest
 from conftest import random_cyclically_reduced
 from rosefold import presentations, strsearch
 from rosefold.presentations import (
+    DegeneratePresentationError,
     PieceReport,
+    SubstitutionSite,
     build_relators,
     piece_report,
     sample_presentation,
@@ -40,6 +43,69 @@ def naive_substitution(v_words, u_words, i):
     return word
 
 
+def _reduce_with_provenance(blocks):
+    """Free reduction of concatenated reduced blocks, letter by letter.
+    Each block is (block_id, letters); returns the surviving letters as
+    (letter, block_id, offset_in_block)."""
+    stack = []
+    for block_id, letters in blocks:
+        for offset, letter in enumerate(letters):
+            if stack and stack[-1][0] == -letter:
+                stack.pop()
+            else:
+                stack.append((letter, block_id, offset))
+    return stack
+
+
+def letterwise_build_relators(v_words, u_words):
+    """Slow-path oracle for ``build_relators``: reduce letter by letter
+    with provenance, trim cyclically, and read each block's surviving span
+    off the min and max offsets of its surviving letters.  Returns
+    (relators, relator_words, sites, degenerate_indices)."""
+    rank = v_words[0].rank
+    relators, relator_words, sites, degenerate = [], [], [], []
+    for i, u in enumerate(u_words):
+        blocks = [(-1, (-(i + 1),))]
+        block_meta = []
+        for letter in u.letters:
+            j = abs(letter) - 1
+            sign = 1 if letter > 0 else -1
+            v = v_words[j] if sign > 0 else v_words[j].inverse()
+            blocks.append((len(block_meta), v.letters))
+            block_meta.append((j, sign))
+        surviving = _reduce_with_provenance(blocks)
+        lo, hi = 0, len(surviving)
+        while hi - lo >= 2 and surviving[lo][0] == -surviving[hi - 1][0]:
+            lo += 1
+            hi -= 1
+        trimmed = surviving[lo:hi]
+        word = Word(rank, tuple(rec[0] for rec in trimmed))
+        relator_words.append(word)
+        if len(word) == 0:
+            degenerate.append(i)
+            relators.append(CyclicWord(word))
+            continue
+        relators.append(CyclicWord.from_cyclically_reduced(word))
+        per_block = {}
+        for _, block_id, offset in trimmed:
+            if block_id < 0:
+                continue
+            lo_off, hi_off = per_block.get(block_id, (offset, offset + 1))
+            per_block[block_id] = (min(lo_off, offset), max(hi_off, offset + 1))
+        for block_id, (word_index, sign) in enumerate(block_meta):
+            span = per_block.get(block_id, (0, 0))
+            sites.append(SubstitutionSite(i, block_id, word_index, sign, span))
+    return tuple(relators), tuple(relator_words), tuple(sites), tuple(degenerate)
+
+
+def assert_matches_letterwise(v, u):
+    p = build_relators(v, u)
+    assert (p.relators, p.relator_words, p.sites, p.degenerate_indices) == (
+        letterwise_build_relators(v, u)
+    )
+    return p
+
+
 class TestBuildRelators:
     def test_hand_example(self):
         v = [w("a1 a2"), w("a2 a1")]
@@ -61,6 +127,37 @@ class TestBuildRelators:
             p = build_relators(v, u)
             for i in range(n):
                 assert p.relator_words[i] == naive_substitution(v, u, i)
+
+    def test_matches_letterwise_derivation(self, rng):
+        # n <= rank word pairs; short words make total cancellation and
+        # blocks consumed whole by their neighbours common
+        seen = {"degenerate": 0, "consumed": 0}
+        for _ in range(600):
+            rank = rng.choice((2, 3))
+            n = rng.randrange(1, rank + 1)
+            length = rng.randrange(1, 13)
+            v = [Word(rank, random_reduced_letters(rng, rank, length)) for _ in range(n)]
+            u = [
+                Word(rank, random_reduced_letters(rng, n, length)) for _ in range(n)
+            ]
+            p = assert_matches_letterwise(v, u)
+            seen["degenerate"] += p.degenerate
+            seen["consumed"] += any(site.survived == (0, 0) for site in p.sites)
+        assert seen["degenerate"] and seen["consumed"]
+
+    def test_consumed_blocks_by_hand(self):
+        # relator 0: a1^-1 . a1 a2 . a2^-1 a1^-1, block 0 eaten from both ends;
+        # relator 1: a2^-1 . a2^-1 a1^-1 . a1 a2, both blocks eaten whole
+        p = assert_matches_letterwise([w("a1 a2"), w("a2^-1 a1^-1")], [w("a1 a2"), w("a2 a1")])
+        assert p.relator_words == (w("a1^-1"), w("a2^-1"))
+        assert [(s.relator, s.block, s.word_index, s.survived) for s in p.sites] == [
+            (0, 0, 0, (0, 0)), (0, 1, 1, (1, 2)), (1, 0, 1, (0, 0)), (1, 1, 0, (0, 0)),
+        ]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sampled_presentations_match_letterwise(self, seed):
+        p, _ = sample_presentation(2, 60, seed=seed)
+        assert_matches_letterwise(p.v_words, p.u_words)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -114,6 +211,24 @@ class TestTrim:
                         or chars[k : k + len(vp)] == vp.inverse().letters
                         for k in range(len(chars))
                     )
+
+    def test_corrupted_span_raises(self):
+        # the re-scan reads each site's middle off the relator letters, so a
+        # span that is mirrored or one letter short no longer covers it,
+        # though the spans still have a common middle
+        p, _ = sample_presentation(2, 30, seed=4)
+        fresh = lambda: build_relators(p.v_words, p.u_words)
+        assert trim_surviving_middles(fresh()).v_prime == p.v_prime
+        k, site = next(
+            (k, site) for k, site in enumerate(p.sites)
+            if site.sign < 0 and site.survived[0] != 30 - site.survived[1]
+        )
+        lo, hi = site.survived
+        for span in ((30 - hi, 30 - lo), (lo, hi - 1)):
+            q = fresh()
+            q.sites = q.sites[:k] + (dataclasses.replace(site, survived=span),) + q.sites[k + 1 :]
+            with pytest.raises(DegeneratePresentationError, match="not covered"):
+                trim_surviving_middles(q)
 
     def test_generic_middle_fraction(self, rng):
         good = 0
@@ -397,6 +512,97 @@ class TestOnePassPieces:
         for _ in range(25):
             rels = random_relators(rng, rng.choice((1, 2, 3)), 2, 30)
             assert piece_report(rels).pair_table == brute_force_max_piece(rels)[1]
+
+
+def planted(rank: int, parts) -> CyclicWord | None:
+    """The cyclic word of the concatenated parts (letter tuples), or None
+    when it is not cyclically reduced."""
+    word = free_reduce(rank, [l for part in parts for l in part])
+    if not word or not word.is_cyclically_reduced:
+        return None
+    return CyclicWord.from_cyclically_reduced(word)
+
+
+def seed_left_letters(rels) -> dict[str, set[str]]:
+    """Every seed window of the symmetrized family with the letters that
+    precede it at its sites."""
+    lefts: dict[str, set[str]] = {}
+    seed = presentations._SEED_LENGTH
+    for rel in rels:
+        chars = strsearch.letters_to_chars(rel.word.letters)
+        for signed in (chars, strsearch.inverse_chars(chars)):
+            doubled = signed * 3
+            for o in range(len(signed), 2 * len(signed)):
+                lefts.setdefault(doubled[o : o + seed], set()).add(doubled[o - 1])
+    return lefts
+
+
+class TestSeedFilter:
+    """``_pair_pieces`` groups only the seed windows that follow two
+    distinct letters; the tables still match both oracles."""
+
+    def assert_matches(self, rels):
+        report = piece_report(rels)
+        assert (report.max_piece_length, report.pair_table) == brute_force_max_piece(rels)
+        assert report == rolling_hash_piece_report(rels)
+        return report
+
+    def test_window_repeating_after_one_letter(self, rng):
+        # y X occurs twice after distinct letters, so every seed window
+        # inside X repeats after y alone and is skipped
+        hits = 0
+        for _ in range(30):
+            stretch = random_reduced_letters(rng, 2, rng.randrange(14, 30))
+            y = rng.choice([l for l in (1, -1, 2, -2) if l != -stretch[0]])
+            z1, z2 = rng.sample([l for l in (1, -1, 2, -2) if l != -y], 2)
+            pads = [random_reduced_letters(rng, 2, rng.randrange(3, 12)) for _ in range(2)]
+            rels = [planted(2, (pads[0], (z1, y), stretch)), planted(2, (pads[1], (z2, y), stretch))]
+            if None in rels:
+                continue
+            lefts = seed_left_letters(rels)
+            window = strsearch.letters_to_chars(stretch[: presentations._SEED_LENGTH])
+            if len(lefts[window]) != 1:
+                continue
+            hits += 1
+            report = self.assert_matches(rels)
+            assert report.pair_table[(0, 1)] >= len(stretch) + 1
+        assert hits >= 10
+
+    def test_rank_three_families_of_three_relators(self, rng):
+        for _ in range(12):
+            rels = [random_cyclically_reduced(rng, 3, rng.randrange(12, 40)) for _ in range(3)]
+            # share a long stretch of one relator with another, forwards or inverted
+            a, b = rng.sample(range(3), 2)
+            stretch = rels[a].letters[: rng.randrange(12, len(rels[a]) + 1)]
+            if rng.random() < 0.5:
+                stretch = Word(3, stretch).inverse().letters
+            family = [CyclicWord.from_cyclically_reduced(w) for w in rels]
+            extra = planted(3, (stretch, random_reduced_letters(rng, 3, rng.randrange(2, 9))))
+            if extra is not None:
+                family[b] = extra
+            self.assert_matches(family)
+
+    @pytest.mark.parametrize("lengths", [(11,), (12,), (13,), (11, 12), (12, 13), (11, 12, 13), (13, 13)])
+    def test_relators_around_the_seed_length(self, rng, lengths):
+        for _ in range(10):
+            rels = [random_cyclically_reduced(rng, 2, length) for length in lengths]
+            family = [CyclicWord.from_cyclically_reduced(w) for w in rels]
+            self.assert_matches(family)
+            # a relator sharing all but its last letter with the first one
+            head = rels[0].letters[:-1]
+            for last in (1, -1, 2, -2):
+                extra = planted(2, (head, (last,)))
+                if extra is not None and len(extra) == len(rels[0]):
+                    self.assert_matches(family + [extra])
+
+    def test_counts_one_left_letter_per_window(self):
+        # the seed counts are over distinct (letter, seed window) windows,
+        # one per left letter; counting each distinct seed window once
+        # leaves no seed with two left letters, and this pair's longest
+        # piece falls to the seed length less one
+        p, _ = sample_presentation(2, 5, seed=1)
+        report = self.assert_matches(p.relators)
+        assert report.pair_table[(0, 0)] == 15
 
 
 class TestSampler:

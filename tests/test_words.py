@@ -1,11 +1,13 @@
 import random
+import time
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rosefold import strsearch
+from rosefold import strsearch, words
+from rosefold.presentations import sample_presentation
 from rosefold.words import (
     CyclicWord,
     GenTuple,
@@ -179,6 +181,87 @@ class TestLeastRotation:
         letters = (1, 2, -1, 2) * 1000
         assert _least_rotation(letters) == 0
         assert _least_rotation(letters[1:] + letters[:1]) == 3
+
+
+def least_letter_runs(letters: tuple[int, ...]) -> tuple[int, int]:
+    """Length and number of the longest cyclic runs of the least letter."""
+    least = min(letters, key=letter_key)
+    doubled = letters * 2
+    runs = []
+    for p in range(len(letters)):
+        if letters[p] == least and letters[p - 1] != least:
+            k = 0
+            while k < len(letters) and doubled[p + k] == least:
+                k += 1
+            runs.append(k)
+    return max(runs), runs.count(max(runs))
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """Calls of the two-pointer fallback, as (letters read twice, n)."""
+    calls = []
+    scan = words._scan_least_rotation
+
+    def spy(d, n):
+        calls.append((d, n))
+        return scan(d, n)
+
+    monkeypatch.setattr(words, "_scan_least_rotation", spy)
+    return calls
+
+
+class TestLeastRotationFastPath:
+    """The run-start path of ``_least_rotation`` against the oracle, and
+    its two-pointer fallback past ``_ROTATION_STARTS`` tied runs."""
+
+    @pytest.mark.parametrize("length", [60, 90, 120])
+    def test_derived_relators(self, length, scans):
+        relators = [w for seed in range(3) for w in sample_presentation(2, length, seed=seed)[0].relator_words]
+        scans.clear()
+        ties = []
+        for word in relators:
+            ties.append(least_letter_runs(word.letters)[1])
+            assert _least_rotation(word.letters) == oracle_least_rotation(word.letters)
+        # dozens of tied runs, each compared by the run-start path
+        assert max(ties) >= 20
+        assert len(scans) == sum(t > words._ROTATION_STARTS for t in ties)
+
+    @pytest.mark.parametrize("letter", [1, -1, 2, -3])
+    @pytest.mark.parametrize("n", [1, 2, 7, 300])
+    def test_one_letter(self, letter, n, scans):
+        assert _least_rotation((letter,) * n) == 0
+        assert not scans
+
+    @pytest.mark.parametrize(
+        "root, tail", [((1, 2, -1, 2), (1, 2)), ((2, 1, 1, -2, -2, 1), (2, 1, 1)), ((-1, 2, -1, -2, -1, -2, 3), (-1, 2))]
+    )
+    def test_more_tied_starts_than_the_cap(self, root, tail, scans):
+        copies = words._ROTATION_STARTS + 1
+        # every rotation of a proper power, which ties at every period, and a
+        # power with a partial period appended
+        cases = [(root[cut:] + root[:cut]) * copies for cut in range(len(root))]
+        for letters in cases + [root * copies + tail]:
+            assert least_letter_runs(letters)[1] > words._ROTATION_STARTS
+            calls = len(scans)
+            k = _least_rotation(letters)
+            assert len(scans) == calls + 1
+            if letters in cases:
+                # the power's least rotation is its root's
+                assert k == oracle_least_rotation(letters[: len(root)])
+            else:
+                assert k == oracle_least_rotation(letters)
+
+    def test_long_periodic_word_stays_linear(self, scans):
+        letters = (1, 2, -1, 2, 2, 1, -2) * 14285 + (1, 2, -1, 2, 2)
+        assert len(letters) == 100_000
+        start = time.perf_counter()
+        k = _least_rotation(letters)
+        elapsed = time.perf_counter() - start
+        assert len(scans) == 1 and elapsed < 0.5
+        # the rotation from the partial period reads a1 as its sixth letter,
+        # where every rotation from a whole period reads a2^-1
+        assert k == 7 * 14285
 
 
 class TestNielsen:
