@@ -90,7 +90,6 @@ class UWordIndex:
             self._chars[(i, -1)] = strsearch.letters_to_chars(word.inverse().letters)
         self._powers: dict[tuple[int, int, int], str] = {}
         self._union_sams: dict[tuple[int, ...], strsearch.SuffixAutomaton] = {}
-        self._rotations: set[tuple[int, ...]] | None = None
 
     def missing_letters(self) -> list[int]:
         present = {abs(l) for rel in self.relators for l in rel.letters}
@@ -113,16 +112,6 @@ class UWordIndex:
         if cached is None:
             cached = self._powers[key] = self._chars[(relator, sign)] * key[2]
         return cached
-
-    def rotation_set(self) -> set[tuple[int, ...]]:
-        if self._rotations is None:
-            self._rotations = {
-                base.rotation(k).letters
-                for word in self.relators
-                for base in (word, word.inverse())
-                for k in range(len(base))
-            }
-        return self._rotations
 
     def _certificate_scan(self, z: Word) -> Iterator[UCert]:
         """Certificates in (relator, sign) order, one rotation each."""
@@ -615,8 +604,10 @@ def reduction_move(
     The pattern-replacement pair must satisfy: pattern * replacement^-1
     is literally a rotation of a relator or of an inverse relator.
     """
-    glued = pattern.letters + replacement.inverse().letters
-    if tuple(glued) not in idx.rotation_set():
+    glued = strsearch.letters_to_chars(pattern.letters + replacement.inverse().letters)
+    # a string of a relator's length occurs in the relator read twice
+    # exactly when it is one of the relator's rotations
+    if not any(len(s) == len(glued) and glued in s + s for s in idx._chars.values()):
         raise ValueError("pattern * replacement^-1 is not a relator rotation")
     if occurrence_set is None:
         occurrence_set = strsearch.greedy_disjoint(w.letters, pattern.letters)

@@ -44,7 +44,8 @@ from .graphs import (
     betti,
     format_graph,
 )
-from .words import Word, check_letter
+from .strsearch import _INDEX, _alphabet, _letter_rows
+from .words import Word
 
 
 def lift_paths(g: LabeledGraph, w: Word, start: int) -> Iterator[EdgePath]:
@@ -64,16 +65,6 @@ def lift_paths(g: LabeledGraph, w: Word, start: int) -> Iterator[EdgePath]:
                 stack.append((tgt, tokens + (tok,)))
 
 
-def _letters(rank: int) -> list[int]:
-    """The 2 * rank letters in ``letter_key`` order; a letter's position
-    in this list is its index, and ``i ^ 1`` indexes the inverse of ``i``."""
-    return [s * gen for gen in range(1, rank + 1) for s in (1, -1)]
-
-
-def _letter_index(letter: int) -> int:
-    return 2 * abs(letter) - 2 + (letter < 0)
-
-
 def _mask_image(row: list[int], mask: int) -> int:
     """The image of the vertex set ``mask`` under one letter's ``row``:
     the union of the rows of its set bits."""
@@ -91,21 +82,22 @@ def _witness(
     """The lexicographically least shortest reduced word of length <=
     max_len that lifts nowhere, as a tuple of ``letters``, or None.
 
-    Letters are handled by index (``_letters``).  ``heads[i]`` is the set
-    of vertices at which the edges reading letter ``i`` end: the image of
-    the full vertex set under ``i``, and the set of vertices from which
-    ``i ^ 1`` can be read (its tails).  A word that lifts to the vertex set
-    ``mask`` fails at a next letter ``j`` exactly when ``mask`` meets none
-    of the tails of ``j``; the inverse of the last letter never fails,
-    since ``mask`` lies inside that letter's heads.  So a letter that no
-    edge reads is a witness of length 1, a pair ``x y`` with ``heads[x] &
-    heads[y ^ 1] == 0`` one of length 2, and each longer length is one
-    pass of bit-ands over the states of the length before it.  Only a
-    search past length 2 calls ``rows_of`` (per letter index, each
-    vertex's target mask) and walks the power set: breadth first over
-    (vertex set, last letter) states from the length-1 states, each state
-    kept the first time it is reached, which is the walk from the full
-    vertex set; so the answer is the least word of the least length."""
+    Letters are handled by index (``strsearch._INDEX``); ``letters`` lists
+    them in index order.  ``heads[i]`` is the set of vertices at which the
+    edges reading letter ``i`` end: the image of the full vertex set under
+    ``i``, and the set of vertices from which ``i ^ 1`` can be read (its
+    tails).  A word that lifts to the vertex set ``mask`` fails at a next
+    letter ``j`` exactly when ``mask`` meets none of the tails of ``j``; the
+    inverse of the last letter never fails, since ``mask`` lies inside that
+    letter's heads.  So a letter that no edge reads is a witness of length
+    1, a pair ``x y`` with ``heads[x] & heads[y ^ 1] == 0`` one of length 2,
+    and each longer length is one pass of bit-ands over the states of the
+    length before it.  Only a search past length 2 calls ``rows_of`` (per
+    letter index, each vertex's target mask) and walks the power set:
+    breadth first over (vertex set, last letter) states from the length-1
+    states, each state kept the first time it is reached, which is the walk
+    from the full vertex set; so the answer is the least word of the least
+    length."""
     if max_len < 1:
         return None
     if 0 in heads:
@@ -147,18 +139,11 @@ def _witness(
 def shortest_non_lifting_word(g: LabeledGraph, max_len: int) -> Word | None:
     """Lexicographically least shortest reduced word with no lift anywhere
     in ``g``, or None when every reduced word of length <= max_len lifts.
-    One ``_witness`` search: the 1- and 2-letter tests read head masks
-    taken from the edges, and ``g.letter_rows`` is read only when the
-    search goes on to length 3."""
-    letters = _letters(g.rank)
-    heads = [0] * len(letters)
-    for src, dst, label in g.edges:
-        i = _letter_index(label)
-        heads[i] |= 1 << dst
-        heads[i ^ 1] |= 1 << src
-    word = _witness(
-        letters, heads, lambda: [g.letter_rows[letter] for letter in letters], max_len
-    )
+    One ``_witness`` search on ``g.letter_rows``, each letter's heads the
+    union of its row."""
+    rows = g.letter_rows
+    heads = [functools.reduce(operator.or_, row, 0) for row in rows]
+    word = _witness(_alphabet(g.rank), heads, lambda: rows, max_len)
     return None if word is None else Word(g.rank, word)
 
 
@@ -169,8 +154,8 @@ def lifts_somewhere(g: LabeledGraph, w: Word) -> bool:
         raise ValueError("rank mismatch")
     rows = g.letter_rows
     mask = (1 << g.num_vertices) - 1
-    for letter in w.letters:
-        mask = _mask_image(rows[letter], mask)
+    for i in map(_INDEX.__getitem__, w.letters):
+        mask = _mask_image(rows[i], mask)
         if not mask:
             return False
     return True
@@ -306,17 +291,19 @@ class CandidateShape:
 
     The shape's edges come in parallel groups (``_parallel_groups``); an
     assignment (``blocks``) holds, per group, the sorted indices into that
-    group's label choices.  The masks of an assignment are one int of
-    ``num_vertices``-bit fields: field ``i < 2 * rank`` holds the heads of
-    letter index ``i`` (the vertices at which its edges end), and field
-    ``2 * rank + gen - 1`` the vertices carrying a loop labelled ``gen``.
-    ``contributions`` holds, per group and per block, the OR of the bits
-    its edges set, so the masks of an assignment are the OR of one entry
-    per group.
+    group's label choices, which are letter indexes (``strsearch._INDEX``):
+    every letter for an arc, the generators for a loop.  The masks of an
+    assignment are one int of ``num_vertices``-bit fields: field
+    ``i < 2 * rank`` holds the heads of letter index ``i`` (the vertices at
+    which its edges end), and field ``2 * rank + gen - 1`` the vertices
+    carrying a loop labelled ``gen``.  ``contributions`` holds, per group and per
+    block, the OR of the bits its edges set, so the masks of an assignment
+    are the OR of one entry per group.
 
     ``LabeledGraph.__post_init__``'s checks run here once per shape: the
-    vertex count, every endpoint and every label choice, so every graph
-    that ``graph`` builds on this shape would pass them."""
+    vertex count and every endpoint (every label choice is a letter of the
+    rank), so every graph that ``graph`` builds on this shape would pass
+    them."""
 
     def __init__(self, rank: int, nv: int, pairs: tuple[tuple[int, int], ...]):
         if nv < 1:
@@ -325,20 +312,18 @@ class CandidateShape:
         self.num_vertices = nv
         self.num_edges = len(pairs)
         self.groups = _parallel_groups(pairs)
-        self.letters = _letters(rank)
-        loop_labels = list(range(1, rank + 1))
-        self.choices = [loop_labels if a == b else self.letters for (a, b), _ in self.groups]
-        for ((a, b), _), labels in zip(self.groups, self.choices):
+        self.letters = _alphabet(rank)
+        arc_choices, loop_choices = list(range(2 * rank)), list(range(0, 2 * rank, 2))
+        self.choices = [loop_choices if a == b else arc_choices for (a, b), _ in self.groups]
+        for (a, b), _ in self.groups:
             if not (0 <= a < nv and 0 <= b < nv):
                 raise ValueError("edge endpoint outside vertex range")
-            for label in labels:
-                check_letter(label, rank)
         self.blocks = [
             list(itertools.combinations_with_replacement(range(len(labels)), size))
             for labels, (_, size) in zip(self.choices, self.groups)
         ]
-        # a non-loop's choices alternate signs, so ``j ^ 1`` is the index of
-        # the reversed label; an automorphism never reverses a loop
+        # a non-loop's choice ``j`` is letter index ``j``, so ``j ^ 1`` is the
+        # reversed label; an automorphism never reverses a loop
         reversed_blocks = [
             {block: tuple(sorted(j ^ 1 for j in block)) for block in blocks}
             for blocks in self.blocks
@@ -360,25 +345,28 @@ class CandidateShape:
             }
             for blocks in self.blocks
         ]
-        # per group, the letter index of each label choice, and the bits
-        # one edge with that label sets
-        self.indexes = [[_letter_index(label) for label in labels] for labels in self.choices]
+        # per group and block, the bits its edges set
         self.contributions = []
-        for ((a, b), _), indexes, blocks in zip(self.groups, self.indexes, self.blocks):
-            bits = [1 << (nv * i + b) | 1 << (nv * (i ^ 1) + a) for i in indexes]
+        for ((a, b), _), choices, blocks in zip(self.groups, self.choices, self.blocks):
+            bits = [1 << (nv * i + b) | 1 << (nv * (i ^ 1) + a) for i in choices]
             if a == b:
                 bits = [edge | 1 << (shift + a) for edge, shift in zip(bits, self.loop_shifts)]
             self.contributions.append(
                 [functools.reduce(operator.or_, (bits[j] for j in block)) for block in blocks]
             )
 
-    def graph(self, blocks: tuple[tuple[int, ...], ...]) -> LabeledGraph:
-        """The assignment's labelled graph, its edges group by group."""
-        edges = tuple(
-            (a, b, labels[j])
-            for ((a, b), _), labels, block in zip(self.groups, self.choices, blocks)
+    def _edges(self, blocks: tuple[tuple[int, ...], ...]) -> list[tuple[int, int, int]]:
+        """The assignment's edges group by group, as (src, dst, letter index)."""
+        return [
+            (a, b, choices[j])
+            for ((a, b), _), choices, block in zip(self.groups, self.choices, blocks)
             for j in block
-        )
+        ]
+
+    def graph(self, blocks: tuple[tuple[int, ...], ...]) -> LabeledGraph:
+        """The assignment's labelled graph."""
+        letters = self.letters
+        edges = tuple((a, b, letters[i]) for a, b, i in self._edges(blocks))
         return LabeledGraph(self.rank, self.num_vertices, edges)
 
     def heads(self, masks: int) -> list[int]:
@@ -387,14 +375,9 @@ class CandidateShape:
         return [masks >> shift & full for shift in self.head_shifts]
 
     def rows(self, blocks: tuple[tuple[int, ...], ...]) -> list[list[int]]:
-        """Per letter index, each vertex's target mask (the letter rows)."""
-        rows = [[0] * self.num_vertices for _ in self.head_shifts]
-        for ((a, b), _), indexes, block in zip(self.groups, self.indexes, blocks):
-            for j in block:
-                i = indexes[j]
-                rows[i][a] |= 1 << b
-                rows[i ^ 1][b] |= 1 << a
-        return rows
+        """Per letter index, each vertex's target mask: the letter rows of
+        ``graph(blocks)``, built without the graph."""
+        return _letter_rows(self.rank, self.num_vertices, self._edges(blocks))
 
     def rose_lift(self, masks: int) -> bool:
         """Does some vertex carry a loop for every generator?"""

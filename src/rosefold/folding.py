@@ -28,7 +28,8 @@ from .graphs import (
     subgraph_as_graph,
     subgraph_from_edges,
 )
-from .words import GenTuple, Word, letter_key
+from .strsearch import _INDEX
+from .words import GenTuple, Word
 
 POLICIES = ("least", "greatest", "defer_rose")
 
@@ -207,10 +208,10 @@ class FoldTrace:
 
 
 def _heap_key(engine: _Engine, root: int, letter: int, greatest: bool) -> tuple:
-    gen, sgn = letter_key(letter)
+    """A fold's (vertex, letter index), negated for the greatest policy."""
     if greatest:
-        return (-engine.cls_min[root], -gen, -sgn)
-    return (engine.cls_min[root], gen, sgn)
+        return (-engine.cls_min[root], -_INDEX[letter])
+    return (engine.cls_min[root], _INDEX[letter])
 
 
 def fold_all(g: LabeledGraph, policy: str = "least") -> FoldTrace:
@@ -325,7 +326,8 @@ def fold_to_delta(g: LabeledGraph) -> DeltaExtraction:
     pre-lift stage; the stage before the final fold is returned instead
     and flagged degenerate (with a zero-fold sequence this is an error).
     Otherwise every fold available on delta is checked to pass the local
-    lift test ``_Engine.makes_lift``.
+    lift test ``_Engine.makes_lift``.  A failed postcondition raises
+    RuntimeError.
     """
     trace = fold_all(g, policy="defer_rose")
     if not is_rose(trace.terminal):
@@ -358,16 +360,21 @@ def fold_to_delta(g: LabeledGraph) -> DeltaExtraction:
 
     psi_ids = _prune_psi(delta, psi_ids)
     psi_graph = subgraph_as_graph(delta, subgraph_from_edges(delta, psi_ids))
-    assert len(psi_ids) <= n + 2, "witness subgraph exceeds rank+2 edges"
-    assert is_connected(psi_graph)
-    assert is_rose(fold_all(psi_graph).terminal)
+    if len(psi_ids) > n + 2:
+        raise RuntimeError("witness subgraph exceeds rank+2 edges")
+    if not is_connected(psi_graph):
+        raise RuntimeError("witness subgraph is not connected")
+    if not is_rose(fold_all(psi_graph).terminal):
+        raise RuntimeError("witness subgraph does not fold onto the rose")
     if not degenerate:
-        assert not delta.has_rose_lift()
+        if delta.has_rose_lift():
+            raise RuntimeError("delta has a rose lift")
         # every fold available on delta must produce a lift
         engine = _Engine(delta)
         for v in range(delta.num_vertices):
             for letter in engine.foldable_letters(v):
-                assert engine.makes_lift(engine.pair(v, letter)), "delta admits a lift-free fold"
+                if not engine.makes_lift(engine.pair(v, letter)):
+                    raise RuntimeError("delta admits a lift-free fold")
     return DeltaExtraction(
         trace, delta, stage, delta_index, PsiWitness(tuple(psi_ids), psi_graph), degenerate
     )

@@ -16,7 +16,8 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .words import check_letter, format_letter, letter_key
+from .strsearch import _INDEX, _alphabet, _letter_rows
+from .words import check_letter, format_letter
 
 
 @dataclass(frozen=True)
@@ -57,22 +58,16 @@ class LabeledGraph:
         for k, (src, dst, label) in enumerate(self.edges):
             out[src].append((label, dst, k + 1))
             out[dst].append((-label, src, -(k + 1)))
-        key = lambda rec: (letter_key(rec[0]), rec[1], rec[2])
+        key = lambda rec: (_INDEX[rec[0]], rec[1], rec[2])
         return tuple(tuple(sorted(lst, key=key)) for lst in out)
 
     @cached_property
-    def letter_rows(self) -> dict[int, list[int]]:
-        """Per letter, the bitmask of the vertices each vertex reaches by one
-        edge reading that letter; built in one pass over the edges.  Shared
-        by every reader: not to be mutated."""
-        rows: dict[int, list[int]] = {}
-        for gen in range(1, self.rank + 1):
-            rows[gen] = [0] * self.num_vertices
-            rows[-gen] = [0] * self.num_vertices
-        for src, dst, label in self.edges:
-            rows[label][src] |= 1 << dst
-            rows[-label][dst] |= 1 << src
-        return rows
+    def letter_rows(self) -> list[list[int]]:
+        """Per letter index (``strsearch._INDEX``), the bitmask of the
+        vertices each vertex reaches by one edge reading that letter; built
+        in one pass over the edges.  Shared by every reader: not to be
+        mutated."""
+        return _letter_rows(self.rank, self.num_vertices, [(s, d, _INDEX[l]) for s, d, l in self.edges])
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -131,6 +126,9 @@ class _Quotient:
         # ends[+(k+1)] is edge k's dst and ends[-(k+1)] its src, by
         # Python's negative indexing
         self.ends = [0] + [dst for _, dst, _ in graph.edges] + [src for src, _, _ in reversed(graph.edges)]
+        # per letter in the letter order: the letter, its generator and its
+        # sign bit, the head of its label group
+        self.labels = [(letter, abs(letter), i & 1) for i, letter in enumerate(_alphabet(graph.rank))]
 
     def find(self, v: int) -> int:
         parent = self.parent
@@ -185,20 +183,19 @@ class _Quotient:
 
     def groups(self, root: int) -> list:
         """The label groups of a class, as ``_encode_from`` reads them: per
-        letter leaving it, in label order, ``(gen, sign, targets with
+        letter leaving it, in the letter order, ``(gen, sign, targets with
         multiplicity, distinct targets)``, the targets being roots."""
         adj, ends, parent = self.adj[root], self.ends, self.parent
         out = []
-        for gen in range(1, self.graph.rank + 1):
-            for letter, sign in ((gen, 0), (-gen, 1)):
-                if letter in adj:
-                    targets = []
-                    for tok in adj[letter]:
-                        v = ends[tok]
-                        while parent[v] != v:  # ``find`` inlined, without halving
-                            v = parent[v]
-                        targets.append(v)
-                    out.append((gen, sign, targets, targets if len(targets) == 1 else list(dict.fromkeys(targets))))
+        for letter, gen, sign in self.labels:
+            if letter in adj:
+                targets = []
+                for tok in adj[letter]:
+                    v = ends[tok]
+                    while parent[v] != v:  # ``find`` inlined, without halving
+                        v = parent[v]
+                    targets.append(v)
+                out.append((gen, sign, targets, targets if len(targets) == 1 else list(dict.fromkeys(targets))))
         return out
 
     @cached_property
@@ -364,7 +361,7 @@ def _encode_from(g: _Quotient, start: int) -> tuple:
     their label groups (``_Quotient.groups``).
 
     Vertices are numbered in discovery order, and vertex number q emits
-    segment q: per label group, in label order, one (gen, sign, number)
+    segment q: per label group, in the letter order, one (gen, sign, number)
     triple per edge with the numbers sorted, then -1.  Of all discovery
     orders the least concatenation wins, so the encoding depends on the
     isomorphism class alone.  Every segment ends in -1, the least token,

@@ -171,7 +171,9 @@ def trim_surviving_middles(p: Presentation) -> Presentation:
     common length.
 
     Raises DegeneratePresentationError when some word is consumed
-    entirely at a site.
+    entirely at a site, and RuntimeError when a trimmed middle is missing
+    from the relator letters at a site: the spans are then wrong, which
+    is a fault of ``build_relators``, not a property of the sample.
     """
     if p.degenerate:
         raise DegeneratePresentationError("presentation has empty relators")
@@ -213,7 +215,7 @@ def trim_surviving_middles(p: Presentation) -> Presentation:
         if not (0 <= start and 0 <= skip <= hi - lo - n_prime) or (
             letters[start + skip : start + skip + n_prime] != middles[(site.word_index, site.sign)]
         ):
-            raise DegeneratePresentationError("trimmed middle not covered at a site")
+            raise RuntimeError("trimmed middle not covered at a site")
     p.v_prime = tuple(v_prime)
     p.n_prime = n_prime
     return p

@@ -8,6 +8,12 @@ left-to-right disjoint occurrences of a pattern or its inverse in a
 letter or token sequence, which encodes its arguments itself.  It also
 holds the suffix automaton behind the repeat statistics and the
 relator-factor tables.
+
+It fixes the package's one letter order a1 < a1^-1 < a2 < ...: letter
+``l`` has index 2(|l| - 1) + (l < 0) (``_INDEX``), ``i ^ 1`` indexes its
+inverse, and its character is ``_BASE + 2`` plus its index, so encoded
+words compare as their letters do.  Every per-letter table of the package
+(``_letter_rows`` among them) is indexed in this order.
 """
 
 from __future__ import annotations
@@ -31,10 +37,29 @@ class _Table(dict):
         return value
 
 
-# signed letter or edge token -> its character; character code -> the code
-# of the inverse letter's character
-_CHARS = _Table(lambda token: chr(_BASE + (abs(token) << 1) + (0 if token > 0 else 1)))
+# signed letter or edge token -> its index in the letter order; index ->
+# that letter; signed letter or token -> its character; character code ->
+# the code of the inverse letter's character
+_INDEX = _Table(lambda token: 2 * abs(token) - 2 + (token < 0))
+_LETTER = _Table(lambda i: -(i >> 1) - 1 if i & 1 else (i >> 1) + 1)
+_CHARS = _Table(lambda token: chr(_BASE + 2 + _INDEX[token]))
 _SWAP = _Table(lambda code: code ^ 1)
+
+
+def _alphabet(rank: int) -> list[int]:
+    """The ``2 * rank`` letters in the letter order, each at its index."""
+    return [_LETTER[i] for i in range(2 * rank)]
+
+
+def _letter_rows(rank: int, num_vertices: int, edges) -> list[list[int]]:
+    """Per letter index, each vertex's target mask: bit ``v`` of
+    ``rows[i][u]`` is set when an edge reading letter ``i`` runs from ``u``
+    to ``v``, for edges ``(src, dst, letter index)`` read both ways."""
+    rows = [[0] * num_vertices for _ in range(2 * rank)]
+    for src, dst, i in edges:
+        rows[i][src] |= 1 << dst
+        rows[i ^ 1][dst] |= 1 << src
+    return rows
 
 
 def letters_to_chars(letters: Iterable[int]) -> str:
@@ -42,12 +67,7 @@ def letters_to_chars(letters: Iterable[int]) -> str:
 
 
 def chars_to_letters(s: str) -> tuple[int, ...]:
-    out = []
-    for ch in s:
-        code = ord(ch) - _BASE
-        gen = code >> 1
-        out.append(gen if code & 1 == 0 else -gen)
-    return tuple(out)
+    return tuple(_LETTER[ord(ch) - _BASE - 2] for ch in s)
 
 
 def inverse_chars(s: str) -> str:

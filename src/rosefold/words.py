@@ -22,11 +22,6 @@ def check_letter(letter: int, rank: int) -> None:
         raise ValueError(f"letter {letter} outside rank-{rank} alphabet")
 
 
-def letter_key(letter: int) -> tuple[int, int]:
-    """Total order on letters: by generator, positive sign first."""
-    return (abs(letter), 0 if letter > 0 else 1)
-
-
 @dataclass(frozen=True)
 class Word:
     """A freely reduced word over a rank-n alphabet."""
@@ -73,9 +68,6 @@ class Word:
             raise ValueError("word is not cyclically reduced")
         return _unchecked(Word, rank=self.rank, letters=self.letters[k:] + self.letters[:k])
 
-    def key(self) -> tuple[tuple[int, int], ...]:
-        return tuple(letter_key(l) for l in self.letters)
-
     @property
     def is_cyclically_reduced(self) -> bool:
         return len(self.letters) < 2 or self.letters[0] != -self.letters[-1]
@@ -110,7 +102,7 @@ def _least_rotation(letters: tuple[int, ...]) -> int:
     """Smallest index of a lexicographically least rotation.  A least
     rotation starts with the longest cyclic run of the least letter, found
     by doubling ``in`` tests on the word read twice (character order is
-    ``letter_key`` order); with at most ``_ROTATION_STARTS`` such runs
+    the letter order, see ``strsearch``); with at most ``_ROTATION_STARTS`` such runs
     one ``min`` over their rotations picks it, else ``_scan_least_rotation``
     keeps the cost linear."""
     n = len(letters)
@@ -158,8 +150,8 @@ def _scan_least_rotation(d: str, n: int) -> int:
 class CyclicWord:
     """A cyclically reduced word stored via its canonical rotation.
 
-    The representative is the lexicographically least rotation, comparing
-    (generator, sign) pairs, which makes equality of conjugacy classes of
+    The representative is the lexicographically least rotation in the
+    letter order a1 < a1^-1 < a2 < ... (``strsearch``), which makes equality of conjugacy classes of
     cyclically reduced words a plain dataclass equality.
     """
 
@@ -219,7 +211,8 @@ def commutator_class(g1: Word, g2: Word) -> CyclicWord:
     comm = g1 * g2 * g1.inverse() * g2.inverse()
     cyc, _ = cyclic_reduce(comm)
     inv = cyc.inverse()
-    return min(cyc, inv, key=lambda c: c.word.key())
+    # encoded words compare as their letters do in the letter order
+    return min(cyc, inv, key=lambda c: letters_to_chars(c.word.letters))
 
 
 @dataclass(frozen=True)
@@ -318,6 +311,8 @@ def random_reduced_letters(rng: random.Random, rank: int, length: int) -> tuple[
     """
     if length == 0:
         return ()
+    # positives first, not the letter order: the draws index this list, so
+    # reordering it would change every sampled word
     alphabet = [g for g in range(1, rank + 1)] + [-g for g in range(1, rank + 1)]
     # the allowed successors of each letter, in alphabet order
     choices = {prev: [l for l in alphabet if l != -prev] for prev in alphabet}

@@ -5,7 +5,15 @@ import pytest
 
 from rosefold.covers import enumerate_candidates
 from rosefold.graphs import LabeledGraph, Subgraph, _encode_from, _Quotient, subgraph_from_edges
+from rosefold.strsearch import _INDEX
 from rosefold.words import Word, random_reduced_letters
+
+
+def letter_key(letter: int) -> tuple[int, int]:
+    """The letter order a1 < a1^-1 < a2 < ... as (generator, sign) pairs,
+    written out on its own so that the oracles do not borrow it from
+    ``strsearch``."""
+    return (abs(letter), 0 if letter > 0 else 1)
 
 
 def rose(rank: int, base: int | None = 0) -> LabeledGraph:
@@ -105,14 +113,14 @@ def candidate_graphs(rank: int, max_edges: int, max_graphs: int | None = None):
         yield shape.graph(blocks)
 
 
-def _pair_covers(rows: dict[int, list[int]], rank: int, v: int, w: int) -> bool:
+def _pair_covers(rows: list[list[int]], rank: int, v: int, w: int) -> bool:
     """Do vertices ``v`` and ``w`` carry a two-sheeted cover of the rose,
     read off a graph's ``letter_rows``?  Every generator labels a loop at
     both vertices or swaps them, and at least one swaps them (this forces
     connectivity)."""
     swapped = False
     for gen in range(1, rank + 1):
-        row = rows[gen]
+        row = rows[_INDEX[gen]]
         if row[v] >> w & 1 and row[w] >> v & 1:
             swapped = True
         elif not (row[v] >> v & 1 and row[w] >> w & 1):
@@ -123,7 +131,7 @@ def _pair_covers(rows: dict[int, list[int]], rank: int, v: int, w: int) -> bool:
 def is_two_sheeted_cover(g: LabeledGraph) -> bool:
     """Two vertices carrying the two-vertex pattern (``_pair_covers``)
     with no edge left over.  The rows drop multiplicity, but an edge
-    labelled gen or -gen sets exactly one bit of ``rows[gen]``, so each
+    labelled gen or -gen sets exactly one bit of gen's row, so each
     generator's pattern takes two distinct edges, and ``2 * rank`` edges
     leave none over.  The survey's test on candidate masks
     (``CandidateShape.two_sheeted_cover``) is checked against this one."""

@@ -1,4 +1,5 @@
 import random
+import time
 from typing import Iterator
 
 import pytest
@@ -1011,6 +1012,86 @@ class TestReductionMove:
         assert out.replaced == [(0, 1)]
         # replacing the prefix by the complement inverts the relator tail
         assert out.word == Word(2, rel.letters[18:]).inverse() or len(out.word) < 60
+
+
+def oracle_rotation_set(idx: UWordIndex) -> set[tuple[int, ...]]:
+    """Every rotation of every signed relator as a letter tuple: the set
+    ``reduction_move`` once built for its relator-rotation check, in
+    O(sum of L^2) time and memory."""
+    return {
+        base.rotation(k).letters
+        for word in idx.relators
+        for base in (word, word.inverse())
+        for k in range(len(base))
+    }
+
+
+def passes_rotation_check(pattern: Word, replacement: Word, idx: UWordIndex) -> bool:
+    """Whether ``reduction_move`` accepts the pair; no occurrence is
+    replaced, so only the check runs."""
+    try:
+        reduction_move(empty_word(idx.rank), pattern, replacement, idx, [], depth=0)
+    except ValueError as exc:
+        assert "not a relator rotation" in str(exc)
+        return False
+    return True
+
+
+class TestRelatorRotationCheck:
+    def test_matches_rotation_set(self):
+        rng = random.Random(29)
+        kinds = {"rotation": 0, "same_length": 0, "unreduced_glue": 0, "factor": 0, "power": 0}
+        for trial in range(600):
+            rank = rng.choice((2, 2, 3))
+            rels = [random_cyclically_reduced(rng, rank, rng.randrange(rank, 11)) for _ in range(rng.randrange(1, 4))]
+            if trial % 10 == 0:  # a proper power: several rotations coincide
+                rels.append(Word(rank, rels[0].letters * rng.randrange(2, 4)))
+                kinds["power"] += 1
+            idx = UWordIndex(rels)
+            rotations = oracle_rotation_set(idx)
+            base = rng.choice(rels)
+            base = base if rng.random() < 0.5 else base.inverse()
+            rot = base.rotation(rng.randrange(len(base))).letters
+            cut = rng.randrange(len(rot) + 1)
+            mode = trial % 5
+            if mode == 0:  # a rotation split anywhere
+                head, tail = rot[:cut], rot[cut:]
+            elif mode == 1:  # one letter changed: the right length, rarely a rotation
+                at = rng.randrange(len(rot))
+                changed = list(rot)
+                changed[at] = rng.choice([l for l in (1, -1, 2, -2, 3, -3)[: 2 * rank] if l != rot[at]])
+                head, tail = tuple(changed[:cut]), tuple(changed[cut:])
+            elif mode == 4:  # a proper factor: it occurs in the relator read twice
+                head, tail = rot[: min(cut, len(rot) - 1)], rot[cut:-1]
+            else:  # glue x x^-1 across the cut, in place of two letters or inserted
+                x = rng.choice((1, -1, 2, -2, 3, -3)[: 2 * rank])
+                drop = 1 if mode == 2 and 0 < cut < len(rot) else 0
+                head, tail = rot[: cut - drop] + (x,), (-x,) + rot[cut + drop :]
+            glued = head + tail
+            try:
+                pattern, replacement = Word(rank, head), Word(rank, tail).inverse()
+            except ValueError:  # a half is not reduced
+                continue
+            expected = glued in rotations
+            assert passes_rotation_check(pattern, replacement, idx) == expected, (rels, glued)
+            kinds["rotation"] += expected
+            kinds["same_length"] += not expected and len(glued) in {len(r) for r in rels}
+            kinds["unreduced_glue"] += any(a == -b for a, b in zip(glued, glued[1:]))
+            kinds["factor"] += mode == 4 and bool(glued)
+        assert min(kinds.values()) > 40, kinds
+
+    def test_long_relator_is_linear(self):
+        # the rotation set of this relator would hold 40,000 tuples of
+        # 20,000 letters; the check reads the relator twice instead
+        rng = random.Random(31)
+        rel = random_cyclically_reduced(rng, 2, 20_000)
+        idx = UWordIndex([rel])
+        rot = rel.rotation(12_345).letters
+        pattern, replacement = Word(2, rot[:7_000]), Word(2, rot[7_000:]).inverse()
+        start = time.perf_counter()
+        assert passes_rotation_check(pattern, replacement, idx)
+        assert not passes_rotation_check(pattern, Word(2, rot[7_001:]).inverse(), idx)
+        assert time.perf_counter() - start < 0.5
 
 
 def test_greedy_disjoint_occurrences_both_signs(toy):

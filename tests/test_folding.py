@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from conftest import core, random_cyclically_reduced, random_graph, rose
+from conftest import core, letter_key, random_cyclically_reduced, random_graph, rose
 from test_graphs import branching_star, oracle_canonical_key
+from rosefold import folding
 from rosefold.folding import (
     FoldRecord,
     _Engine,
@@ -30,7 +31,6 @@ from rosefold.words import (
     apply_nielsen,
     format_word,
     free_reduce,
-    letter_key,
     parse_word,
     random_nielsen_moves,
     random_reduced_letters,
@@ -533,6 +533,24 @@ class TestFoldToDelta:
                 assert not ext.delta.has_rose_lift()
                 assert betti(ext.delta) <= 3
         assert found_nondegenerate > 0
+
+    @pytest.mark.parametrize(
+        "bad_subset,message",
+        [
+            (range(7), "exceeds rank\\+2 edges"),
+            ((0, 4), "not connected"),  # the edges 0 -> 1 and 2 -> 3
+            ((0,), "does not fold onto the rose"),
+        ],
+    )
+    def test_witness_postconditions_raise(self, monkeypatch, bad_subset, message):
+        # checks, not asserts: ``python -O`` keeps them
+        g = wedge_of_loops(tup("a1 a2 a2", "a2", "a1 a2^-1 a1 a2^-1 a1"))
+        ext = fold_to_delta(g)
+        assert not ext.degenerate and ext.psi.edge_ids == (0, 1, 2)
+        assert ext.delta.edges[:5:4] == ((0, 1, 1), (2, 3, 1)) and ext.delta.num_edges == 7
+        monkeypatch.setattr(folding, "_prune_psi", lambda delta, ids: list(bad_subset))
+        with pytest.raises(RuntimeError, match=message):
+            fold_to_delta(g)
 
 
 class TestInjectiveArcs:

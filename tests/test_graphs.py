@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import (
     core,
     is_core_graph,
+    letter_key,
     random_graph,
     random_subgraph,
     rose,
@@ -28,7 +29,7 @@ from rosefold.graphs import (
     subgraph_as_graph,
     subgraph_from_edges,
 )
-from rosefold.words import Word, letter_key, parse_letter, parse_word
+from rosefold.words import Word, parse_letter, parse_word
 
 
 def theta_graph(lengths=(1, 2, 3), rank=2) -> LabeledGraph:

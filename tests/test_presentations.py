@@ -212,23 +212,49 @@ class TestTrim:
                         for k in range(len(chars))
                     )
 
+    @staticmethod
+    def corrupted(p, k: int, span: tuple[int, int]):
+        """``p`` with the span of site ``k`` replaced by ``span``."""
+        sites = p.sites[:k] + (dataclasses.replace(p.sites[k], survived=span),) + p.sites[k + 1 :]
+        return dataclasses.replace(p, sites=sites)
+
+    @staticmethod
+    def inverse_site(p) -> tuple[int, tuple[int, int]]:
+        """An inverted site whose span is not its own mirror image."""
+        return next(
+            (k, site.survived) for k, site in enumerate(p.sites)
+            if site.sign < 0 and site.survived[0] != p.length - site.survived[1]
+        )
+
     def test_corrupted_span_raises(self):
         # the re-scan reads each site's middle off the relator letters, so a
         # span that is mirrored or one letter short no longer covers it,
-        # though the spans still have a common middle
+        # though the spans still have a common middle; that is a bug, not a
+        # degenerate sample
         p, _ = sample_presentation(2, 30, seed=4)
         fresh = lambda: build_relators(p.v_words, p.u_words)
         assert trim_surviving_middles(fresh()).v_prime == p.v_prime
-        k, site = next(
-            (k, site) for k, site in enumerate(p.sites)
-            if site.sign < 0 and site.survived[0] != 30 - site.survived[1]
-        )
-        lo, hi = site.survived
+        k, (lo, hi) = self.inverse_site(p)
         for span in ((30 - hi, 30 - lo), (lo, hi - 1)):
-            q = fresh()
-            q.sites = q.sites[:k] + (dataclasses.replace(site, survived=span),) + q.sites[k + 1 :]
-            with pytest.raises(DegeneratePresentationError, match="not covered"):
-                trim_surviving_middles(q)
+            with pytest.raises(RuntimeError, match="not covered"):
+                trim_surviving_middles(self.corrupted(fresh(), k, span))
+
+    def test_sampling_stops_at_a_corrupted_span(self, monkeypatch):
+        # a span bug must surface as an error, not as one more rejection
+        # followed by a later sample
+        p, rejects = sample_presentation(2, 30, seed=4)
+        k, (lo, hi) = self.inverse_site(p)
+        attempts = []
+
+        def mirror_one_span(v_words, u_words):
+            q = build_relators(v_words, u_words)
+            attempts.append(q)
+            return self.corrupted(q, k, (30 - hi, 30 - lo)) if q.v_words == p.v_words else q
+
+        monkeypatch.setattr(presentations, "build_relators", mirror_one_span)
+        with pytest.raises(RuntimeError, match="not covered"):
+            sample_presentation(2, 30, seed=4)
+        assert len(attempts) == rejects + 1
 
     def test_generic_middle_fraction(self, rng):
         good = 0

@@ -2,8 +2,9 @@
 against window-comparing oracles over signed-int sequences (reduced
 words, and edge-token sequences as ``run_surgery`` scans them), for
 the suffix automaton's streaming match and longest repeat against brute
-force and end-position counts, and for the table-driven character codes
-against their per-character formula."""
+force and end-position counts, for the table-driven character codes
+against their per-character formula, and for the one letter order that
+words, graphs, the fold heap and the cover masks share."""
 
 import random
 
@@ -11,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rosefold import strsearch
+from rosefold.folding import _Engine, _heap_key
+from rosefold.graphs import LabeledGraph, _Quotient
 from rosefold.words import free_reduce, random_reduced_letters
 
 
@@ -248,3 +251,56 @@ class TestCharCodes:
         assert strsearch.letters_to_chars(tokens) == char_formula(tokens)
         for s in ("", "#", "a\x00|" + char_formula(tokens)):
             assert strsearch.inverse_chars(s) == inverse_formula(s)
+
+
+# the letter order a1 < a1^-1 < a2 < ..., written out per rank
+PINNED_ORDER = {
+    1: [1, -1],
+    2: [1, -1, 2, -2],
+    3: [1, -1, 2, -2, 3, -3],
+    4: [1, -1, 2, -2, 3, -3, 4, -4],
+    5: [1, -1, 2, -2, 3, -3, 4, -4, 5, -5],
+}
+
+
+class TestLetterOrder:
+    def test_alphabet_and_indexes_are_pinned(self):
+        for rank, order in PINNED_ORDER.items():
+            assert strsearch._alphabet(rank) == order
+            assert [strsearch._INDEX[l] for l in order] == list(range(2 * rank))
+            assert [strsearch._INDEX[-l] for l in order] == [i ^ 1 for i in range(2 * rank)]
+
+    def test_every_reader_follows_the_pinned_order(self):
+        rng = random.Random(43)
+        for _ in range(200):
+            rank = rng.randrange(1, 6)
+            order = PINNED_ORDER[rank]
+            letters = [rng.choice(order) for _ in range(rng.randrange(1, 12))]
+            by_pin = sorted(letters, key=order.index)
+            # characters compare as their letters
+            assert sorted(letters, key=lambda l: strsearch.letters_to_chars([l])) == by_pin
+            # a star from vertex 0, each edge leaving it or entering it with
+            # the inverse label, so vertex 0 reads every drawn letter
+            edges = tuple(
+                (0, k + 1, l) if rng.random() < 0.5 else (k + 1, 0, -l) for k, l in enumerate(letters)
+            )
+            g = LabeledGraph(rank, len(letters) + 1, edges, base=0)
+            assert [lab for lab, _, _ in g.adjacency[0]] == by_pin
+            groups = _Quotient(g).groups(0)
+            assert [gen if sign == 0 else -gen for gen, sign, _, _ in groups] == list(dict.fromkeys(by_pin))
+            engine = _Engine(g)
+            distinct = list(set(letters))
+            assert sorted(distinct, key=lambda l: _heap_key(engine, 0, l, False)) == sorted(distinct, key=order.index)
+            assert sorted(distinct, key=lambda l: _heap_key(engine, 0, l, True)) == sorted(
+                distinct, key=order.index, reverse=True
+            )
+            # the rows of each letter sit at its index
+            rows = g.letter_rows
+            for k, l in enumerate(letters):
+                assert rows[order.index(l)][0] >> (k + 1) & 1
+
+    @given(st.lists(signed(st.integers(1, 5)), max_size=40))
+    def test_chars_to_letters_inverts_the_encoding(self, letters):
+        chars = strsearch.letters_to_chars(letters)
+        assert strsearch.chars_to_letters(chars) == tuple(letters)
+        assert [ord(ch) - 0x102 for ch in chars] == [strsearch._INDEX[l] for l in letters]

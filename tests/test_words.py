@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import letter_key
 from rosefold import strsearch, words
 from rosefold.presentations import sample_presentation
 from rosefold.words import (
@@ -20,7 +21,6 @@ from rosefold.words import (
     format_word,
     _least_rotation,
     free_reduce,
-    letter_key,
     parse_word,
     random_nielsen_moves,
     random_reduced_letters,
