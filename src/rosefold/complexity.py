@@ -23,6 +23,9 @@ at each position comes from one scan of the reversed word against one
 automaton of all reversed signed relator powers.  That table is exact,
 so the reach p + maxstart[p] never decreases, and the c1 tables and the
 longest i-th factors each take one pass (see ``_min_factor_tables``).
+No segmentation is listed: the factors of every minimal segmentation,
+which the edges and the longest i-th factors range over, are read off
+the same tables (``_factor_spans``).
 """
 
 from __future__ import annotations
@@ -49,7 +52,13 @@ class UCert:
 @dataclass(frozen=True)
 class Thresholds:
     """Desk-scale stand-ins for the asymptotic length constants, expressed
-    as fractions of the longest relator length."""
+    as fractions of the longest relator length.
+
+    ``max_decompositions`` is unread: the ball takes every minimal
+    segmentation's factors off the tables.  The field stays only because
+    ``__dict__`` is echoed in every ``complexity`` payload; it goes with
+    the next revision of the payloads.
+    """
 
     long_factor_fraction: float = 0.5
     zero_fraction: float = 0.85
@@ -297,51 +306,37 @@ def brute_force_c1(w: Word, idx: UWordIndex) -> int:
     return best[0]
 
 
-def _cut_sequences(
-    n: int, maxstart: list[int], G: list[int], cap: int | None
-) -> Iterator[tuple[int, ...]]:
-    """Interior cuts of every segmentation of a length-``n`` word into
-    G[0] factors, in lexicographic cut order; stops after ``cap`` when
-    given."""
-    emitted = 0
-    stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
-    while stack:
-        pos, cuts = stack.pop()
-        if pos == n:
-            yield cuts
-            emitted += 1
-            if cap is not None and emitted >= cap:
-                return
-            continue
-        # a factor from pos keeps the count minimal when G falls by one
-        # across it; G does not increase, so those ends are the reach and
-        # the positions just below it.  Longer jumps are pushed first, so
-        # the shortest comes out first.
-        target = G[pos] - 1
-        q = pos + maxstart[pos]
-        while G[q] == target:
-            stack.append((q, cuts + ((q,) if q < n else ())))
-            q -= 1
+def _factor_spans(maxstart: list[int], F: list[int], G: list[int]) -> Iterator[tuple[int, int, int]]:
+    """Every span w[p:q] that is the j-th factor of some minimal
+    segmentation, as (p, q, j): p ascending, and for each p, q descending
+    from the reach p + maxstart[p].  The word must be covered.
+
+    With k = G[0], w[p:q] is such a factor exactly when F[p] + G[p] = k
+    (then j = F[p] + 1), q - p <= maxstart[p] and G[q] = G[p] - 1: join a
+    minimal segmentation of w[:p], the factor and one of w[q:].  The reach
+    itself qualifies, since G[p] = G[p + maxstart[p]] + 1, and G does not
+    increase, so the valid q form one run just below the reach.
+    """
+    k = G[0]
+    for p, (f, g, reach) in enumerate(zip(F, G, maxstart)):
+        if f + g == k:
+            q = p + reach
+            while G[q] == g - 1:
+                yield p, q, f + 1
+                q -= 1
 
 
 def _ith_factor_maxima(maxstart: list[int], F: list[int], G: list[int]) -> list[int]:
     """Entry i (1 <= i <= k = G[0]) is the longest i-th factor over all
-    admissible decompositions, straight from the forward/backward tables;
-    entry 0 is unused, and a word with no segmentation gets [0].
-
-    w[p:q] is an admissible i-th factor when F[p] = i - 1, G[q] = k - i
-    and q - p <= maxstart[p].  Since G[p] = G[p + maxstart[p]] + 1 and
-    F[p] + G[p] >= k, the whole reach has G >= k - i, and G does not
-    increase: so the longest i-th factor from p is the reach itself, and
-    it is admissible exactly when F[p] + G[p] = k.
-    """
+    minimal segmentations, read off ``_factor_spans``; entry 0 is unused,
+    and a word with no segmentation gets [0]."""
     k = G[0]
     if k > len(maxstart):
         return [0]
     best = [0] * (k + 1)
-    for f, g, reach in zip(F, G, maxstart):
-        if f + g == k and reach > best[f + 1]:
-            best[f + 1] = reach
+    for p, q, j in _factor_spans(maxstart, F, G):
+        if q - p > best[j]:
+            best[j] = q - p
     return best
 
 
@@ -349,13 +344,13 @@ class _Node:
     """One word of the ball: its factor tables and, once the node has been
     expanded, its tagged edges."""
 
-    __slots__ = ("word", "maxstart", "G", "best", "edges")
+    __slots__ = ("word", "maxstart", "F", "G", "best", "edges")
 
     def __init__(self, word: Word, maxstart: list[int]):
         self.word = word
         self.maxstart = maxstart
-        F, self.G = _min_factor_tables(maxstart)
-        self.best = _ith_factor_maxima(maxstart, F, self.G)
+        self.F, self.G = _min_factor_tables(maxstart)
+        self.best = _ith_factor_maxima(maxstart, self.F, self.G)
         self.edges: list[tuple[int, int]] | None = None
 
     @property
@@ -372,12 +367,13 @@ class _Ball:
 
     Words are numbered in the order they are met, the root first.  A node
     is expanded at most once, into its tagged edges ``(candidate, j)``: the
-    words obtained by replacing its j-th factor in some admissible
-    decomposition, in generation order, each pair once.  Which candidates
-    qualify (free reduction at the splice, every letter covered, the same
-    c1) does not depend on the protected index, so each candidate is
-    judged once.  The i-neighbours of a node are the candidates of its
-    edges with j != i, in first-occurrence order.
+    words obtained by replacing its j-th factor in any minimal
+    segmentation (no segmentation is listed, and none is left out), in
+    the order ``edges`` states, each pair once.  Which candidates qualify
+    (free reduction at the splice, every letter covered, the same c1)
+    does not depend on the protected index, so each candidate is judged
+    once.  The i-neighbours of a node are the candidates of its edges
+    with j != i, in first-occurrence order.
     """
 
     def __init__(
@@ -452,24 +448,20 @@ class _Ball:
         return out
 
     def edges(self, nid: int) -> list[tuple[int, int]]:
+        """The node's tagged edges: the spans of ``_factor_spans`` in its
+        order (p ascending, then q descending), each span's candidates in
+        ``_span_candidates`` order, each (candidate, j) pair once.  The
+        order matters only where ``max_ball`` binds."""
         node = self.node(nid)
         if node.edges is None:
             _check_covered(node.maxstart)
-            n = len(node.word)
-            by_span: dict[tuple[int, int], list[int]] = {}
             seen: set[tuple[int, int]] = set()
             edges = []
-            for cuts in _cut_sequences(n, node.maxstart, node.G, self.thresholds.max_decompositions):
-                bounds = (0,) + cuts + (n,)
-                for j in range(1, len(bounds)):
-                    span = (bounds[j - 1], bounds[j])
-                    found = by_span.get(span)
-                    if found is None:
-                        found = by_span[span] = self._span_candidates(node, *span)
-                    for cand in found:
-                        if (cand, j) not in seen:
-                            seen.add((cand, j))
-                            edges.append((cand, j))
+            for p, q, j in _factor_spans(node.maxstart, node.F, node.G):
+                for cand in self._span_candidates(node, p, q):
+                    if (cand, j) not in seen:
+                        seen.add((cand, j))
+                        edges.append((cand, j))
             node.edges = edges
         return node.edges
 

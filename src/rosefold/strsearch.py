@@ -12,7 +12,9 @@ relator-factor tables.
 It fixes the package's one letter order a1 < a1^-1 < a2 < ...: letter
 ``l`` has index 2(|l| - 1) + (l < 0) (``_INDEX``), ``i ^ 1`` indexes its
 inverse, and its character is ``_BASE + 2`` plus its index, so encoded
-words compare as their letters do.  Every per-letter table of the package
+words compare as their letters do.  With ``_BASE`` 0 the letters of ranks
+up to 127 are Latin-1 characters, which CPython keeps as cached
+one-character strings.  Every per-letter table of the package
 (``_letter_rows`` among them) is indexed in this order.
 """
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-_BASE = 0x100  # keep letter characters clear of separators below
+_BASE = 0  # letter characters start at 2, clear of the separator below
 SEPARATOR = "\x00"  # joins indexed texts; no encoded letter or token equals it
 
 

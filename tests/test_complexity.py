@@ -14,7 +14,7 @@ from rosefold.complexity import (
     Segmentation,
     UWordIndex,
     _Ball,
-    _cut_sequences,
+    _factor_spans,
     _ith_factor_maxima,
     _min_factor_tables,
     brute_force_c1,
@@ -106,18 +106,36 @@ def brute_force_max_factor_starting(w: Word, idx: UWordIndex) -> list[int]:
     return out
 
 
+def cut_sequences(n: int, maxstart: list[int], G: list[int]) -> Iterator[tuple[int, ...]]:
+    """Interior cuts of every segmentation of a length-``n`` word into
+    G[0] factors, in lexicographic cut order: a depth-first search that
+    tries every end within reach where G falls by one (each factor of such
+    a segmentation must lower G by exactly one), longer jumps pushed first
+    so that the shortest comes out first."""
+    stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
+    while stack:
+        pos, cuts = stack.pop()
+        if pos == n:
+            yield cuts
+            continue
+        for q in range(pos + maxstart[pos], pos, -1):
+            if G[q] == G[pos] - 1:
+                stack.append((q, cuts + ((q,) if q < n else ())))
+
+
 def admissible_decompositions(
-    w: Word, idx: UWordIndex, cap: int | None = 64
+    w: Word, idx: UWordIndex, cap: int | None = None
 ) -> Iterator[Segmentation]:
     """All segmentations into exactly c1(w) certified factors, in
-    lexicographic cut order; stops after ``cap`` when given.  The c1
-    oracle's enumerator: no pipeline lists the decompositions."""
+    lexicographic cut order; stops after ``cap`` when given.  The
+    oracle's enumerator: the library lists no decompositions, it reads
+    their factors off the tables (``_factor_spans``)."""
     maxstart = idx.max_factor_starting(w)
     if any(m == 0 for m in maxstart):
         raise ValueError("some letter is not a factor of any relator power")
     _, G = oracle_min_factor_tables(maxstart)
     emitted = 0
-    for cuts in _cut_sequences(len(w), maxstart, G, None):
+    for cuts in cut_sequences(len(w), maxstart, G):
         certs = []
         lo = 0
         for cut in cuts + (len(w),):
@@ -131,6 +149,16 @@ def admissible_decompositions(
             emitted += 1
             if cap is not None and emitted >= cap:
                 return
+
+
+def oracle_factor_spans(w: Word, idx: UWordIndex) -> set[tuple[int, int, int]]:
+    """(p, q, j) for every j-th factor w[p:q] of every minimal
+    segmentation, read off the uncapped enumeration."""
+    return {
+        (p, q, j)
+        for seg in admissible_decompositions(w, idx)
+        for j, (p, q) in enumerate(spans(seg), start=1)
+    }
 
 
 def exhaustive_cut_c1(w: Word, idx: UWordIndex) -> int:
@@ -185,7 +213,9 @@ def oracle_elementary_i_equivalents(
 ) -> list[Word]:
     """Words obtained by replacing one long maximal factor other than the
     i-th by a long complementary word.  Candidates whose splice fails to
-    stay freely reduced or to preserve c1 do not qualify and are dropped."""
+    stay freely reduced or to preserve c1 do not qualify and are dropped.
+    The factors are those of every minimal segmentation, taken in the
+    order the ball states: start ascending, then end descending."""
     if len(w) == 0:
         return []
     maxstart = idx.max_factor_starting(w)
@@ -195,49 +225,46 @@ def oracle_elementary_i_equivalents(
     k = G[0]
     thr = thresholds.long_factor_letters(idx.max_relator_length)
     out: dict[tuple[int, ...], Word] = {}
-    count = 0
-    for seg in admissible_decompositions(w, idx, cap=thresholds.max_decompositions):
-        count += 1
-        for j, (p, q) in enumerate(spans(seg), start=1):
-            if j == i:
-                continue
-            if q - p < thr:
-                continue
-            # maximality of the factor as a subword of w
-            if p > 0 and maxstart[p - 1] >= q - p + 1:
-                continue
-            if q < len(w) and maxstart[p] >= q - p + 1:
-                continue
-            factor = w.subword(p, q)
-            for cert in idx.certificates(factor):
-                for extra in range(thresholds.power_cap + 1):
-                    try:
-                        comp = idx.u_complement(factor, cert, extra)
-                    except ValueError:
-                        continue
-                    if len(comp) < thr:
-                        continue
-                    replacement = comp.inverse()
-                    letters = (
-                        w.letters[:p] + replacement.letters + w.letters[q:]
-                    )
-                    reduced = all(
-                        a != -b for a, b in zip(letters, letters[1:])
-                    )
-                    if not reduced:
-                        continue
-                    candidate = Word(w.rank, letters)
-                    if candidate.letters == w.letters:
-                        continue
-                    if candidate.letters in out:
-                        continue
-                    cand_max = idx.max_factor_starting(candidate)
-                    if any(m == 0 for m in cand_max):
-                        continue
-                    _, cand_G = oracle_min_factor_tables(cand_max)
-                    if cand_G[0] != k:
-                        continue
-                    out[candidate.letters] = candidate
+    for p, q, j in sorted(oracle_factor_spans(w, idx), key=lambda s: (s[0], -s[1])):
+        if j == i:
+            continue
+        if q - p < thr:
+            continue
+        # maximality of the factor as a subword of w
+        if p > 0 and maxstart[p - 1] >= q - p + 1:
+            continue
+        if q < len(w) and maxstart[p] >= q - p + 1:
+            continue
+        factor = w.subword(p, q)
+        for cert in idx.certificates(factor):
+            for extra in range(thresholds.power_cap + 1):
+                try:
+                    comp = idx.u_complement(factor, cert, extra)
+                except ValueError:
+                    continue
+                if len(comp) < thr:
+                    continue
+                replacement = comp.inverse()
+                letters = (
+                    w.letters[:p] + replacement.letters + w.letters[q:]
+                )
+                reduced = all(
+                    a != -b for a, b in zip(letters, letters[1:])
+                )
+                if not reduced:
+                    continue
+                candidate = Word(w.rank, letters)
+                if candidate.letters == w.letters:
+                    continue
+                if candidate.letters in out:
+                    continue
+                cand_max = idx.max_factor_starting(candidate)
+                if any(m == 0 for m in cand_max):
+                    continue
+                _, cand_G = oracle_min_factor_tables(cand_max)
+                if cand_G[0] != k:
+                    continue
+                out[candidate.letters] = candidate
     return list(out.values())
 
 
@@ -678,8 +705,6 @@ TRUNCATING = [
     Thresholds(max_ball=3),
     Thresholds(max_ball=12),
     Thresholds(max_ball=40),
-    Thresholds(max_decompositions=1),
-    Thresholds(max_decompositions=3),
     Thresholds(power_cap=2),
     Thresholds(long_factor_fraction=0.3),
 ]
@@ -742,7 +767,6 @@ class TestSharedBall:
             Thresholds(),
             Thresholds(max_ball=3),
             Thresholds(max_ball=12),
-            Thresholds(max_decompositions=1),
             Thresholds(long_factor_fraction=0.3, max_ball=40),
         ],
         ids=thresholds_id,
@@ -779,12 +803,9 @@ class TestSharedBall:
         assert bound >= 10
 
     def test_corpus_reaches_the_caps(self, acceptance):
-        # the decomposition caps 1 and 3 and the ball caps 3 and 12 bind
-        # on this corpus, and 40 with long_factor_fraction 0.3
+        # the ball caps 3 and 12 bind on this corpus, and 40 with
+        # long_factor_fraction 0.3
         idx, words = acceptance
-        assert max(
-            len(list(admissible_decompositions(word, idx, cap=None))) for word in words
-        ) > 3
         word = words[-1]
         k = c1(word, idx)[0]
         for th, cap in ((Thresholds(), 12), (Thresholds(long_factor_fraction=0.3), 40)):
@@ -820,7 +841,7 @@ class TestSharedBall:
 
     @pytest.mark.parametrize(
         "thresholds",
-        [Thresholds(), Thresholds(max_decompositions=1), Thresholds(long_factor_fraction=0.3)],
+        [Thresholds(), Thresholds(long_factor_fraction=0.3)],
         ids=thresholds_id,
     )
     def test_neighbors_match_oracle(self, acceptance, thresholds):
@@ -877,6 +898,60 @@ class TestSharedBall:
         for i in range(c1(word, idx)[0] + 1):
             for nid in ball.neighbors(0, i):
                 checked(ball.node(nid).word)
+
+
+def segmentation_count(word: Word, idx: UWordIndex) -> int:
+    return sum(1 for _ in admissible_decompositions(word, idx))
+
+
+@pytest.fixture(scope="module")
+def past_the_old_cap(acceptance):
+    """Chunk words like the benchmark's ``cx-*`` words, over its index
+    (the acceptance #9 index), with more than 64 minimal segmentations,
+    the number the ball once read per node: 144, 160 and 432."""
+    idx, _ = acceptance
+    words = [chunk_word(random.Random(seed), list(idx.relators), n) for seed, n in (
+        ("200-7", 200), ("250-6", 250), ("410-2", 410))]
+    return idx, words
+
+
+class TestExactEdges:
+    def test_spans_match_uncapped_enumeration(self, acceptance, past_the_old_cap):
+        # the spans read off the tables, in the stated order, against the
+        # factors of every minimal segmentation, on random words and on
+        # chunk words of the benchmark's lengths
+        idx, big = past_the_old_cap
+        rng = random.Random(26)
+        words = [Word(2, random_reduced_letters(rng, 2, n)) for n in (1, 2, 5, 10, 20, 40, 60) for _ in range(4)]
+        words += [chunk_word(rng, list(idx.relators), n) for n in (100, 200, 410) for _ in range(3)]
+        past_cap = 0
+        for word in words + big:
+            maxstart = idx.max_factor_starting(word)
+            F, G = _min_factor_tables(maxstart)
+            got = list(_factor_spans(maxstart, F, G))
+            assert got == sorted(set(got), key=lambda s: (s[0], -s[1]))
+            assert set(got) == oracle_factor_spans(word, idx)
+            past_cap += segmentation_count(word, idx) > 64
+        assert past_cap >= 4
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_complexity_matches_oracle_past_the_old_cap(self, past_the_old_cap, depth):
+        idx, words = past_the_old_cap
+        for word in words[:2]:
+            assert segmentation_count(word, idx) > 64
+            assert complexity(word, idx, Thresholds(), depth) == oracle_complexity(
+                word, idx, Thresholds(), depth
+            )
+
+    def test_root_neighbors_match_oracle_past_the_old_cap(self, past_the_old_cap):
+        # as ordered lists; a ball that read only the first 64 segmentations
+        # misses neighbours of the 410-letter word for 11 of its 13 indices
+        idx, words = past_the_old_cap
+        for word in words:
+            ball = _Ball(word, idx, Thresholds())
+            for i in range(0, c1(word, idx)[0] + 2):
+                got = [ball.node(n).word for n in ball.neighbors(0, i)]
+                assert got == oracle_elementary_i_equivalents(word, i, idx)
 
 
 class TestComplexityValue:

@@ -221,12 +221,12 @@ class TestLongestRepeated:
 
 
 # the largest token whose character, either sign, is a code point
-MAX_TOKEN = (0x10FFFF - 0x100) >> 1
+MAX_TOKEN = 0x10FFFF >> 1
 
 
 def char_formula(letters) -> str:
     """One character per signed letter or token, code by code."""
-    return "".join(chr(0x100 + (abs(l) << 1) + (0 if l > 0 else 1)) for l in letters)
+    return "".join(chr((abs(l) << 1) + (0 if l > 0 else 1)) for l in letters)
 
 
 def inverse_formula(s: str) -> str:
@@ -246,10 +246,12 @@ class TestCharCodes:
         assert strsearch.chars_to_letters(chars) == tuple(tokens)
 
     def test_tokens_past_the_letter_range(self):
-        # edge tokens of large graphs and separators below the letter range
-        tokens = [1, -1, 63, -63, 64, -64, 65, 4096, -40000, 0x7FFF, MAX_TOKEN, -MAX_TOKEN]
+        # edge tokens of large graphs, and the separator and its swap
+        # partner, the two codes below the letter range
+        tokens = [1, -1, 63, -63, 64, -64, 65, 127, -127, 128, -128, 4096, -40000, 0x7FFF, MAX_TOKEN, -MAX_TOKEN]
         assert strsearch.letters_to_chars(tokens) == char_formula(tokens)
-        for s in ("", "#", "a\x00|" + char_formula(tokens)):
+        assert strsearch.letters_to_chars([1, -1]) == "\x02\x03"
+        for s in ("", strsearch.SEPARATOR, "\x01" + strsearch.SEPARATOR + char_formula(tokens)):
             assert strsearch.inverse_chars(s) == inverse_formula(s)
 
 
@@ -303,4 +305,4 @@ class TestLetterOrder:
     def test_chars_to_letters_inverts_the_encoding(self, letters):
         chars = strsearch.letters_to_chars(letters)
         assert strsearch.chars_to_letters(chars) == tuple(letters)
-        assert [ord(ch) - 0x102 for ch in chars] == [strsearch._INDEX[l] for l in letters]
+        assert [ord(ch) - 2 for ch in chars] == [strsearch._INDEX[l] for l in letters]
