@@ -21,7 +21,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from . import complexity as cxmod
-from . import covers, folding, genericity, graphs, presentations, surgery, words
+from . import covers, folding, genericity, presentations, surgery, words
 
 
 def _print_error(message: str) -> None:
@@ -57,17 +57,15 @@ def _to_csv(payload: dict) -> str:
     lines = []
     for key, value in payload.get("config", {}).items():
         lines.append(f"# {key}={value}")
-    rows = payload.get("samples") or payload.get("rows") or []
+    rows = payload.get("samples") or []
     if rows:
         lines.append("sample,metric,value")
         for row in rows:
-            index = row.get("sample", row.get("index", ""))
             for key, value in row.items():
-                if key in ("sample", "index"):
-                    continue
-                lines.append(f"{index},{key},{value}")
+                if key != "sample":
+                    lines.append(f"{row['sample']},{key},{value}")
     for key, value in payload.items():
-        if key in ("config", "samples", "rows"):
+        if key in ("config", "samples"):
             continue
         lines.append(f"# {key}={json.dumps(value, default=str)}")
     return "\n".join(lines) + "\n"
@@ -133,38 +131,9 @@ def _parse_tuple(args: argparse.Namespace) -> words.GenTuple:
 
 
 def cmd_fold(args: argparse.Namespace) -> int:
-    import hashlib
-
-    t = _parse_tuple(args)
-    wedge = folding.wedge_of_loops(t)
-    trace = folding.fold_all(wedge, policy=args.policy)
-
-    # repr(key) through a table of the strings of every token a stage key
-    # can hold (-1 to the wedge's largest count), at half repr's cost
-    names = {i: str(i) for i in range(-1, max(t.rank, wedge.num_vertices, wedge.num_edges) + 1)}
-
-    def digest(key: tuple) -> str:
-        text = "(" + ", ".join(map(names.__getitem__, key)) + ")"
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-    digests, dumps = [], []
-    for view in trace.stage_views():
-        digests.append(digest(graphs.canonical_key(view)))
-        if args.dump_stages:
-            dumps.append(graphs.format_graph(view.materialize()[0]))
-    payload = {
-        "config": _config_echo(args, ["rank", "words", "tuple_json", "policy", "dump_stages"]),
-        "initial_edges": wedge.num_edges,
-        "folds": trace.num_folds,
-        "terminal": graphs.format_graph(trace.terminal),
-        "terminal_is_rose": graphs.is_rose(trace.terminal),
-        "records": [(r.kept, r.removed) for r in trace.records],
-        "stage_digests": digests,
-        "delta_index": trace.delta_index,
-    }
-    if args.dump_stages:
-        payload["stages"] = dumps
-    _emit(payload, args)
+    report = folding.fold_report(_parse_tuple(args), args.policy, args.dump_stages)
+    config = _config_echo(args, ["rank", "words", "tuple_json", "policy", "dump_stages"])
+    _emit({"config": config, **report}, args)
     return 0
 
 
@@ -274,17 +243,8 @@ def _load_relators(args: argparse.Namespace) -> cxmod.UWordIndex:
 def cmd_complexity(args: argparse.Namespace) -> int:
     idx = _load_relators(args)
     w = words.parse_word(args.word, args.rank)
-    thresholds = cxmod.Thresholds()
-    value = cxmod.complexity(w, idx, thresholds, args.depth)
-    # the identity has the bottom value and no factors to segment
-    seg = cxmod.c1(w, idx)[1] if w else cxmod.Segmentation(w, (), ())
-    payload = {
-        "config": _config_echo(args, ["rank", "relators", "word", "depth"]),
-        **value.to_dict(),
-        "thresholds": thresholds.__dict__,
-        "segmentation": seg.to_dict(),
-    }
-    _emit(payload, args)
+    config = _config_echo(args, ["rank", "relators", "word", "depth"])
+    _emit({"config": config, **cxmod.complexity_report(w, idx, args.depth)}, args)
     return 0
 
 
@@ -323,15 +283,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     outcome = cxmod.reduction_move(
         w, pattern, replacement, idx, None, cxmod.Thresholds(), args.depth
     )
-    payload = {
-        "config": _config_echo(
-            args, ["rank", "relators", "word", "relator_rotation", "depth"]
-        ),
-        "pattern": str(pattern),
-        "replacement": str(replacement),
-        **outcome.to_dict(),
-    }
-    _emit(payload, args)
+    config = _config_echo(args, ["rank", "relators", "word", "relator_rotation", "depth"])
+    _emit({"config": config, **outcome.to_dict()}, args)
     return 0
 
 

@@ -244,11 +244,12 @@ def _min_factor_tables(maxstart: list[int]) -> tuple[list[int], list[int]]:
     return F, G
 
 
-def _check_covered(maxstart: list[int]) -> None:
-    """Raise at the first position where no relator-power factor starts."""
+def _check_covered(maxstart: list[int]) -> list[int]:
+    """Raise at the first position where no relator-power factor starts, else return the table."""
     if not all(maxstart):
         pos = maxstart.index(0)
         raise ValueError(f"letter at position {pos} is not a factor of any relator power")
+    return maxstart
 
 
 def _greedy_cuts(maxstart: list[int]) -> list[int]:
@@ -266,20 +267,25 @@ def _greedy_cuts(maxstart: list[int]) -> list[int]:
     return cuts
 
 
+def _segmentation(w: Word, idx: UWordIndex, maxstart: list[int]) -> Segmentation:
+    """The greedy witness segmentation of a covered word, from its table."""
+    cuts = _greedy_cuts(maxstart)
+    certs = []
+    for lo, hi in zip([0] + cuts, cuts + [len(w)]):
+        cert = idx.is_u_word(w.subword(lo, hi))
+        if cert is None:
+            raise RuntimeError(f"the factor table covers w[{lo}:{hi}], but no certificate does")
+        certs.append(cert)
+    return Segmentation(w, tuple(cuts), tuple(certs))
+
+
 def c1(w: Word, idx: UWordIndex) -> tuple[int, Segmentation]:
     """Minimal number of relator-power factors, with the greedy witness
     segmentation (longest-first-factor among the minimal ones)."""
     if len(w) == 0:
         raise ValueError("c1 is undefined on the empty word")
-    maxstart = idx.max_factor_starting(w)
-    _check_covered(maxstart)
-    cuts = _greedy_cuts(maxstart)
-    certs = []
-    for lo, hi in zip([0] + cuts, cuts + [len(w)]):
-        cert = idx.is_u_word(w.subword(lo, hi))
-        assert cert is not None
-        certs.append(cert)
-    return len(cuts) + 1, Segmentation(w, tuple(cuts), tuple(certs))
+    seg = _segmentation(w, idx, _check_covered(idx.max_factor_starting(w)))
+    return len(seg.boundaries) + 1, seg
 
 
 def brute_force_c1(w: Word, idx: UWordIndex) -> int:
@@ -307,23 +313,20 @@ def brute_force_c1(w: Word, idx: UWordIndex) -> int:
 
 
 def _factor_spans(maxstart: list[int], F: list[int], G: list[int]) -> Iterator[tuple[int, int, int]]:
-    """Every span w[p:q] that is the j-th factor of some minimal
-    segmentation, as (p, q, j): p ascending, and for each p, q descending
-    from the reach p + maxstart[p].  The word must be covered.
+    """For each start p of a factor of some minimal segmentation, p
+    ascending, the longest such factor w[p:q] as (p, q, j), j being its
+    index.  The word must be covered.
 
-    With k = G[0], w[p:q] is such a factor exactly when F[p] + G[p] = k
-    (then j = F[p] + 1), q - p <= maxstart[p] and G[q] = G[p] - 1: join a
-    minimal segmentation of w[:p], the factor and one of w[q:].  The reach
-    itself qualifies, since G[p] = G[p + maxstart[p]] + 1, and G does not
-    increase, so the valid q form one run just below the reach.
+    With k = G[0], w[p:q] is the j-th factor of a minimal segmentation
+    exactly when F[p] + G[p] = k (then j = F[p] + 1), q - p <= maxstart[p]
+    and G[q] = G[p] - 1: join a minimal segmentation of w[:p], the factor
+    and one of w[q:].  The reach p + maxstart[p] qualifies (G[p] = G[p +
+    maxstart[p]] + 1); a shorter factor lies in it and is never maximal.
     """
     k = G[0]
     for p, (f, g, reach) in enumerate(zip(F, G, maxstart)):
         if f + g == k:
-            q = p + reach
-            while G[q] == g - 1:
-                yield p, q, f + 1
-                q -= 1
+            yield p, p + reach, f + 1
 
 
 def _ith_factor_maxima(maxstart: list[int], F: list[int], G: list[int]) -> list[int]:
@@ -417,10 +420,8 @@ class _Ball:
         n = len(w)
         if q - p < long:
             return []
-        # maximality of the factor as a subword of w
+        # maximality of the factor as a subword of w; q is p's reach, so only the left end can grow
         if p > 0 and maxstart[p - 1] >= q - p + 1:
-            return []
-        if q < n and maxstart[p] >= q - p + 1:
             return []
         letters = w.letters
         factor = w.subword(p, q)
@@ -449,7 +450,7 @@ class _Ball:
 
     def edges(self, nid: int) -> list[tuple[int, int]]:
         """The node's tagged edges: the spans of ``_factor_spans`` in its
-        order (p ascending, then q descending), each span's candidates in
+        order (p ascending, one span per start), each span's candidates in
         ``_span_candidates`` order, each (candidate, j) pair once.  The
         order matters only where ``max_ball`` binds."""
         node = self.node(nid)
@@ -501,6 +502,16 @@ class _Ball:
         """Max i-th factor length over the depth-bounded i-ball."""
         return max(self.node(nid).max_ith_factor(i) for nid in self.i_ball(i, depth))
 
+    def value(self, depth: int) -> ComplexityValue:
+        """The root's (c1, c2), counting each ell_hat_i that reaches the zero threshold."""
+        k = self.node(0).k
+        zero_at = self.thresholds.zero_letters(self.idx.max_relator_length)
+        per = []
+        for i in range(1, k + 1):
+            hat = self.ell_hat(i, depth)
+            per.append(hat if hat >= zero_at else 0)
+        return ComplexityValue(k, sum(per), tuple(per), depth)
+
 
 @dataclass(frozen=True)
 class ComplexityValue:
@@ -530,19 +541,21 @@ def complexity(
     thresholds: Thresholds = Thresholds(),
     depth: int = 1,
 ) -> ComplexityValue:
-    """Depth-bounded complexity; the empty word is the bottom element."""
-    if len(w) == 0:
-        return ComplexityValue(0, 0, (), depth)
-    maxstart = idx.max_factor_starting(w)
-    _check_covered(maxstart)
-    ball = _Ball(w, idx, thresholds, maxstart)
-    k = ball.node(0).k
-    zero_at = thresholds.zero_letters(idx.max_relator_length)
-    per = []
-    for i in range(1, k + 1):
-        hat = ball.ell_hat(i, depth)
-        per.append(hat if hat >= zero_at else 0)
-    return ComplexityValue(k, sum(per), tuple(per), depth)
+    """Depth-bounded complexity; the empty word, with c1 = 0 and no
+    factors, is the bottom element."""
+    maxstart = _check_covered(idx.max_factor_starting(w))
+    return _Ball(w, idx, thresholds, maxstart).value(depth)
+
+
+def complexity_report(w: Word, idx: UWordIndex, depth: int) -> dict:
+    """The ``complexity`` payload but its config: the value at the default
+    thresholds and the greedy witness segmentation, from one factor table."""
+    thresholds = Thresholds()
+    maxstart = _check_covered(idx.max_factor_starting(w))
+    value = _Ball(w, idx, thresholds, maxstart).value(depth)
+    # the identity has the bottom value and no factors to segment
+    seg = _segmentation(w, idx, maxstart) if w else Segmentation(w, (), ())
+    return {**value.to_dict(), "thresholds": thresholds.__dict__, "segmentation": seg.to_dict()}
 
 
 def tuple_complexity(
@@ -557,6 +570,8 @@ def tuple_complexity(
 
 @dataclass
 class ReductionOutcome:
+    pattern: Word
+    replacement: Word
     word: Word
     before: ComplexityValue
     after: ComplexityValue
@@ -572,6 +587,8 @@ class ReductionOutcome:
 
     def to_dict(self) -> dict:
         return {
+            "pattern": str(self.pattern),
+            "replacement": str(self.replacement),
             "word": str(self.word),
             "before": self.before.to_dict(),
             "after": self.after.to_dict(),
@@ -619,4 +636,4 @@ def reduction_move(
     new_word = splice(w, occurrence_set, L, replacement)
     before = complexity(w, idx, thresholds, depth)
     after = complexity(new_word, idx, thresholds, depth)
-    return ReductionOutcome(new_word, before, after, list(occurrence_set))
+    return ReductionOutcome(pattern, replacement, new_word, before, after, list(occurrence_set))

@@ -1,6 +1,7 @@
 """Edge folds on labeled graphs: wedge construction, fold sequences,
-extraction of the last pre-rose-lift stage with its small witness
-subgraph, and arc-replacement surgery.
+the ``fold`` report with its stage digests, extraction of the last
+pre-rose-lift stage with its small witness subgraph, and arc-replacement
+surgery.
 
 A fold identifies two distinct oriented edges that leave one vertex with
 the same letter.  The engine below is a union-find quotient of the graph
@@ -23,6 +24,8 @@ from .graphs import (
     _Quotient,
     arc_endpoints,
     arc_interior,
+    canonical_key,
+    format_graph,
     is_connected,
     is_rose,
     subgraph_as_graph,
@@ -267,6 +270,36 @@ def fold_all(g: LabeledGraph, policy: str = "least") -> FoldTrace:
             push(r)
     terminal, _, _ = engine.materialize()
     return FoldTrace(g, tuple(records), terminal, policy, first_lift)
+
+
+def fold_report(t: GenTuple, policy: str, dump_stages: bool) -> dict:
+    """The ``fold`` payload but its config: the wedge of ``t`` folded under
+    ``policy``, each stage's key digest (and graph, with ``dump_stages``)
+    from one replay."""
+    import hashlib  # here, so that importing the package does not load it
+    wedge = wedge_of_loops(t)
+    trace = fold_all(wedge, policy)
+    # repr(key) through a table of the strings of every token a stage key
+    # can hold (-1 to the wedge's largest count), at half repr's cost
+    names = {i: str(i) for i in range(-1, max(t.rank, wedge.num_vertices, wedge.num_edges) + 1)}
+    digests, dumps = [], []
+    for view in trace.stage_views():
+        text = "(" + ", ".join(map(names.__getitem__, canonical_key(view))) + ")"
+        digests.append(hashlib.sha256(text.encode()).hexdigest()[:16])
+        if dump_stages:
+            dumps.append(format_graph(view.materialize()[0]))
+    report = {
+        "initial_edges": wedge.num_edges,
+        "folds": trace.num_folds,
+        "terminal": format_graph(trace.terminal),
+        "terminal_is_rose": is_rose(trace.terminal),
+        "records": [(r.kept, r.removed) for r in trace.records],
+        "stage_digests": digests,
+        "delta_index": trace.delta_index,
+    }
+    if dump_stages:
+        report["stages"] = dumps
+    return report
 
 
 @dataclass(frozen=True)

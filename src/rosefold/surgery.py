@@ -195,7 +195,9 @@ def run_surgery(relators: Sequence[Word], t: GenTuple, depth: int = 0) -> Surger
             continue
         sub = label.subword(best_p, best_p + best_len)
         cert = idx.is_u_word(sub)
-        assert cert is not None
+        if cert is None:
+            # a fault in the tables, not a failed instance: surgery_demo must not retry it
+            raise RuntimeError(f"the factor table covers {sub}, but no certificate does")
         if certified is None or best_len > certified[2]:
             certified = (petal, run_start + best_p, best_len, sub, cert)
     if certified is None:

@@ -78,20 +78,20 @@ MUTANTS = (
         'strsearch.SuffixAutomaton("".join(powers)[::-1])',
         (f"{CX}::TestFactorTables::test_max_factor_starting_matches_brute_force",),
     ),
-    # the c2 ball's span walk: _factor_spans against the uncapped
-    # enumeration, and the ball against oracle_i_ball and oracle_complexity
+    # the c2 ball's spans: _factor_spans against the uncapped enumeration,
+    # and the ball against oracle_i_ball and oracle_complexity
     Mutant(
-        "span walk without the F[p] + G[p] = k test",
+        "spans without the F[p] + G[p] = k test",
         "complexity.py",
-        "        if f + g == k:\n            q = p + reach",
-        "        if True:\n            q = p + reach",
+        "        if f + g == k:\n            yield p, p + reach, f + 1",
+        "        if True:\n            yield p, p + reach, f + 1",
         (f"{CX}::TestExactEdges::test_spans_match_uncapped_enumeration",),
     ),
     Mutant(
-        "span walk starts one below the reach",
+        "spans end one below the reach",
         "complexity.py",
-        "            q = p + reach\n",
-        "            q = p + reach - 1\n",
+        "            yield p, p + reach, f + 1\n",
+        "            yield p, p + reach - 1, f + 1\n",
         (
             f"{CX}::TestExactEdges::test_spans_match_uncapped_enumeration",
             f"{CX}::TestFactorTables::test_tables_match_oracle",
@@ -110,6 +110,21 @@ MUTANTS = (
         "            if j != i:\n                out.setdefault(cand)",
         "            if j != i or j == 1:\n                out.setdefault(cand)",
         (f"{CX}::TestSharedBall::test_complexity_matches_oracle",),
+    ),
+    # library reports: the CLI payload digests
+    Mutant(
+        "fold digests write -1 as 1",
+        "folding.py",
+        "names = {i: str(i) for i in range(",
+        "names = {i: str(abs(i)) for i in range(",
+        ("tests/test_cli.py::test_payload_digests",),
+    ),
+    Mutant(
+        "reduce payload swaps the pattern and the replacement",
+        "complexity.py",
+        '"pattern": str(self.pattern),\n            "replacement": str(self.replacement),',
+        '"pattern": str(self.replacement),\n            "replacement": str(self.pattern),',
+        ("tests/test_cli.py::test_payload_digests",),
     ),
     # letter codes
     Mutant(

@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import io
 import json
+import shlex
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -9,6 +11,8 @@ from hypothesis import strategies as st
 
 from rosefold import genericity
 from rosefold.cli import main
+from rosefold.complexity import UWordIndex
+from test_readme import cli_commands
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -292,6 +296,35 @@ class TestComplexityCommands:
         assert payload["relation"] in ("decreased", "equal")
         assert payload["pattern"].startswith("a1 a2 a1")
 
+    def test_one_factor_table_per_command(self, capsys, monkeypatch):
+        # the value and the segmentation read one table of the word; the
+        # ball's other words get one each
+        word = "a1 a2 a1 a2^-1 a2^-1 a1 a1 a2 a1 a2"
+        tables = []
+        original = UWordIndex.max_factor_starting
+
+        def spy(self, w):
+            tables.append(str(w))
+            return original(self, w)
+
+        monkeypatch.setattr(UWordIndex, "max_factor_starting", spy)
+        for depth in ("0", "1"):
+            tables.clear()
+            code, _ = run_cli(
+                capsys, "complexity", "--relators", self.RELATOR, "--word", word, "--depth", depth,
+            )
+            assert code == 0
+            assert tables.count(word) == 1
+        assert len(tables) > 1
+
+    def test_factor_without_certificate_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(UWordIndex, "is_u_word", lambda self, z: None)
+        code, out = run_cli(
+            capsys, "complexity", "--relators", self.RELATOR, "--word", "a1 a2 a1",
+        )
+        assert code == 2
+        assert json.loads(out)["error"].startswith("RuntimeError: ")
+
 
 class TestSurgeryDemo:
     def test_exit_zero_and_report(self, capsys):
@@ -300,6 +333,12 @@ class TestSurgeryDemo:
         payload = json.loads(out)
         assert payload["strictly_smaller"] is True
         assert payload["refolds_to_rose"] is True
+
+    def test_arc_without_certificate_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(UWordIndex, "is_u_word", lambda self, z: None)
+        code, out = run_cli(capsys, "surgery-demo", "--seed", "7")
+        assert code == 2
+        assert json.loads(out)["error"].startswith("RuntimeError: ")
 
     @pytest.mark.parametrize(
         "argv, pattern",
@@ -322,6 +361,65 @@ class TestSurgeryDemo:
         assert (payload["pattern"], payload["replacement"]) == (pattern, "")
         assert payload["delta_after_refolds"] is True
         assert payload["strictly_smaller"] is True
+
+
+RELATOR = TestComplexityCommands.RELATOR
+
+# every payload byte for byte: SHA-256 of f"{exit code}\n{stdout}" for
+# README's commands and four more (the greedy fold with its stage dumps,
+# the identity's complexity, a move on an inverse relator rotation and the
+# sc-check CSV); verify-covers is hashed without its elapsed_seconds.  A
+# change that alters an output on purpose records the new digests here.
+# The whole test takes about 2 s (Python 3.11.7, 2 vCPUs), most of it
+# README's word-stats.
+PAYLOAD_COMMANDS = cli_commands() + [
+    ["fold", "--rank", "2", "--words", "a1 a2", "a1", "--policy", "greatest", "--dump-stages"],
+    ["complexity", "--relators", RELATOR, "--word", "1"],
+    ["reduce", "--relators", RELATOR, "--word", "a1 a1 a2^-1 a1^-1 a1^-1 a2 a2 a1^-1 a2^-1 a1 a1",
+     "--relator-rotation", "0:-1:0:7"],
+    ["sc-check", "--rank", "2", "--length", "60", "--seed", "7", "--lambda", "0.125", "--format", "csv"],
+]
+
+PAYLOAD_DIGESTS = {
+    "fold --rank 2 --words 'a1 a2' a1":
+        "b5974105a53e84d4b56145294fbf4678fb1beeb6c31f16508484efa887ac1695",
+    "verify-covers --rank 2 --max-edges 6 --max-path-len 14":
+        "92be2ba097181a908d1f918e25edcf7a8718e1baf07ab8ca365914722fd4c53a",
+    "word-stats --rank 2 --length 4096 --samples 200 --seed 7 --jobs 4":
+        "f625c4569666376973f56107ea41a18bb74986d0642d4c94cf9dc23e2c002a32",
+    "alpha-injectivity --rank 2 --length 256 --samples 50 --seed 7":
+        "2473242419d0802ecf9b73f338d4d67795e11aeeb51abbe6df63a5ec8554994b",
+    "build-presentation --rank 2 --length 60 --seed 7":
+        "9abb769fb1de340d91da0b028e89eda60cef8ef4957d3e7ae5b955ac320a4130",
+    "sc-check --rank 2 --length 60 --seed 7 --lambda 0.125":
+        "940f22e7ffb04f67b2eb701aa7284e5c9061394661c66912f15828ea54de61c9",
+    "complexity --relators 'a1 a2 a1 a2^-1 a2^-1 a1 a1 a2' --word 'a1 a2 a1' --depth 1":
+        "1c0dcd1a859c4ad9f8f5582e8ff3fa01a7456941d5076efb34261b322403337a",
+    "reduce --relators 'a1 a2 a1 a2^-1 a2^-1 a1 a1 a2' --word 'a1 a2 a1 a2^-1 a2^-1 a1 a1' --relator-rotation 0:1:0:7":
+        "63b0ec67c00cf4191896212d3ea8cc909e8768fadf348d06f9c6c1e6168e77e2",
+    "surgery-demo --seed 7":
+        "9d4c8cdfd607f4d4e49754bfcb94fbc00b65944d48f99949622cf77f67a8aa82",
+    "fold --rank 2 --words 'a1 a2' a1 --policy greatest --dump-stages":
+        "50c10c4c6bc93ff517f47125a74059f97022c32d362fbe279cd85115de24db81",
+    "complexity --relators 'a1 a2 a1 a2^-1 a2^-1 a1 a1 a2' --word 1":
+        "2c1270fd7c573535b46854b400343ba8c55f78799e0d1d2d227e77b9ebfa1676",
+    "reduce --relators 'a1 a2 a1 a2^-1 a2^-1 a1 a1 a2' --word 'a1 a1 a2^-1 a1^-1 a1^-1 a2 a2 a1^-1 a2^-1 a1 a1' --relator-rotation 0:-1:0:7":
+        "f8233bcabfc75514cc56e0cd4998d6c558da0712a3a67ab22cff1cbb75e1ae00",
+    "sc-check --rank 2 --length 60 --seed 7 --lambda 0.125 --format csv":
+        "da4362c7eee6a757fc35ca659fa7a24f3f48fb2633b1b57df868f4607ff2af33",
+}
+
+
+def test_payload_digests(capsys):
+    got = {}
+    for argv in PAYLOAD_COMMANDS:
+        code, out = run_cli(capsys, *argv)
+        if argv[0] == "verify-covers":
+            payload = json.loads(out)
+            del payload["elapsed_seconds"]
+            out = json.dumps(payload, indent=2) + "\n"
+        got[shlex.join(argv)] = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+    assert got == PAYLOAD_DIGESTS
 
 
 class TestUsageErrors:

@@ -438,6 +438,13 @@ class TestC1:
         k, _ = c1(w("a1"), toy)
         assert k == 1
 
+    def test_factor_without_certificate_raises(self, toy, monkeypatch):
+        # the factor table and the certificate scan disagreeing is a fault,
+        # raised under python -O too
+        monkeypatch.setattr(UWordIndex, "is_u_word", lambda self, z: None)
+        with pytest.raises(RuntimeError, match="no certificate"):
+            c1(w("a1"), toy)
+
     def test_dp_matches_brute_force(self, toy):
         rng = random.Random(6)
         for _ in range(150):
@@ -917,9 +924,10 @@ def past_the_old_cap(acceptance):
 
 class TestExactEdges:
     def test_spans_match_uncapped_enumeration(self, acceptance, past_the_old_cap):
-        # the spans read off the tables, in the stated order, against the
-        # factors of every minimal segmentation, on random words and on
-        # chunk words of the benchmark's lengths
+        # the spans read off the tables, one per start in ascending order,
+        # against the factors of every minimal segmentation that end at
+        # their start's reach, on random words and on chunk words of the
+        # benchmark's lengths; every start of such a factor has one
         idx, big = past_the_old_cap
         rng = random.Random(26)
         words = [Word(2, random_reduced_letters(rng, 2, n)) for n in (1, 2, 5, 10, 20, 40, 60) for _ in range(4)]
@@ -929,8 +937,11 @@ class TestExactEdges:
             maxstart = idx.max_factor_starting(word)
             F, G = _min_factor_tables(maxstart)
             got = list(_factor_spans(maxstart, F, G))
-            assert got == sorted(set(got), key=lambda s: (s[0], -s[1]))
-            assert set(got) == oracle_factor_spans(word, idx)
+            starts = [p for p, _, _ in got]
+            assert starts == sorted(set(starts))
+            oracle = oracle_factor_spans(word, idx)
+            assert set(got) == {(p, q, j) for p, q, j in oracle if q == p + maxstart[p]}
+            assert set(starts) == {p for p, _, _ in oracle}
             past_cap += segmentation_count(word, idx) > 64
         assert past_cap >= 4
 

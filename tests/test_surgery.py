@@ -53,6 +53,17 @@ class TestPipeline:
         )
         assert is_rose(fold_all(wedge_of_loops(t)).terminal)
 
+    def test_arc_without_certificate_raises_at_once(self, monkeypatch):
+        # a fault of the tables, not a failed instance: surgery_demo does
+        # not retry past it as it does past a SurgeryError
+        monkeypatch.setattr(UWordIndex, "is_u_word", lambda self, z: None)
+        relators, t = build_instance(2, 40, seed=7)
+        with pytest.raises(RuntimeError, match="no certificate") as err:
+            run_surgery(relators, t)
+        assert not isinstance(err.value, SurgeryError)
+        with pytest.raises(RuntimeError, match="no certificate"):
+            surgery_demo(rank=2, relator_length=40, seed=7)
+
     def test_relators_must_cover_alphabet(self):
         relators = [parse_word("a1 a1 a1", 2)]
         t = GenTuple(2, (parse_word("a1 a2", 2), parse_word("a2", 2)))
