@@ -18,7 +18,6 @@ import functools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import complexity as cxmod
 from . import covers, folding, genericity, presentations, surgery, words
@@ -157,6 +156,9 @@ def cmd_word_stats(args: argparse.Namespace) -> int:
     # the cores
     workers = min(args.jobs, os.cpu_count() or 1)
     if workers > 1:
+        # imported here, so that a serial run loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             report = genericity.word_stats_experiment(cfg, args.epsilon, pool)
     else:

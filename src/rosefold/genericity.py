@@ -13,9 +13,8 @@ import functools
 import itertools
 import math
 import random
-from concurrent.futures import Executor
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import strsearch
 from .covers import (
@@ -26,6 +25,9 @@ from .covers import (
 )
 from .graphs import EdgePath, LabeledGraph
 from .words import Word, _unchecked, random_reduced_letters
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 _SEED_STRIDE = 0x9E3779B97F4A7C15
 _WILSON_Z = 1.96  # two-sided 95 % normal quantile

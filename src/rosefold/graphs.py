@@ -16,7 +16,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .strsearch import _INDEX, _alphabet, _letter_rows
+from .strsearch import _INDEX, _letter_rows
 from .words import check_letter, format_letter
 
 
@@ -103,32 +103,47 @@ class _Quotient:
     union-find (path halving, union by size), some of its edges removed.
 
     A class is named by its root and numbered by its least vertex
-    (``cls_min``); ``adj`` holds, for each root, the live oriented tokens
-    leaving its class by letter, and ``ends`` the original end vertex of
-    every token.  ``num_vertices`` and ``num_edges`` count the classes and
-    the live edges.  The fold engine (``folding._Engine``) is a quotient
-    that a fold sequence advances; ``collapse`` and ``component_count``
-    contract edges of one, and ``canonical_key`` encodes one."""
+    (``cls_min``).  ``slots`` is one flat list of ``width = 2 * rank``
+    slots per vertex, one per letter in the letter order: slot
+    ``root * width + i`` lists the live oriented tokens leaving the class
+    of ``root`` with the letter of index ``i``, or is None when there are
+    none, and every slot of a vertex that is not a root is None.  ``ends``
+    holds the original end vertex of every token.  ``num_vertices`` and
+    ``num_edges`` count the classes and the live edges.  The fold engine
+    (``folding._Engine``) is a quotient that a fold sequence advances;
+    ``collapse`` and ``component_count`` contract edges of one, and
+    ``canonical_key`` encodes one."""
 
     def __init__(self, graph: LabeledGraph):
         n = graph.num_vertices
+        width = 2 * graph.rank
         self.graph = graph
+        self.width = width
         self.num_vertices = n
         self.num_edges = graph.num_edges
         self.parent = list(range(n))
-        self.cls_min = list(range(n))
+        self.cls_min = self.parent[:]
         self.size = [1] * n
         self.alive = [True] * graph.num_edges
-        self.adj: list[dict[int, set[int]]] = [dict() for _ in range(n)]
-        for k, (src, dst, label) in enumerate(graph.edges):
-            self.adj[src].setdefault(label, set()).add(k + 1)
-            self.adj[dst].setdefault(-label, set()).add(-(k + 1))
+        slots: list[list[int] | None] = [None] * (n * width)
+        for k, (src, dst, label) in enumerate(graph.edges, 1):
+            i = _INDEX[label]
+            s = src * width + i
+            if slots[s] is None:
+                slots[s] = [k]
+            else:
+                slots[s].append(k)
+            s = dst * width + (i ^ 1)
+            if slots[s] is None:
+                slots[s] = [-k]
+            else:
+                slots[s].append(-k)
+        self.slots = slots
         # ends[+(k+1)] is edge k's dst and ends[-(k+1)] its src, by
         # Python's negative indexing
         self.ends = [0] + [dst for _, dst, _ in graph.edges] + [src for src, _, _ in reversed(graph.edges)]
-        # per letter in the letter order: the letter, its generator and its
-        # sign bit, the head of its label group
-        self.labels = [(letter, abs(letter), i & 1) for i, letter in enumerate(_alphabet(graph.rank))]
+        # per letter index: the head of its label group, (generator, sign bit)
+        self.labels = [((i >> 1) + 1, i & 1) for i in range(width)]
 
     def find(self, v: int) -> int:
         parent = self.parent
@@ -142,12 +157,12 @@ class _Quotient:
 
     def remove_edge(self, eid: int) -> None:
         src, dst, label = self.graph.edges[eid - 1]
-        for root, letter, token in ((self.find(src), label, eid), (self.find(dst), -label, -eid)):
-            bucket = self.adj[root].get(letter)
-            if bucket is not None:
-                bucket.discard(token)
-                if not bucket:
-                    del self.adj[root][letter]
+        i, width, slots = _INDEX[label], self.width, self.slots
+        for s, token in ((self.find(src) * width + i, eid), (self.find(dst) * width + (i ^ 1), -eid)):
+            toks = slots[s]
+            toks.remove(token)
+            if not toks:
+                slots[s] = None
         self.alive[eid - 1] = False
         self.num_edges -= 1
 
@@ -155,9 +170,15 @@ class _Quotient:
         """Merge the classes of two distinct roots into the larger's root."""
         if self.size[ra] < self.size[rb]:
             ra, rb = rb, ra
-        for letter, toks in self.adj[rb].items():
-            self.adj[ra].setdefault(letter, set()).update(toks)
-        self.adj[rb] = {}
+        width, slots = self.width, self.slots
+        b = rb * width
+        for s, toks in enumerate(slots[b : b + width], ra * width):
+            if toks is not None:
+                if slots[s] is None:
+                    slots[s] = toks
+                else:
+                    slots[s] += toks
+        slots[b : b + width] = [None] * width
         self.parent[rb] = ra
         self.size[ra] += self.size[rb]
         self.cls_min[ra] = min(self.cls_min[ra], self.cls_min[rb])
@@ -185,12 +206,12 @@ class _Quotient:
         """The label groups of a class, as ``_encode_from`` reads them: per
         letter leaving it, in the letter order, ``(gen, sign, targets with
         multiplicity, distinct targets)``, the targets being roots."""
-        adj, ends, parent = self.adj[root], self.ends, self.parent
+        ends, parent, width = self.ends, self.parent, self.width
         out = []
-        for letter, gen, sign in self.labels:
-            if letter in adj:
+        for (gen, sign), toks in zip(self.labels, self.slots[root * width : (root + 1) * width]):
+            if toks is not None:
                 targets = []
-                for tok in adj[letter]:
+                for tok in toks:
                     v = ends[tok]
                     while parent[v] != v:  # ``find`` inlined, without halving
                         v = parent[v]

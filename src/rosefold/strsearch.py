@@ -20,6 +20,7 @@ one-character strings.  Every per-letter table of the package
 
 from __future__ import annotations
 
+import gc
 from typing import Iterable, Sequence
 
 _BASE = 0  # letter characters start at 2, clear of the separator below
@@ -78,43 +79,61 @@ def inverse_chars(s: str) -> str:
 
 class SuffixAutomaton:
     """Suffix automaton of one string, enough for repeated-substring and
-    common-substring queries."""
+    common-substring queries.
 
-    __slots__ = ("next", "link", "length")
+    ``codes`` numbers the distinct characters of the text densely, in
+    order of first occurrence, and ``next[v][codes[ch]]`` is the state
+    that ``ch`` leads to from state ``v``, or 0 when there is none: the
+    root, state 0, is no state's target.  A list of one slot per distinct
+    character costs a state less than a dict of its transitions."""
+
+    __slots__ = ("next", "link", "length", "codes")
 
     def __init__(self, text: str = ""):
         # the classic online construction, one letter at a time, on local
-        # names for the three tables
-        nxt: list[dict[str, int]] = [{}]
-        link = [-1]
-        length = [0]
-        last = 0
-        for ch in text:
-            cur = len(nxt)
-            nxt.append({})
-            length.append(length[last] + 1)
-            link.append(0)
-            p = last
-            while p >= 0 and ch not in nxt[p]:
-                nxt[p][ch] = cur
-                p = link[p]
-            if p >= 0:
-                q = nxt[p][ch]
-                if length[p] + 1 == length[q]:
-                    link[cur] = q
-                else:
-                    clone = len(nxt)
-                    nxt.append(nxt[q].copy())
-                    length.append(length[p] + 1)
-                    link.append(link[q])
-                    while p >= 0 and nxt[p].get(ch) == q:
-                        nxt[p][ch] = clone
-                        p = link[p]
-                    link[q] = link[cur] = clone
-            last = cur
+        # names for the tables.  Rows of ints form no reference cycles, so
+        # the cyclic collector is paused while they are built: otherwise
+        # their allocation triggers collections that walk every live
+        # object, the growing table included, and find nothing
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            codes = {ch: c for c, ch in enumerate(dict.fromkeys(text))}
+            empty = [0] * len(codes)
+            nxt: list[list[int]] = [empty[:]]
+            link = [-1]
+            length = [0]
+            last = 0
+            for c in map(codes.__getitem__, text):
+                cur = len(nxt)
+                nxt.append(empty[:])
+                length.append(length[last] + 1)
+                link.append(0)
+                p = last
+                while p >= 0 and not nxt[p][c]:
+                    nxt[p][c] = cur
+                    p = link[p]
+                if p >= 0:
+                    q = nxt[p][c]
+                    if length[p] + 1 == length[q]:
+                        link[cur] = q
+                    else:
+                        clone = len(nxt)
+                        nxt.append(nxt[q][:])
+                        length.append(length[p] + 1)
+                        link.append(link[q])
+                        while p >= 0 and nxt[p][c] == q:
+                            nxt[p][c] = clone
+                            p = link[p]
+                        link[q] = link[cur] = clone
+                last = cur
+        finally:
+            if collecting:
+                gc.enable()
         self.next = nxt
         self.link = link
         self.length = length
+        self.codes = codes
 
     def longest_repeated(self) -> int:
         """Length of the longest substring occurring at least twice.  A
@@ -130,17 +149,21 @@ class SuffixAutomaton:
         out: list[int] = []
         append = out.append
         v = length = 0
-        for ch in query:
-            trans = nxt[v]
-            while v and ch not in trans:
-                v = link[v]
-                trans = nxt[v]
-                length = length_of[v]
-            v = trans.get(ch)
-            if v is None:
+        for c in map(self.codes.get, query):
+            if c is None:  # a character the text lacks
                 v = length = 0
-            else:
+                append(0)
+                continue
+            target = nxt[v][c]
+            while not target and v:
+                v = link[v]
+                target = nxt[v][c]
+                length = length_of[v]
+            if target:
+                v = target
                 length += 1
+            else:  # no transition even from the root
+                length = 0
             append(length)
         return out
 

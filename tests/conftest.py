@@ -1,12 +1,13 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 from rosefold.covers import enumerate_candidates
 from rosefold.graphs import LabeledGraph, Subgraph, _encode_from, _Quotient, subgraph_from_edges
 from rosefold.strsearch import _INDEX
-from rosefold.words import Word, random_reduced_letters
+from rosefold.words import GenTuple, Word, random_reduced_letters
 
 
 def letter_key(letter: int) -> tuple[int, int]:
@@ -14,6 +15,35 @@ def letter_key(letter: int) -> tuple[int, int]:
     written out on its own so that the oracles do not borrow it from
     ``strsearch``."""
     return (abs(letter), 0 if letter > 0 else 1)
+
+
+def relabel(perm: tuple[int, ...], x):
+    """Apply a signed permutation of the generators, which sends generator
+    g to the signed generator ``perm[g - 1]``, to a letter sequence, a
+    ``Word``, a ``GenTuple`` or the labels of a ``LabeledGraph``.  These
+    2^n n! maps are the automorphisms of the free group that permute the
+    letters, so every quantity not defined through the letter order is
+    invariant under them."""
+    image = lambda l: perm[l - 1] if l > 0 else -perm[-l - 1]
+    if isinstance(x, LabeledGraph):
+        return LabeledGraph(x.rank, x.num_vertices, tuple((s, d, image(l)) for s, d, l in x.edges), x.base)
+    if isinstance(x, GenTuple):
+        return GenTuple(x.rank, tuple(relabel(perm, w) for w in x.entries))
+    if isinstance(x, Word):
+        return Word(x.rank, tuple(map(image, x.letters)))
+    return tuple(map(image, x))
+
+
+def allocated_by(build):
+    """What ``build()`` returns and the bytes of memory it leaves
+    allocated, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        value = build()
+        return value, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
 
 
 def rose(rank: int, base: int | None = 0) -> LabeledGraph:

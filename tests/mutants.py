@@ -137,6 +137,16 @@ MUTANTS = (
             f"{CX}::TestFactorTables::test_max_factor_starting_matches_brute_force",
         ),
     ),
+    Mutant(
+        "a clone state starts with no transitions",
+        "strsearch.py",
+        "nxt.append(nxt[q][:])",
+        "nxt.append(empty[:])",
+        (
+            "tests/test_strsearch.py::TestStreamingMatch::test_repeat_lengths_against_brute_force",
+            f"{CX}::TestFactorTables::test_max_factor_starting_matches_brute_force",
+        ),
+    ),
     # covers: brute_force_candidates and oracle_shortest_non_lifting_word
     Mutant(
         "shape automorphisms never reverse a group",
@@ -175,6 +185,18 @@ MUTANTS = (
         "for gen in range(1, self.graph.rank + 1)",
         "for gen in range(1, self.graph.rank)",
         ("tests/test_folding.py::TestDeferRoseOracle",),
+    ),
+    # graphs: the quotient's slots, against bfs_components and the naive
+    # fold reference
+    Mutant(
+        "union keeps only the kept root's tokens where both roots have some",
+        "graphs.py",
+        "slots[s] += toks",
+        "slots[s] = slots[s]",
+        (
+            "tests/test_graphs.py::TestCollapse::test_matches_bfs_oracle",
+            "tests/test_folding.py::TestFoldAll::test_engine_matches_naive_reference",
+        ),
     ),
     # graphs: oracle_canonical_key
     Mutant(

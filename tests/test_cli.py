@@ -2,13 +2,18 @@ import csv
 import hashlib
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+import rosefold
 from rosefold import genericity
 from rosefold.cli import main
 from rosefold.complexity import UWordIndex
@@ -165,7 +170,8 @@ class TestWordStats:
             def map(self, fn, iterable, chunksize=1):
                 return map(fn, iterable)
 
-        monkeypatch.setattr("rosefold.cli.ProcessPoolExecutor", RecordingExecutor)
+        # cli imports the pool class from concurrent.futures when it needs one
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingExecutor)
         monkeypatch.setattr("rosefold.cli.os.cpu_count", lambda: 3)
         base = ("word-stats", "--length", "32", "--samples", "2")
         _, out = run_cli(capsys, *base, "--jobs", "100000")
@@ -208,6 +214,23 @@ class TestWordStats:
         )
         assert code == 0
         assert json.loads(path.read_text())["config"]["seed"] == 1
+
+    def test_serial_run_imports_no_pool(self):
+        # only --jobs > 1 needs a process pool; importing the CLI and a
+        # --jobs 1 run leave multiprocessing unloaded
+        code = (
+            "import contextlib, io, sys\n"
+            "from rosefold.cli import main\n"
+            "pool = ('multiprocessing', 'concurrent.futures.process')\n"
+            "loaded = [m for m in pool if m in sys.modules]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    main(['word-stats', '--length', '32', '--samples', '2', '--jobs', '1'])\n"
+            "print(loaded, [m for m in pool if m in sys.modules])\n"
+        )
+        src = Path(rosefold.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[] []"
 
 
 class TestPresentationCommands:

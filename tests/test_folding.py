@@ -370,7 +370,7 @@ def clone_engine(engine: _Engine) -> _Engine:
     other.cls_min = list(engine.cls_min)
     other.size = list(engine.size)
     other.alive = list(engine.alive)
-    other.adj = [{letter: set(toks) for letter, toks in bucket.items()} for bucket in engine.adj]
+    other.slots = [None if toks is None else list(toks) for toks in engine.slots]
     return other
 
 
@@ -380,10 +380,12 @@ def engine_roots(engine: _Engine) -> list[int]:
 
 def engine_has_rose_lift(engine: _Engine) -> bool:
     for root in engine_roots(engine):
+        # generator a_gen has slot 2 * (gen - 1) of each vertex's row
+        slots = engine.slots[root * engine.width : (root + 1) * engine.width]
         gens = {
-            letter
-            for letter, toks in engine.adj[root].items()
-            if letter > 0 and any(engine.head(tok) == root for tok in toks)
+            gen
+            for gen in range(1, engine.graph.rank + 1)
+            if any(engine.head(tok) == root for tok in slots[2 * gen - 2] or ())
         }
         if len(gens) == engine.graph.rank:
             return True
