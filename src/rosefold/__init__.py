@@ -18,7 +18,6 @@ from .words import (
     standard_tuple,
 )
 from .graphs import (
-    Arc,
     EdgePath,
     LabeledGraph,
     Subgraph,

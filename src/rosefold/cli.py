@@ -41,11 +41,11 @@ def _emit(payload: dict | str, args: argparse.Namespace) -> None:
     rendered itself as it is, to --out or stdout."""
     if isinstance(payload, str):
         text = payload
-    elif getattr(args, "format", "json") == "csv":
+    elif args.format == "csv":
         text = _to_csv(payload)
     else:
         text = json.dumps(payload, indent=2, default=str) + "\n"
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
@@ -53,9 +53,7 @@ def _emit(payload: dict | str, args: argparse.Namespace) -> None:
 
 
 def _to_csv(payload: dict) -> str:
-    lines = []
-    for key, value in payload.get("config", {}).items():
-        lines.append(f"# {key}={value}")
+    lines = [f"# {key}={value}" for key, value in payload["config"].items()]
     rows = payload.get("samples") or []
     if rows:
         lines.append("sample,metric,value")
@@ -63,10 +61,10 @@ def _to_csv(payload: dict) -> str:
             for key, value in row.items():
                 if key != "sample":
                     lines.append(f"{row['sample']},{key},{value}")
-    for key, value in payload.items():
-        if key in ("config", "samples"):
-            continue
-        lines.append(f"# {key}={json.dumps(value, default=str)}")
+    lines += [
+        f"# {key}={json.dumps(value, default=str)}"
+        for key, value in payload.items() if key not in ("config", "samples")
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -94,14 +92,16 @@ def _fraction(text: str) -> float:
     return value
 
 
-def _config_echo(args: argparse.Namespace, names: list[str]) -> dict:
-    config = {}
-    for name in names:
-        value = getattr(args, name)
-        # a list option's default is a tuple, so that the shared parser
-        # holds nothing a call could change; echo it as a given list is
-        config[name] = list(value) if isinstance(value, tuple) else value
-    return config
+def _config_echo(args: argparse.Namespace) -> dict:
+    """Every flag the subcommand declares but the output flags, in
+    declaration order, which the parsed namespace keeps.  A list option's
+    default is a tuple, so that the shared parser holds nothing a call
+    could change; it is echoed as a given list is."""
+    return {
+        name: list(value) if isinstance(value, tuple) else value
+        for name, value in vars(args).items()
+        if name not in ("command", "func", "out", "format")
+    }
 
 
 def _read_words_json(path: str, *families: str) -> tuple[int, list[list[words.Word]]]:
@@ -129,26 +129,18 @@ def _parse_tuple(args: argparse.Namespace) -> words.GenTuple:
     return words.GenTuple(args.rank, entries)
 
 
-def cmd_fold(args: argparse.Namespace) -> int:
-    report = folding.fold_report(_parse_tuple(args), args.policy, args.dump_stages)
-    config = _config_echo(args, ["rank", "words", "tuple_json", "policy", "dump_stages"])
-    _emit({"config": config, **report}, args)
-    return 0
+def cmd_fold(args: argparse.Namespace) -> tuple[dict, int]:
+    return folding.fold_report(_parse_tuple(args), args.policy, args.dump_stages), 0
 
 
-def cmd_verify_covers(args: argparse.Namespace) -> int:
+def cmd_verify_covers(args: argparse.Namespace) -> tuple[dict, int]:
     report = covers.survey_two_cover_characterization(
         args.rank, args.max_edges, args.max_path_len, args.max_candidates
     )
-    payload = {
-        "config": _config_echo(args, ["rank", "max_edges", "max_path_len", "max_candidates"]),
-        **report.to_dict(),
-    }
-    _emit(payload, args)
-    return 1 if report.violations else 0
+    return report.to_dict(), 1 if report.violations else 0
 
 
-def cmd_word_stats(args: argparse.Namespace) -> int:
+def cmd_word_stats(args: argparse.Namespace) -> tuple[dict, int]:
     cfg = genericity.SampleConfig(
         rank=args.rank, length=args.length, samples=args.samples, seed=args.seed
     )
@@ -163,91 +155,59 @@ def cmd_word_stats(args: argparse.Namespace) -> int:
             report = genericity.word_stats_experiment(cfg, args.epsilon, pool)
     else:
         report = genericity.word_stats_experiment(cfg, args.epsilon)
-    payload = {
-        "config": _config_echo(
-            args, ["rank", "length", "samples", "seed", "epsilon", "jobs"]
-        )
-        | {"bound": report.config["bound"]},
-        "samples": report.rows,
-        "aggregate": report.aggregate,
-    }
-    _emit(payload, args)
-    return 0
+    # the bound follows the echoed flags in the config
+    bound = {"bound": report.config["bound"]}
+    return {"config": bound, "samples": report.rows, "aggregate": report.aggregate}, 0
 
 
-def cmd_alpha_injectivity(args: argparse.Namespace) -> int:
+def cmd_alpha_injectivity(args: argparse.Namespace) -> tuple[dict, int]:
     cfg = genericity.SampleConfig(
         rank=args.rank, length=args.length, samples=args.samples, seed=args.seed
     )
     report = genericity.alpha_injectivity_experiment(
         cfg, alpha_target=args.alpha, max_edges=args.max_edges
     )
-    payload = {
-        "config": _config_echo(
-            args, ["rank", "length", "samples", "seed", "alpha", "max_edges"]
-        ),
-        "samples": report.rows,
-        "aggregate": report.aggregate,
-    }
-    _emit(payload, args)
-    return 0
+    return {"samples": report.rows, "aggregate": report.aggregate}, 0
 
 
-def cmd_build_presentation(args: argparse.Namespace) -> int:
+def cmd_build_presentation(args: argparse.Namespace) -> tuple[dict, int]:
     p, rejects = presentations.sample_presentation(
         args.rank, args.length, args.seed, args.attempts
     )
-    payload = {
-        "config": _config_echo(args, ["rank", "length", "seed", "attempts"]),
-        "rejections": rejects,
-        **p.to_dict(),
-    }
-    _emit(payload, args)
-    return 0
+    return {"rejections": rejects, **p.to_dict()}, 0
 
 
-def cmd_sc_check(args: argparse.Namespace) -> int:
+def cmd_sc_check(args: argparse.Namespace) -> tuple[dict | str, int]:
     if args.presentation:
         _, (v, u) = _read_words_json(args.presentation, "v", "u")
         p = presentations.build_relators(v, u)
     else:
         p, _ = presentations.sample_presentation(args.rank, args.length, args.seed)
     report = presentations.piece_report(p.relators)
-    payload = {
-        "config": _config_echo(
-            args, ["presentation", "rank", "length", "seed", "lam"]
-        ),
-        **report.to_dict(),
-        "satisfies": report.satisfies(args.lam),
-    }
-    if args.format == "csv":
-        lines = [f"# {k}={v}" for k, v in payload["config"].items()]
-        lines += [
-            f"# max_piece_length={report.max_piece_length}",
-            f"# min_relator_length={report.min_relator_length}",
-            f"# lambda_value={report.lambda_value}",
-            f"# satisfies={payload['satisfies']}",
-            "relator_i,relator_j,max_piece",
-        ]
-        for (i, j), value in sorted(report.pair_table.items()):
-            lines.append(f"{i},{j},{value}")
-        _emit("\n".join(lines) + "\n", args)
-    else:
-        _emit(payload, args)
-    return 0 if report.satisfies(args.lam) else 1
+    satisfies = report.satisfies(args.lam)
+    code = 0 if satisfies else 1
+    if args.format == "json":
+        return {**report.to_dict(), "satisfies": satisfies}, code
+    lines = [f"# {k}={v}" for k, v in _config_echo(args).items()]
+    lines += [
+        f"# max_piece_length={report.max_piece_length}",
+        f"# min_relator_length={report.min_relator_length}",
+        f"# lambda_value={report.lambda_value}",
+        f"# satisfies={satisfies}",
+        "relator_i,relator_j,max_piece",
+    ]
+    lines += [f"{i},{j},{value}" for (i, j), value in sorted(report.pair_table.items())]
+    return "\n".join(lines) + "\n", code
 
 
-def _load_relators(args: argparse.Namespace) -> cxmod.UWordIndex:
+def _relators_and_word(args: argparse.Namespace) -> tuple[cxmod.UWordIndex, words.Word]:
     rels = [words.parse_word(s, args.rank) for s in args.relators]
-    return cxmod.UWordIndex(rels)
+    return cxmod.UWordIndex(rels), words.parse_word(args.word, args.rank)
 
 
-def cmd_complexity(args: argparse.Namespace) -> int:
-    idx = _load_relators(args)
-    w = words.parse_word(args.word, args.rank)
-    config = _config_echo(args, ["rank", "relators", "word", "depth"])
-    _emit({"config": config, **cxmod.complexity_report(w, idx, args.depth)}, args)
-    return 0
+def cmd_complexity(args: argparse.Namespace) -> tuple[dict, int]:
+    idx, w = _relators_and_word(args)
+    return cxmod.complexity_report(w, idx, args.depth), 0
 
 
 def _relator_rotation(spec: str, idx: cxmod.UWordIndex) -> tuple[int, int, int, int]:
@@ -276,32 +236,21 @@ def _relator_rotation(spec: str, idx: cxmod.UWordIndex) -> tuple[int, int, int, 
     return rel, sign, offset, length
 
 
-def cmd_reduce(args: argparse.Namespace) -> int:
-    idx = _load_relators(args)
-    w = words.parse_word(args.word, args.rank)
+def cmd_reduce(args: argparse.Namespace) -> tuple[dict, int]:
+    idx, w = _relators_and_word(args)
     rel, sign, offset, length = _relator_rotation(args.relator_rotation, idx)
     pattern = idx.rotation_word(cxmod.UCert(rel, sign, offset, 1)).subword(0, length)
     replacement = idx.u_complement(pattern, cxmod.UCert(rel, sign, offset, 1))
-    outcome = cxmod.reduction_move(
-        w, pattern, replacement, idx, None, cxmod.Thresholds(), args.depth
-    )
-    config = _config_echo(args, ["rank", "relators", "word", "relator_rotation", "depth"])
-    _emit({"config": config, **outcome.to_dict()}, args)
-    return 0
+    outcome = cxmod.reduction_move(w, pattern, replacement, idx, None, cxmod.Thresholds(), args.depth)
+    return outcome.to_dict(), 0
 
 
-def cmd_surgery_demo(args: argparse.Namespace) -> int:
+def cmd_surgery_demo(args: argparse.Namespace) -> tuple[dict, int]:
     report = surgery.surgery_demo(
-        rank=args.rank, relator_length=args.relator_length, seed=args.seed,
-        depth=args.depth,
+        rank=args.rank, relator_length=args.relator_length, seed=args.seed, depth=args.depth
     )
-    payload = {
-        "config": _config_echo(args, ["rank", "relator_length", "seed", "depth"]),
-        **report.__dict__,
-    }
-    _emit(payload, args)
     ok = report.refolds_to_rose and report.delta_after_refolds and report.strictly_smaller
-    return 0 if ok else 1
+    return report.__dict__, 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,97 +259,82 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--out", default=None, help="write output to this path")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("fold", help="wedge a tuple and fold it")
+    p = command("fold", cmd_fold, "wedge a tuple and fold it")
     p.add_argument("--rank", type=_positive_int, default=2)
     p.add_argument("--words", nargs="*", default=(), help="tuple entries as word text")
     p.add_argument("--tuple-json", dest="tuple_json", default=None)
     p.add_argument("--policy", choices=folding.POLICIES, default="least")
     p.add_argument("--dump-stages", dest="dump_stages", action="store_true")
-    common(p)
-    p.set_defaults(func=cmd_fold)
 
-    p = sub.add_parser(
-        "verify-covers",
-        help="exhaustively classify small core graphs against the cover characterization",
+    p = command(
+        "verify-covers", cmd_verify_covers,
+        "exhaustively classify small core graphs against the cover characterization",
     )
     p.add_argument("--rank", type=_positive_int, default=2)
     p.add_argument("--max-edges", dest="max_edges", type=_positive_int, default=6)
     p.add_argument("--max-path-len", dest="max_path_len", type=_nonnegative_int, default=14)
     p.add_argument("--max-candidates", dest="max_candidates", type=_positive_int, default=None)
-    common(p)
-    p.set_defaults(func=cmd_verify_covers)
 
-    p = sub.add_parser("word-stats", help="repeated-subword and coverage statistics")
+    p = command("word-stats", cmd_word_stats, "repeated-subword and coverage statistics")
     p.add_argument("--rank", type=_positive_int, default=2)
     p.add_argument("--length", type=_positive_int, default=4096)
     p.add_argument("--samples", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epsilon", type=_fraction, default=0.05)
     p.add_argument("--jobs", type=_positive_int, default=1)
-    common(p)
-    p.set_defaults(func=cmd_word_stats)
 
-    p = sub.add_parser("alpha-injectivity", help="injectivity ratios of lifts")
+    p = command("alpha-injectivity", cmd_alpha_injectivity, "injectivity ratios of lifts")
     p.add_argument("--rank", type=_positive_int, default=2)
     p.add_argument("--length", type=_positive_int, default=256)
     p.add_argument("--samples", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--alpha", type=_fraction, default=0.9)
     p.add_argument("--max-edges", dest="max_edges", type=_positive_int, default=4)
-    common(p)
-    p.set_defaults(func=cmd_alpha_injectivity)
 
-    p = sub.add_parser("build-presentation", help="sample a two-family presentation")
+    p = command("build-presentation", cmd_build_presentation, "sample a two-family presentation")
     p.add_argument("--rank", type=_positive_int, default=2)
     p.add_argument("--length", type=_positive_int, default=60)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--attempts", type=_positive_int, default=64)
-    common(p)
-    p.set_defaults(func=cmd_build_presentation)
 
-    p = sub.add_parser("sc-check", help="piece statistics and the lambda condition")
+    p = command("sc-check", cmd_sc_check, "piece statistics and the lambda condition")
     p.add_argument("--presentation", default=None, help="presentation JSON path")
     p.add_argument("--rank", type=_positive_int, default=2)
     p.add_argument("--length", type=_positive_int, default=60)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lambda", dest="lam", type=_fraction, default=1 / 8)
-    common(p)
-    p.set_defaults(func=cmd_sc_check)
 
-    p = sub.add_parser("complexity", help="factor complexity of a word")
+    p = command("complexity", cmd_complexity, "factor complexity of a word")
     p.add_argument("--rank", type=_positive_int, default=2)
     p.add_argument("--relators", nargs="+", required=True)
     p.add_argument("--word", required=True)
     p.add_argument("--depth", type=_nonnegative_int, default=1)
-    common(p)
-    p.set_defaults(func=cmd_complexity)
 
-    p = sub.add_parser("reduce", help="apply an occurrence-replacement move")
+    p = command("reduce", cmd_reduce, "apply an occurrence-replacement move")
     p.add_argument("--rank", type=_positive_int, default=2)
     p.add_argument("--relators", nargs="+", required=True)
     p.add_argument("--word", required=True)
     p.add_argument(
-        "--relator-rotation",
-        dest="relator_rotation",
-        required=True,
+        "--relator-rotation", dest="relator_rotation", required=True,
         help="rel:sign:offset:length selecting the pattern from a relator rotation",
     )
     p.add_argument("--depth", type=_nonnegative_int, default=1)
-    common(p)
-    p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("surgery-demo", help="end-to-end fold/replace/refold pipeline")
+    p = command("surgery-demo", cmd_surgery_demo, "end-to-end fold/replace/refold pipeline")
     p.add_argument("--rank", type=_positive_int, default=2)
     p.add_argument("--relator-length", dest="relator_length", type=_positive_int, default=40)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--depth", type=_nonnegative_int, default=0)
-    common(p)
-    p.set_defaults(func=cmd_surgery_demo)
 
+    # the output flags close every subcommand's flags, as they close its --help
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None, help="write output to this path")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
     return parser
 
 
@@ -412,9 +346,16 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run a subcommand: it returns its payload without the config echo,
+    or text it rendered itself, and its exit code."""
     args = _shared_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, code = args.func(args)
+        if not isinstance(payload, str):
+            # the echo leads; a command's own config entries follow it
+            payload = {"config": _config_echo(args) | payload.pop("config", {}), **payload}
+        _emit(payload, args)
+        return code
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
         _print_error(f"{type(exc).__name__}: {exc}")
         return 2

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from . import strsearch
-from .words import CyclicWord, Word, _unchecked, splice
+from .words import Word, _unchecked, splice
 
 
 @dataclass(frozen=True)
@@ -80,19 +80,16 @@ class UWordIndex:
     that length occurs within such a window, by periodicity.
     """
 
-    def __init__(self, relators: Sequence[Word | CyclicWord]):
-        words = []
-        for rel in relators:
-            word = rel.word if isinstance(rel, CyclicWord) else rel
+    def __init__(self, relators: Sequence[Word]):
+        for word in relators:
             if len(word) == 0:
                 raise ValueError("relators must be nonempty")
             if not word.is_cyclically_reduced:
                 raise ValueError("relators must be cyclically reduced")
-            words.append(word)
-        if not words:
+        if not relators:
             raise ValueError("need at least one relator")
-        self.rank = words[0].rank
-        self.relators: tuple[Word, ...] = tuple(words)
+        self.rank = relators[0].rank
+        self.relators: tuple[Word, ...] = tuple(relators)
         self._chars: dict[tuple[int, int], str] = {}
         for i, word in enumerate(self.relators):
             self._chars[(i, 1)] = strsearch.letters_to_chars(word.letters)
@@ -428,10 +425,8 @@ class _Ball:
         out = []
         for cert in self.idx.certificates(factor):
             for extra in range(self.thresholds.power_cap + 1):
-                try:
-                    comp = self.idx.u_complement(factor, cert, extra)
-                except ValueError:
-                    continue
+                # the certified rotation starts with the factor, so this matches
+                comp = self.idx.u_complement(factor, cert, extra)
                 if len(comp) < long:
                     continue
                 replacement = comp.inverse().letters

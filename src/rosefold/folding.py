@@ -15,15 +15,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .graphs import (
-    Arc,
     EdgePath,
     LabeledGraph,
+    Subgraph,
     _Quotient,
-    arc_endpoints,
-    arc_interior,
     canonical_key,
     format_graph,
     is_connected,
@@ -433,47 +431,44 @@ def fold_to_delta(g: LabeledGraph) -> DeltaExtraction:
 # arc replacement
 
 
-def replace_arc(g: LabeledGraph, arc: Arc, new_label: Word) -> LabeledGraph:
-    """Delete the arc and glue a fresh chain reading ``new_label`` between
-    the same endpoints.  The arc interior must avoid the base vertex.
+def replace_arc(g: LabeledGraph, tokens: Sequence[int], new_label: Word) -> LabeledGraph:
+    """Delete the arc that the oriented edges ``tokens`` run along and glue
+    a fresh chain reading ``new_label`` between the same endpoints.  The
+    tokens must concatenate, use each edge once, and pass through interior
+    vertices of degree 2 other than the base vertex.
 
     An empty label identifies the endpoints (a loop arc just goes).
     Surgery meets one when the replaced pattern is whole periods of its
     relator rotation, which short relators allow."""
     if new_label.rank != g.rank:
         raise ValueError("rank mismatch")
-    for a, b in zip(arc.edges, arc.edges[1:]):
+    if not tokens:
+        raise ValueError("empty arc")
+    for a, b in zip(tokens, tokens[1:]):
         if g.omega(a) != g.alpha(b):
-            raise ValueError("not an arc of this graph")
-    interior = arc_interior(g, arc)
-    for v in interior:
-        if g.degree(v) != 2:
-            raise ValueError("arc interior vertex has degree != 2")
-        if g.base is not None and v == g.base:
-            raise ValueError("arc interior contains the base vertex")
-    start, end = arc_endpoints(g, arc)
-    dead_edges = {abs(tok) - 1 for tok in arc.edges}
-    dead_verts = set(interior)
-
-    kept = [v for v in range(g.num_vertices) if v not in dead_verts]
-    remap = {v: i for i, v in enumerate(kept)}
-    edges = [
-        (remap[s], remap[d], l)
-        for k, (s, d, l) in enumerate(g.edges)
-        if k not in dead_edges
-    ]
-    base = remap.get(g.base) if g.base is not None else None
-
-    if len(new_label) == 0:
-        a, b = remap[start], remap[end]
-        if a != b:
-            lo, hi = min(a, b), max(a, b)
-            shift = lambda v: (lo if v == hi else v) - (1 if v > hi else 0)
-            edges = [(shift(s), shift(d), l) for s, d, l in edges]
-            if base is not None:
-                base = shift(base)
-            return LabeledGraph(g.rank, len(kept) - 1, tuple(edges), base)
-        return LabeledGraph(g.rank, len(kept), tuple(edges), base)
-
-    next_vertex = _glue_chain(edges, remap[start], remap[end], new_label.letters, len(kept))
-    return LabeledGraph(g.rank, next_vertex, tuple(edges), base)
+            raise ValueError("arc edges do not concatenate")
+    dead_edges = {abs(tok) - 1 for tok in tokens}
+    if len(dead_edges) < len(tokens):
+        raise ValueError("arc repeats a topological edge")
+    interior = {g.omega(tok) for tok in tokens[:-1]}
+    if any(g.degree(v) != 2 for v in interior):
+        raise ValueError("arc interior vertex has degree != 2")
+    if g.base in interior:
+        raise ValueError("arc interior contains the base vertex")
+    # an interior vertex's two edges are arc edges, so the rest is a subgraph
+    kept = subgraph_as_graph(g, Subgraph(
+        frozenset(range(g.num_vertices)) - interior, frozenset(range(g.num_edges)) - dead_edges
+    ))
+    # the endpoints' numbers among the kept vertices
+    start, end = (
+        v - sum(u < v for u in interior) for v in (g.alpha(tokens[0]), g.omega(tokens[-1]))
+    )
+    if new_label:
+        edges = list(kept.edges)
+        next_vertex = _glue_chain(edges, start, end, new_label.letters, kept.num_vertices)
+        return LabeledGraph(g.rank, next_vertex, tuple(edges), kept.base)
+    if start == end:
+        return kept
+    q = _Quotient(kept)
+    q.union(start, end)
+    return q.materialize()[0]

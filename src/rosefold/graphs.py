@@ -1,5 +1,5 @@
 """Labeled graphs over the rank-n rose: their union-find quotients,
-Betti numbers, arcs, subgraph collapse, and label-preserving isomorphism.
+Betti numbers, subgraph collapse, and label-preserving isomorphism.
 
 A graph is stored with one record per topological edge: (src, dst, label),
 where the label is a signed generator index giving the letter read when
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .strsearch import _INDEX, _letter_rows
 from .words import check_letter, format_letter
@@ -303,43 +303,6 @@ def collapse(g: LabeledGraph, sub: Subgraph) -> LabeledGraph:
     """Quotient graph: every connected component of ``sub`` becomes a vertex."""
     check_subgraph(g, sub)
     return _contract(g, sub.edges).materialize()[0]
-
-
-# ---------------------------------------------------------------------------
-# arcs
-
-
-@dataclass(frozen=True)
-class Arc:
-    """A chain of oriented edges whose interior vertices have degree 2."""
-
-    edges: tuple[int, ...]
-
-
-def arc_endpoints(g: LabeledGraph, arc: Arc) -> tuple[int, int]:
-    return g.alpha(arc.edges[0]), g.omega(arc.edges[-1])
-
-
-def arc_interior(g: LabeledGraph, arc: Arc) -> list[int]:
-    return [g.omega(tok) for tok in arc.edges[:-1]]
-
-
-def make_arc(g: LabeledGraph, tokens: Sequence[int]) -> Arc:
-    """Validate a token chain as an arc (interior degree 2, consecutive)."""
-    if not tokens:
-        raise ValueError("empty arc")
-    for a, b in zip(tokens, tokens[1:]):
-        if g.omega(a) != g.alpha(b):
-            raise ValueError("arc edges do not concatenate")
-    seen = set()
-    for tok in tokens:
-        if abs(tok) in seen:
-            raise ValueError("arc repeats a topological edge")
-        seen.add(abs(tok))
-    for tok in tokens[:-1]:
-        if g.degree(g.omega(tok)) != 2:
-            raise ValueError("arc interior vertex has degree != 2")
-    return Arc(tuple(tokens))
 
 
 # ---------------------------------------------------------------------------

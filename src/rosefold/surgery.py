@@ -24,7 +24,7 @@ from .folding import (
     replace_arc,
     wedge_of_loops,
 )
-from .graphs import EdgePath, LabeledGraph, betti, is_rose, make_arc
+from .graphs import EdgePath, LabeledGraph, betti, is_rose
 from .words import GenTuple, Word, random_reduced_letters, splice
 
 
@@ -93,8 +93,7 @@ def build_instance(
     ]
     u = relators[0]
     offset = rng.randrange(len(u))
-    rotated = u.letters[offset:] + u.letters[:offset]
-    carried = rotated[: max(1, int(_CARRIED_FRACTION * len(u)))]
+    carried = u.rotation(offset).letters[: max(1, int(_CARRIED_FRACTION * len(u)))]
     for _ in range(1000):
         head = random_reduced_letters(rng, rank, _FLANK_LENGTH)
         tail = random_reduced_letters(rng, rank, _FLANK_LENGTH)
@@ -181,13 +180,8 @@ def run_surgery(relators: Sequence[Word], t: GenTuple, depth: int = 0) -> Surger
     # factor (runs sweep across non-relator flank material as well)
     certified = None
     for petal, run_start, run_length in sorted(runs, key=lambda r: -r[2]):
-        label = Word(
-            t.rank,
-            tuple(
-                delta.letter(tok)
-                for tok in images[petal].tokens[run_start : run_start + run_length]
-            ),
-        )
+        # a pushed path reads its petal's letters, so the run reads this subword
+        label = t.entries[petal].subword(run_start, run_start + run_length)
         maxstart = idx.max_factor_starting(label)
         best_p = max(range(run_length), key=lambda p: (maxstart[p], -p))
         best_len = maxstart[best_p]
@@ -236,8 +230,7 @@ def run_surgery(relators: Sequence[Word], t: GenTuple, depth: int = 0) -> Surger
 
     # graph-level check: the pre-lift stage with the arc swapped out still
     # folds onto the rose because the witness subgraph is untouched
-    arc = make_arc(delta, arc_tokens)
-    delta_after = replace_arc(delta, arc, replacement)
+    delta_after = replace_arc(delta, arc_tokens, replacement)
     delta_refolds = is_rose(fold_all(delta_after).terminal)
 
     before = tuple_complexity(list(t.entries), idx, depth)

@@ -177,22 +177,14 @@ class CyclicWord:
         return CyclicWord.from_cyclically_reduced(self.word.inverse())
 
 
-def cyclic_reduce(word: Word) -> tuple[CyclicWord, Word]:
-    """Split ``word`` as conjugator * core * conjugator^-1.
-
-    Returns the canonical cyclic word and the conjugator, so that the
-    input equals conjugator * representative * conjugator.inverse() in
-    the free group.
-    """
+def cyclic_reduce(word: Word) -> CyclicWord:
+    """The canonical cyclic word of ``word``'s conjugacy class: the core
+    left when ``word`` is split as c * core * c^-1 with c longest."""
     letters = word.letters
     m = 0
     while len(letters) - 2 * m >= 2 and letters[m] == -letters[-1 - m]:
         m += 1
-    core = word.subword(m, len(letters) - m)
-    k = _least_rotation(core.letters)
-    conjugator = free_reduce(word.rank, letters[:m] + core.letters[:k])
-    # the core's least rotation is reduced and canonical
-    return _unchecked(CyclicWord, word=core.rotation(k)), conjugator
+    return CyclicWord.from_cyclically_reduced(word.subword(m, len(letters) - m))
 
 
 def _unchecked(cls: type, **fields: object):
@@ -209,7 +201,7 @@ def commutator_class(g1: Word, g2: Word) -> CyclicWord:
     if g1.rank != g2.rank:
         raise ValueError("rank mismatch")
     comm = g1 * g2 * g1.inverse() * g2.inverse()
-    cyc, _ = cyclic_reduce(comm)
+    cyc = cyclic_reduce(comm)
     inv = cyc.inverse()
     # encoded words compare as their letters do in the letter order
     return min(cyc, inv, key=lambda c: letters_to_chars(c.word.letters))

@@ -111,7 +111,7 @@ MUTANTS = (
         "            if j != i or j == 1:\n                out.setdefault(cand)",
         (f"{CX}::TestSharedBall::test_complexity_matches_oracle",),
     ),
-    # library reports: the CLI payload digests
+    # library reports and the config echo: the CLI payload digests
     Mutant(
         "fold digests write -1 as 1",
         "folding.py",
@@ -124,6 +124,13 @@ MUTANTS = (
         "complexity.py",
         '"pattern": str(self.pattern),\n            "replacement": str(self.replacement),',
         '"pattern": str(self.replacement),\n            "replacement": str(self.pattern),',
+        ("tests/test_cli.py::test_payload_digests",),
+    ),
+    Mutant(
+        "config echo keeps the output format",
+        "cli.py",
+        'if name not in ("command", "func", "out", "format")',
+        'if name not in ("command", "func", "out")',
         ("tests/test_cli.py::test_payload_digests",),
     ),
     # letter codes

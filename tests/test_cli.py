@@ -467,6 +467,15 @@ class TestInputErrors:
         assert list(payload) == ["error"]
         return payload["error"]
 
+    @pytest.mark.parametrize("argv", [
+        ("fold", "--words", "a1"),
+        ("sc-check", "--length", "8", "--format", "csv"),  # text the command renders
+    ])
+    def test_unwritable_out(self, capsys, tmp_path, argv):
+        # the runner writes the payload inside its error handling
+        error = self.assert_error(capsys, *argv, "--out", str(tmp_path / "no-such-dir" / "out"))
+        assert error.startswith("FileNotFoundError")
+
     def test_verify_covers_rank_one(self, capsys):
         error = self.assert_error(capsys, "verify-covers", "--rank", "1")
         assert "rank" in error

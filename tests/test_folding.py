@@ -22,7 +22,6 @@ from rosefold.graphs import (
     canonical_key,
     is_rose,
     isomorphic_labeled,
-    make_arc,
 )
 from rosefold.surgery import _arc_runs
 from rosefold.words import (
@@ -585,33 +584,39 @@ class TestReplaceArc:
 
     def test_shorten_chain(self):
         g = self.chain()
-        arc = make_arc(g, (2, 3))
-        out = replace_arc(g, arc, w("a1"))
+        out = replace_arc(g, (2, 3), w("a1"))
         assert out.num_edges == 3 and out.num_vertices == 2
 
     def test_identity_surgery(self):
         g = self.chain()
-        arc = make_arc(g, (2, 3))
-        out = replace_arc(g, arc, w("a1 a2"))
+        out = replace_arc(g, (2, 3), w("a1 a2"))
         assert isomorphic_labeled(out, g)
 
     def test_empty_replacement_identifies_endpoints(self):
         g = self.chain()
-        arc = make_arc(g, (2, 3))
-        out = replace_arc(g, arc, Word(2, ()))
+        out = replace_arc(g, (2, 3), Word(2, ()))
         assert out.num_vertices == 1 and out.num_edges == 2
 
     def test_empty_replacement_of_a_loop_deletes_it(self):
         g = self.chain()
-        out = replace_arc(g, make_arc(g, (4,)), Word(2, ()))
+        out = replace_arc(g, (4,), Word(2, ()))
         assert out == LabeledGraph(2, 3, g.edges[:3], base=0)
 
     def test_base_in_interior_rejected(self):
         # 2-cycle based at 0: the arc 1 -> 0 -> 1 has the base inside
         g = LabeledGraph(2, 2, ((0, 1, 1), (1, 0, 2)), base=0)
-        arc = make_arc(g, (2, 1))
-        with pytest.raises(ValueError):
-            replace_arc(g, arc, w("a2"))
+        with pytest.raises(ValueError, match="base vertex"):
+            replace_arc(g, (2, 1), w("a2"))
+
+    @pytest.mark.parametrize("tokens, message", [
+        ((), "empty arc"),
+        ((2, 4), "do not concatenate"),
+        ((2, -2), "repeats a topological edge"),
+        ((1, 2), "degree != 2"),
+    ])
+    def test_malformed_arc_rejected(self, tokens, message):
+        with pytest.raises(ValueError, match=message):
+            replace_arc(self.chain(), tokens, w("a1"))
 
     def test_string_level_oracle(self, rng):
         # replacing the arc of a petal matches string surgery on its word
@@ -627,9 +632,8 @@ class TestReplaceArc:
             t = GenTuple(2, (word,))
             g = wedge_of_loops(t)
             tokens = tuple(range(4 + 1, 4 + 1 + 12))
-            arc = make_arc(g, tokens)
             repl = Word(2, tuple(-l for l in reversed(u.letters[12:])))
-            out = replace_arc(g, arc, repl)
+            out = replace_arc(g, tokens, repl)
             # folding absorbs the junction backtracks but can leave spur
             # tips behind, so compare based cores
             rebuilt_t = fold_all(out).terminal

@@ -28,7 +28,6 @@ from rosefold.graphs import (
     format_graph,
     is_connected,
     isomorphic_labeled,
-    make_arc,
     subgraph_as_graph,
     subgraph_from_edges,
 )
@@ -511,8 +510,8 @@ class TestTextFormat:
 
     def test_arc_label_reads_letters(self):
         g = LabeledGraph(2, 3, ((0, 1, 1), (1, 2, -2)))
-        arc = make_arc(g, (1, 2))
-        assert Word(2, tuple(g.letter(tok) for tok in arc.edges)) == parse_word("a1 a2^-1", 2)
+        assert Word(2, tuple(g.letter(tok) for tok in (1, 2))) == parse_word("a1 a2^-1", 2)
+        assert Word(2, tuple(g.letter(tok) for tok in (-2, -1))) == parse_word("a2 a1^-1", 2)
 
 
 class TestFootprint:

@@ -73,28 +73,28 @@ class TestFreeReduce:
 
 class TestCyclicReduce:
     def test_conjugated_letter(self):
-        cyc, conj = cyclic_reduce(w("a1 a2 a1^-1"))
-        assert cyc.word == w("a2")
-        assert conj == w("a1")
+        assert cyclic_reduce(w("a1 a2 a1^-1")).word == w("a2")
 
     def test_already_cyclically_reduced(self):
-        cyc, conj = cyclic_reduce(w("a1 a2"))
-        assert cyc.word == w("a1 a2")
-        assert conj == empty_word(2)
+        assert cyclic_reduce(w("a1 a2")).word == w("a1 a2")
 
     def test_empty(self):
-        cyc, conj = cyclic_reduce(empty_word(2))
-        assert len(cyc) == 0 and len(conj) == 0
+        assert len(cyclic_reduce(empty_word(2))) == 0
 
     @given(raw_letters)
     @settings(max_examples=200)
     def test_conjugation_identity(self, letters):
+        # the representative is conjugate to the word: with c the word's
+        # prefix that its suffix cancels, c * r * c^-1 is the word for some
+        # rotation r of it
         word = free_reduce(3, letters)
-        cyc, conj = cyclic_reduce(word)
-        assert conj * cyc.word * conj.inverse() == word
+        rep = cyclic_reduce(word).word.letters
+        c = word.subword(0, (len(word) - len(rep)) // 2)
+        rotations = [Word(3, rep[k:] + rep[:k]) for k in range(max(1, len(rep)))]
+        assert any(c * r * c.inverse() == word for r in rotations)
 
     def test_canonical_rotation_invariant(self):
-        cyc, _ = cyclic_reduce(w("a2 a2 a1"))
+        cyc = cyclic_reduce(w("a2 a2 a1"))
         assert cyc == CyclicWord.from_cyclically_reduced(w("a1 a2 a2"))
 
     def test_constructor_rejects_non_canonical_rotation(self):
@@ -120,7 +120,7 @@ class TestCyclicReduce:
     def test_unchecked_paths_pass_the_checked_constructor(self, letters):
         # cyclic_reduce and from_cyclically_reduced skip re-validation;
         # what they build must still satisfy every public check
-        cyc, _ = cyclic_reduce(free_reduce(3, letters))
+        cyc = cyclic_reduce(free_reduce(3, letters))
         assert CyclicWord(Word(cyc.word.rank, cyc.word.letters)) == cyc
         assert CyclicWord.from_cyclically_reduced(cyc.word) == cyc
         inv = cyc.inverse()
@@ -301,7 +301,7 @@ class TestNielsen:
 class TestCommutatorClass:
     def test_basis_pair(self):
         got = commutator_class(w("a1"), w("a2"))
-        expect, _ = cyclic_reduce(w("a1 a2 a1^-1 a2^-1"))
+        expect = cyclic_reduce(w("a1 a2 a1^-1 a2^-1"))
         assert got == expect
 
     def test_nielsen_transformed_pair_matches(self):
