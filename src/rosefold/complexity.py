@@ -120,24 +120,27 @@ class UWordIndex:
         return cached
 
     def _certificate_scan(self, z: Word) -> Iterator[UCert]:
-        """Certificates in (relator, sign) order, one rotation each."""
+        """Certificates in (relator, sign, rotation) order: one per
+        rotation of each signed relator at which ``z`` starts."""
         if len(z) == 0:
             raise ValueError("the empty word is not certified as a relator factor")
         chars = strsearch.letters_to_chars(z.letters)
         for i in range(len(self.relators)):
             L = len(self.relators[i])
             for sign in (1, -1):
-                pos = self._power_string(i, sign, len(z) + L).find(chars)
-                if pos >= 0:
-                    rotation = pos % L
+                power = self._power_string(i, sign, len(z) + L)
+                rotation = power.find(chars)
+                while 0 <= rotation < L:
                     yield UCert(i, sign, rotation, math.ceil((rotation + len(z)) / L))
+                    rotation = power.find(chars, rotation + 1)
 
     def is_u_word(self, z: Word) -> UCert | None:
-        """First certificate in (relator, sign) order, or None."""
+        """First certificate in (relator, sign, rotation) order, or None."""
         return next(self._certificate_scan(z), None)
 
     def certificates(self, z: Word) -> list[UCert]:
-        """All certificates over (relator, sign); one rotation each."""
+        """Every certificate: each (relator, sign, rotation) at which ``z``
+        starts."""
         return list(self._certificate_scan(z))
 
     def rotation_word(self, cert: UCert) -> Word:

@@ -1,20 +1,22 @@
-"""Path lifting, bounded path-surjectivity, the two-vertex cover
-characterization, and the exhaustive desk-scale survey that checks it.
+"""Path lifting, the search for a shortest reduced word that lifts
+nowhere, the two-vertex cover characterization, and the exhaustive
+desk-scale survey that checks it.
 
-Bounded path-surjectivity is decided by one witness search for the
-least shortest reduced word that lifts nowhere (``_witness``).  Words of
-one and two letters are tested on per-letter head masks (the vertices at
-which the edges reading a letter end): a letter fails to lift when no
-edge reads it, and ``x y`` fails when the heads of ``x`` meet none of the
-tails of ``y``, the tails of ``y`` being the heads of ``y^-1``.  Longer
-words go to a power-set walk (the subset construction of Rabin and
-Scott, 1959): track the set of vertices at which some lift of the word
-read so far can end.  The word fails to lift exactly when that set
-empties, so the rest of the search is breadth first over (vertex set,
-last letter) states; the state space is tiny for desk-scale graphs.  A
-vertex set is an int bitmask, and one step ORs the per-letter target
-masks of its set bits (the graph's letter rows), so no set object is
-built per step.
+One witness search finds the least shortest reduced word that lifts
+nowhere, up to a length bound (``_witness``).  Words of one and two
+letters are tested on per-letter head masks (the vertices at which the
+edges reading a letter end): a letter fails to lift when no edge reads
+it, and ``x y`` fails when the heads of ``x`` meet none of the tails of
+``y``, the tails of ``y`` being the heads of ``y^-1``.  Longer words go
+to a power-set walk (the subset construction of Rabin and Scott, 1959):
+track the set of vertices at which some lift of the word read so far can
+end.  The word fails to lift exactly when that set empties, so the rest
+of the search is breadth first over (vertex set, last letter) states;
+there are at most 2^V * 2n of them, tiny for desk-scale graphs, though
+``_witness`` cannot yet tell a search whose frontier emptied from one
+that the length bound cut.  A vertex set is an int bitmask, and one step
+ORs the per-letter target masks of its set bits (the graph's letter
+rows), so no set object is built per step.
 
 The survey's candidates come from orderly generation (Read 1978; McKay,
 "Isomorph-free exhaustive generation", J. Algorithms 1998).  Unlabelled

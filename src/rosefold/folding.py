@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Sequence
 
 from .graphs import (
@@ -113,31 +114,24 @@ class _Engine(_Quotient):
         )
 
     def apply_record(self, record: FoldRecord) -> None:
+        """Fold.  Once ``canonical_key`` has read the label groups
+        (``_Quotient.label_groups``), rebuild the ones that name a head, so
+        that it reads each stage as it stands: the merged head's and those
+        of its groups' targets (the fold vertex and both heads'
+        neighbours)."""
         h1 = self.head(record.kept)
         h2 = self.head(record.removed)
         self.remove_edge(abs(record.removed))
         if h1 != h2:
             self.union(h1, h2)
-
-
-class _StageView(_Engine):
-    """A fold engine whose label groups (``_Quotient.label_groups``) stay
-    current, so that ``canonical_key`` reads each stage as it stands: a
-    root keeps its groups until a fold touches it."""
-
-    def apply_record(self, record: FoldRecord) -> None:
-        """Fold, then rebuild the groups that name a head: the merged head's
-        and those of its groups' targets (the fold vertex and both heads'
-        neighbours)."""
-        heads = self.head(record.kept), self.head(record.removed)
-        super().apply_record(record)
         groups = self.label_groups
-        root = self.find(heads[0])
-        if heads[0] != heads[1]:
-            groups[heads[0] + heads[1] - root] = None  # absorbed
-        groups[root] = self.groups(root)
-        for v in {t for group in groups[root] for t in group[3]} - {root}:
-            groups[v] = self.groups(v)
+        if groups is not None:
+            root = self.find(h1)
+            if h1 != h2:
+                groups[h1 + h2 - root] = None  # absorbed
+            groups[root] = self.groups(root)
+            for v in {t for group in groups[root] for t in group[3]} - {root}:
+                groups[v] = self.groups(v)
 
 
 @dataclass(frozen=True)
@@ -155,8 +149,8 @@ class FoldTrace:
 
     Stages are replayed on demand from the records rather than stored;
     stage(0) is the initial graph and stage(len(records)) the terminal.
-    ``stage(k)`` replays k records; ``stage_views()`` yields every stage
-    of a based trace in one replay.
+    ``stage_views()`` yields every stage in one replay, and ``stage(k)``
+    replays its first k records.
     ``first_lift_stage`` is the first stage containing a rose lift (only
     tracked under the defer_rose policy): 0, or the stage after the first
     fold that passes the local lift test ``_Engine.makes_lift``.
@@ -179,24 +173,20 @@ class FoldTrace:
         return self.first_lift_stage - 1
 
     def stage(self, k: int) -> Stage:
+        """The k-th view of ``stage_views()``, materialized."""
         if not (0 <= k <= len(self.records)):
             raise IndexError("stage index out of range")
-        engine = _Engine(self.initial)
-        for record in self.records[:k]:
-            engine.apply_record(record)
-        graph, vmap, emap = engine.materialize()
-        return Stage(graph, vmap, emap)
+        return Stage(*next(islice(self.stage_views(), k, None)).materialize())
 
-    def stage_views(self) -> Iterator[_StageView]:
-        """Every stage of a based initial graph in order, from one replay:
-        one ``_StageView``, advanced by one record per step, which
-        ``canonical_key`` reads as it stands and whose ``materialize()``
-        equals ``stage(k)``."""
-        view = _StageView(self.initial)
-        yield view
+    def stage_views(self) -> Iterator[_Engine]:
+        """Every stage in order, from one replay: one fold engine,
+        advanced by one record per step, which ``canonical_key`` reads as
+        it stands (of a based initial graph)."""
+        engine = _Engine(self.initial)
+        yield engine
         for record in self.records:
-            view.apply_record(record)
-            yield view
+            engine.apply_record(record)
+            yield engine
 
     def push_path(self, path: EdgePath, k: int, stage: Stage) -> EdgePath:
         """Image of a path of the initial graph in stage ``k``, which is

@@ -47,10 +47,6 @@ class LabeledGraph:
         src, dst, _ = self.edges[abs(token) - 1]
         return dst if token > 0 else src
 
-    def letter(self, token: int) -> int:
-        _, _, label = self.edges[abs(token) - 1]
-        return label if token > 0 else -label
-
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
         """Per-vertex list of (letter, target, token), sorted for determinism."""
@@ -144,6 +140,10 @@ class _Quotient:
         self.ends = [0] + [dst for _, dst, _ in graph.edges] + [src for src, _, _ in reversed(graph.edges)]
         # per letter index: the head of its label group, (generator, sign bit)
         self.labels = [((i >> 1) + 1, i & 1) for i in range(width)]
+        # per vertex, its class's label groups if it is a root, else None:
+        # built when ``_encode_from`` first reads them, and kept current from
+        # then on by the fold engine (``folding._Engine.apply_record``)
+        self.label_groups: list[list | None] | None = None
 
     def find(self, v: int) -> int:
         parent = self.parent
@@ -218,13 +218,6 @@ class _Quotient:
                     targets.append(v)
                 out.append((gen, sign, targets, targets if len(targets) == 1 else list(dict.fromkeys(targets))))
         return out
-
-    @cached_property
-    def label_groups(self) -> list[list | None]:
-        """Per vertex, its class's label groups if it is a root, else None;
-        built on first read (a fold stage keeps them current from then on,
-        see ``folding._StageView``)."""
-        return [self.groups(v) if self.parent[v] == v else None for v in range(self.graph.num_vertices)]
 
 
 def _contract(g: LabeledGraph, edge_ids: Iterable[int]) -> _Quotient:
@@ -341,8 +334,8 @@ def _encode_from(g: _Quotient, start: int) -> tuple:
     """Least BFS encoding of the quotient ``g`` from the root ``start``.
 
     The vertices are the roots of ``g``: their ids are the original
-    vertex ids, which may skip numbers, and ``g.label_groups`` gives
-    their label groups (``_Quotient.groups``).
+    vertex ids, which may skip numbers, and ``g.label_groups``, built on
+    the first key, gives their label groups (``_Quotient.groups``).
 
     Vertices are numbered in discovery order, and vertex number q emits
     segment q: per label group, in the letter order, one (gen, sign, number)
@@ -371,6 +364,8 @@ def _encode_from(g: _Quotient, start: int) -> tuple:
     resumes from the stack, no prefix compares.  A finished numbering that
     misses a vertex means the graph is disconnected (ValueError).
     """
+    if g.label_groups is None:
+        g.label_groups = [g.groups(v) if g.parent[v] == v else None for v in range(len(g.parent))]
     groups = g.label_groups
     ids = [-1] * len(groups)
     ids[start] = 0
@@ -414,9 +409,6 @@ def _encode_from(g: _Quotient, start: int) -> tuple:
                 else:
                     forks.append(-1)
                     children.append(numbering)
-            if len(children) == 1:  # one least member: no comparison to make
-                live = children
-                continue
             # tied numberings open cells at the same numbers, so all stop
             # where the first does unless they differ before
             chunks = [[] for _ in children]

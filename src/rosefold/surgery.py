@@ -15,7 +15,6 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import strsearch
 from .complexity import UWordIndex, tuple_complexity
 from .folding import (
     fold_all,
@@ -119,7 +118,9 @@ def _arc_runs(
 ) -> list[tuple[int, int, int]]:
     """Maximal runs (petal, start, length) of petal-image positions whose
     edges are traversed exactly once across all petal images, lie off the
-    witness subgraph, and whose interior vertices are degree-2 non-base."""
+    witness subgraph, and whose interior vertices are degree-2 non-base.
+    So an arc inside one run is traversed there alone: it is its own one
+    occurrence in the images."""
     usage: dict[int, int] = {}
     for path in petal_images:
         for tok in path.tokens:
@@ -199,29 +200,12 @@ def run_surgery(relators: Sequence[Word], t: GenTuple, depth: int = 0) -> Surger
     petal, start, length, pattern, cert = certified
     replacement = idx.u_complement(pattern, cert)
 
-    # designated occurrences: maximal petal-position runs mapping onto the
-    # chosen arc's token set, in either direction
+    # the arc lies inside one run, whose edges the images traverse once in
+    # all, so it is its own one occurrence
     arc_tokens = images[petal].tokens[start : start + length]
-    arc_topo = [abs(tok) - 1 for tok in arc_tokens]
-    occurrences = [
-        (p_i, pos, sign)
-        for p_i, path in enumerate(images)
-        for pos, sign in strsearch.greedy_disjoint(path.tokens, arc_tokens)
-    ]
-    # every traversal of an arc edge must lie inside a designated window
-    covered = set()
-    for p_i, pos, _ in occurrences:
-        covered.update((p_i, pos + d) for d in range(length))
-    for p_i, path in enumerate(images):
-        for i, tok in enumerate(path.tokens):
-            if abs(tok) - 1 in arc_topo and (p_i, i) not in covered:
-                raise SurgeryError("arc is partially traversed outside the runs")
-
+    occurrences = [(petal, start, 1)]
     new_entries = list(t.entries)
-    for p_i in range(len(t.entries)):
-        hits = [(pos, sign) for q, pos, sign in occurrences if q == p_i]
-        if hits:
-            new_entries[p_i] = splice(t.entries[p_i], hits, length, replacement)
+    new_entries[petal] = splice(t.entries[petal], [(start, 1)], length, replacement)
     new_tuple = GenTuple(t.rank, tuple(new_entries))
 
     new_wedge = wedge_of_loops(new_tuple)

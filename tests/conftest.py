@@ -34,6 +34,12 @@ def relabel(perm: tuple[int, ...], x):
     return tuple(map(image, x))
 
 
+def token_letter(g: LabeledGraph, token: int) -> int:
+    """The letter that the oriented edge ``token`` of ``g`` reads."""
+    _, _, label = g.edges[abs(token) - 1]
+    return label if token > 0 else -label
+
+
 def allocated_by(build):
     """What ``build()`` returns and the bytes of memory it leaves
     allocated, as tracemalloc counts them."""

@@ -97,6 +97,14 @@ MUTANTS = (
             f"{CX}::TestFactorTables::test_tables_match_oracle",
         ),
     ),
+    # certificates: c2's reversal under inversion needs every rotation
+    Mutant(
+        "certificate scan stops at the first rotation",
+        "complexity.py",
+        "rotation = power.find(chars, rotation + 1)",
+        "rotation = L",
+        ("tests/test_symmetry.py::TestComplexity::test_a_factor_at_two_rotations_offers_both_complements",),
+    ),
     Mutant(
         "ball cap stops one word early",
         "complexity.py",
@@ -192,6 +200,14 @@ MUTANTS = (
         "for gen in range(1, self.graph.rank + 1)",
         "for gen in range(1, self.graph.rank)",
         ("tests/test_folding.py::TestDeferRoseOracle",),
+    ),
+    # folding: the stage views' label groups, against oracle_canonical_key
+    Mutant(
+        "stage groups rebuild the merged head only",
+        "folding.py",
+        "for v in {t for group in groups[root] for t in group[3]} - {root}:",
+        "for v in ():",
+        ("tests/test_folding.py::TestStageKeys",),
     ),
     # graphs: the quotient's slots, against bfs_components and the naive
     # fold reference

@@ -5,6 +5,10 @@
   check or README's library example runs it: every public name in
   ``src/rosefold`` has a caller outside the unit tests, and so does every
   defaulted parameter.
+- The package namespace is README's API: every name that ``__init__.py``
+  binds, dunders aside, is imported from ``rosefold`` by some caller.
+- Every public method of a public class is read as an attribute by some
+  caller.
 - No function in ``src/rosefold`` calls itself: a search keeps its own
   stack, so input size never meets Python's recursion limit.
 - Every ``BENCH_*.json`` records its provenance.
@@ -93,6 +97,35 @@ def uncalled_public_names(src: dict[str, ast.Module], users: tuple[ast.Module, .
             and not node.name.startswith("_") and node.name not in used]
 
 
+def unimported_package_names(path: str, init: ast.Module, users: tuple[ast.Module, ...]) -> list[str]:
+    """Names that the package's ``__init__`` binds, dunders aside, that no
+    caller imports with ``from rosefold import``."""
+    imported = {alias.name for tree in users for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "rosefold"
+                for alias in node.names}
+    bound = []
+    for node in init.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound += [(node, (alias.asname or alias.name).split(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.Assign):
+            bound += [(node, t.id) for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.append((node, node.name))
+    return [f"{path}:{node.lineno}: {name}" for node, name in bound
+            if not (name.startswith("__") and name.endswith("__")) and name not in imported]
+
+
+def unread_public_methods(src: dict[str, ast.Module], users: tuple[ast.Module, ...]) -> list[str]:
+    """Public methods (properties too) of public classes that no caller
+    reads as an attribute."""
+    read = {n.attr for tree in users for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    return [f"{path}:{node.lineno}: {cls.name}.{node.name}" for path, tree in src.items() for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_") and node.name not in read]
+
+
 def unpassed_defaults(src: dict[str, ast.Module], users: tuple[ast.Module, ...]) -> list[str]:
     """A parameter with a default stays only if some caller passes it, by
     keyword or by position, to a function of that name (a class's
@@ -171,6 +204,17 @@ def test_every_public_name_has_a_caller_outside_the_unit_tests():
     assert not bad, "public names in src/rosefold with no caller outside the unit tests:\n" + "\n".join(bad)
 
 
+def test_package_namespace_is_imported_by_its_callers():
+    path = "src/rosefold/__init__.py"
+    bad = unimported_package_names(path, modules()[path], callers())
+    assert not bad, "names in the rosefold namespace that no caller imports from it:\n" + "\n".join(bad)
+
+
+def test_every_public_method_is_read_outside_the_unit_tests():
+    bad = unread_public_methods(sources(), callers())
+    assert not bad, "public methods in src/rosefold read by no caller outside the unit tests:\n" + "\n".join(bad)
+
+
 def test_every_defaulted_parameter_is_passed_outside_the_unit_tests():
     bad = unpassed_defaults(sources(), callers())
     assert not bad, "defaulted parameters in src/rosefold passed by no caller outside the unit tests:\n" + "\n".join(bad)
@@ -221,6 +265,26 @@ class _Tree:
 
     def size(self):
         return 1 + self.size()
+
+
+class Shown:
+    def read(self):
+        return self
+
+    def unread(self):
+        return Shown().read()
+
+
+class _Hidden:
+    def public(self):
+        return 0
+'''
+
+PLANTED_INIT = '''\
+from .planted import Kept, called
+from .planted import helper as aliased
+
+__version__ = "0"
 '''
 
 
@@ -232,6 +296,14 @@ def test_rules_flag_planted_violations(tmp_path):
     assert uncalled_public_names(src, tuple(src.values())) == [
         "src/rosefold/planted.py:5: uncalled",
         "src/rosefold/planted.py:18: helper",
+    ]
+    # ``read`` is read through an instance; a private class's methods go unchecked
+    assert unread_public_methods(src, tuple(src.values())) == ["src/rosefold/planted.py:41: Shown.unread"]
+    # a name imported from a submodule does not count, nor does the name an alias hides
+    users = (ast.parse("from rosefold import Kept, helper\nfrom rosefold.planted import called\n"),)
+    assert unimported_package_names("src/rosefold/__init__.py", ast.parse(PLANTED_INIT), users) == [
+        "src/rosefold/__init__.py:1: called",
+        "src/rosefold/__init__.py:2: aliased",
     ]
     # ``c`` is passed by keyword and ``n`` by position; ``b`` by nobody
     assert unpassed_defaults(src, tuple(src.values())) == ["src/rosefold/planted.py:9: called(b)"]

@@ -13,6 +13,7 @@ from conftest import (
     is_two_sheeted_cover,
     random_graph,
     rose,
+    token_letter,
     two_sheeted_cover,
     unbased_key,
 )
@@ -55,7 +56,7 @@ class TestLiftPaths:
     def test_unique_lift_in_rose(self):
         lifts = list(lift_paths(rose(2), w("a1 a2"), 0))
         assert len(lifts) == 1
-        assert tuple(map(rose(2).letter, lifts[0].tokens)) == w("a1 a2").letters
+        assert tuple(token_letter(rose(2), tok) for tok in lifts[0].tokens) == w("a1 a2").letters
 
     def test_cover_lifts_uniquely_everywhere(self):
         rng = random.Random(2)

@@ -13,6 +13,7 @@ from conftest import (
     random_graph,
     random_subgraph,
     rose,
+    token_letter,
     two_sheeted_cover,
     unbased_key,
 )
@@ -510,8 +511,8 @@ class TestTextFormat:
 
     def test_arc_label_reads_letters(self):
         g = LabeledGraph(2, 3, ((0, 1, 1), (1, 2, -2)))
-        assert Word(2, tuple(g.letter(tok) for tok in (1, 2))) == parse_word("a1 a2^-1", 2)
-        assert Word(2, tuple(g.letter(tok) for tok in (-2, -1))) == parse_word("a2 a1^-1", 2)
+        assert Word(2, tuple(token_letter(g, tok) for tok in (1, 2))) == parse_word("a1 a2^-1", 2)
+        assert Word(2, tuple(token_letter(g, tok) for tok in (-2, -1))) == parse_word("a2 a1^-1", 2)
 
 
 class TestFootprint:

@@ -1,9 +1,10 @@
 import pytest
 
 from rosefold.complexity import UWordIndex
-from rosefold.folding import fold_all, wedge_of_loops
+from rosefold.folding import fold_all, fold_to_delta, petal_paths, wedge_of_loops
 from rosefold.graphs import is_rose
-from rosefold.surgery import SurgeryError, build_instance, run_surgery, surgery_demo
+from rosefold.strsearch import greedy_disjoint
+from rosefold.surgery import SurgeryError, _arc_runs, build_instance, run_surgery, surgery_demo
 from rosefold.words import GenTuple, parse_word
 
 
@@ -19,6 +20,31 @@ class TestInstanceBuilder:
         idx = UWordIndex(relators)
         maxstart = idx.max_factor_starting(t.entries[0])
         assert max(maxstart) >= 0.9 * 40
+
+
+class TestArcRuns:
+    def test_each_run_is_its_own_one_occurrence(self):
+        # ``run_surgery`` splices the chosen arc, which lies inside one run,
+        # at its own place alone: the disjoint scan of a run's tokens over
+        # every pushed petal image, in either direction, finds only the run
+        runs = 0
+        for relator_length in (40, 100, 200):
+            for seed in range(16):
+                _, t = build_instance(2, relator_length, seed)
+                wedge = wedge_of_loops(t)
+                extraction = fold_to_delta(wedge)
+                assert not extraction.degenerate
+                images = [
+                    extraction.trace.push_path(p, extraction.delta_stage_index, extraction.delta_stage)
+                    for p in petal_paths(t, wedge)
+                ]
+                for petal, start, length in _arc_runs(extraction.delta, images, extraction.psi.edge_ids):
+                    tokens = images[petal].tokens[start : start + length]
+                    hits = [(q, pos, sign) for q, path in enumerate(images)
+                            for pos, sign in greedy_disjoint(path.tokens, tokens)]
+                    assert hits == [(petal, start, 1)], (relator_length, seed)
+                    runs += 1
+        assert runs >= 48
 
 
 class TestPipeline:

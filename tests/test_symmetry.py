@@ -9,13 +9,23 @@ import random
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_cyclically_reduced, relabel
+from conftest import is_two_sheeted_cover, random_cyclically_reduced, relabel
 from rosefold import strsearch
-from rosefold.complexity import Thresholds, UWordIndex, _Ball, complexity
-from rosefold.folding import fold_all, wedge_of_loops
+from rosefold.complexity import Thresholds, UWordIndex, _Ball, complexity, reduction_move
+from rosefold.covers import enumerate_candidates, shortest_non_lifting_word
+from rosefold.folding import fold_all, fold_to_delta, wedge_of_loops
 from rosefold.graphs import canonical_key
 from rosefold.presentations import piece_report, sample_presentation
-from rosefold.words import CyclicWord, GenTuple, Word, random_reduced_letters
+from rosefold.words import (
+    CyclicWord,
+    GenTuple,
+    Word,
+    apply_nielsen,
+    parse_word,
+    random_nielsen_moves,
+    random_reduced_letters,
+    standard_tuple,
+)
 
 
 @st.composite
@@ -64,6 +74,45 @@ class TestFoldTerminal:
         moved = fold_all(wedge_of_loops(relabel(perm, t)), policy)
         assert canonical_key(moved.terminal) == canonical_key(relabel(perm, trace.terminal))
         assert moved.num_folds == trace.num_folds
+
+
+class TestFoldToDelta:
+    @staticmethod
+    def outcome(t: GenTuple):
+        """Whether the wedge of ``t`` is degenerate and its fold count, or
+        the error of a wedge with no pre-lift stage."""
+        try:
+            extraction = fold_to_delta(wedge_of_loops(t))
+        except ValueError as err:
+            return str(err)
+        return extraction.degenerate, extraction.trace.num_folds
+
+    @given(ranked(ranks=(2, 3)), st.integers(1, 20))
+    @settings(max_examples=100, deadline=None)
+    def test_relabelled_wedge_keeps_its_degeneracy(self, case, moves):
+        # the witness's edge count is not compared: the pre-lift stage is
+        # the one that the fold heap's letter order reaches, and the wedge
+        # of (a1 a2, a2^-1 a1^-1 a2, a1 a2^-1 a1^-1) has a 4-edge witness
+        # where its image under a1 -> a2^-1, a2 -> a1 has a 3-edge one
+        rank, perm, rng = case
+        t = standard_tuple(rank, 2 * rank - 1)
+        for move in random_nielsen_moves(rng, t.arity, moves):
+            t = apply_nielsen(t, move)
+        assert self.outcome(relabel(perm, t)) == self.outcome(t)
+
+
+class TestSurvey:
+    @given(signed_permutations(2))
+    @settings(max_examples=4, deadline=None)
+    def test_candidates_keep_their_class_and_witness_length(self, perm):
+        # the survey's tests read a candidate's masks; its relabelled graph
+        # goes through the graph-level ones
+        for shape, blocks, masks in enumerate_candidates(2, 5):
+            moved = relabel(perm, shape.graph(blocks))
+            assert shape.rose_lift(masks) == moved.has_rose_lift()
+            assert shape.two_sheeted_cover(blocks, masks) == is_two_sheeted_cover(moved)
+            witness = shape.witness(blocks, masks, 14)
+            assert len(witness or ()) == len(shortest_non_lifting_word(moved, 14) or ())
 
 
 class TestRepeatLengths:
@@ -124,6 +173,43 @@ class TestComplexity:
         value, inverse = complexity(w, idx, depth=depth), complexity(w.inverse(), idx, depth=depth)
         assert (inverse.c1, inverse.c2) == (value.c1, value.c2)
         assert inverse.per_index == value.per_index[::-1]
+
+    def test_a_factor_at_two_rotations_offers_both_complements(self):
+        # the relator reads (a1^3 a2^-3)^2 a1^2, so a long factor of its
+        # powers can start at two of its rotations, and the ball must swap
+        # in the complement of each
+        idx = UWordIndex([parse_word("a1 a1 a1 a2^-1 a2^-1 a2^-1 a1 a1 a1 a2^-1 a2^-1 a2^-1 a1 a1", 2)])
+        w = parse_word(
+            "a2 a1^-1 a1^-1 a1^-1 a2 a2 a2 a1^-1 a1^-1 a1^-1 a2 a2 a2 a1^-1 a1^-1 a1^-1 a1^-1 a1^-1 "
+            "a2 a2 a2 a1^-1 a1^-1 a1^-1 a2 a2 a2 a1^-1 a1^-1 a1^-1 a1^-1 a1^-1 a2 a2 a2 a1^-1 "
+            "a2 a2 a2 a1^-1 a1^-1 a1^-1",
+            2,
+        )
+        for depth, c2, per_index in ((1, 36, (0, 36, 0)), (2, 58, (0, 43, 15))):
+            value, inverse = complexity(w, idx, depth=depth), complexity(w.inverse(), idx, depth=depth)
+            assert (value.c1, value.c2, value.per_index) == (3, c2, per_index)
+            assert (inverse.c1, inverse.c2, inverse.per_index) == (3, c2, per_index[::-1])
+
+
+class TestReductionMove:
+    @given(ranked(ranks=(2, 3)), st.integers(0, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_invariant_under_relabelling(self, case, depth):
+        rank, perm, rng = case
+        relators, w = TestComplexity.instance(rng, rank, depth)
+        idx = UWordIndex(relators)
+        maxstart = idx.max_factor_starting(w)
+        p = max(range(len(w)), key=maxstart.__getitem__)
+        cert = idx.is_u_word(w.subword(p, p + maxstart[p]))
+        # shorter than its relator, so pattern * replacement^-1 is one rotation
+        pattern = w.subword(p, p + rng.randint(1, min(maxstart[p], len(relators[cert.relator]) - 1)))
+        replacement = idx.u_complement(pattern, cert)
+        out = reduction_move(w, pattern, replacement, idx, [(p, 1)], depth=depth)
+        moved = reduction_move(
+            relabel(perm, w), relabel(perm, pattern), relabel(perm, replacement),
+            UWordIndex([relabel(perm, r) for r in relators]), [(p, 1)], depth=depth,
+        )
+        assert (moved.relation, moved.before, moved.after) == (out.relation, out.before, out.after)
 
 
 class TestPieces:
