@@ -371,29 +371,27 @@ def fold_to_delta(g: LabeledGraph) -> DeltaExtraction:
         raise ValueError("input graph does not fold onto the rose")
     n = g.rank
     degenerate = trace.first_lift_stage == 0
-    if degenerate:
-        if not trace.records:
-            raise ValueError(
-                "graph already contains a rose lift and admits no folds; "
-                "no pre-lift stage exists"
-            )
-        delta_index = len(trace.records) - 1
-    else:
-        assert trace.first_lift_stage is not None
-        delta_index = trace.first_lift_stage - 1
+    if degenerate and not trace.records:
+        raise ValueError(
+            "graph already contains a rose lift and admits no folds; "
+            "no pre-lift stage exists"
+        )
+    delta_index = len(trace.records) - 1 if degenerate else trace.delta_index
     stage = trace.stage(delta_index)
     delta = stage.graph
 
     if degenerate:
         psi_ids = sorted(_lift_loops(delta))
     else:
-        # the folded pair and the edges that become the lift's loops
+        # the folded pair and the edges that become the lift's loops: delta
+        # has no rose lift, so they are its edges between the fold's heads
+        # but the removed one (the edge maps keep input order)
         record = trace.records[delta_index]
-        next_stage = trace.stage(delta_index + 1)
-        inverse_emap = {new: orig for orig, new in next_stage.edge_map.items()}
-        psi_orig = {abs(record.kept) - 1, abs(record.removed) - 1}
-        psi_orig.update(inverse_emap[loop] for loop in _lift_loops(next_stage.graph))
-        psi_ids = sorted(stage.edge_map[e] for e in psi_orig)
+        heads = {stage.vertex_map[g.omega(record.kept)], stage.vertex_map[g.omega(record.removed)]}
+        removed = stage.edge_map[abs(record.removed) - 1]
+        loops = [k for k, (s, d, _) in enumerate(delta.edges) if s in heads and d in heads and k != removed]
+        psi = {stage.edge_map[abs(record.kept) - 1], removed}
+        psi_ids = sorted(psi.union(min(k for k in loops if abs(delta.edges[k][2]) == gen) for gen in range(1, n + 1)))
 
     psi_ids = _prune_psi(delta, psi_ids)
     psi_graph = subgraph_as_graph(delta, subgraph_from_edges(delta, psi_ids))

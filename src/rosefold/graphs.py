@@ -325,11 +325,6 @@ class EdgePath:
 # canonical form and isomorphism
 
 
-#: Most tied numberings advanced in lockstep; the excess waits on a stack
-#: and resumes depth first, pruned against the best complete encoding.
-_LOCKSTEP = 16
-
-
 def _encode_from(g: _Quotient, start: int) -> tuple:
     """Least BFS encoding of the quotient ``g`` from the root ``start``.
 
@@ -352,17 +347,15 @@ def _encode_from(g: _Quotient, start: int) -> tuple:
     cells its edges touch, members sorted by their edge counts per label
     group, most first: every other order gives a greater segment.  Only
     when the segment of number q is due and q opens a cell does the
-    numbering fork, one child per member.  The live children then advance
-    in lockstep, one segment per step: a child whose segments are
-    strictly greater than another's is dropped, so only tied numberings
-    survive.  A tied child is dropped too when an automorphism fixing
-    the numbered prefix maps a kept sibling to it (``_automorphic``): both
-    lead to the same encodings (McKay's automorphism pruning).  At most
-    ``_LOCKSTEP`` tied numberings advance together; the rest wait on a
-    stack and resume depth first, pruned against the best complete
-    encoding.  A single survivor runs a loop with no copying and, until it
-    resumes from the stack, no prefix compares.  A finished numbering that
-    misses a vertex means the graph is disconnected (ValueError).
+    numbering fork, one child per member; the children of one numbering
+    are a family.  All live numberings advance in lockstep, one segment
+    per step: a child whose segment is greater than another's is dropped,
+    so only tied numberings survive.  A tied child is dropped too when an
+    automorphism fixing the numbered prefix maps a kept child of its own
+    family to it (``_automorphic``): both lead to the same encodings
+    (McKay's automorphism pruning).  A single survivor runs a loop with no
+    copying and no compares.  A finished numbering that misses a vertex
+    means the graph is disconnected (ValueError).
     """
     if g.label_groups is None:
         g.label_groups = [g.groups(v) if g.parent[v] == v else None for v in range(len(g.parent))]
@@ -370,76 +363,36 @@ def _encode_from(g: _Quotient, start: int) -> tuple:
     ids = [-1] * len(groups)
     ids[start] = 0
     tokens: list[int] = []  # the live numberings' common prefix
-    best = None
-    # (number, prefix length, numberings, equal to best's prefix, best then)
-    stack = [(0, 0, [(ids, [start], {})], False, best)]
-    while stack:
-        q, mark, live, tight, seen = stack.pop()
-        tight = tight or best is not seen  # a later best shares this prefix
-        del tokens[mark:]
-        while live:
-            if len(live) == 1:
-                while tight:
-                    mark = len(tokens)
-                    if _advance(groups, live[0], q, q + 1, tokens) == q:
-                        break
-                    q += 1
-                    segment, reference = tokens[mark:], best[mark : len(tokens)]
-                    if segment > reference:
-                        live = []
-                        break
-                    tight = segment == reference
-                else:
-                    q = _advance(groups, live[0], q, len(groups), tokens)
-                if not live:
-                    break
-            if q == len(live[0][1]):
-                if q < g.num_vertices:
-                    raise ValueError("canonical_key expects a connected graph")
-                if not tight:
-                    best = tokens[:]
-                break
-            # one lockstep step: fork at cells, emit segments, keep the least
-            children, forks = [], []
-            for numbering in live:
-                if numbering[1][q] in numbering[2]:
-                    family = _fork(numbering, q)
-                    forks += [len(children)] * len(family)
-                    children += family
-                else:
-                    forks.append(-1)
-                    children.append(numbering)
-            # tied numberings open cells at the same numbers, so all stop
-            # where the first does unless they differ before
-            chunks = [[] for _ in children]
-            stop = _advance(groups, children[0], q, q + 1, chunks[0])
-            ends = [stop] + [_advance(groups, c, q, stop, k) for c, k in zip(children[1:], chunks[1:])]
-            low = min(chunks)
-            if tight:
-                reference = best[len(tokens) : len(tokens) + len(low)]
-                if low > reference:
-                    break
-                tight = low == reference
-            tied = [i for i, chunk in enumerate(chunks) if chunk == low]
-            q_next = ends[tied[0]]
-            if len(tied) > 1:  # prune symmetric siblings before they multiply
-                kept: list[int] = []
-                for i in tied:
-                    ids, order, _ = children[i]
-                    if not any(
-                        forks[j] == forks[i] >= 0 and _automorphic(groups, ids, q, children[j][1][q], order[q])
-                        for j in kept
-                    ):
-                        kept.append(i)
-                tied = kept
-            live = [children[i] for i in tied]
-            tokens += low
-            q = q_next
-            if len(live) > _LOCKSTEP:
-                stack.append((q, len(tokens), live[_LOCKSTEP:], tight, best))
-                del live[_LOCKSTEP:]
-    assert best is not None
-    return tuple(best)
+    live = [(ids, [start], {})]
+    q = 0
+    while True:
+        if len(live) == 1:
+            q = _advance(groups, live[0], q, len(groups), tokens)
+        if q == len(live[0][1]):
+            if q < g.num_vertices:
+                raise ValueError("canonical_key expects a connected graph")
+            return tuple(tokens)
+        # one lockstep step: fork at cells, emit one segment each, keep the least
+        children, families = [], []
+        for n, numbering in enumerate(live):
+            family = _fork(numbering, q) if numbering[1][q] in numbering[2] else [numbering]
+            families += [n] * len(family)
+            children += family
+        chunks = [[] for _ in children]
+        for child, chunk in zip(children, chunks):
+            _advance(groups, child, q, q + 1, chunk)
+        low = min(chunks)
+        # prune symmetric siblings before they multiply
+        kept: list[list[int]] = [[] for _ in live]  # per family, its kept children's vertex q
+        live = []
+        for child, chunk, n in zip(children, chunks, families):
+            if chunk == low:
+                ids, order, _ = child
+                if not any(_automorphic(groups, ids, q, x, order[q]) for x in kept[n]):
+                    kept[n].append(order[q])
+                    live.append(child)
+        tokens += low
+        q += 1
 
 
 def _advance(groups, numbering: tuple, q: int, stop: int, out: list[int]) -> int:

@@ -126,17 +126,17 @@ def _arc_runs(
         for tok in path.tokens:
             usage[abs(tok) - 1] = usage.get(abs(tok) - 1, 0) + 1
     psi = set(psi_edge_ids)
-    base = delta.base
+
+    def ok_edge(tok: int) -> bool:
+        k = abs(tok) - 1
+        return usage.get(k, 0) == 1 and k not in psi
+
+    def ok_junction(tok: int) -> bool:
+        v = delta.omega(tok)
+        return delta.degree(v) == 2 and v != delta.base
+
     runs: list[tuple[int, int, int]] = []
     for petal, path in enumerate(petal_images):
-        def ok_edge(tok: int) -> bool:
-            k = abs(tok) - 1
-            return usage.get(k, 0) == 1 and k not in psi
-
-        def ok_junction(a: int, b: int) -> bool:
-            v = delta.omega(a)
-            return delta.degree(v) == 2 and (base is None or v != base)
-
         start = None
         for i, tok in enumerate(path.tokens):
             if not ok_edge(tok):
@@ -146,7 +146,7 @@ def _arc_runs(
                 continue
             if start is None:
                 start = i
-            elif not ok_junction(path.tokens[i - 1], tok):
+            elif not ok_junction(path.tokens[i - 1]):
                 runs.append((petal, start, i - start))
                 start = i
         if start is not None:

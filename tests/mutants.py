@@ -229,6 +229,13 @@ MUTANTS = (
         "ranked = sorted(zip(keys, members), key=itemgetter(0))",
         ("tests/test_graphs.py::TestCanonicalKeyOracle",),
     ),
+    Mutant(
+        "automorphism check spans families",
+        "graphs.py",
+        "for x in kept[n])",
+        "for x in sum(kept, []))",
+        ("tests/test_folding.py::TestStageKeys",),
+    ),
 )
 
 

@@ -1,4 +1,5 @@
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -472,6 +473,21 @@ class TestCanonicalKeyOracle:
         random.Random(5).shuffle(perm)
         h = LabeledGraph(g.rank, g.num_vertices, tuple((perm[s], perm[d], l) for s, d, l in g.edges), perm[0])
         assert canonical_key(h) == key
+
+    def test_equal_petal_wedge(self):
+        # all 8! orders of the equal petals tie until the petals' second
+        # vertices, so symmetric siblings must be pruned within their family
+        t = GenTuple(2, tuple(parse_word("a1 a2 a1 a2^-1 a1", 2) for _ in range(8)))
+        g = wedge_of_loops(t)
+        rng = random.Random(8)
+        perm = list(range(g.num_vertices))
+        rng.shuffle(perm)
+        edges = [(perm[s], perm[d], l) for s, d, l in g.edges]
+        rng.shuffle(edges)
+        h = LabeledGraph(g.rank, g.num_vertices, tuple(edges), perm[g.base])
+        start = time.perf_counter()
+        assert canonical_key(g) == canonical_key(h)
+        assert time.perf_counter() - start < 10
 
     def test_every_start_matches(self):
         from rosefold.graphs import _encode_from, _Quotient
