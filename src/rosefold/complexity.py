@@ -31,7 +31,7 @@ the same tables (``_factor_spans``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator, Sequence
 
 from . import strsearch
@@ -525,12 +525,7 @@ class ComplexityValue:
         return (self.c1, self.c2)
 
     def to_dict(self) -> dict:
-        return {
-            "c1": self.c1,
-            "c2": self.c2,
-            "per_index": list(self.per_index),
-            "depth": self.depth,
-        }
+        return {**asdict(self), "per_index": list(self.per_index)}
 
 
 def complexity(

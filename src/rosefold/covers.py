@@ -37,7 +37,7 @@ import functools
 import itertools
 import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterator
 
 from .graphs import (
@@ -498,18 +498,7 @@ class CoverSurveyReport:
     elapsed_seconds: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "max_edges": self.max_edges,
-            "max_path_len": self.max_path_len,
-            "total_candidates": self.total_candidates,
-            "with_rose_lift": self.with_rose_lift,
-            "two_sheeted_covers": self.two_sheeted_covers,
-            "witnessed": self.witnessed,
-            "max_witness_length": self.max_witness_length,
-            "violations": self.violations,
-            "elapsed_seconds": round(self.elapsed_seconds, 3),
-        }
+        return {**asdict(self), "elapsed_seconds": round(self.elapsed_seconds, 3)}
 
 
 def survey_two_cover_characterization(

@@ -5,10 +5,12 @@ surgery.
 
 A fold identifies two distinct oriented edges that leave one vertex with
 the same letter.  The engine below is a union-find quotient of the graph
-(``graphs._Quotient``) so a full fold sequence costs near-linear time;
-traces record one (kept, removed) oriented-edge pair per fold, which is
-enough to replay any intermediate stage or push a path forward through
-the sequence.
+(``graphs._Quotient``).  A fold sequence costs near-linear time only while
+each vertex has few edges per letter, as on wedges of reduced words: a
+fold sorts its slot (``_Engine.pair``) and scans it to remove an edge, so
+a vertex with k edges of one letter costs time quadratic in k.  Traces
+record one (kept, removed) oriented-edge pair per fold, which is enough to
+replay any intermediate stage or push a path forward through the sequence.
 """
 
 from __future__ import annotations
@@ -159,7 +161,6 @@ class FoldTrace:
     initial: LabeledGraph
     records: tuple[FoldRecord, ...]
     terminal: LabeledGraph
-    policy: str
     first_lift_stage: int | None = None
 
     @property
@@ -204,14 +205,6 @@ class FoldTrace:
         return EdgePath(stage.graph, tuple(tokens), stage.vertex_map[path.start])
 
 
-def _heap_key(engine: _Engine, root: int, i: int, greatest: bool) -> tuple:
-    """A fold's (vertex, letter index ``i``), negated for the greatest
-    policy."""
-    if greatest:
-        return (-engine.cls_min[root], -i)
-    return (engine.cls_min[root], i)
-
-
 def fold_all(g: LabeledGraph, policy: str = "least") -> FoldTrace:
     """Fold until no two edges share a source vertex and a letter.
 
@@ -225,13 +218,15 @@ def fold_all(g: LabeledGraph, policy: str = "least") -> FoldTrace:
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    greatest = policy == "greatest"
+    sign = -1 if policy == "greatest" else 1
     defer = policy == "defer_rose"
     engine = _Engine(g)
     records: list[FoldRecord] = []
     first_lift: int | None = 0 if defer and g.has_rose_lift() else None
-    # entries (key, root, letter index i), checked against the slot
-    # ``root * width + i``: a root that a union absorbed has none left
+    # entries (root, letter index i), both negated for the greatest policy,
+    # checked against the slot ``root * width + i``: a root is its class's
+    # least vertex, so an entry's order never changes, and a root that a
+    # union absorbed has no tokens left
     heap: list = []
     slots, width = engine.slots, engine.width
 
@@ -242,27 +237,24 @@ def fold_all(g: LabeledGraph, policy: str = "least") -> FoldTrace:
         base = root * width
         for i, toks in enumerate(slots[base : base + width]):
             if toks is not None and len(toks) >= 2:
-                heapq.heappush(heap, (_heap_key(engine, root, i, greatest), root, i))
+                heapq.heappush(heap, (sign * root, sign * i))
 
     for v in range(g.num_vertices):
         push(v)
     set_aside: list = []
     while heap or set_aside:
         if heap:
-            key, root, i = heapq.heappop(heap)
+            entry = heapq.heappop(heap)
+            root, i = sign * entry[0], sign * entry[1]
             toks = slots[root * width + i]
             if toks is None or len(toks) < 2:
                 continue
-            fresh = _heap_key(engine, root, i, greatest)
-            if fresh != key:
-                heapq.heappush(heap, (fresh, root, i))
-                continue
             record = engine.pair(root, _LETTER[i])
             if defer and first_lift is None and engine.makes_lift(record):
-                set_aside.append((key, root, i))
+                set_aside.append(entry)
                 continue
         else:
-            _, root, i = set_aside[0]
+            root, i = set_aside[0]
             record = engine.pair(root, _LETTER[i])
             first_lift = len(records) + 1
         engine.apply_record(record)
@@ -273,7 +265,7 @@ def fold_all(g: LabeledGraph, policy: str = "least") -> FoldTrace:
         for r in {engine.find(root), engine.head(record.kept)}:
             push(r)
     terminal, _, _ = engine.materialize()
-    return FoldTrace(g, tuple(records), terminal, policy, first_lift)
+    return FoldTrace(g, tuple(records), terminal, first_lift)
 
 
 def fold_report(t: GenTuple, policy: str, dump_stages: bool) -> dict:

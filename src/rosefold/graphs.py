@@ -96,19 +96,19 @@ def is_rose(g: LabeledGraph) -> bool:
 
 class _Quotient:
     """A quotient of a graph: its vertices merged into classes by a
-    union-find (path halving, union by size), some of its edges removed.
+    union-find (path halving), some of its edges removed.
 
-    A class is named by its root and numbered by its least vertex
-    (``cls_min``).  ``slots`` is one flat list of ``width = 2 * rank``
-    slots per vertex, one per letter in the letter order: slot
-    ``root * width + i`` lists the live oriented tokens leaving the class
-    of ``root`` with the letter of index ``i``, or is None when there are
-    none, and every slot of a vertex that is not a root is None.  ``ends``
-    holds the original end vertex of every token.  ``num_vertices`` and
-    ``num_edges`` count the classes and the live edges.  The fold engine
-    (``folding._Engine``) is a quotient that a fold sequence advances;
-    ``collapse`` and ``component_count`` contract edges of one, and
-    ``canonical_key`` encodes one."""
+    A class is named by its root, its least vertex: a union links the
+    greater root below the lesser.  ``slots`` is one flat list of
+    ``width = 2 * rank`` slots per vertex, one per letter in the letter
+    order: slot ``root * width + i`` lists the live oriented tokens leaving
+    the class of ``root`` with the letter of index ``i``, or is None when
+    there are none, and every slot of a vertex that is not a root is None.
+    ``ends`` holds the original end vertex of every token.  ``num_vertices``
+    and ``num_edges`` count the classes and the live edges.  The fold
+    engine (``folding._Engine``) is a quotient that a fold sequence
+    advances; ``collapse`` and ``component_count`` contract edges of one,
+    and ``canonical_key`` encodes one."""
 
     def __init__(self, graph: LabeledGraph):
         n = graph.num_vertices
@@ -118,8 +118,6 @@ class _Quotient:
         self.num_vertices = n
         self.num_edges = graph.num_edges
         self.parent = list(range(n))
-        self.cls_min = self.parent[:]
-        self.size = [1] * n
         self.alive = [True] * graph.num_edges
         slots: list[list[int] | None] = [None] * (n * width)
         for k, (src, dst, label) in enumerate(graph.edges, 1):
@@ -167,21 +165,22 @@ class _Quotient:
         self.num_edges -= 1
 
     def union(self, ra: int, rb: int) -> None:
-        """Merge the classes of two distinct roots into the larger's root."""
-        if self.size[ra] < self.size[rb]:
+        """Merge the classes of two distinct roots into the lesser root.
+        Per slot the shorter token list is spliced into the longer, so a
+        token moves O(log E) times over any sequence of unions."""
+        if rb < ra:
             ra, rb = rb, ra
         width, slots = self.width, self.slots
         b = rb * width
         for s, toks in enumerate(slots[b : b + width], ra * width):
             if toks is not None:
-                if slots[s] is None:
-                    slots[s] = toks
-                else:
+                kept = slots[s]
+                if kept is None or len(kept) < len(toks):
+                    slots[s], toks = toks, kept
+                if toks is not None:
                     slots[s] += toks
         slots[b : b + width] = [None] * width
         self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.cls_min[ra] = min(self.cls_min[ra], self.cls_min[rb])
         self.num_vertices -= 1
 
     def materialize(self) -> tuple[LabeledGraph, dict[int, int], dict[int, int]]:
@@ -190,7 +189,7 @@ class _Quotient:
         the vertex map (original -> new) and the edge map (original
         topological id -> new topological id)."""
         g = self.graph
-        roots = sorted({self.find(v) for v in range(g.num_vertices)}, key=self.cls_min.__getitem__)
+        roots = [v for v, p in enumerate(self.parent) if p == v]
         vmap_root = {r: i for i, r in enumerate(roots)}
         vmap = {v: vmap_root[self.find(v)] for v in range(g.num_vertices)}
         edges = []

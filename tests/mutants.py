@@ -212,7 +212,7 @@ MUTANTS = (
     # graphs: the quotient's slots, against bfs_components and the naive
     # fold reference
     Mutant(
-        "union keeps only the kept root's tokens where both roots have some",
+        "union keeps only the longer token list where both roots have some",
         "graphs.py",
         "slots[s] += toks",
         "slots[s] = slots[s]",
@@ -220,6 +220,22 @@ MUTANTS = (
             "tests/test_graphs.py::TestCollapse::test_matches_bfs_oracle",
             "tests/test_folding.py::TestFoldAll::test_engine_matches_naive_reference",
         ),
+    ),
+    # graphs: the quotient names a class by its least vertex, and splices
+    # the shorter token list into the longer
+    Mutant(
+        "union keeps the greater root",
+        "graphs.py",
+        "if rb < ra:",
+        "if rb > ra:",
+        ("tests/test_folding.py::TestFoldAll::test_every_root_is_its_class_least_vertex",),
+    ),
+    Mutant(
+        "slot splice appends the absorbed list",
+        "graphs.py",
+        "if kept is None or len(kept) < len(toks):",
+        "if kept is None:",
+        ("tests/test_graphs.py::TestCollapse::test_splice_keeps_the_longer_token_list",),
     ),
     # graphs: oracle_canonical_key
     Mutant(

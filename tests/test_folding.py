@@ -187,6 +187,24 @@ class TestFoldAll:
             trace = fold_all(g)
             assert trace.num_folds <= g.num_edges
 
+    @pytest.mark.parametrize("policy", folding.POLICIES)
+    def test_every_root_is_its_class_least_vertex(self, rng, policy):
+        # the classes are replayed here from the records: each fold merges
+        # the classes of its tokens' original end vertices
+        graphs = [random_graph(rng, rng.choice((2, 3)), max_v=8, max_e=14) for _ in range(150)]
+        graphs += [wedge_of_loops(nielsen_basis_tuple(rng, rng.choice((2, 3)))) for _ in range(15)]
+        graphs += [wedge_of_loops(proper_factor_tuple(rng, 3)) for _ in range(15)]
+        for g in graphs:
+            trace = fold_all(g, policy)
+            cls = [{v} for v in range(g.num_vertices)]
+            for k, view in enumerate(trace.stage_views()):
+                if k:
+                    record = trace.records[k - 1]
+                    merged = cls[g.omega(record.kept)] | cls[g.omega(record.removed)]
+                    for v in merged:
+                        cls[v] = merged
+                assert [view.find(v) for v in range(g.num_vertices)] == [min(c) for c in cls]
+
     def test_betti_never_increases(self, rng):
         t = nielsen_basis_tuple(rng, 2, moves=8)
         trace = fold_all(wedge_of_loops(t))
@@ -388,8 +406,6 @@ class TestStageKeys:
 def clone_engine(engine: _Engine) -> _Engine:
     other = copy.copy(engine)
     other.parent = list(engine.parent)
-    other.cls_min = list(engine.cls_min)
-    other.size = list(engine.size)
     other.alive = list(engine.alive)
     other.slots = [None if toks is None else list(toks) for toks in engine.slots]
     return other
@@ -421,13 +437,15 @@ def makes_lift_by_simulation(engine: _Engine, root: int, letter: int) -> bool:
 
 def oracle_fold_deferring(g: LabeledGraph) -> tuple[list[FoldRecord], int | None]:
     """The lift-deferring policy by clone-and-simulate: sort every
-    candidate after each fold and fold a copy of the engine to test it."""
+    candidate after each fold by its class's least vertex, found by
+    scanning every vertex rather than read off the root, and fold a copy
+    of the engine to test it."""
     engine = _Engine(g)
     records: list[FoldRecord] = []
     first_lift: int | None = 0 if engine_has_rose_lift(engine) else None
     while True:
         candidates = sorted(
-            ((engine.cls_min[root], letter_key(letter)), root, letter)
+            ((min(v for v in range(g.num_vertices) if engine.find(v) == root), letter_key(letter)), root, letter)
             for root in engine_roots(engine)
             for letter in engine.foldable_letters(root)
         )

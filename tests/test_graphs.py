@@ -1,3 +1,4 @@
+import gc
 import random
 import time
 from dataclasses import replace
@@ -131,6 +132,31 @@ class TestCollapse:
                 whole = Subgraph(frozenset(range(g.num_vertices)), frozenset(range(g.num_edges)))
                 assert component_count(g) == len(set(bfs_components(g.num_vertices, (e[:2] for e in g.edges))))
                 assert component_count(g) == collapse(g, whole).num_vertices
+
+    def test_splice_keeps_the_longer_token_list(self):
+        # a descending path with an a2 loop at every vertex: each union
+        # merges the class holding every loop so far into the next, lesser
+        # vertex, so appending the absorbed tokens would copy them all each
+        # time, quadratic in n, where splicing the shorter list stays linear
+        def seconds(n: int) -> float:
+            edges = tuple((v, v - 1, 1) for v in range(n - 1, 0, -1)) + tuple((v, v, 2) for v in range(n))
+            g = LabeledGraph(2, n, edges)
+            sub = subgraph_from_edges(g, range(n - 1))
+            best = float("inf")
+            # with the collector off, as ``timeit`` runs: its full passes
+            # scale with every object the earlier tests left alive
+            gc.disable()
+            try:
+                for _ in range(3):
+                    start = time.perf_counter()
+                    q = collapse(g, sub)
+                    best = min(best, time.perf_counter() - start)
+            finally:
+                gc.enable()
+            assert q.num_vertices == 1 and q.num_edges == n
+            return best
+
+        assert seconds(20_000) < 8 * seconds(5_000)
 
     def test_collapse_one_loop_of_wedge(self):
         g = LabeledGraph(2, 1, ((0, 0, 1), (0, 0, 2)))

@@ -11,9 +11,9 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import allocated_by
+from conftest import allocated_by, token_letter
 from rosefold import strsearch
-from rosefold.folding import _Engine, _heap_key
+from rosefold.folding import fold_all
 from rosefold.graphs import LabeledGraph, _Quotient
 from rosefold.words import free_reduce, random_reduced_letters
 
@@ -298,15 +298,14 @@ class TestLetterOrder:
             assert [lab for lab, _, _ in g.adjacency[0]] == by_pin
             groups = _Quotient(g).groups(0)
             assert [gen if sign == 0 else -gen for gen, sign, _, _ in groups] == list(dict.fromkeys(by_pin))
-            engine = _Engine(g)
-            distinct = list(set(letters))
-            index = strsearch._INDEX
-            assert sorted(distinct, key=lambda l: _heap_key(engine, 0, index[l], False)) == sorted(
-                distinct, key=order.index
-            )
-            assert sorted(distinct, key=lambda l: _heap_key(engine, 0, index[l], True)) == sorted(
-                distinct, key=order.index, reverse=True
-            )
+            # only vertex 0 can fold: the least policy folds its repeated
+            # letters in the pinned order, each letter's folds in one run,
+            # and the greatest policy in the reverse order
+            repeated = sorted({l for l in letters if letters.count(l) >= 2}, key=order.index)
+            for policy, expected in (("least", repeated), ("greatest", repeated[::-1])):
+                folded = [token_letter(g, r.kept) for r in fold_all(g, policy).records]
+                assert folded == sorted(folded, key=expected.index)
+                assert list(dict.fromkeys(folded)) == expected
             # the rows of each letter sit at its index
             rows = g.letter_rows
             for k, l in enumerate(letters):
