@@ -300,16 +300,9 @@ class CandidateShape:
     which its edges end), and field ``2 * rank + gen - 1`` the vertices
     carrying a loop labelled ``gen``.  ``contributions`` holds, per group and per
     block, the OR of the bits its edges set, so the masks of an assignment
-    are the OR of one entry per group.
-
-    ``LabeledGraph.__post_init__``'s checks run here once per shape: the
-    vertex count and every endpoint (every label choice is a letter of the
-    rank), so every graph that ``graph`` builds on this shape would pass
-    them."""
+    are the OR of one entry per group."""
 
     def __init__(self, rank: int, nv: int, pairs: tuple[tuple[int, int], ...]):
-        if nv < 1:
-            raise ValueError("graph needs at least one vertex")
         self.rank = rank
         self.num_vertices = nv
         self.num_edges = len(pairs)
@@ -317,9 +310,6 @@ class CandidateShape:
         self.letters = _alphabet(rank)
         arc_choices, loop_choices = list(range(2 * rank)), list(range(0, 2 * rank, 2))
         self.choices = [loop_choices if a == b else arc_choices for (a, b), _ in self.groups]
-        for (a, b), _ in self.groups:
-            if not (0 <= a < nv and 0 <= b < nv):
-                raise ValueError("edge endpoint outside vertex range")
         self.blocks = [
             list(itertools.combinations_with_replacement(range(len(labels)), size))
             for labels, (_, size) in zip(self.choices, self.groups)

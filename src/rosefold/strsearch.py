@@ -89,7 +89,7 @@ class SuffixAutomaton:
 
     __slots__ = ("next", "link", "length", "codes")
 
-    def __init__(self, text: str = ""):
+    def __init__(self, text: str):
         # the classic online construction, one letter at a time, on local
         # names for the tables.  Rows of ints form no reference cycles, so
         # the cyclic collector is paused while they are built: otherwise
@@ -159,11 +159,8 @@ class SuffixAutomaton:
                 v = link[v]
                 target = nxt[v][c]
                 length = length_of[v]
-            if target:
-                v = target
-                length += 1
-            else:  # no transition even from the root
-                length = 0
+            v = target  # nonzero: the root has a transition on every text character
+            length += 1
             append(length)
         return out
 

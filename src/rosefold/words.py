@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .strsearch import _Table, all_occurrences, letters_to_chars
+from .strsearch import _Table, letters_to_chars
 
 
 def check_letter(letter: int, rank: int) -> None:
@@ -92,19 +92,16 @@ def free_reduce(rank: int, letters: Sequence[int]) -> Word:
     return Word(rank, tuple(stack))
 
 
-# tied starts compared by one ``min`` over their rotations; the derived
-# relators of ``presentations`` have up to about N, and at 256 the slices
-# cost about one two-pointer scan of a proper power
-_ROTATION_STARTS = 256
-
-
 def _least_rotation(letters: tuple[int, ...]) -> int:
     """Smallest index of a lexicographically least rotation.  A least
     rotation starts with the longest cyclic run of the least letter, found
     by doubling ``in`` tests on the word read twice (character order is
-    the letter order, see ``strsearch``); with at most ``_ROTATION_STARTS`` such runs
-    one ``min`` over their rotations picks it, else ``_scan_least_rotation``
-    keeps the cost linear."""
+    the letter order, see ``strsearch``).  Those runs cut the word into
+    blocks, each a run and letters that hold no other such run.  A block
+    that is a proper prefix of another is followed by the run, which reads
+    less than the longer block's rest, so the rotations from the runs
+    compare as their block sequences do: one ``_scan_least_rotation`` over
+    the blocks, read without their common run, picks the least."""
     n = len(letters)
     if n == 0:
         return 0
@@ -119,15 +116,17 @@ def _least_rotation(letters: tuple[int, ...]) -> int:
         lo, hi = (mid, hi) if least * mid in d else (lo, mid)
     if lo == n:
         return 0
-    starts = all_occurrences(d[: n + lo - 1], least * lo)
-    if len(starts) > _ROTATION_STARTS:
-        return _scan_least_rotation(d, n)
-    return min(starts, key=lambda p: d[p : p + n])
+    run = least * lo
+    first = d.find(run)
+    rests = d[first + lo : first + n].split(run)
+    i = _scan_least_rotation(rests + rests, len(rests))
+    return first + lo * i + sum(map(len, rests[:i]))
 
 
-def _scan_least_rotation(d: str, n: int) -> int:
+def _scan_least_rotation(d: Sequence, n: int) -> int:
     """The two-pointer scan over candidate starts i != j with common prefix
-    k, on a word of ``n`` letters read twice: a mismatch rules out the
+    k, on a sequence of ``n`` items read twice (Shiloach, "Fast
+    canonization of circular strings", 1981): a mismatch rules out the
     greater candidate and the k starts after it; a common prefix of full
     length makes the lesser start the answer."""
     i, j, k = 0, 1, 0

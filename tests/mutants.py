@@ -177,6 +177,21 @@ MUTANTS = (
         "for _ in range(max_len - 3):",
         ("tests/test_covers.py::TestBitmaskPowerSet::test_matches_frozenset_oracle_on_random_graphs",),
     ),
+    # least rotations: oracle_least_rotation
+    Mutant(
+        "the last block stops at the word's end",
+        "words.py",
+        "d[first + lo : first + n]",
+        "d[first + lo : n]",
+        ("tests/test_words.py::TestLeastRotation",),
+    ),
+    Mutant(
+        "the scan keeps the greater candidate",
+        "words.py",
+        "if a > b:",
+        "if a < b:",
+        ("tests/test_words.py::TestLeastRotation",),
+    ),
     # derived presentations: letterwise_build_relators and
     # rolling_hash_piece_report
     Mutant(

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import letter_key
-from rosefold import strsearch, words
+from rosefold import strsearch
 from rosefold.presentations import sample_presentation
 from rosefold.words import (
     CyclicWord,
@@ -32,12 +32,18 @@ def w(text: str, rank: int = 2) -> Word:
     return parse_word(text, rank)
 
 
-raw_letters = st.lists(
-    st.integers(min_value=1, max_value=3).flatmap(
-        lambda g: st.sampled_from([g, -g])
-    ),
-    max_size=30,
-)
+raw_letter = st.integers(min_value=1, max_value=3).flatmap(lambda g: st.sampled_from([g, -g]))
+raw_letters = st.lists(raw_letter, max_size=30)
+
+
+@st.composite
+def repeated_blocks(draw) -> tuple[int, ...]:
+    """2-4 random blocks of 1-4 letters, repeated in random order: many
+    tied runs of the least letter, and blocks between them that are
+    equal or prefixes of one another."""
+    block = st.lists(raw_letter, min_size=1, max_size=4).map(tuple)
+    blocks = draw(st.lists(block, min_size=2, max_size=4))
+    return sum(draw(st.lists(st.sampled_from(blocks), min_size=1, max_size=12)), ())
 
 
 class TestFreeReduce:
@@ -167,6 +173,11 @@ class TestLeastRotation:
         letters = tuple((tuple(root) * length)[:length])
         assert _least_rotation(letters) == oracle_least_rotation(letters)
 
+    @given(repeated_blocks())
+    @settings(max_examples=300)
+    def test_repeated_blocks_match_oracle(self, letters):
+        assert _least_rotation(letters) == oracle_least_rotation(letters)
+
     def test_fixed_cases(self):
         assert _least_rotation(()) == 0
         assert _least_rotation((2,)) == 0
@@ -197,71 +208,65 @@ def least_letter_runs(letters: tuple[int, ...]) -> tuple[int, int]:
     return max(runs), runs.count(max(runs))
 
 
-@pytest.fixture
-def scans(monkeypatch):
-    """Calls of the two-pointer fallback, as (letters read twice, n)."""
-    calls = []
-    scan = words._scan_least_rotation
-
-    def spy(d, n):
-        calls.append((d, n))
-        return scan(d, n)
-
-    monkeypatch.setattr(words, "_scan_least_rotation", spy)
-    return calls
-
-
 class TestLeastRotationFastPath:
-    """The run-start path of ``_least_rotation`` against the oracle, and
-    its two-pointer fallback past ``_ROTATION_STARTS`` tied runs."""
+    """Words with many tied starts, the longest runs of the least letter,
+    against the oracle, and the scan over the blocks between them staying
+    linear."""
 
     @pytest.mark.parametrize("length", [60, 90, 120])
-    def test_derived_relators(self, length, scans):
+    def test_derived_relators(self, length):
         relators = [w for seed in range(3) for w in sample_presentation(2, length, seed=seed)[0].relator_words]
-        scans.clear()
         ties = []
         for word in relators:
             ties.append(least_letter_runs(word.letters)[1])
             assert _least_rotation(word.letters) == oracle_least_rotation(word.letters)
-        # dozens of tied runs, each compared by the run-start path
+        # dozens of tied runs, whose blocks the scan compares
         assert max(ties) >= 20
-        assert len(scans) == sum(t > words._ROTATION_STARTS for t in ties)
 
     @pytest.mark.parametrize("letter", [1, -1, 2, -3])
     @pytest.mark.parametrize("n", [1, 2, 7, 300])
-    def test_one_letter(self, letter, n, scans):
+    def test_one_letter(self, letter, n):
         assert _least_rotation((letter,) * n) == 0
-        assert not scans
 
     @pytest.mark.parametrize(
         "root, tail", [((1, 2, -1, 2), (1, 2)), ((2, 1, 1, -2, -2, 1), (2, 1, 1)), ((-1, 2, -1, -2, -1, -2, 3), (-1, 2))]
     )
-    def test_more_tied_starts_than_the_cap(self, root, tail, scans):
-        copies = words._ROTATION_STARTS + 1
+    def test_more_tied_starts_than_the_cap(self, root, tail):
+        # more tied starts than a derived relator has (about N)
+        copies = 257
         # every rotation of a proper power, which ties at every period, and a
         # power with a partial period appended
         cases = [(root[cut:] + root[:cut]) * copies for cut in range(len(root))]
         for letters in cases + [root * copies + tail]:
-            assert least_letter_runs(letters)[1] > words._ROTATION_STARTS
-            calls = len(scans)
+            assert least_letter_runs(letters)[1] >= copies
             k = _least_rotation(letters)
-            assert len(scans) == calls + 1
             if letters in cases:
                 # the power's least rotation is its root's
                 assert k == oracle_least_rotation(letters[: len(root)])
             else:
                 assert k == oracle_least_rotation(letters)
 
-    def test_long_periodic_word_stays_linear(self, scans):
+    def test_long_periodic_word_stays_linear(self):
         letters = (1, 2, -1, 2, 2, 1, -2) * 14285 + (1, 2, -1, 2, 2)
         assert len(letters) == 100_000
         start = time.perf_counter()
         k = _least_rotation(letters)
         elapsed = time.perf_counter() - start
-        assert len(scans) == 1 and elapsed < 0.5
+        assert elapsed < 0.5
         # the rotation from the partial period reads a1 as its sixth letter,
         # where every rotation from a whole period reads a2^-1
         assert k == 7 * 14285
+
+    def test_alternating_word_stays_linear(self):
+        # a1 a2^±1 repeated: 50,000 tied starts, whose blocks are a1 a2 and
+        # a1 a2^-1 in random order
+        rng = random.Random(38)
+        letters = tuple(x for _ in range(50_000) for x in (1, rng.choice((2, -2))))
+        start = time.perf_counter()
+        k = _least_rotation(letters)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.5
+        assert k == oracle_least_rotation(letters)
 
 
 class TestNielsen:
