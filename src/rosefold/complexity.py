@@ -18,20 +18,22 @@ breadth-first search over the edges with j != i, with the same
 ``max_ball`` stop as a search of its own; every ell_hat_i reads its
 node scores from the shared tables.
 
-Every per-word table is linear in the word.  The longest factor starting
-at each position comes from one scan of the reversed word against one
-automaton of all reversed signed relator powers.  That table is exact,
-so the reach p + maxstart[p] never decreases, and the c1 tables and the
-longest i-th factors each take one pass (see ``_min_factor_tables``).
-No segmentation is listed: the factors of every minimal segmentation,
-which the edges and the longest i-th factors range over, are read off
-the same tables (``_factor_spans``).
+The longest factor starting at each position comes from a scan of the
+reversed word against one automaton of all reversed signed relator
+powers.  That table is exact, so the reach p + maxstart[p] never
+decreases and the c1 tables are step functions of c1 steps: the starts
+of the j-th factors of all minimal segmentations, which the edges and
+the longest i-th factors range over, are ranges between their k
+breakpoints (``_factor_starts``).  A word met in the ball differs from
+its parent in one splice, and only that window is scanned again.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
+from operator import add
 from typing import Iterator, Sequence
 
 from . import strsearch
@@ -90,10 +92,11 @@ class UWordIndex:
             raise ValueError("need at least one relator")
         self.rank = relators[0].rank
         self.relators: tuple[Word, ...] = tuple(relators)
-        self._chars: dict[tuple[int, int], str] = {}
+        self._letters: dict[tuple[int, int], tuple[int, ...]] = {}
         for i, word in enumerate(self.relators):
-            self._chars[(i, 1)] = strsearch.letters_to_chars(word.letters)
-            self._chars[(i, -1)] = strsearch.letters_to_chars(word.inverse().letters)
+            self._letters[(i, 1)] = word.letters
+            self._letters[(i, -1)] = word.inverse().letters
+        self._chars = {key: strsearch.letters_to_chars(l) for key, l in self._letters.items()}
         self._powers: dict[tuple[int, int, int], str] = {}
         self._union_sams: dict[tuple[int, ...], strsearch.SuffixAutomaton] = {}
 
@@ -147,18 +150,23 @@ class UWordIndex:
         base = self.relators[cert.relator]
         return (base if cert.sign > 0 else base.inverse()).rotation(cert.rotation)
 
-    def u_complement(self, z: Word, cert: UCert, extra_power: int = 0) -> Word:
-        """Minimal V with z * V^-1 a power of the certified rotation;
-        ``extra_power`` appends whole extra periods to the family."""
-        rot = self.rotation_word(cert)
-        L = len(rot)
-        m = max(1, math.ceil(len(z) / L)) + extra_power
-        full = rot.letters * m
-        if full[: len(z)] != z.letters:
-            raise ValueError("certificate does not match the word")
-        tail = full[len(z) :]
+    def u_complement(self, z: Word, cert: UCert) -> Word:
+        """Minimal V with z * V^-1 a power of the certified rotation."""
+        tail = self._complement_tail(z.letters, cert, 0)
         # a subword of a power of a cyclically reduced rotation is reduced
         return _unchecked(Word, rank=self.rank, letters=tail).inverse()
+
+    def _complement_tail(self, letters: tuple[int, ...], cert: UCert, extra_power: int) -> tuple[int, ...]:
+        """The letters after ``letters`` in the least power of the
+        certified rotation that starts with them, with ``extra_power``
+        whole periods more: the ball's replacements, and the inverse of
+        ``u_complement`` at 0."""
+        signed = self._letters[(cert.relator, cert.sign)]
+        rot = signed[cert.rotation :] + signed[: cert.rotation]
+        full = rot * (max(1, -(-len(letters) // len(rot))) + extra_power)
+        if full[: len(letters)] != letters:
+            raise ValueError("certificate does not match the word")
+        return full[len(letters) :]
 
     def _union_sam(self, min_length: int) -> strsearch.SuffixAutomaton:
         """Automaton of the reversed signed relator powers long enough for
@@ -186,10 +194,15 @@ class UWordIndex:
         reversed word against the automaton of all reversed signed powers
         give, at each position of the reversal, the longest factor of one
         of them ending there; read backwards, that is the table."""
-        if len(w) == 0:
-            return []
-        rev = strsearch.letters_to_chars(w.letters)[::-1]
-        return self._union_sam(len(w)).matching_statistics(rev)[::-1]
+        return self._window_factors(w.letters, 0, len(w)) if w else []
+
+    def _window_factors(self, letters: tuple[int, ...], lo: int, hi: int) -> list[int]:
+        """Entries lo..hi - 1 of the table of the word ``letters``, from a
+        scan of letters[lo:hi] alone against the automaton a scan of the
+        whole word uses.  The scan starts at hi, so it caps each entry at
+        hi - lo: an entry is exact when its longest factor ends by hi."""
+        rev = strsearch.letters_to_chars(letters[lo:hi])[::-1]
+        return self._union_sam(len(letters)).matching_statistics(rev)[::-1]
 
 
 @dataclass(frozen=True)
@@ -208,42 +221,6 @@ class Segmentation:
         }
 
 
-def _min_factor_tables(maxstart: list[int]) -> tuple[list[int], list[int]]:
-    """Forward and backward minimal factor counts of a word with factor
-    table ``maxstart``: F[p] = c1 of w[:p], G[p] = c1 of w[p:], and n + 2
-    where no segmentation exists.
-
-    A subword of a relator-power factor is one too, and ``maxstart`` is
-    exact, so the factors starting at p are the prefixes of w[p:] of 1 to
-    maxstart[p] letters, and maxstart[p + 1] >= maxstart[p] - 1: the reach
-    p + maxstart[p] never decreases.  Trimming the first letter off a
-    segmentation of w[p:] leaves one of w[p + 1:] with no more factors, so
-    G never increases; likewise F never decreases.  Hence the best first
-    factor of w[p:] is the longest, G[p] = G[p + maxstart[p]] + 1, and the
-    best last factor of w[:q] starts at the least p that reaches q, a
-    start that moves right with q.  Each table takes one pass.
-    """
-    n = len(maxstart)
-    INF = n + 2
-    G = [INF] * (n + 1)
-    G[n] = 0
-    for p in range(n - 1, -1, -1):
-        reach = maxstart[p]
-        if not reach:
-            break  # no factor holds letter p, so no suffix from p or before is covered
-        G[p] = G[p + reach] + 1
-    F = [INF] * (n + 1)
-    F[0] = 0
-    p = 0
-    for q in range(1, n + 1):
-        while p < q and p + maxstart[p] < q:
-            p += 1
-        if p == q:
-            break  # letter q - 1 is in no factor
-        F[q] = F[p] + 1
-    return F, G
-
-
 def _check_covered(maxstart: list[int]) -> list[int]:
     """Raise at the first position where no relator-power factor starts, else return the table."""
     if not all(maxstart):
@@ -253,30 +230,30 @@ def _check_covered(maxstart: list[int]) -> list[int]:
 
 
 def _greedy_cuts(maxstart: list[int]) -> list[int]:
-    """Interior cuts of the segmentation whose every factor is the longest
-    one starting where the last ended.  By the monotone reach (see
-    ``_min_factor_tables``) it has the least number of factors, and its
-    first factor is the longest among minimal segmentations.  The word
-    must be covered."""
+    """The ends f_1 < ... < f_k = n of the segmentation whose every factor
+    is the longest one starting where the last ended, f_(t+1) = f_t +
+    maxstart[f_t].  By the monotone reach (see ``_factor_starts``) k is
+    least, and the first factor is the longest among minimal
+    segmentations.  The word must be covered."""
     n = len(maxstart)
-    cuts = []
-    pos = maxstart[0]
+    ends = []
+    pos = 0
     while pos < n:
-        cuts.append(pos)
         pos += maxstart[pos]
-    return cuts
+        ends.append(pos)
+    return ends
 
 
 def _segmentation(w: Word, idx: UWordIndex, maxstart: list[int]) -> Segmentation:
     """The greedy witness segmentation of a covered word, from its table."""
-    cuts = _greedy_cuts(maxstart)
+    ends = _greedy_cuts(maxstart)
     certs = []
-    for lo, hi in zip([0] + cuts, cuts + [len(w)]):
+    for lo, hi in zip([0] + ends, ends):
         cert = idx.is_u_word(w.subword(lo, hi))
         if cert is None:
             raise RuntimeError(f"the factor table covers w[{lo}:{hi}], but no certificate does")
         certs.append(cert)
-    return Segmentation(w, tuple(cuts), tuple(certs))
+    return Segmentation(w, tuple(ends[:-1]), tuple(certs))
 
 
 def c1(w: Word, idx: UWordIndex) -> tuple[int, Segmentation]:
@@ -312,56 +289,75 @@ def brute_force_c1(w: Word, idx: UWordIndex) -> int:
     return best[0]
 
 
-def _factor_spans(maxstart: list[int], F: list[int], G: list[int]) -> Iterator[tuple[int, int, int]]:
-    """For each start p of a factor of some minimal segmentation, p
-    ascending, the longest such factor w[p:q] as (p, q, j), j being its
-    index.  The word must be covered.
-
-    With k = G[0], w[p:q] is the j-th factor of a minimal segmentation
-    exactly when F[p] + G[p] = k (then j = F[p] + 1), q - p <= maxstart[p]
-    and G[q] = G[p] - 1: join a minimal segmentation of w[:p], the factor
-    and one of w[q:].  The reach p + maxstart[p] qualifies (G[p] = G[p +
-    maxstart[p]] + 1); a shorter factor lies in it and is never maximal.
-    """
-    k = G[0]
-    for p, (f, g, reach) in enumerate(zip(F, G, maxstart)):
-        if f + g == k:
-            yield p, p + reach, f + 1
+def _backward_cuts(reach: list[int]) -> list[int] | None:
+    """The breakpoints n = g_0 > ... > g_k = 0 of G[p] = c1 of w[p:], s on
+    [g_s, g_(s-1)), from the word's reach list; None when some letter is
+    in no factor.  G[p] <= s + 1 exactly when reach[p] >= g_s, so g_(s+1)
+    is the least such p; no start before an uncovered letter reaches past
+    it, and the chain stalls there."""
+    back = [len(reach)]
+    while back[-1]:
+        g = bisect_left(reach, back[-1], 0, back[-1])
+        if g == back[-1]:
+            return None
+        back.append(g)
+    return back
 
 
-def _ith_factor_maxima(maxstart: list[int], F: list[int], G: list[int]) -> list[int]:
-    """Entry i (1 <= i <= k = G[0]) is the longest i-th factor over all
-    minimal segmentations, read off ``_factor_spans``; entry 0 is unused,
-    and a word with no segmentation gets [0]."""
-    k = G[0]
-    if k > len(maxstart):
-        return [0]
-    best = [0] * (k + 1)
-    for p, q, j in _factor_spans(maxstart, F, G):
-        if q - p > best[j]:
-            best[j] = q - p
-    return best
+def _factor_starts(maxstart: list[int], reach: list[int]) -> list[range] | None:
+    """Entry j - 1 is the range of starts p of the j-th factors of all
+    minimal segmentations, 1 <= j <= k; None when the word has none.
+
+    A subword of a relator-power factor is one too, and ``maxstart`` is
+    exact, so the factors starting at p are the prefixes of w[p:] of 1 to
+    maxstart[p] letters, and maxstart[p + 1] >= maxstart[p] - 1: the reach
+    p + maxstart[p] never decreases.  Hence F[q] = c1 of w[:q] is t on
+    (f_(t-1), f_t] (``_greedy_cuts``), G is a step function too
+    (``_backward_cuts``), and w[p:q] is the j-th factor of a minimal
+    segmentation exactly when F[p] = j - 1, G[p] = k - j + 1, q <= reach[p]
+    and G[q] = G[p] - 1, which the reach itself satisfies.  With a = j - 1
+    and f_(-1) = -1 the starts are [max(f_(a-1) + 1, g_(k-a)), min(f_a,
+    g_(k-a-1) - 1)], and the ranges follow each other with p ascending."""
+    back = _backward_cuts(reach)
+    if back is None:
+        return None
+    fwd = [-1, 0, *_greedy_cuts(maxstart)]
+    up = back[::-1]
+    return [range(max(f0 + 1, g0), min(f1 + 1, g1)) for f0, f1, g0, g1 in zip(fwd, fwd[1:], up, up[1:])]
 
 
 class _Node:
-    """One word of the ball: its factor tables and, once the node has been
-    expanded, its tagged edges."""
+    """One word of the ball: its factor tables and, once expanded, its
+    tagged edges.  ``best[i]`` is the longest i-th factor of a minimal
+    segmentation; with none, k = n + 2 and best = [0]."""
 
-    __slots__ = ("word", "maxstart", "F", "G", "best", "edges")
+    __slots__ = ("word", "maxstart", "reach", "k", "starts", "best", "edges")
 
     def __init__(self, word: Word, maxstart: list[int]):
         self.word = word
         self.maxstart = maxstart
-        self.F, self.G = _min_factor_tables(maxstart)
-        self.best = _ith_factor_maxima(maxstart, self.F, self.G)
+        self.reach = list(map(add, range(len(maxstart)), maxstart))
+        starts = _factor_starts(maxstart, self.reach)
+        self.k = len(maxstart) + 2 if starts is None else len(starts)
+        self.starts = starts or []
+        self.best = [0, *(max(maxstart[r.start : r.stop]) for r in self.starts)]
         self.edges: list[tuple[int, int]] | None = None
-
-    @property
-    def k(self) -> int:
-        return self.G[0]
 
     def max_ith_factor(self, i: int) -> int:
         return self.best[i] if 1 <= i < len(self.best) else 0
+
+
+def _spliced_table(idx: UWordIndex, node: _Node, letters: tuple[int, ...], p: int, q: int) -> list[int]:
+    """The factor table of ``letters``, the node's word w with w[p:q]
+    replaced by R letters.  It is the node's below x0 = bisect_left(reach,
+    p), whose factors end before p, and maxstart[q:] from p + R on.  The
+    reach never decreases, so the entries between reach at most e = p + R
+    + maxstart[q], and a scan of the window [x0, e) gives them."""
+    maxstart = node.maxstart
+    mid = len(letters) - len(maxstart) + q
+    x0 = bisect_left(node.reach, p)
+    end = mid + maxstart[q] if q < len(maxstart) else mid
+    return maxstart[:x0] + idx._window_factors(letters, x0, end)[: mid - x0] + maxstart[q:]
 
 
 class _Ball:
@@ -401,66 +397,68 @@ class _Ball:
         assert node is not None
         return node
 
-    def _candidate(self, letters: tuple[int, ...]) -> int | None:
-        """The id of a spliced word, or None when it does not qualify."""
-        nid = self.ids.get(letters)
+    def _candidate(self, node: _Node, p: int, q: int, replacement: tuple[int, ...]) -> int | None:
+        """The id of the word that replaces w[p:q] of the node's word w by
+        ``replacement``, or None when it does not qualify."""
+        letters = node.word.letters
+        spliced = letters[:p] + replacement + letters[q:]
+        if spliced == letters:
+            return None
+        nid = self.ids.get(spliced)
         if nid is None:
-            nid = self.ids[letters] = len(self.nodes)
-            word = _unchecked(Word, rank=self.rank, letters=letters)
-            maxstart = self.idx.max_factor_starting(word)
+            nid = self.ids[spliced] = len(self.nodes)
+            maxstart = _spliced_table(self.idx, node, spliced, p, q)
             # judged before any table is built: covered, and of the root's c1
-            ok = all(maxstart) and len(_greedy_cuts(maxstart)) + 1 == self.node(0).k
+            ok = all(maxstart) and len(_greedy_cuts(maxstart)) == self.node(0).k
+            word = _unchecked(Word, rank=self.rank, letters=spliced)
             self.nodes.append(_Node(word, maxstart) if ok else None)
         return nid if self.nodes[nid] is not None else None
 
-    def _span_candidates(self, node: _Node, p: int, q: int) -> list[int]:
-        """Qualifying words that replace the factor w[p:q] by a long
+    def _span_candidates(self, node: _Node, p: int) -> list[int]:
+        """Qualifying words that replace the factor w[p:reach[p]] by a long
         complementary word, when that factor is long and maximal."""
         w, maxstart, long = node.word, node.maxstart, self.long
-        n = len(w)
+        q = node.reach[p]
         if q - p < long:
             return []
         # maximality of the factor as a subword of w; q is p's reach, so only the left end can grow
         if p > 0 and maxstart[p - 1] >= q - p + 1:
             return []
         letters = w.letters
-        factor = w.subword(p, q)
+        factor = letters[p:q]
         out = []
-        for cert in self.idx.certificates(factor):
+        for cert in self.idx.certificates(w.subword(p, q)):
             for extra in range(self.thresholds.power_cap + 1):
                 # the certified rotation starts with the factor, so this matches
-                comp = self.idx.u_complement(factor, cert, extra)
-                if len(comp) < long:
+                replacement = self.idx._complement_tail(factor, cert, extra)
+                if len(replacement) < long:
                     continue
-                replacement = comp.inverse().letters
                 # w and the replacement are reduced: only the seams can cancel
                 if p > 0 and letters[p - 1] == -replacement[0]:
                     continue
-                if q < n and replacement[-1] == -letters[q]:
+                if q < len(w) and replacement[-1] == -letters[q]:
                     continue
-                spliced = letters[:p] + replacement + letters[q:]
-                if spliced == letters:
-                    continue
-                nid = self._candidate(spliced)
+                nid = self._candidate(node, p, q, replacement)
                 if nid is not None:
                     out.append(nid)
         return out
 
     def edges(self, nid: int) -> list[tuple[int, int]]:
-        """The node's tagged edges: the spans of ``_factor_spans`` in its
-        order (p ascending, one span per start), each span's candidates in
-        ``_span_candidates`` order, each (candidate, j) pair once.  The
-        order matters only where ``max_ball`` binds."""
+        """The node's tagged edges: the starts of ``_factor_starts``, p
+        ascending, each start's candidates in ``_span_candidates`` order,
+        each (candidate, j) pair once.  The order matters only where
+        ``max_ball`` binds."""
         node = self.node(nid)
         if node.edges is None:
             _check_covered(node.maxstart)
             seen: set[tuple[int, int]] = set()
             edges = []
-            for p, q, j in _factor_spans(node.maxstart, node.F, node.G):
-                for cand in self._span_candidates(node, p, q):
-                    if (cand, j) not in seen:
-                        seen.add((cand, j))
-                        edges.append((cand, j))
+            for j, starts in enumerate(node.starts, start=1):
+                for p in starts:
+                    for cand in self._span_candidates(node, p):
+                        if (cand, j) not in seen:
+                            seen.add((cand, j))
+                            edges.append((cand, j))
             node.edges = edges
         return node.edges
 

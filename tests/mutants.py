@@ -53,23 +53,30 @@ MUTANTS = (
     Mutant(
         "F reach one short",
         "complexity.py",
-        "while p < q and p + maxstart[p] < q:",
-        "while p < q and p + maxstart[p] <= q:",
+        "min(f1 + 1, g1)",
+        "min(f1, g1)",
         (f"{CX}::TestFactorTables::test_tables_match_oracle",),
     ),
     Mutant(
         "greedy cuts miss a last one-letter factor",
         "complexity.py",
-        "    while pos < n:\n        cuts.append(pos)",
-        "    while pos < n - 1:\n        cuts.append(pos)",
+        "    while pos < n:\n        pos += maxstart[pos]",
+        "    while pos < n - 1:\n        pos += maxstart[pos]",
         (f"{CX}::TestC1::test_dp_matches_brute_force",),
     ),
     Mutant(
         "greedy first factor one letter short",
         "complexity.py",
-        "    pos = maxstart[0]\n",
-        "    pos = maxstart[0] - (maxstart[0] > 1)\n",
+        "        pos += maxstart[pos]\n",
+        "        pos += maxstart[pos] - (pos == 0 and maxstart[0] > 1)\n",
         (f"{CX}::TestC1::test_dp_matches_exhaustive_cuts",),
+    ),
+    Mutant(
+        "backward breakpoints bisect to the right",
+        "complexity.py",
+        "g = bisect_left(reach, back[-1], 0, back[-1])",
+        'g = __import__("bisect").bisect_right(reach, back[-1], 0, back[-1])',
+        (f"{CX}::TestFactorTables::test_tables_match_oracle",),
     ),
     Mutant(
         "relator powers joined without the separator",
@@ -78,23 +85,38 @@ MUTANTS = (
         'strsearch.SuffixAutomaton("".join(powers)[::-1])',
         (f"{CX}::TestFactorTables::test_max_factor_starting_matches_brute_force",),
     ),
-    # the c2 ball's spans: _factor_spans against the uncapped enumeration,
+    # candidate tables: the window scan against a scan of the whole word
+    Mutant(
+        "splice window starts at the cut",
+        "complexity.py",
+        "x0 = bisect_left(node.reach, p)",
+        "x0 = p",
+        (f"{CX}::TestFactorTables::test_spliced_tables_match_a_full_scan",),
+    ),
+    Mutant(
+        "splice window ends where the replacement does",
+        "complexity.py",
+        "end = mid + maxstart[q] if q < len(maxstart) else mid",
+        "end = mid",
+        (f"{CX}::TestFactorTables::test_spliced_tables_match_a_full_scan",),
+    ),
+    # the c2 ball's spans: _factor_starts against the uncapped enumeration,
     # and the ball against oracle_i_ball and oracle_complexity
     Mutant(
         "spans without the F[p] + G[p] = k test",
         "complexity.py",
-        "        if f + g == k:\n            yield p, p + reach, f + 1",
-        "        if True:\n            yield p, p + reach, f + 1",
+        "range(max(f0 + 1, g0), min(f1 + 1, g1))",
+        "range(f0 + 1, f1 + 1)",
         (f"{CX}::TestExactEdges::test_spans_match_uncapped_enumeration",),
     ),
     Mutant(
         "spans end one below the reach",
         "complexity.py",
-        "            yield p, p + reach, f + 1\n",
-        "            yield p, p + reach - 1, f + 1\n",
+        "q = node.reach[p]\n",
+        "q = node.reach[p] - 1\n",
         (
-            f"{CX}::TestExactEdges::test_spans_match_uncapped_enumeration",
-            f"{CX}::TestFactorTables::test_tables_match_oracle",
+            f"{CX}::TestExactEdges::test_root_neighbors_match_oracle_past_the_old_cap",
+            f"{CX}::TestSharedBall::test_neighbors_match_oracle",
         ),
     ),
     # certificates: c2's reversal under inversion needs every rotation

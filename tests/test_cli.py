@@ -321,24 +321,25 @@ class TestComplexityCommands:
 
     def test_one_factor_table_per_command(self, capsys, monkeypatch):
         # the value and the segmentation read one table of the word; the
-        # ball's other words get one each
+        # ball's other words get one window scan each
         word = "a1 a2 a1 a2^-1 a2^-1 a1 a1 a2 a1 a2"
-        tables = []
-        original = UWordIndex.max_factor_starting
+        scans = []
+        original = UWordIndex._window_factors
 
-        def spy(self, w):
-            tables.append(str(w))
-            return original(self, w)
+        def spy(self, letters, lo, hi):
+            scans.append(letters)
+            return original(self, letters, lo, hi)
 
-        monkeypatch.setattr(UWordIndex, "max_factor_starting", spy)
+        monkeypatch.setattr(UWordIndex, "_window_factors", spy)
         for depth in ("0", "1"):
-            tables.clear()
+            scans.clear()
             code, _ = run_cli(
                 capsys, "complexity", "--relators", self.RELATOR, "--word", word, "--depth", depth,
             )
             assert code == 0
-            assert tables.count(word) == 1
-        assert len(tables) > 1
+            assert scans.count(rosefold.parse_word(word, 2).letters) == 1
+        assert len(scans) > 1
+        assert len(set(scans)) == len(scans)
 
     def test_factor_without_certificate_exits_two(self, capsys, monkeypatch):
         monkeypatch.setattr(UWordIndex, "is_u_word", lambda self, z: None)

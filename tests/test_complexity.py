@@ -3,7 +3,7 @@ import time
 from typing import Iterator
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_cyclically_reduced
@@ -14,9 +14,10 @@ from rosefold.complexity import (
     Segmentation,
     UWordIndex,
     _Ball,
-    _factor_spans,
-    _ith_factor_maxima,
-    _min_factor_tables,
+    _Node,
+    _backward_cuts,
+    _greedy_cuts,
+    _spliced_table,
     brute_force_c1,
     c1,
     complexity,
@@ -57,6 +58,34 @@ def oracle_min_factor_tables(maxstart: list[int]) -> tuple[list[int], list[int]]
         for q in range(p + 1, p + maxstart[p] + 1):
             G[p] = min(G[p], G[q] + 1)
     return F, G
+
+
+def expand_breakpoints(maxstart: list[int]) -> tuple[list[int], list[int]]:
+    """F and G spelled out from the library's breakpoints of a covered
+    word: F[q] = t on (f_(t-1), f_t] and G[p] = s on [g_s, g_(s-1))."""
+    n = len(maxstart)
+    ends = _greedy_cuts(maxstart)
+    back = _backward_cuts([p + m for p, m in enumerate(maxstart)])
+    F = [0] * (n + 1)
+    for t, (lo, hi) in enumerate(zip([0] + ends, ends), start=1):
+        F[lo + 1 : hi + 1] = [t] * (hi - lo)
+    G = [0] * (n + 1)
+    for s, (hi, lo) in enumerate(zip(back, back[1:]), start=1):
+        G[lo:hi] = [s] * (hi - lo)
+    return F, G
+
+
+def oracle_start_ranges(F: list[int], G: list[int]) -> list[range]:
+    """Entry j - 1 holds the starts p of j-th factors of minimal
+    segmentations, read off the quadratic tables: F[p] + G[p] = k and
+    F[p] = j - 1, as one range per j."""
+    k = G[0]
+    starts: list[list[int]] = [[] for _ in range(k)]
+    for p in range(len(F) - 1):
+        if F[p] + G[p] == k:
+            starts[F[p]].append(p)
+    assert all(p == ps[0] + i for ps in starts for i, p in enumerate(ps))
+    return [range(ps[0], ps[-1] + 1) for ps in starts]
 
 
 def oracle_ith_factor_maxima(maxstart: list[int], F: list[int], G: list[int]) -> list[int]:
@@ -129,7 +158,7 @@ def admissible_decompositions(
     """All segmentations into exactly c1(w) certified factors, in
     lexicographic cut order; stops after ``cap`` when given.  The
     oracle's enumerator: the library lists no decompositions, it reads
-    their factors off the tables (``_factor_spans``)."""
+    their factors off the tables (``_factor_starts``)."""
     maxstart = idx.max_factor_starting(w)
     if any(m == 0 for m in maxstart):
         raise ValueError("some letter is not a factor of any relator power")
@@ -237,16 +266,16 @@ def oracle_elementary_i_equivalents(
             continue
         factor = w.subword(p, q)
         for cert in idx.certificates(factor):
+            rotation = idx.rotation_word(cert).letters
+            periods = max(1, -(-len(factor) // len(rotation)))
             for extra in range(thresholds.power_cap + 1):
-                try:
-                    comp = idx.u_complement(factor, cert, extra)
-                except ValueError:
+                # factor * replacement is the power of the rotation of
+                # ``periods + extra`` periods
+                replacement = (rotation * (periods + extra))[len(factor) :]
+                if len(replacement) < thr:
                     continue
-                if len(comp) < thr:
-                    continue
-                replacement = comp.inverse()
                 letters = (
-                    w.letters[:p] + replacement.letters + w.letters[q:]
+                    w.letters[:p] + replacement + w.letters[q:]
                 )
                 reduced = all(
                     a != -b for a, b in zip(letters, letters[1:])
@@ -407,12 +436,20 @@ class TestCertificates:
         z = Word(2, toy.relators[0].letters)
         assert len(toy.u_complement(z, toy.is_u_word(z))) == 0
 
+    def test_complement_rejects_a_certificate_of_another_word(self, toy):
+        z = Word(2, toy.relators[0].letters[:10])
+        cert = toy.is_u_word(z)
+        other = Word(2, toy.relators[0].letters[1:11])
+        with pytest.raises(ValueError, match="certificate does not match"):
+            toy.u_complement(other, cert)
+
     def test_complement_power_family(self, toy):
         z = Word(2, toy.relators[0].letters[:10])
         cert = toy.is_u_word(z)
-        v0 = toy.u_complement(z, cert, extra_power=0)
-        v1 = toy.u_complement(z, cert, extra_power=1)
-        assert len(v1) == len(v0) + 24
+        t0 = toy._complement_tail(z.letters, cert, 0)
+        t1 = toy._complement_tail(z.letters, cert, 1)
+        assert toy.u_complement(z, cert).inverse().letters == t0
+        assert t1 == t0 + toy.relators[0].letters
 
     def test_long_factors_certify_uniquely(self, big):
         # long factors of one relator power should not ride any other
@@ -531,8 +568,11 @@ def signed_powers(idx: UWordIndex, periods: int) -> list[tuple[int, ...]]:
 class TestFactorTables:
     @pytest.mark.parametrize("name", TABLE_INDICES)
     def test_tables_match_oracle(self, name):
-        # the one-pass tables against the quadratic ones on words of 1-500
-        # letters; the linear passes rest on the reach invariant asserted
+        # the breakpoint tables against the quadratic ones on words of
+        # 1-500 letters; both chains rest on the reach invariant asserted.
+        # The start ranges and the longest i-th factors are checked against
+        # the quadratic tables, and on short words against the enumeration
+        # of every minimal segmentation too
         idx = TABLE_INDICES[name]
         rng = random.Random(name)
         uncovered = 0
@@ -545,17 +585,68 @@ class TestFactorTables:
                     continue
                 maxstart = idx.max_factor_starting(word)
                 assert all(b >= a - 1 for a, b in zip(maxstart, maxstart[1:]))
-                F, G = _min_factor_tables(maxstart)
-                assert (F, G) == oracle_min_factor_tables(maxstart)
-                assert _ith_factor_maxima(maxstart, F, G) == oracle_ith_factor_maxima(
-                    maxstart, F, G
-                )
+                F, G = oracle_min_factor_tables(maxstart)
+                node = _Node(word, maxstart)
+                assert node.best == oracle_ith_factor_maxima(maxstart, F, G)
                 if all(maxstart):
-                    assert c1(word, idx)[0] == G[0]
+                    assert expand_breakpoints(maxstart) == (F, G)
+                    assert node.starts == oracle_start_ranges(F, G)
+                    assert c1(word, idx)[0] == node.k == G[0]
+                    if len(word) <= 40:
+                        spans = {(p, node.reach[p], j) for j, r in enumerate(node.starts, 1) for p in r}
+                        oracle = oracle_factor_spans(word, idx)
+                        assert {p for p, _, _ in spans} == {p for p, _, _ in oracle}
+                        assert spans <= oracle
                 else:
                     uncovered += 1
-                    assert G[0] == len(word) + 2
+                    assert node.k == G[0] == len(word) + 2
+                    assert node.starts == []
         assert (uncovered > 0) == (name == "missing-a3")
+
+    def test_uncovered_words_have_no_segmentation(self):
+        # a3 is in no relator of the index: the backward chain stalls at
+        # the last a3 and must stop there, wherever the a3s stand
+        idx = TABLE_INDICES["missing-a3"]
+        rng = random.Random(39)
+        for length in (1, 2, 3, 10, 41, 300):
+            for spots in ({0}, {length - 1}, {length // 2}, {0, length - 1}, set(range(0, length, 7))):
+                letters = (list(mixed_word(rng, idx, length).letters) + [1] * length)[:length]
+                for spot in spots:
+                    letters[spot] = 3
+                word = free_reduce(3, letters)
+                maxstart = idx.max_factor_starting(word)
+                assert 0 in maxstart
+                node = _Node(word, maxstart)
+                assert _backward_cuts(node.reach) is None
+                assert (node.k, node.best, node.starts) == (len(word) + 2, [0], [])
+                with pytest.raises(ValueError, match="not a factor"):
+                    c1(word, idx)
+        assert _backward_cuts([0, 1, 2]) is None
+        assert _backward_cuts([]) == [0]
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_spliced_tables_match_a_full_scan(self, data):
+        # a splice of any window of a word, by relator-power letters or
+        # random ones, as long as the cut or longer: the window scan
+        # against a scan of the whole new word
+        idx = TABLE_INDICES[data.draw(st.sampled_from(sorted(TABLE_INDICES)))]
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        word = mixed_word(rng, idx, data.draw(st.integers(1, 150)))
+        assume(len(word) > 0)
+        n = len(word)
+        p = data.draw(st.integers(0, n))
+        q = data.draw(st.integers(p, n))
+        size = data.draw(st.integers(0, q - p + 70))
+        if data.draw(st.booleans()):
+            replacement = mixed_word(rng, idx, size).letters
+        else:
+            replacement = tuple(random_reduced_letters(rng, idx.rank, size))
+        letters = word.letters[:p] + replacement + word.letters[q:]
+        assume(letters and all(a != -b for a, b in zip(letters, letters[1:])))
+        node = _Node(word, idx.max_factor_starting(word))
+        want = idx.max_factor_starting(Word(idx.rank, letters))
+        assert _spliced_table(idx, node, letters, p, q) == want
 
     @pytest.mark.parametrize("name", TABLE_INDICES)
     def test_max_factor_starting_matches_brute_force(self, name):
@@ -898,8 +989,7 @@ class TestSharedBall:
         checked(word.inverse())
         for cert in idx.certificates(factor):
             checked(idx.rotation_word(cert))
-            for extra in range(2):
-                checked(idx.u_complement(factor, cert, extra))
+            checked(idx.u_complement(factor, cert))
         th = Thresholds(long_factor_fraction=0.3)
         ball = _Ball(word, idx, th)
         for i in range(c1(word, idx)[0] + 1):
@@ -935,8 +1025,8 @@ class TestExactEdges:
         past_cap = 0
         for word in words + big:
             maxstart = idx.max_factor_starting(word)
-            F, G = _min_factor_tables(maxstart)
-            got = list(_factor_spans(maxstart, F, G))
+            node = _Node(word, maxstart)
+            got = [(p, node.reach[p], j) for j, r in enumerate(node.starts, 1) for p in r]
             starts = [p for p, _, _ in got]
             assert starts == sorted(set(starts))
             oracle = oracle_factor_spans(word, idx)
