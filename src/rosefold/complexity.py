@@ -20,12 +20,14 @@ node scores from the shared tables.
 
 The longest factor starting at each position comes from a scan of the
 reversed word against one automaton of all reversed signed relator
-powers.  That table is exact, so the reach p + maxstart[p] never
-decreases and the c1 tables are step functions of c1 steps: the starts
-of the j-th factors of all minimal segmentations, which the edges and
-the longest i-th factors range over, are ranges between their k
-breakpoints (``_factor_starts``).  A word met in the ball differs from
-its parent in one splice, and only that window is scanned again.
+powers, kept per index and rebuilt, at twice the word's length, only
+for a longer word than it serves.  That table is exact, so the reach
+p + maxstart[p] never decreases and the c1 tables are step functions of
+c1 steps: the starts of the j-th factors of all minimal segmentations,
+which the edges and the longest i-th factors range over, are ranges
+between their k breakpoints (``_factor_starts``).  A word met in the
+ball differs from its parent in one splice, and only that window is
+scanned again.
 """
 
 from __future__ import annotations
@@ -78,8 +80,10 @@ class Thresholds:
 class UWordIndex:
     """Immutable matcher for factors of powers of the relators.
 
-    Power windows use ceil(len/|U|)+1 periods: any factor of a power of
-    that length occurs within such a window, by periodicity.
+    Each signed relator U is kept as a word and as its characters read
+    twice, UU.  A factor of m letters starts at rotation r < |U| of a
+    power of U exactly when its first min(m, |U|) letters occur at r in
+    UU and it has period |U|.
     """
 
     def __init__(self, relators: Sequence[Word]):
@@ -90,15 +94,17 @@ class UWordIndex:
                 raise ValueError("relators must be cyclically reduced")
         if not relators:
             raise ValueError("need at least one relator")
+        if len({word.rank for word in relators}) > 1:
+            raise ValueError("rank mismatch")
         self.rank = relators[0].rank
         self.relators: tuple[Word, ...] = tuple(relators)
-        self._letters: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._signed: dict[tuple[int, int], Word] = {}
         for i, word in enumerate(self.relators):
-            self._letters[(i, 1)] = word.letters
-            self._letters[(i, -1)] = word.inverse().letters
-        self._chars = {key: strsearch.letters_to_chars(l) for key, l in self._letters.items()}
-        self._powers: dict[tuple[int, int, int], str] = {}
-        self._union_sams: dict[tuple[int, ...], strsearch.SuffixAutomaton] = {}
+            self._signed[(i, 1)] = word
+            self._signed[(i, -1)] = word.inverse()
+        self._twice = {key: strsearch.letters_to_chars(u.letters) * 2 for key, u in self._signed.items()}
+        self._sam: strsearch.SuffixAutomaton | None = None
+        self._served = 0
 
     def missing_letters(self) -> list[int]:
         present = {abs(l) for rel in self.relators for l in rel.letters}
@@ -108,34 +114,22 @@ class UWordIndex:
     def max_relator_length(self) -> int:
         return max(len(r) for r in self.relators)
 
-    def _periods_key(self, relator: int, sign: int, min_length: int) -> tuple[int, int, int]:
-        """Cache key of the shortest power of the signed relator holding
-        ``min_length`` letters and at least two periods, with the period
-        count rounded up to a power of two to limit cache churn."""
-        periods = max(2, -(-min_length // len(self.relators[relator])) + 1)
-        return (relator, sign, 1 << (periods - 1).bit_length())
-
-    def _power_string(self, relator: int, sign: int, min_length: int) -> str:
-        key = self._periods_key(relator, sign, min_length)
-        cached = self._powers.get(key)
-        if cached is None:
-            cached = self._powers[key] = self._chars[(relator, sign)] * key[2]
-        return cached
-
     def _certificate_scan(self, z: Word) -> Iterator[UCert]:
         """Certificates in (relator, sign, rotation) order: one per
         rotation of each signed relator at which ``z`` starts."""
         if len(z) == 0:
             raise ValueError("the empty word is not certified as a relator factor")
         chars = strsearch.letters_to_chars(z.letters)
-        for i in range(len(self.relators)):
-            L = len(self.relators[i])
-            for sign in (1, -1):
-                power = self._power_string(i, sign, len(z) + L)
-                rotation = power.find(chars)
-                while 0 <= rotation < L:
-                    yield UCert(i, sign, rotation, math.ceil((rotation + len(z)) / L))
-                    rotation = power.find(chars, rotation + 1)
+        m = len(chars)
+        for (i, sign), twice in self._twice.items():
+            L = len(twice) // 2
+            if m > L and chars[L:] != chars[: m - L]:
+                continue
+            head = chars[:L]
+            rotation = twice.find(head)
+            while 0 <= rotation < L:
+                yield UCert(i, sign, rotation, math.ceil((rotation + m) / L))
+                rotation = twice.find(head, rotation + 1)
 
     def is_u_word(self, z: Word) -> UCert | None:
         """First certificate in (relator, sign, rotation) order, or None."""
@@ -147,8 +141,7 @@ class UWordIndex:
         return list(self._certificate_scan(z))
 
     def rotation_word(self, cert: UCert) -> Word:
-        base = self.relators[cert.relator]
-        return (base if cert.sign > 0 else base.inverse()).rotation(cert.rotation)
+        return self._signed[(cert.relator, cert.sign)].rotation(cert.rotation)
 
     def u_complement(self, z: Word, cert: UCert) -> Word:
         """Minimal V with z * V^-1 a power of the certified rotation."""
@@ -161,32 +154,27 @@ class UWordIndex:
         certified rotation that starts with them, with ``extra_power``
         whole periods more: the ball's replacements, and the inverse of
         ``u_complement`` at 0."""
-        signed = self._letters[(cert.relator, cert.sign)]
-        rot = signed[cert.rotation :] + signed[: cert.rotation]
+        rot = self.rotation_word(cert).letters
         full = rot * (max(1, -(-len(letters) // len(rot))) + extra_power)
         if full[: len(letters)] != letters:
             raise ValueError("certificate does not match the word")
         return full[len(letters) :]
 
-    def _union_sam(self, min_length: int) -> strsearch.SuffixAutomaton:
-        """Automaton of the reversed signed relator powers long enough for
-        a word of ``min_length`` letters, joined by a separator that no
-        word contains, so that no match runs from one power into the next.
-        Cached by the tuple of period counts."""
-        periods = tuple(
-            self._periods_key(i, 1, min_length + len(rel))[2]
-            for i, rel in enumerate(self.relators)
-        )
-        sam = self._union_sams.get(periods)
-        if sam is None:
+    def _union_sam(self, n: int) -> strsearch.SuffixAutomaton:
+        """Automaton of the reversed signed relator powers, joined by a
+        separator that no word contains, so that no match runs from one
+        power into the next.  It serves words of up to ``_served``
+        letters: each power of U has _served // |U| + 2 periods, so it
+        holds every factor that long from every rotation.  A longer word
+        rebuilds it for twice the larger length."""
+        if n > self._served:
+            self._served = served = 2 * max(n, self._served)
             powers = [
-                self._power_string(i, sign, min_length + len(rel))
-                for i, rel in enumerate(self.relators)
-                for sign in (1, -1)
+                strsearch.letters_to_chars(u.letters) * (served // len(u) + 2) for u in self._signed.values()
             ]
-            sam = strsearch.SuffixAutomaton(strsearch.SEPARATOR.join(powers)[::-1])
-            self._union_sams[periods] = sam
-        return sam
+            self._sam = strsearch.SuffixAutomaton(strsearch.SEPARATOR.join(powers)[::-1])
+        assert self._sam is not None
+        return self._sam
 
     def max_factor_starting(self, w: Word) -> list[int]:
         """For each position of w, the length of the longest factor of a
@@ -273,11 +261,7 @@ def brute_force_c1(w: Word, idx: UWordIndex) -> int:
     if len(w) == 0:
         raise ValueError("c1 is undefined on the empty word")
     chars = strsearch.letters_to_chars(w.letters)
-    hays = [
-        idx._power_string(i, sign, len(w) + len(idx.relators[i]))
-        for i in range(len(idx.relators))
-        for sign in (1, -1)
-    ]
+    hays = [strsearch.letters_to_chars(u.letters) * (len(w) // len(u) + 2) for u in idx._signed.values()]
     best = [0] * (len(chars) + 1)
     for pos in range(len(chars) - 1, -1, -1):
         out = len(chars) + 2
@@ -607,7 +591,7 @@ def reduction_move(
     glued = strsearch.letters_to_chars(pattern.letters + replacement.inverse().letters)
     # a string of a relator's length occurs in the relator read twice
     # exactly when it is one of the relator's rotations
-    if not any(len(s) == len(glued) and glued in s + s for s in idx._chars.values()):
+    if not any(len(s) == 2 * len(glued) and glued in s for s in idx._twice.values()):
         raise ValueError("pattern * replacement^-1 is not a relator rotation")
     if occurrence_set is None:
         occurrence_set = strsearch.greedy_disjoint(w.letters, pattern.letters)

@@ -85,6 +85,27 @@ MUTANTS = (
         'strsearch.SuffixAutomaton("".join(powers)[::-1])',
         (f"{CX}::TestFactorTables::test_max_factor_starting_matches_brute_force",),
     ),
+    # the one automaton: a fresh index per word and the brute force
+    Mutant(
+        "automaton reused for a longer word",
+        "complexity.py",
+        "if n > self._served:",
+        "if self._sam is None:",
+        (
+            f"{CX}::TestFactorTables::test_one_automaton_for_rising_and_falling_lengths",
+            f"{CX}::TestFactorTables::test_a_longer_word_rebuilds_for_twice_its_length",
+        ),
+    ),
+    Mutant(
+        "relator powers one period short",
+        "complexity.py",
+        "(served // len(u) + 2)",
+        "(served // len(u) + 1)",
+        (
+            f"{CX}::TestFactorTables::test_one_automaton_for_rising_and_falling_lengths",
+            f"{CX}::TestFactorTables::test_a_longer_word_rebuilds_for_twice_its_length",
+        ),
+    ),
     # candidate tables: the window scan against a scan of the whole word
     Mutant(
         "splice window starts at the cut",
@@ -119,13 +140,38 @@ MUTANTS = (
             f"{CX}::TestSharedBall::test_neighbors_match_oracle",
         ),
     ),
-    # certificates: c2's reversal under inversion needs every rotation
+    # certificates: c2's reversal under inversion needs every rotation,
+    # and the relator read twice is checked against oracle_certificates
     Mutant(
         "certificate scan stops at the first rotation",
         "complexity.py",
-        "rotation = power.find(chars, rotation + 1)",
+        "rotation = twice.find(head, rotation + 1)",
         "rotation = L",
-        ("tests/test_symmetry.py::TestComplexity::test_a_factor_at_two_rotations_offers_both_complements",),
+        (
+            "tests/test_symmetry.py::TestComplexity::test_a_factor_at_two_rotations_offers_both_complements",
+            f"{CX}::TestCertificates::test_scan_matches_oracle",
+        ),
+    ),
+    Mutant(
+        "certificate period check dropped",
+        "complexity.py",
+        "if m > L and chars[L:] != chars[: m - L]:",
+        "if False:",
+        (f"{CX}::TestCertificates::test_scan_matches_oracle",),
+    ),
+    Mutant(
+        "certificate head not cut to the relator's length",
+        "complexity.py",
+        "head = chars[:L]",
+        "head = chars",
+        (f"{CX}::TestCertificates::test_scan_matches_oracle",),
+    ),
+    Mutant(
+        "certificate rotations run to the relator's length",
+        "complexity.py",
+        "while 0 <= rotation < L:",
+        "while 0 <= rotation <= L:",
+        (f"{CX}::TestCertificates::test_scan_matches_oracle",),
     ),
     Mutant(
         "ball cap stops one word early",

@@ -12,6 +12,7 @@ from rosefold.complexity import (
     ComplexityValue,
     Thresholds,
     Segmentation,
+    UCert,
     UWordIndex,
     _Ball,
     _Node,
@@ -133,6 +134,36 @@ def brute_force_max_factor_starting(w: Word, idx: UWordIndex) -> list[int]:
                 hi = mid - 1
         out.append(lo)
     return out
+
+
+def oracle_certificates(idx: UWordIndex, z: Word) -> list[UCert]:
+    """Every certificate by a scan of each signed relator power long
+    enough to hold z from every rotation: the offsets below |U| at which
+    z's characters occur, in (relator, sign, rotation) order."""
+    chars = strsearch.letters_to_chars(z.letters)
+    out = []
+    for i, rel in enumerate(idx.relators):
+        L = len(rel)
+        for sign, base in ((1, rel), (-1, rel.inverse())):
+            power = strsearch.letters_to_chars(base.letters) * (len(z) // L + 2)
+            rotation = power.find(chars)
+            while 0 <= rotation < L:
+                out.append(UCert(i, sign, rotation, -(-(rotation + len(z)) // L)))
+                rotation = power.find(chars, rotation + 1)
+    return out
+
+
+def certificate_indices() -> dict[str, UWordIndex]:
+    """Indices with relators of 1 to 40 letters, one a proper power."""
+    rng = random.Random(0xCE27)
+    return {
+        "24-and-24": UWordIndex([random_cyclically_reduced(rng, 2, 24) for _ in range(2)]),
+        "cube-and-7": UWordIndex([w("a1 a2 a1 a2 a1 a2"), random_cyclically_reduced(rng, 2, 7)]),
+        "1-5-40": UWordIndex([w("a3", 3)] + [random_cyclically_reduced(rng, 3, n) for n in (5, 40)]),
+    }
+
+
+CERT_INDICES = certificate_indices()
 
 
 def cut_sequences(n: int, maxstart: list[int], G: list[int]) -> Iterator[tuple[int, ...]]:
@@ -465,6 +496,47 @@ class TestCertificates:
             certs = big.certificates(z)
             assert [(c.relator, c.sign) for c in certs] == [(rel, sign)]
 
+    def test_relators_of_two_ranks_rejected(self):
+        with pytest.raises(ValueError, match="rank mismatch"):
+            UWordIndex([parse_word("a1 a2 a1 a2^-1", 2), parse_word("a3 a1 a3 a2", 3)])
+
+    @given(st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_scan_matches_oracle(self, data):
+        # factors shorter than, as long as, longer than and many times
+        # longer than the relator, at every rotation, and near misses: one
+        # letter of the head changed in every period (the period kept, the
+        # head wrong), one letter past the head changed (the head kept,
+        # the period broken), and random words
+        idx = CERT_INDICES[data.draw(st.sampled_from(sorted(CERT_INDICES)))]
+        rel = idx.relators[data.draw(st.integers(0, len(idx.relators) - 1))]
+        sign = data.draw(st.sampled_from((1, -1)))
+        L = len(rel)
+        m = data.draw(st.one_of(
+            st.integers(1, L), st.just(L), st.integers(L + 1, 3 * L), st.integers(3 * L, 12 * L)
+        ))
+        offset = data.draw(st.integers(0, L - 1))
+        rot = (rel if sign > 0 else rel.inverse()).rotation(offset).letters
+        letters = list((rot * (m // L + 1))[:m])
+        edit = data.draw(st.sampled_from(("none", "wrong-head", "broken-period", "random")))
+        if edit == "wrong-head":
+            t = data.draw(st.integers(0, min(m, L) - 1))
+            near = {rot[t], -rot[t - 1], -rot[(t + 1) % L]}
+            y = data.draw(st.sampled_from([x for g in range(1, idx.rank + 1) for x in (g, -g) if x not in near]))
+            letters[t::L] = [y] * len(letters[t::L])
+        elif edit == "broken-period" and m > L:
+            t = data.draw(st.integers(L, m - 1))
+            near = {letters[t], -letters[t - 1], -(letters[t + 1] if t + 1 < m else 0)}
+            letters[t] = data.draw(st.sampled_from([x for g in range(1, idx.rank + 1) for x in (g, -g) if x not in near]))
+        elif edit == "random":
+            letters = random_reduced_letters(random.Random(data.draw(st.integers(0, 2**32))), idx.rank, m)
+        z = Word(idx.rank, tuple(letters))
+        want = oracle_certificates(idx, z)
+        if edit == "none":
+            assert UCert(idx.relators.index(rel), sign, offset, -(-(offset + m) // L)) in want
+        assert idx.certificates(z) == want
+        assert idx.is_u_word(z) == (want[0] if want else None)
+
 
 class TestC1:
     def test_single_relator_word(self, toy):
@@ -650,10 +722,9 @@ class TestFactorTables:
 
     @pytest.mark.parametrize("name", TABLE_INDICES)
     def test_max_factor_starting_matches_brute_force(self, name):
-        # lengths on both sides of each period-count boundary (the window
-        # doubles past 2, 6 and 14 periods), power chunks as long as the
-        # word, and words that join the end of one signed power to the
-        # start of another, which no match may span
+        # lengths on both sides of 2, 6 and 14 periods of each relator,
+        # power chunks as long as the word, and words that join the end of
+        # one signed power to the start of another, which no match may span
         idx = TABLE_INDICES[name]
         rng = random.Random(name)
         lengths = {1, 2, 3}
@@ -674,6 +745,44 @@ class TestFactorTables:
             for word in words:
                 if len(word):
                     assert idx.max_factor_starting(word) == brute_force_max_factor_starting(word, idx)
+
+    def test_one_automaton_for_rising_and_falling_lengths(self):
+        # one index met by words whose lengths rise and fall, against a
+        # fresh index per word and the brute force.  Words shorter than a
+        # relator that wrap its end need a fresh index's first automaton,
+        # built for twice their length, up to its last period
+        rng = random.Random(40)
+        for name, shared in table_indices().items():
+            for length in (3, 1, 120, 40, 7, 600, 2, 260, 30, 5):
+                words = [mixed_word(rng, shared, length)]
+                for rel in shared.relators:
+                    for base in (rel, rel.inverse()):
+                        start = -(length // 2 + 1) % len(rel)
+                        words.append(Word(shared.rank, (base.letters * (length // len(rel) + 3))[start : start + length]))
+                for word in words:
+                    if len(word):
+                        want = brute_force_max_factor_starting(word, shared)
+                        assert UWordIndex(shared.relators).max_factor_starting(word) == want, name
+                        assert shared.max_factor_starting(word) == want, name
+
+    def test_a_longer_word_rebuilds_for_twice_its_length(self, monkeypatch):
+        # the first word sizes the automaton at twice its length, so
+        # shorter words and one twice as long reuse it; each power of U
+        # then has served // |U| + 2 periods, joined by 3 separators
+        built = []
+
+        class Spy(strsearch.SuffixAutomaton):
+            def __init__(self, text):
+                built.append(len(text))
+                super().__init__(text)
+
+        monkeypatch.setattr(strsearch, "SuffixAutomaton", Spy)
+        idx = UWordIndex([w("a1 a2 a1 a2"), w("a1 a1 a2^-1")])
+        rng = random.Random(41)
+        for n in (100, 80, 20, 1, 200, 201, 150, 402):
+            idx.max_factor_starting(Word(2, random_reduced_letters(rng, 2, n)))
+        served = (200, 402)
+        assert built == [2 * 4 * (s // 4 + 2) + 2 * 3 * (s // 3 + 2) + 3 for s in served]
 
 
 class TestAdmissibleDecompositions:
