@@ -32,7 +32,6 @@ from .graphs import (
     subgraph_as_graph,
     subgraph_from_edges,
 )
-from .strsearch import _INDEX, _LETTER
 from .words import GenTuple, Word
 
 POLICIES = ("least", "greatest", "defer_rose")
@@ -88,19 +87,14 @@ class FoldRecord:
 
 class _Engine(_Quotient):
     """Mutable fold state over the original edge set: a quotient whose
-    folds merge the heads of two tokens and remove one of their edges."""
+    folds merge the heads of two tokens and remove one of their edges.
+    A fold candidate is a slot (``_Quotient.slots``) that holds at least
+    two tokens."""
 
-    def foldable_letters(self, root: int) -> list[int]:
-        base = root * self.width
-        return [
-            _LETTER[i]
-            for i, toks in enumerate(self.slots[base : base + self.width])
-            if toks is not None and len(toks) >= 2
-        ]
-
-    def pair(self, root: int, letter: int) -> FoldRecord:
-        """The fold of the two least tokens leaving ``root`` with ``letter``."""
-        t1, t2 = sorted(self.slots[root * self.width + _INDEX[letter]])[:2]
+    def pair(self, slot: int) -> FoldRecord:
+        """The fold of the two least tokens in ``slot``: those leaving the
+        root ``slot // width`` with the letter of index ``slot % width``."""
+        t1, t2 = sorted(self.slots[slot])[:2]
         return FoldRecord(kept=t1, removed=t2)
 
     def makes_lift(self, record: FoldRecord) -> bool:
@@ -120,7 +114,7 @@ class _Engine(_Quotient):
         (``_Quotient.label_groups``), rebuild the ones that name a head, so
         that it reads each stage as it stands: the merged head's and those
         of its groups' targets (the fold vertex and both heads'
-        neighbours)."""
+        neighbours).  Only roots' groups are read: the absorbed head's stay."""
         h1 = self.head(record.kept)
         h2 = self.head(record.removed)
         self.remove_edge(abs(record.removed))
@@ -129,8 +123,6 @@ class _Engine(_Quotient):
         groups = self.label_groups
         if groups is not None:
             root = self.find(h1)
-            if h1 != h2:
-                groups[h1 + h2 - root] = None  # absorbed
             groups[root] = self.groups(root)
             for v in {t for group in groups[root] for t in group[3]} - {root}:
                 groups[v] = self.groups(v)
@@ -212,9 +204,9 @@ def fold_all(g: LabeledGraph, policy: str = "least") -> FoldTrace:
     the greatest; "defer_rose" picks the least pair whose fold does not
     create a vertex carrying loops for every generator, falling back to
     the least pair when every available fold creates one.  Until the
-    first lift it sets aside the popped pairs that ``_Engine.makes_lift``
-    rejects; they return to the heap after the next fold, and the first
-    (least) of them is folded when the heap runs dry.
+    first lift it sets aside the popped slots whose folds
+    ``_Engine.makes_lift`` rejects; they return to the heap after the next
+    fold, and the first (least) of them is folded when the heap runs dry.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
@@ -223,46 +215,43 @@ def fold_all(g: LabeledGraph, policy: str = "least") -> FoldTrace:
     engine = _Engine(g)
     records: list[FoldRecord] = []
     first_lift: int | None = 0 if defer and g.has_rose_lift() else None
-    # entries (root, letter index i), both negated for the greatest policy,
-    # checked against the slot ``root * width + i``: a root is its class's
-    # least vertex, so an entry's order never changes, and a root that a
-    # union absorbed has no tokens left
-    heap: list = []
+    # entries are slots ``root * width + i``, negated for the greatest
+    # policy: a root is its class's least vertex and i < width, so slots sort
+    # in (root, letter index) order and an entry's order never changes, and a
+    # root that a union absorbed has no tokens left
+    heap: list[int] = []
     slots, width = engine.slots, engine.width
 
     def push(root: int) -> None:
-        # ``foldable_letters`` by index, inlined: with a method call per push
-        # ``fold_all`` ran about 7 % longer on the benchmark's foldall-3000
-        # wedges (CPython 3.11.7, 2 vCPUs)
-        base = root * width
-        for i, toks in enumerate(slots[base : base + width]):
+        # inlined: with a method call per push ``fold_all`` ran about 7 %
+        # longer on the foldall-3000 wedges (CPython 3.11.7, 2 vCPUs)
+        for s, toks in enumerate(slots[root * width : (root + 1) * width], root * width):
             if toks is not None and len(toks) >= 2:
-                heapq.heappush(heap, (sign * root, sign * i))
+                heapq.heappush(heap, sign * s)
 
     for v in range(g.num_vertices):
         push(v)
-    set_aside: list = []
+    set_aside: list[int] = []
     while heap or set_aside:
         if heap:
-            entry = heapq.heappop(heap)
-            root, i = sign * entry[0], sign * entry[1]
-            toks = slots[root * width + i]
+            s = sign * heapq.heappop(heap)
+            toks = slots[s]
             if toks is None or len(toks) < 2:
                 continue
-            record = engine.pair(root, _LETTER[i])
+            record = engine.pair(s)
             if defer and first_lift is None and engine.makes_lift(record):
-                set_aside.append(entry)
+                set_aside.append(s)
                 continue
         else:
-            root, i = set_aside[0]
-            record = engine.pair(root, _LETTER[i])
+            s = set_aside[0]
+            record = engine.pair(s)
             first_lift = len(records) + 1
         engine.apply_record(record)
         records.append(record)
-        for entry in set_aside:
-            heapq.heappush(heap, entry)
+        for kept in set_aside:  # only defer_rose sets aside, with sign 1
+            heapq.heappush(heap, kept)
         set_aside.clear()
-        for r in {engine.find(root), engine.head(record.kept)}:
+        for r in {engine.find(s // width), engine.head(record.kept)}:
             push(r)
     terminal, _, _ = engine.materialize()
     return FoldTrace(g, tuple(records), terminal, first_lift)
@@ -336,16 +325,6 @@ def _prune_psi(delta: LabeledGraph, edge_ids: list[int]) -> list[int]:
     return current
 
 
-def _lift_loops(g: LabeledGraph) -> list[int]:
-    """The least loop of each generator at the least rose-lift vertex."""
-    v = g.rose_lift_vertex()
-    assert v is not None, "expected a rose lift"
-    return [
-        min(k for k, (s, d, l) in enumerate(g.edges) if s == d == v and abs(l) == gen)
-        for gen in range(1, g.rank + 1)
-    ]
-
-
 def fold_to_delta(g: LabeledGraph) -> DeltaExtraction:
     """Run the lift-deferring fold sequence and extract the last stage
     with no rose lift, together with a witness subgraph of at most
@@ -373,7 +352,10 @@ def fold_to_delta(g: LabeledGraph) -> DeltaExtraction:
     delta = stage.graph
 
     if degenerate:
-        psi_ids = sorted(_lift_loops(delta))
+        loops = delta.rose_lift_loops()
+        if loops is None:
+            raise RuntimeError("degenerate delta has no rose lift")
+        psi_ids = sorted(loops)
     else:
         # the folded pair and the edges that become the lift's loops: delta
         # has no rose lift, so they are its edges between the fold's heads
@@ -398,10 +380,9 @@ def fold_to_delta(g: LabeledGraph) -> DeltaExtraction:
             raise RuntimeError("delta has a rose lift")
         # every fold available on delta must produce a lift
         engine = _Engine(delta)
-        for v in range(delta.num_vertices):
-            for letter in engine.foldable_letters(v):
-                if not engine.makes_lift(engine.pair(v, letter)):
-                    raise RuntimeError("delta admits a lift-free fold")
+        for s, toks in enumerate(engine.slots):
+            if toks is not None and len(toks) >= 2 and not engine.makes_lift(engine.pair(s)):
+                raise RuntimeError("delta admits a lift-free fold")
     return DeltaExtraction(
         trace, delta, stage, delta_index, PsiWitness(tuple(psi_ids), psi_graph), degenerate
     )

@@ -74,18 +74,18 @@ class LabeledGraph:
 
     def has_rose_lift(self) -> bool:
         """True when some vertex carries a loop for every generator."""
-        return self.rose_lift_vertex() is not None
+        return self.rose_lift_loops() is not None
 
-    def rose_lift_vertex(self) -> int | None:
-        """The least vertex carrying a loop for every generator, if any."""
-        loops: list[set[int]] = [set() for _ in range(self.num_vertices)]
-        for src, dst, label in self.edges:
+    def rose_lift_loops(self) -> list[int] | None:
+        """At the least vertex carrying a loop for every generator, the
+        least loop (edge id) of each generator, in generator order; None
+        when no vertex carries one."""
+        loops: dict[int, dict[int, int]] = {}
+        for k, (src, dst, label) in enumerate(self.edges):
             if src == dst:
-                loops[src].add(abs(label))
-        for v, gens in enumerate(loops):
-            if len(gens) == self.rank:
-                return v
-        return None
+                loops.setdefault(src, {}).setdefault(abs(label), k)
+        v = min((v for v, gens in loops.items() if len(gens) == self.rank), default=None)
+        return None if v is None else [loops[v][gen] for gen in range(1, self.rank + 1)]
 
 
 def is_rose(g: LabeledGraph) -> bool:
@@ -138,9 +138,10 @@ class _Quotient:
         self.ends = [0] + [dst for _, dst, _ in graph.edges] + [src for src, _, _ in reversed(graph.edges)]
         # per letter index: the head of its label group, (generator, sign bit)
         self.labels = [((i >> 1) + 1, i & 1) for i in range(width)]
-        # per vertex, its class's label groups if it is a root, else None:
-        # built when ``_encode_from`` first reads them, and kept current from
-        # then on by the fold engine (``folding._Engine.apply_record``)
+        # per root, its class's label groups (other vertices hold None or
+        # stale groups, which nothing reads): built when ``_encode_from``
+        # first reads them, and kept current from then on by the fold engine
+        # (``folding._Engine.apply_record``)
         self.label_groups: list[list | None] | None = None
 
     def find(self, v: int) -> int:

@@ -276,13 +276,56 @@ MUTANTS = (
         "        if count < 3:\n            continue",
         ("tests/test_presentations.py::TestOnePassPieces",),
     ),
-    # folding: oracle_fold_deferring
+    # folding: oracle_fold
     Mutant(
         "lift test ignores the last generator",
         "folding.py",
         "for gen in range(1, self.graph.rank + 1)",
         "for gen in range(1, self.graph.rank)",
         ("tests/test_folding.py::TestDeferRoseOracle",),
+    ),
+    Mutant(
+        "fold heap drops the sign on push",
+        "folding.py",
+        "heapq.heappush(heap, sign * s)",
+        "heapq.heappush(heap, s)",
+        (
+            "tests/test_folding.py::TestSortedOracle::test_random_wedges",
+            "tests/test_folding.py::TestFoldOnce::test_greatest_folds_the_greatest_letter",
+        ),
+    ),
+    Mutant(
+        "lift-free check skips slots of two tokens",
+        "folding.py",
+        "len(toks) >= 2 and not engine.makes_lift",
+        "len(toks) > 2 and not engine.makes_lift",
+        ("tests/test_folding.py::TestDeferRoseOracle::test_lift_free_check_tests_every_fold_on_delta",),
+    ),
+    # folding: the witness of fold_to_delta, on pinned tuples
+    Mutant(
+        "witness pruning keeps only the dropped edge",
+        "folding.py",
+        "rest = [e for e in current if e != k]",
+        "rest = [e for e in current if e == k]",
+        ("tests/test_folding.py::TestFoldToDelta::test_pruning_drops_an_edge",),
+    ),
+    Mutant(
+        "witness of rank + 2 edges refused",
+        "folding.py",
+        "if len(psi_ids) > n + 2:",
+        "if len(psi_ids) >= n + 2:",
+        ("tests/test_folding.py::TestFoldToDelta::test_witness_of_rank_plus_two_edges",),
+    ),
+    # graphs: rose lifts, against oracle_rose_lift_loops
+    Mutant(
+        "rose lift keeps the last loop of a generator",
+        "graphs.py",
+        "loops.setdefault(src, {}).setdefault(abs(label), k)",
+        "loops.setdefault(src, {})[abs(label)] = k",
+        (
+            "tests/test_graphs.py::TestRoseLiftLoops",
+            "tests/test_folding.py::TestFoldToDelta::test_degenerate_witness_takes_the_least_loops",
+        ),
     ),
     # folding: the stage views' label groups, against oracle_canonical_key
     Mutant(

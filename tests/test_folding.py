@@ -1,5 +1,6 @@
 import copy
 import random
+from collections import Counter
 
 import pytest
 
@@ -429,39 +430,78 @@ def engine_has_rose_lift(engine: _Engine) -> bool:
     return False
 
 
+def foldable(engine: _Engine) -> list[tuple[int, int]]:
+    """Every (root, letter) that at least two live oriented edges leave
+    the root's class with, in (root, ``letter_key``) order, counted from
+    the live edges rather than read off the slots."""
+    count = Counter()
+    for k, (src, dst, label) in enumerate(engine.graph.edges):
+        if engine.alive[k]:
+            count[engine.find(src), label] += 1
+            count[engine.find(dst), -label] += 1
+    return sorted((pair for pair, c in count.items() if c >= 2), key=lambda p: (p[0], letter_key(p[1])))
+
+
+def letter_slot(engine: _Engine, root: int, letter: int) -> int:
+    """The slot of the tokens leaving ``root`` with ``letter``: the letter
+    order a1 < a1^-1 < a2 < ... indexes each vertex's ``width`` slots."""
+    gen, inverse = letter_key(letter)
+    return root * engine.width + 2 * gen - 2 + inverse
+
+
 def makes_lift_by_simulation(engine: _Engine, root: int, letter: int) -> bool:
     probe = clone_engine(engine)
-    probe.apply_record(probe.pair(root, letter))
+    probe.apply_record(probe.pair(letter_slot(probe, root, letter)))
     return engine_has_rose_lift(probe)
 
 
-def oracle_fold_deferring(g: LabeledGraph) -> tuple[list[FoldRecord], int | None]:
-    """The lift-deferring policy by clone-and-simulate: sort every
-    candidate after each fold by its class's least vertex, found by
-    scanning every vertex rather than read off the root, and fold a copy
-    of the engine to test it."""
+def oracle_fold(g: LabeledGraph, policy: str) -> tuple[list[FoldRecord], int | None]:
+    """A fold sequence by sorted candidates: after each fold, sort every
+    candidate by its class's least vertex, found by scanning every vertex
+    rather than read off the root, and its letter, and fold the least
+    (the greatest under "greatest").  Under "defer_rose", until the first
+    lift, fold the least candidate whose fold a copy of the engine shows
+    to make no lift, if there is one."""
     engine = _Engine(g)
     records: list[FoldRecord] = []
-    first_lift: int | None = 0 if engine_has_rose_lift(engine) else None
+    defer = policy == "defer_rose"
+    first_lift: int | None = 0 if defer and engine_has_rose_lift(engine) else None
     while True:
         candidates = sorted(
             ((min(v for v in range(g.num_vertices) if engine.find(v) == root), letter_key(letter)), root, letter)
-            for root in engine_roots(engine)
-            for letter in engine.foldable_letters(root)
+            for root, letter in foldable(engine)
         )
         if not candidates:
             return records, first_lift
-        pick = candidates[0][1:]
-        if first_lift is None:
+        pick = candidates[-1 if policy == "greatest" else 0][1:]
+        if defer and first_lift is None:
             pick = next(
                 (c[1:] for c in candidates if not makes_lift_by_simulation(engine, *c[1:])),
                 pick,
             )
-        record = engine.pair(*pick)
+        record = engine.pair(letter_slot(engine, *pick))
         engine.apply_record(record)
         records.append(record)
-        if first_lift is None and engine_has_rose_lift(engine):
+        if defer and first_lift is None and engine_has_rose_lift(engine):
             first_lift = len(records)
+
+
+class TestSortedOracle:
+    """``fold_all(g, policy)`` pops slots off a heap; the oracle sorts
+    every candidate after each fold."""
+
+    @pytest.mark.parametrize("policy", ["least", "greatest"])
+    def test_random_graphs(self, rng, policy):
+        for _ in range(200):
+            g = random_graph(rng, rng.choice((2, 3)), max_v=6, max_e=10)
+            assert list(fold_all(g, policy).records) == oracle_fold(g, policy)[0]
+
+    @pytest.mark.parametrize("policy", ["least", "greatest"])
+    def test_random_wedges(self, rng, policy):
+        for rank in (2, 3):
+            for _ in range(15):
+                g = wedge_of_loops(nielsen_basis_tuple(rng, rank, moves=10))
+                assert list(fold_all(g, policy).records) == oracle_fold(g, policy)[0]
 
 
 class TestDeferRoseOracle:
@@ -469,7 +509,7 @@ class TestDeferRoseOracle:
     test in the heap loop; the oracle sorts and simulates every fold."""
 
     def assert_matches(self, g: LabeledGraph) -> tuple[list[FoldRecord], int | None]:
-        records, first_lift = oracle_fold_deferring(g)
+        records, first_lift = oracle_fold(g, "defer_rose")
         trace = fold_all(g, "defer_rose")
         assert list(trace.records) == records
         assert trace.first_lift_stage == first_lift
@@ -512,18 +552,42 @@ class TestDeferRoseOracle:
                 delta = fold_to_delta(g).delta
                 self.assert_matches(delta)
                 engine = _Engine(delta)
-                for v in range(delta.num_vertices):
-                    for letter in engine.foldable_letters(v):
-                        assert makes_lift_by_simulation(engine, v, letter)
-                        assert engine.makes_lift(engine.pair(v, letter))
-                        checked += 1
+                for v, letter in foldable(engine):
+                    assert makes_lift_by_simulation(engine, v, letter)
+                    assert engine.makes_lift(engine.pair(letter_slot(engine, v, letter)))
+                    checked += 1
         assert checked > 0
+
+    def test_lift_free_check_tests_every_fold_on_delta(self, rng, monkeypatch):
+        # fold_to_delta's last postcondition passes each fold available on
+        # delta to the local lift test; the folds are listed here from
+        # delta's edges: per vertex and letter, the two least tokens
+        checked = []
+        makes_lift = _Engine.makes_lift
+        monkeypatch.setattr(_Engine, "makes_lift", lambda e, r: checked.append((e.graph, r)) or makes_lift(e, r))
+        seen = 0
+        for rank in (2, 3):
+            for _ in range(15):
+                g = wedge_of_loops(nielsen_basis_tuple(rng, rank, moves=10))
+                if g.has_rose_lift():
+                    continue
+                checked.clear()
+                delta = fold_to_delta(g).delta
+                leaving = {}
+                for k, (src, dst, label) in enumerate(delta.edges, 1):
+                    leaving.setdefault((src, label), []).append(k)
+                    leaving.setdefault((dst, -label), []).append(-k)
+                folds = {FoldRecord(*sorted(toks)[:2]) for toks in leaving.values() if len(toks) >= 2}
+                on_delta = [r for graph, r in checked if graph is delta]
+                assert sorted(on_delta, key=repr) == sorted(folds, key=repr)
+                seen += len(folds)
+        assert seen > 0
 
     def test_fold_to_delta_matches_oracle_trace(self, rng):
         for rank in (2, 3):
             for _ in range(15):
                 g = wedge_of_loops(nielsen_basis_tuple(rng, rank, moves=10))
-                records, first_lift = oracle_fold_deferring(g)
+                records, first_lift = oracle_fold(g, "defer_rose")
                 try:
                     ext = fold_to_delta(g)
                 except ValueError:
@@ -574,6 +638,34 @@ class TestFoldToDelta:
                 assert not ext.delta.has_rose_lift()
                 assert betti(ext.delta) <= 3
         assert found_nondegenerate > 0
+
+    def test_degenerate_witness_takes_the_least_loops(self):
+        # the base carries a1 loops 0 and 1 and the a2 loop 2
+        ext = fold_to_delta(wedge_of_loops(tup("a1", "a1", "a2")))
+        assert ext.degenerate and ext.psi.edge_ids == (0, 2)
+
+    def test_degenerate_delta_without_a_lift_raises(self, monkeypatch):
+        # a check, not an assert: ``python -O`` keeps it
+        loops = LabeledGraph.rose_lift_loops
+        monkeypatch.setattr(LabeledGraph, "has_rose_lift", lambda g: loops(g) is not None)
+        monkeypatch.setattr(LabeledGraph, "rose_lift_loops", lambda g: None)
+        with pytest.raises(RuntimeError, match="no rose lift"):
+            fold_to_delta(wedge_of_loops(tup("a1 a2", "a1", "a2")))
+
+    def test_pruning_drops_an_edge(self, monkeypatch):
+        # the fold pair and the lift's loops are four edges; the three
+        # left once edge 1 goes still fold onto the rose
+        prune, given = folding._prune_psi, []
+        monkeypatch.setattr(folding, "_prune_psi", lambda delta, ids: given.append(list(ids)) or prune(delta, ids))
+        ext = fold_to_delta(wedge_of_loops(tup("a1 a2", "a1 a2^-1", "a2^-1")))
+        assert not ext.degenerate and given == [[0, 1, 2, 3]]
+        assert ext.psi.edge_ids == (0, 2, 3)
+
+    def test_witness_of_rank_plus_two_edges(self):
+        # no edge of the fold pair and the lift's loops can go, so the
+        # witness has rank + 2 edges, the most it may have
+        ext = fold_to_delta(wedge_of_loops(tup("a2^-1 a1 a2", "a2^-1 a2^-1 a1^-1", "a2^-1 a1^-1")))
+        assert not ext.degenerate and ext.psi.edge_ids == (0, 1, 2, 3)
 
     @pytest.mark.parametrize(
         "bad_subset,message",

@@ -336,6 +336,33 @@ class TestGraphProperties:
         assert canonical_key(replace(g, base=0)) == canonical_key(replace(h, base=mapping[0]))
 
 
+def oracle_rose_lift_loops(g: LabeledGraph) -> list[int] | None:
+    """Vertex by vertex, the loops of each generator listed from the
+    edges; at the first vertex with a loop of every generator, the least
+    of each."""
+    for v in range(g.num_vertices):
+        loops = [[k for k, (s, d, l) in enumerate(g.edges) if s == d == v and abs(l) == gen] for gen in range(1, g.rank + 1)]
+        if all(loops):
+            return [min(ks) for ks in loops]
+    return None
+
+
+class TestRoseLiftLoops:
+    @given(st.sampled_from([2, 3]).flatmap(lambda rank: labeled_graphs(rank=rank, max_v=3, max_e=10)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle(self, g):
+        assert g.rose_lift_loops() == oracle_rose_lift_loops(g)
+        assert g.has_rose_lift() == (oracle_rose_lift_loops(g) is not None)
+
+    def test_least_loops_at_the_least_vertex(self):
+        # vertices 2 and 1 both carry a lift, 2's loops listed first; vertex
+        # 1 has a1 loops 2 and 4
+        g = LabeledGraph(2, 3, ((2, 2, 1), (2, 2, -2), (1, 1, -1), (1, 1, 2), (1, 1, 1), (0, 0, 1)))
+        assert g.rose_lift_loops() == [2, 3]
+        assert LabeledGraph(2, 3, g.edges[:3] + g.edges[4:]).rose_lift_loops() == [0, 1]
+        assert LabeledGraph(2, 1, ((0, 0, 1),)).rose_lift_loops() is None
+
+
 def oracle_encode_from(g: LabeledGraph, start: int) -> tuple:
     """The copying encoder that ``graphs._encode_from`` replaced, kept as
     the slow path: every numbered vertex copies the numbering, the order
