@@ -80,12 +80,12 @@ class LabeledGraph:
         """At the least vertex carrying a loop for every generator, the
         least loop (edge id) of each generator, in generator order; None
         when no vertex carries one."""
-        loops: dict[int, dict[int, int]] = {}
+        loops: list[dict[int, int]] = [{} for _ in range(self.num_vertices)]
         for k, (src, dst, label) in enumerate(self.edges):
             if src == dst:
-                loops.setdefault(src, {}).setdefault(abs(label), k)
-        v = min((v for v, gens in loops.items() if len(gens) == self.rank), default=None)
-        return None if v is None else [loops[v][gen] for gen in range(1, self.rank + 1)]
+                loops[src].setdefault(abs(label), k)
+        gens = next((gens for gens in loops if len(gens) == self.rank), None)
+        return None if gens is None else [gens[gen] for gen in range(1, self.rank + 1)]
 
 
 def is_rose(g: LabeledGraph) -> bool:

@@ -3,7 +3,7 @@
 
 Usage, from the root of the repository (standard library and pytest):
 
-    python tests/census.py MODULE TEST_FILE ... [--timeout S]
+    python tests/census.py MODULE TEST_FILE ...
 
 for example ``python tests/census.py folding.py tests/test_folding.py``.
 The census makes one mutant for each
@@ -17,8 +17,9 @@ The census makes one mutant for each
 It edits the source text at the operator and checks that the edited
 module parses to the intended tree.  It runs the test files once on an
 unedited copy of ``src`` (they must pass), then once per mutant on a
-fresh copy, with ``pytest -x`` and a per-mutant timeout (three times the
-unedited run plus 30 s unless ``--timeout`` is given).  A mutant is
+fresh copy, with ``pytest -x`` and a per-mutant timeout of three times
+the unedited run plus 30 s; the copy and the pytest run are those of
+``tests/mutants.py``.  A mutant is
 killed when some test fails or errs, times out when the run outlives the
 timeout, and survives when every test passes.  Timeouts are reported as
 such, not counted as killed.  Each survivor is printed with its line and
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import os
 import re
 import shutil
 import subprocess
@@ -46,7 +46,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from mutants import ROOT, copy_src, failed_ids
 
 # (module, its lines that the edit spans, the same lines edited), each
 # with runs of whitespace read as one space: why the mutant is equivalent
@@ -198,17 +198,10 @@ def mutants(source: str) -> list[Mutant]:
 
 
 def run_tests(src: Path, tests: list[str], scratch: Path, timeout: float | None) -> str:
-    """Run ``tests`` with ``-x`` against the package under ``src``, from
-    ``scratch`` so that nothing is written into the repository: "killed",
-    "survived" or "timeout"."""
-    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
-    cmd = [
-        sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-        "--rootdir", str(ROOT), "-c", str(ROOT / "pyproject.toml"),
-        *(str(ROOT / t) for t in tests),
-    ]
+    """Run ``tests`` with ``-x`` against the package under ``src``:
+    "killed", "survived" or "timeout"."""
     try:
-        proc = subprocess.run(cmd, cwd=scratch, env=env, capture_output=True, text=True, timeout=timeout)
+        _, proc = failed_ids(src, tests, scratch, first_failure=True, timeout=timeout)
     except subprocess.TimeoutExpired:
         return "timeout"
     return "survived" if proc.returncode == 0 else "killed"
@@ -218,7 +211,6 @@ def main(argv: list[str]) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("module", help="a file of src/rosefold, such as folding.py")
     p.add_argument("tests", nargs="+", help="test files, from the repository root")
-    p.add_argument("--timeout", type=float, help="seconds per mutant")
     args = p.parse_args(argv)
     sys.stdout.reconfigure(line_buffering=True)  # progress shows in a log
     source = (ROOT / "src" / "rosefold" / args.module).read_text()
@@ -230,20 +222,17 @@ def main(argv: list[str]) -> int:
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="rosefold-census-") as tmp:
         scratch = Path(tmp)
-        base = scratch / "base"
-        shutil.copytree(ROOT / "src", base, ignore=shutil.ignore_patterns("__pycache__"))
         t0 = time.perf_counter()
-        if run_tests(base, args.tests, scratch, None) != "survived":
+        if run_tests(copy_src(scratch / "base"), args.tests, scratch, None) != "survived":
             print("baseline: the tests do not all pass on the unedited source")
             return 1
-        timeout = args.timeout or 3 * (time.perf_counter() - t0) + 30
+        timeout = 3 * (time.perf_counter() - t0) + 30
         print(f"{len(found)} mutants of {args.module}; baseline {time.perf_counter() - t0:.0f} s, timeout {timeout:.0f} s")
         for n, m in enumerate(found):
-            copy_dir = scratch / f"m{n}"
-            shutil.copytree(base, copy_dir)
-            (copy_dir / "rosefold" / args.module).write_text(m.text)
-            status = run_tests(copy_dir, args.tests, scratch, timeout)
-            shutil.rmtree(copy_dir)
+            src = copy_src(scratch / f"m{n}")
+            (src / "rosefold" / args.module).write_text(m.text)
+            status = run_tests(src, args.tests, scratch, timeout)
+            shutil.rmtree(src.parent)
             counts[status] += 1
             key = (args.module, m.before, m.after)
             seen.add(key)

@@ -320,8 +320,8 @@ MUTANTS = (
     Mutant(
         "rose lift keeps the last loop of a generator",
         "graphs.py",
-        "loops.setdefault(src, {}).setdefault(abs(label), k)",
-        "loops.setdefault(src, {})[abs(label)] = k",
+        "loops[src].setdefault(abs(label), k)",
+        "loops[src][abs(label)] = k",
         (
             "tests/test_graphs.py::TestRoseLiftLoops",
             "tests/test_folding.py::TestFoldToDelta::test_degenerate_witness_takes_the_least_loops",
@@ -386,17 +386,22 @@ def copy_src(into: Path) -> Path:
     return into / "src"
 
 
-def failed_ids(src: Path, tests: list[str], scratch: Path) -> tuple[set[str], subprocess.CompletedProcess]:
+def failed_ids(
+    src: Path, tests: list[str], scratch: Path, first_failure: bool = False, timeout: float | None = None
+) -> tuple[set[str], subprocess.CompletedProcess]:
     """The ids pytest reports failed or in error, running ``tests`` on
     the package under ``src``, and the finished run; it runs in
-    ``scratch`` so that nothing is written into the repository."""
+    ``scratch`` so that nothing is written into the repository.  With
+    ``first_failure`` pytest stops at the first failure (``-x``); a run
+    that outlives ``timeout`` seconds raises ``subprocess.TimeoutExpired``."""
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     cmd = [
         sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+        *(["-x"] if first_failure else []),
         "--rootdir", str(ROOT), "-c", str(ROOT / "pyproject.toml"),
         *(str(ROOT / t) for t in tests),
     ]
-    proc = subprocess.run(cmd, cwd=scratch, env=env, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=scratch, env=env, capture_output=True, text=True, timeout=timeout)
     found = set()
     # pytest prints each id's file relative to its working directory
     for node in re.findall(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, re.M):

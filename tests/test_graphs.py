@@ -348,7 +348,7 @@ def oracle_rose_lift_loops(g: LabeledGraph) -> list[int] | None:
 
 
 class TestRoseLiftLoops:
-    @given(st.sampled_from([2, 3]).flatmap(lambda rank: labeled_graphs(rank=rank, max_v=3, max_e=10)))
+    @given(st.sampled_from([1, 2, 3]).flatmap(lambda rank: labeled_graphs(rank=rank, max_v=3, max_e=10)))
     @settings(max_examples=300, deadline=None)
     def test_matches_oracle(self, g):
         assert g.rose_lift_loops() == oracle_rose_lift_loops(g)
@@ -361,6 +361,9 @@ class TestRoseLiftLoops:
         assert g.rose_lift_loops() == [2, 3]
         assert LabeledGraph(2, 3, g.edges[:3] + g.edges[4:]).rose_lift_loops() == [0, 1]
         assert LabeledGraph(2, 1, ((0, 0, 1),)).rose_lift_loops() is None
+        # rank 0: every vertex carries the empty lift, as is_rose has it
+        assert LabeledGraph(0, 2, ()).rose_lift_loops() == []
+        assert LabeledGraph(0, 2, ()).has_rose_lift()
 
 
 def oracle_encode_from(g: LabeledGraph, start: int) -> tuple:
