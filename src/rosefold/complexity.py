@@ -125,11 +125,8 @@ class UWordIndex:
             L = len(twice) // 2
             if m > L and chars[L:] != chars[: m - L]:
                 continue
-            head = chars[:L]
-            rotation = twice.find(head)
-            while 0 <= rotation < L:
+            for rotation in strsearch.all_occurrences(twice[: L + min(m, L) - 1], chars[:L]):
                 yield UCert(i, sign, rotation, math.ceil((rotation + m) / L))
-                rotation = twice.find(head, rotation + 1)
 
     def is_u_word(self, z: Word) -> UCert | None:
         """First certificate in (relator, sign, rotation) order, or None."""
@@ -352,29 +349,20 @@ class _Ball:
     is expanded at most once, into its tagged edges ``(candidate, j)``: the
     words obtained by replacing its j-th factor in any minimal
     segmentation (no segmentation is listed, and none is left out), in
-    the order ``edges`` states, each pair once.  Which candidates qualify
-    (free reduction at the splice, every letter covered, the same c1)
-    does not depend on the protected index, so each candidate is judged
-    once.  The i-neighbours of a node are the candidates of its edges
-    with j != i, in first-occurrence order.
+    the order ``edges`` states.  A candidate may recur there, and each
+    search skips the words it has seen.  Which candidates qualify (free
+    reduction at the splice, every letter covered, the same c1) does not
+    depend on the protected index, so each candidate is judged once.
     """
 
-    def __init__(
-        self,
-        root: Word,
-        idx: UWordIndex,
-        thresholds: Thresholds,
-        maxstart: list[int] | None = None,
-    ):
-        """``maxstart`` is the root's factor table when the caller has it."""
+    def __init__(self, root: Word, idx: UWordIndex, thresholds: Thresholds):
+        """Raises ValueError when some letter of the root is in no factor."""
         self.idx = idx
         self.thresholds = thresholds
         self.long = thresholds.long_factor_letters(idx.max_relator_length)
         self.rank = root.rank
         self.ids = {root.letters: 0}
-        if maxstart is None:
-            maxstart = idx.max_factor_starting(root)
-        self.nodes: list[_Node | None] = [_Node(root, maxstart)]
+        self.nodes: list[_Node | None] = [_Node(root, _check_covered(idx.max_factor_starting(root)))]
 
     def node(self, nid: int) -> _Node:
         node = self.nodes[nid]
@@ -429,44 +417,32 @@ class _Ball:
 
     def edges(self, nid: int) -> list[tuple[int, int]]:
         """The node's tagged edges: the starts of ``_factor_starts``, p
-        ascending, each start's candidates in ``_span_candidates`` order,
-        each (candidate, j) pair once.  The order matters only where
-        ``max_ball`` binds."""
+        ascending, each start's candidates in ``_span_candidates`` order.
+        A candidate may recur, under one index or several.  The order
+        matters only where ``max_ball`` binds."""
         node = self.node(nid)
         if node.edges is None:
-            _check_covered(node.maxstart)
-            seen: set[tuple[int, int]] = set()
-            edges = []
-            for j, starts in enumerate(node.starts, start=1):
-                for p in starts:
-                    for cand in self._span_candidates(node, p):
-                        if (cand, j) not in seen:
-                            seen.add((cand, j))
-                            edges.append((cand, j))
-            node.edges = edges
+            node.edges = [
+                (cand, j)
+                for j, starts in enumerate(node.starts, start=1)
+                for p in starts
+                for cand in self._span_candidates(node, p)
+            ]
         return node.edges
-
-    def neighbors(self, nid: int, i: int) -> list[int]:
-        """The i-neighbours: the qualifying words that replace one long
-        maximal factor other than the i-th by a long complementary word."""
-        out: dict[int, None] = {}
-        for cand, j in self.edges(nid):
-            if j != i:
-                out.setdefault(cand)
-        return list(out)
 
     def i_ball(self, i: int, depth: int) -> list[int]:
         """The words scored for index i, in breadth-first order from the
-        root over the i-neighbours.  The search ends at the first word past
-        ``max_ball``: no node is expanded after it."""
+        root over the edges with j != i, each word at its first
+        occurrence.  The search ends at the first word past ``max_ball``:
+        no node is expanded after it."""
         scored = [0]
         frontier = [0]
         seen = {0}
         for _ in range(depth):
             next_frontier: list[int] = []
             for nid in frontier:
-                for neighbor in self.neighbors(nid, i):
-                    if neighbor in seen:
+                for neighbor, j in self.edges(nid):
+                    if j == i or neighbor in seen:
                         continue
                     seen.add(neighbor)
                     if len(seen) > self.thresholds.max_ball:
@@ -518,18 +494,17 @@ def complexity(
 ) -> ComplexityValue:
     """Depth-bounded complexity; the empty word, with c1 = 0 and no
     factors, is the bottom element."""
-    maxstart = _check_covered(idx.max_factor_starting(w))
-    return _Ball(w, idx, thresholds, maxstart).value(depth)
+    return _Ball(w, idx, thresholds).value(depth)
 
 
 def complexity_report(w: Word, idx: UWordIndex, depth: int) -> dict:
     """The ``complexity`` payload but its config: the value at the default
     thresholds and the greedy witness segmentation, from one factor table."""
     thresholds = Thresholds()
-    maxstart = _check_covered(idx.max_factor_starting(w))
-    value = _Ball(w, idx, thresholds, maxstart).value(depth)
+    ball = _Ball(w, idx, thresholds)
+    value = ball.value(depth)
     # the identity has the bottom value and no factors to segment
-    seg = _segmentation(w, idx, maxstart) if w else Segmentation(w, (), ())
+    seg = _segmentation(w, idx, ball.node(0).maxstart) if w else Segmentation(w, (), ())
     return {**value.to_dict(), "thresholds": thresholds.__dict__, "segmentation": seg.to_dict()}
 
 

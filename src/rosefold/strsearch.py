@@ -3,9 +3,10 @@
 Each signed letter (or signed edge token of a graph path) is mapped to
 a single character, so the hot loops ride on C-level string and dict
 operations.  The module holds the two occurrence scans the package
-uses: all (overlapping) occurrences in an encoded string, and greedy
-left-to-right disjoint occurrences of a pattern or its inverse in a
-letter or token sequence, which encodes its arguments itself.  It also
+uses: all (overlapping) occurrences in an encoded string, which the
+relator certificates, the piece search and the repeat counts read, and
+greedy left-to-right disjoint occurrences of a pattern or its inverse in
+a letter or token sequence, which encodes its arguments itself.  It also
 holds the suffix automaton behind the repeat statistics and the
 relator-factor tables.
 

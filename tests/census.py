@@ -72,6 +72,75 @@ EQUIVALENT = {
         "for s, toks in enumerate(slots[root * width : (root + 2) * width], root * width):",
     ): "pushes the next vertex's slots too: a foldable slot is in the heap already and the "
     "stale check skips the rest, so only the work grows",
+    (
+        "presentations.py",
+        "blocks.append(signed[j][letter < 0])",
+        "blocks.append(signed[j][letter <= 0])",
+    ): "a letter is never 0",
+    (
+        "presentations.py",
+        "while stack and lo < hi:",
+        "while stack and lo <= hi:",
+    ): "a stack interval is never empty, so a pass with lo == hi breaks at once",
+    (
+        "presentations.py",
+        "while total >= 2 and stack[first][1][stack[first][2]] == -stack[last][1][stack[last][3] - 1]:",
+        "while total > 2 and stack[first][1][stack[first][2]] == -stack[last][1][stack[last][3] - 1]:",
+    ): "two letters left are adjacent in a freely reduced word, so they never cancel cyclically",
+    (
+        "presentations.py",
+        "if last >= first and stack[last][2] == stack[last][3]:",
+        "if last > first and stack[last][2] == stack[last][3]:",
+    ): "at last == first that interval holds every letter left, so emptying it leaves an empty, "
+    "degenerate relator, whose spans are not read",
+    (
+        "presentations.py",
+        "sign = 1 if letter > 0 else -1",
+        "sign = 1 if letter >= 0 else -1",
+    ): "a letter is never 0",
+    (
+        "presentations.py",
+        "if site.sign < 0:",
+        "if site.sign <= 0:",
+    ): "a site's sign is 1 or -1",
+    (
+        "presentations.py",
+        "skip = off - lo if site.sign > 0 else p.length - off - n_prime - lo",
+        "skip = off - lo if site.sign >= 0 else p.length - off - n_prime - lo",
+    ): "a site's sign is 1 or -1",
+    (
+        "presentations.py",
+        "long_texts = [(t, d, lengths[owner[t]]) for t, d in enumerate(texts) if lengths[owner[t]] >= seed]",
+        "long_texts = [(t, d, lengths[owner[t]]) for t, d in enumerate(texts) if lengths[owner[t]] > seed]",
+    ): "a relator of exactly the seed length caps its pairs below the seed, where the bisection "
+    "settles them, and the longer relators' seed windows follow two distinct letters without it",
+    (
+        "presentations.py",
+        "plain = {d[o - 1 : o + seed] for t, d, L in long_texts if t % 2 == 0 for o in range(1, L + 1)}",
+        "plain = {d[o - 1 : o + seed] for t, d, L in long_texts if t % 2 != 0 for o in range(1, L + 1)}",
+    ): "the inverse texts' windows and their inverses are the same set as the plain texts' and theirs",
+    (
+        "presentations.py",
+        "key = (i, j) if i <= j else (j, i)",
+        "key = (i, j) if i < j else (j, i)",
+    ): "at i == j both give (i, i)",
+    (
+        "presentations.py",
+        "if known >= limit:",
+        "if known > limit:",
+    ): "(lines 367 and 376) best never passes its cap, and at the cap the member loop's check "
+    "breaks, or an extension starting at the cap returns it: only the work grows",
+    (
+        "presentations.py",
+        "if known >= seed:",
+        "if known > seed:",
+    ): "at known == seed each member gets the same one-letter comparison in the member loop: "
+    "only the work grows",
+    (
+        "presentations.py",
+        "mid = (lo + hi + 1) // 2",
+        "mid = (lo + hi + 2) // 2",
+    ): "mid stays in (lo, hi], so the bisection still ends at the longest shared window",
 }
 
 FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Eq: ast.NotEq, ast.NotEq: ast.Eq}

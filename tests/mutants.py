@@ -145,8 +145,8 @@ MUTANTS = (
     Mutant(
         "certificate scan stops at the first rotation",
         "complexity.py",
-        "rotation = twice.find(head, rotation + 1)",
-        "rotation = L",
+        "strsearch.all_occurrences(twice[: L + min(m, L) - 1], chars[:L]):",
+        "strsearch.all_occurrences(twice[: L + min(m, L) - 1], chars[:L])[:1]:",
         (
             "tests/test_symmetry.py::TestComplexity::test_a_factor_at_two_rotations_offers_both_complements",
             f"{CX}::TestCertificates::test_scan_matches_oracle",
@@ -162,15 +162,15 @@ MUTANTS = (
     Mutant(
         "certificate head not cut to the relator's length",
         "complexity.py",
-        "head = chars[:L]",
-        "head = chars",
+        "min(m, L) - 1], chars[:L])",
+        "min(m, L) - 1], chars)",
         (f"{CX}::TestCertificates::test_scan_matches_oracle",),
     ),
     Mutant(
         "certificate rotations run to the relator's length",
         "complexity.py",
-        "while 0 <= rotation < L:",
-        "while 0 <= rotation <= L:",
+        "twice[: L + min(m, L) - 1]",
+        "twice[: L + min(m, L)]",
         (f"{CX}::TestCertificates::test_scan_matches_oracle",),
     ),
     Mutant(
@@ -181,11 +181,35 @@ MUTANTS = (
         (f"{CX}::TestSharedBall::test_i_balls_match_oracle",),
     ),
     Mutant(
-        "i-neighbours keep the protected factor",
+        "i-ball keeps the protected factor",
         "complexity.py",
-        "            if j != i:\n                out.setdefault(cand)",
-        "            if j != i or j == 1:\n                out.setdefault(cand)",
+        "if j == i or neighbor in seen:",
+        "if j == i != 1 or neighbor in seen:",
         (f"{CX}::TestSharedBall::test_complexity_matches_oracle",),
+    ),
+    Mutant(
+        "i-ball follows the protected index",
+        "complexity.py",
+        "if j == i or neighbor in seen:",
+        "if j != i or neighbor in seen:",
+        (
+            f"{CX}::TestSharedBall::test_complexity_matches_oracle",
+            f"{CX}::TestSharedBall::test_i_balls_match_oracle",
+        ),
+    ),
+    Mutant(
+        "i-ball scores a seen word again",
+        "complexity.py",
+        "if j == i or neighbor in seen:",
+        "if j == i:",
+        (f"{CX}::TestSharedBall::test_a_repeated_candidate_is_scored_once",),
+    ),
+    Mutant(
+        "ball root unchecked",
+        "complexity.py",
+        "[_Node(root, _check_covered(idx.max_factor_starting(root)))]",
+        "[_Node(root, idx.max_factor_starting(root))]",
+        (f"{CX}::TestSharedBall::test_uncovered_word",),
     ),
     # library reports and the config echo: the CLI payload digests
     Mutant(
@@ -275,6 +299,64 @@ MUTANTS = (
         "        if count < 2:\n            continue",
         "        if count < 3:\n            continue",
         ("tests/test_presentations.py::TestOnePassPieces",),
+    ),
+    # derived presentations: pinned cases from the census of presentations.py
+    Mutant(
+        "relator reduction reads past a consumed block",
+        "presentations.py",
+        "while top_lo < top_hi and lo < hi and",
+        "while top_lo < top_hi and lo <= hi and",
+        ("tests/test_presentations.py::TestBuildRelators::test_consumed_blocks_by_hand",),
+    ),
+    Mutant(
+        "trim keeps an empty common middle",
+        "presentations.py",
+        "if hi <= lo:",
+        "if hi < lo:",
+        ("tests/test_presentations.py::TestTrim::test_middles_meeting_in_an_empty_interval",),
+    ),
+    Mutant(
+        "trim re-scan trusts the letters alone",
+        "presentations.py",
+        "0 <= start and 0 <= skip",
+        "0 <= start or 0 <= skip",
+        ("tests/test_presentations.py::TestTrim::test_span_before_the_relator_start_raises",),
+    ),
+    Mutant(
+        "sampler counts a rejection twice",
+        "presentations.py",
+        "rejects += 1",
+        "rejects += 2",
+        ("tests/test_cli.py::TestPresentationCommands::test_build_presentation_counts_rejections",),
+    ),
+    Mutant(
+        "lambda bound met at equality",
+        "presentations.py",
+        "return self.lambda_value < lam",
+        "return self.lambda_value <= lam",
+        ("tests/test_presentations.py::TestPieces::test_commutator_relator",),
+    ),
+    Mutant(
+        "seed windows read past the text",
+        "presentations.py",
+        "range(1, L + 1)}",
+        "range(1, L + 2)}",
+        ("tests/test_presentations.py::TestSeedFilter::test_relators_of_exactly_the_seed_length",),
+    ),
+    Mutant(
+        "an empty relator passes the guard",
+        "presentations.py",
+        "if not relators or any(",
+        "if not relators and any(",
+        ("tests/test_presentations.py::TestPieces::test_empty_relator_rejected",),
+    ),
+    # a loop that never ends fails its test at the per-test time limit
+    Mutant(
+        "common extension gallops at its cap",
+        "presentations.py",
+        "while lo < cap:",
+        "while lo <= cap:",
+        ("tests/test_presentations.py::TestOnePassPieces::test_seed_length_does_not_change_the_table[1]",),
     ),
     # folding: oracle_fold
     Mutant(

@@ -244,6 +244,12 @@ class TestPresentationCommands:
         assert len(payload["U"]) == 2
         assert payload["NPrime"] >= 1
 
+    def test_build_presentation_counts_rejections(self, capsys):
+        # at length 1, seed 2 draws one degenerate sample before a good one
+        code, out = run_cli(capsys, "build-presentation", "--rank", "2", "--length", "1", "--seed", "2")
+        assert code == 0
+        assert json.loads(out)["rejections"] == 1
+
     def test_sc_check_round_trip(self, capsys, tmp_path):
         code, out = run_cli(
             capsys, "build-presentation", "--rank", "2", "--length", "12",

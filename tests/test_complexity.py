@@ -268,6 +268,12 @@ def oracle_max_ith_factor(w: Word, i: int, idx: UWordIndex) -> int:
     return best
 
 
+def i_neighbors(ball: _Ball, nid: int, i: int) -> list[int]:
+    """The node's i-neighbours read off its tagged edges: the candidates
+    of the edges with j != i, in first-occurrence order."""
+    return list(dict.fromkeys(cand for cand, j in ball.edges(nid) if j != i))
+
+
 def oracle_elementary_i_equivalents(
     w: Word, i: int, idx: UWordIndex, thresholds: Thresholds = Thresholds()
 ) -> list[Word]:
@@ -846,13 +852,13 @@ class TestEllHat:
         flank = (2,) if rel.letters[0] != -2 else (-1,)
         word = free_reduce(2, flank + rel.letters)
         ball = _Ball(word, big, th)
-        for nid in ball.neighbors(0, 1)[:4]:
+        for nid in i_neighbors(ball, 0, 1)[:4]:
             assert _Ball(ball.node(nid).word, big, th).ell_hat(1, 0) <= ball.ell_hat(1, 1)
 
 
 class TestElementaryEquivalents:
     def test_no_long_factor_no_neighbors(self, big):
-        assert _Ball(w("a1"), big, Thresholds()).neighbors(0, 1) == []
+        assert i_neighbors(_Ball(w("a1"), big, Thresholds()), 0, 1) == []
 
     def test_replacement_family_enumerated(self, big):
         # glue long chunks of the two relators; the factor away from the
@@ -872,7 +878,7 @@ class TestElementaryEquivalents:
             word = Word(2, letters)
             if c1(word, big)[0] != 2:
                 continue
-            if _Ball(word, big, th).neighbors(0, 1):
+            if i_neighbors(_Ball(word, big, th), 0, 1):
                 found += 1
         assert found >= 5
 
@@ -883,7 +889,7 @@ class TestElementaryEquivalents:
             word = Word(2, random_reduced_letters(rng, 2, 40))
             k = c1(word, big)[0]
             ball = _Ball(word, big, th)
-            for nid in ball.neighbors(0, 1)[:8]:
+            for nid in i_neighbors(ball, 0, 1)[:8]:
                 assert c1(ball.node(nid).word, big)[0] == k
 
 
@@ -931,7 +937,7 @@ def uncapped_ball_size(ball: _Ball, i: int, depth: int) -> int:
     for _ in range(depth):
         next_frontier = []
         for nid in frontier:
-            for n in ball.neighbors(nid, i):
+            for n in i_neighbors(ball, nid, i):
                 if n not in seen:
                     seen.add(n)
                     next_frontier.append(n)
@@ -1003,7 +1009,7 @@ class TestSharedBall:
                 scored = ball.i_ball(i, 2)
                 expanded = {nid for nid, node in enumerate(ball.nodes) if node is not None and node.edges is not None}
                 assert expanded == set(scored[: len(expanded)])
-                assert all(set(ball.neighbors(nid, i)) <= set(scored) for nid in scored[: len(expanded) - 1])
+                assert all(set(i_neighbors(ball, nid, i)) <= set(scored) for nid in scored[: len(expanded) - 1])
                 if uncapped_ball_size(ball, i, 2) > 3:
                     bound += 1
                     assert len(scored) == 3 and len(expanded) < 3
@@ -1062,21 +1068,37 @@ class TestSharedBall:
             for nid in dict.fromkeys(nodes):
                 node = ball.node(nid).word
                 for i in range(0, k + 2):
-                    got = [ball.node(n).word for n in ball.neighbors(nid, i)]
+                    got = [ball.node(n).word for n in i_neighbors(ball, nid, i)]
                     assert got == oracle_elementary_i_equivalents(node, i, idx, thresholds)
                     fresh = _Ball(node, idx, thresholds)
-                    assert [fresh.node(n).word for n in fresh.neighbors(0, i)] == got
+                    assert [fresh.node(n).word for n in i_neighbors(fresh, 0, i)] == got
 
     def test_uncovered_word(self):
+        # the ball checks its root when it is built, whatever the depth
         idx = UWordIndex([Word(2, (1, 1, 1))])
         word = w("a1 a2")
-        assert _Ball(word, idx, Thresholds()).ell_hat(1, 0) == oracle_ell_hat(word, 1, idx, depth=0)
         with pytest.raises(ValueError, match="not a factor"):
             oracle_ell_hat(word, 1, idx, depth=1)
-        with pytest.raises(ValueError, match="not a factor"):
-            _Ball(word, idx, Thresholds()).ell_hat(1, 1)
-        with pytest.raises(ValueError, match="not a factor"):
-            _Ball(word, idx, Thresholds()).neighbors(0, 1)
+        with pytest.raises(ValueError, match="position 1 is not a factor"):
+            _Ball(word, idx, Thresholds())
+        with pytest.raises(ValueError, match="position 1 is not a factor"):
+            complexity(word, idx, depth=0)
+
+    def test_a_repeated_candidate_is_scored_once(self):
+        # the proper power (a1 a1 a2)^2 certifies the first factor at two
+        # rotations with one complement, so the root's edges list that
+        # candidate twice under index 1; the 2-ball scores it once, and a
+        # second scoring would still fit under the cap of 3
+        idx = UWordIndex([w("a1 a1 a2 a1 a1 a2"), w("a2 a2 a1")])
+        word = w("a1 a2 a1 a1 a2 a2 a1 a2 a2")
+        th = Thresholds(max_ball=3)
+        ball = _Ball(word, idx, th)
+        edges = ball.edges(0)
+        assert [j for _, j in edges] == [1, 1, 2] and edges[0] == edges[1]
+        assert ball.i_ball(2, 1) == [0, edges[0][0]]
+        for depth in (1, 2):
+            got = [ball.node(nid).word for nid in ball.i_ball(2, depth)]
+            assert got == oracle_i_ball(word, 2, idx, th, depth)
 
     @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=20, max_value=80))
     @settings(max_examples=30, deadline=None)
@@ -1102,7 +1124,7 @@ class TestSharedBall:
         th = Thresholds(long_factor_fraction=0.3)
         ball = _Ball(word, idx, th)
         for i in range(c1(word, idx)[0] + 1):
-            for nid in ball.neighbors(0, i):
+            for nid in i_neighbors(ball, 0, i):
                 checked(ball.node(nid).word)
 
 
@@ -1160,7 +1182,7 @@ class TestExactEdges:
         for word in words:
             ball = _Ball(word, idx, Thresholds())
             for i in range(0, c1(word, idx)[0] + 2):
-                got = [ball.node(n).word for n in ball.neighbors(0, i)]
+                got = [ball.node(n).word for n in i_neighbors(ball, 0, i)]
                 assert got == oracle_elementary_i_equivalents(word, i, idx)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import signal
 from typing import Sequence
 
 import pytest
@@ -21,6 +22,30 @@ from rosefold.words import (
     parse_word,
     random_reduced_letters,
 )
+
+
+#: Seconds a test may run; every test here takes well under one.
+TIME_LIMIT = 10
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail a test that runs past ``TIME_LIMIT``: a search loop that no
+    longer ends fails its test instead of hanging the run."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"test ran past {TIME_LIMIT} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TIME_LIMIT)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def w(text: str, rank: int = 2) -> Word:
@@ -153,6 +178,12 @@ class TestBuildRelators:
         assert [(s.relator, s.block, s.word_index, s.survived) for s in p.sites] == [
             (0, 0, 0, (0, 0)), (0, 1, 1, (1, 2)), (1, 0, 1, (0, 0)), (1, 1, 0, (0, 0)),
         ]
+        # relator 0: a1^-1 . a2 a2 a1 . a1^-1 a2 a1 . a1^-1 a2^-1 a2^-1; the
+        # last block eats the two letters left of the block before it, then
+        # ends inside the first block, which keeps its first a2
+        p = assert_matches_letterwise([w("a2 a2 a1"), w("a1^-1 a2 a1")], [w("a1 a2 a1^-1"), w("a2 a1 a2")])
+        assert p.relator_words[0] == w("a1^-1 a2")
+        assert [s.survived for s in p.sites[:3]] == [(0, 1), (0, 0), (0, 0)]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_sampled_presentations_match_letterwise(self, seed):
@@ -193,6 +224,15 @@ class TestTrim:
         p = trim_surviving_middles(build_relators(v, u))
         # the a1^-1 prefix eats the first letter of the first v-block
         assert p.n_prime == 1
+
+    def test_middles_meeting_in_an_empty_interval(self):
+        # a2 a1 keeps its first letter at one site (a1^-1 . a2 a1 . a2 a1,
+        # whose ends cancel) and its second at another (a2^-1 . a2 a1 . a2
+        # a1): the two middles meet in the empty interval [1, 1)
+        p = build_relators([w("a2 a2"), w("a2 a1")], [w("a2 a2"), w("a2 a2")])
+        assert [s.survived for s in p.sites] == [(0, 2), (0, 1), (1, 2), (0, 2)]
+        with pytest.raises(DegeneratePresentationError, match="word 1 has no commonly surviving middle"):
+            trim_surviving_middles(p)
 
     def test_survives_at_every_site(self, rng):
         for _ in range(20):
@@ -238,6 +278,15 @@ class TestTrim:
         for span in ((30 - hi, 30 - lo), (lo, hi - 1)):
             with pytest.raises(RuntimeError, match="not covered"):
                 trim_surviving_middles(self.corrupted(fresh(), k, span))
+
+    def test_span_before_the_relator_start_raises(self):
+        # one letter more at the first site of relator 0 puts that site
+        # before the relator's first letter; the letters read there still
+        # spell the middle, so only the position check refuses the span
+        p, _ = sample_presentation(2, 3, seed=0)
+        assert p.sites[0].survived == (1, 3)
+        with pytest.raises(RuntimeError, match="not covered"):
+            trim_surviving_middles(self.corrupted(build_relators(p.v_words, p.u_words), 0, (0, 3)))
 
     def test_sampling_stops_at_a_corrupted_span(self, monkeypatch):
         # a span bug must surface as an error, not as one more rejection
@@ -416,7 +465,9 @@ class TestPieces:
         rel = CyclicWord.from_cyclically_reduced(w("a1 a2 a1^-1 a2^-1"))
         report = piece_report([rel])
         assert report.max_piece_length == 1
-        assert report.lambda_value == pytest.approx(1 / 4)
+        assert report.lambda_value == 0.25
+        # the bound is strict
+        assert not report.satisfies(0.25) and report.satisfies(0.26)
 
     def test_power_relator_huge_overlap(self):
         for n in (3, 5, 8):
@@ -455,8 +506,9 @@ class TestPieces:
             assert report_after.pair_table[pair] == report_before.pair_table[pair]
 
     def test_empty_relator_rejected(self):
-        with pytest.raises(ValueError):
-            piece_report([])
+        for relators in ([], [cyclic("a1 a2"), CyclicWord(Word(2, ()))]):
+            with pytest.raises(ValueError, match="need nonempty relators"):
+                piece_report(relators)
 
 
 def random_relators(rng, count: int, lo: int, hi: int) -> list[CyclicWord]:
@@ -620,6 +672,17 @@ class TestSeedFilter:
                 extra = planted(2, (head, (last,)))
                 if extra is not None and len(extra) == len(rels[0]):
                     self.assert_matches(family + [extra])
+
+    def test_relators_of_exactly_the_seed_length(self, monkeypatch):
+        # a1 a2 and a1 a2^-1 are as long as a 2-letter seed: each of their
+        # windows of seed + 1 letters ends inside the text read twice, and
+        # one read past its end would be a letter short.  Two such windows
+        # would seed a1^-1 alone, which a2 a1^-1 a1^-1 (the third relator
+        # inverted) reads after two distinct letters, and the extension
+        # measured from there would count a letter the two sites do not share
+        monkeypatch.setattr(presentations, "_SEED_LENGTH", 2)
+        report = self.assert_matches([cyclic("a1 a2"), cyclic("a1 a2^-1"), cyclic("a1 a1 a2^-1")])
+        assert report.pair_table[(2, 2)] == 1
 
     def test_counts_one_left_letter_per_window(self):
         # the seed counts are over distinct (letter, seed window) windows,
