@@ -4,11 +4,12 @@ pre-rose-lift stage with its small witness subgraph, and arc-replacement
 surgery.
 
 A fold identifies two distinct oriented edges that leave one vertex with
-the same letter.  The engine below is a union-find quotient of the graph
-(``graphs._Quotient``).  A fold sequence costs near-linear time only while
-each vertex has few edges per letter, as on wedges of reduced words: a
-fold sorts its slot (``_Engine.pair``) and scans it to remove an edge, so
-a vertex with k edges of one letter costs time quadratic in k.  Traces
+the same letter.  A union-find quotient of the graph (``graphs._Quotient``)
+folds and keeps its label groups current; this module holds the fold
+policy over it.  A fold sequence costs near-linear time only while each
+vertex has few edges per letter, as on wedges of reduced words: a fold
+sorts its slot (``_Quotient.pair``) and scans it to remove an edge, so a
+vertex with k edges of one letter costs time quadratic in k.  Traces
 record one (kept, removed) oriented-edge pair per fold, which is enough to
 replay any intermediate stage or push a path forward through the sequence.
 """
@@ -85,47 +86,17 @@ class FoldRecord:
     removed: int
 
 
-class _Engine(_Quotient):
-    """Mutable fold state over the original edge set: a quotient whose
-    folds merge the heads of two tokens and remove one of their edges.
-    A fold candidate is a slot (``_Quotient.slots``) that holds at least
-    two tokens."""
-
-    def pair(self, slot: int) -> FoldRecord:
-        """The fold of the two least tokens in ``slot``: those leaving the
-        root ``slot // width`` with the letter of index ``slot % width``."""
-        t1, t2 = sorted(self.slots[slot])[:2]
-        return FoldRecord(kept=t1, removed=t2)
-
-    def makes_lift(self, record: FoldRecord) -> bool:
-        """Whether every generator labels an edge between the heads of the
-        record's tokens.  Only the merged vertex can gain loops, so on a
-        graph with no rose lift this says whether the fold creates one.
-        (When the removed edge counts, the kept edge does too.)"""
-        ends = {self.head(record.kept), self.head(record.removed)}
-        width, slots = self.width, self.slots
-        return all(
-            any(self.head(tok) in ends for end in ends for tok in slots[end * width + 2 * gen - 2] or ())
-            for gen in range(1, self.graph.rank + 1)
-        )
-
-    def apply_record(self, record: FoldRecord) -> None:
-        """Fold.  Once ``canonical_key`` has read the label groups
-        (``_Quotient.label_groups``), rebuild the ones that name a head, so
-        that it reads each stage as it stands: the merged head's and those
-        of its groups' targets (the fold vertex and both heads'
-        neighbours).  Only roots' groups are read: the absorbed head's stay."""
-        h1 = self.head(record.kept)
-        h2 = self.head(record.removed)
-        self.remove_edge(abs(record.removed))
-        if h1 != h2:
-            self.union(h1, h2)
-        groups = self.label_groups
-        if groups is not None:
-            root = self.find(h1)
-            groups[root] = self.groups(root)
-            for v in {t for group in groups[root] for t in group[3]} - {root}:
-                groups[v] = self.groups(v)
+def _makes_lift(q: _Quotient, record: FoldRecord) -> bool:
+    """Whether every generator labels an edge between the heads of the
+    record's tokens in ``q``.  Only the merged vertex can gain loops, so on
+    a graph with no rose lift this says whether the fold creates one.
+    (When the removed edge counts, the kept edge does too.)"""
+    ends = {q.head(record.kept), q.head(record.removed)}
+    width, slots = q.width, q.slots
+    return all(
+        any(q.head(tok) in ends for end in ends for tok in slots[end * width + 2 * gen - 2] or ())
+        for gen in range(1, q.graph.rank + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -147,7 +118,7 @@ class FoldTrace:
     replays its first k records.
     ``first_lift_stage`` is the first stage containing a rose lift (only
     tracked under the defer_rose policy): 0, or the stage after the first
-    fold that passes the local lift test ``_Engine.makes_lift``.
+    fold that passes the local lift test ``_makes_lift``.
     """
 
     initial: LabeledGraph
@@ -171,15 +142,15 @@ class FoldTrace:
             raise IndexError("stage index out of range")
         return Stage(*next(islice(self.stage_views(), k, None)).materialize())
 
-    def stage_views(self) -> Iterator[_Engine]:
-        """Every stage in order, from one replay: one fold engine,
-        advanced by one record per step, which ``canonical_key`` reads as
-        it stands (of a based initial graph)."""
-        engine = _Engine(self.initial)
-        yield engine
+    def stage_views(self) -> Iterator[_Quotient]:
+        """Every stage in order, from one replay: one quotient of the
+        initial graph, folded by one record per step, which
+        ``canonical_key`` reads as it stands (of a based initial graph)."""
+        q = _Quotient(self.initial)
+        yield q
         for record in self.records:
-            engine.apply_record(record)
-            yield engine
+            q.fold(record.kept, record.removed)
+            yield q
 
     def push_path(self, path: EdgePath, k: int, stage: Stage) -> EdgePath:
         """Image of a path of the initial graph in stage ``k``, which is
@@ -205,14 +176,14 @@ def fold_all(g: LabeledGraph, policy: str = "least") -> FoldTrace:
     create a vertex carrying loops for every generator, falling back to
     the least pair when every available fold creates one.  Until the
     first lift it sets aside the popped slots whose folds
-    ``_Engine.makes_lift`` rejects; they return to the heap after the next
+    ``_makes_lift`` rejects; they return to the heap after the next
     fold, and the first (least) of them is folded when the heap runs dry.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     sign = -1 if policy == "greatest" else 1
     defer = policy == "defer_rose"
-    engine = _Engine(g)
+    q = _Quotient(g)
     records: list[FoldRecord] = []
     first_lift: int | None = 0 if defer and g.has_rose_lift() else None
     # entries are slots ``root * width + i``, negated for the greatest
@@ -220,7 +191,7 @@ def fold_all(g: LabeledGraph, policy: str = "least") -> FoldTrace:
     # in (root, letter index) order and an entry's order never changes, and a
     # root that a union absorbed has no tokens left
     heap: list[int] = []
-    slots, width = engine.slots, engine.width
+    slots, width = q.slots, q.width
 
     def push(root: int) -> None:
         # inlined: with a method call per push ``fold_all`` ran about 7 %
@@ -238,22 +209,22 @@ def fold_all(g: LabeledGraph, policy: str = "least") -> FoldTrace:
             toks = slots[s]
             if toks is None or len(toks) < 2:
                 continue
-            record = engine.pair(s)
-            if defer and first_lift is None and engine.makes_lift(record):
+            record = FoldRecord(*q.pair(s))
+            if defer and first_lift is None and _makes_lift(q, record):
                 set_aside.append(s)
                 continue
         else:
             s = set_aside[0]
-            record = engine.pair(s)
+            record = FoldRecord(*q.pair(s))
             first_lift = len(records) + 1
-        engine.apply_record(record)
+        q.fold(record.kept, record.removed)
         records.append(record)
         for kept in set_aside:  # only defer_rose sets aside, with sign 1
             heapq.heappush(heap, kept)
         set_aside.clear()
-        for r in {engine.find(s // width), engine.head(record.kept)}:
+        for r in {q.find(s // width), q.head(record.kept)}:
             push(r)
-    terminal, _, _ = engine.materialize()
+    terminal, _, _ = q.materialize()
     return FoldTrace(g, tuple(records), terminal, first_lift)
 
 
@@ -334,7 +305,7 @@ def fold_to_delta(g: LabeledGraph) -> DeltaExtraction:
     pre-lift stage; the stage before the final fold is returned instead
     and flagged degenerate (with a zero-fold sequence this is an error).
     Otherwise every fold available on delta is checked to pass the local
-    lift test ``_Engine.makes_lift``.  A failed postcondition raises
+    lift test ``_makes_lift``.  A failed postcondition raises
     RuntimeError.
     """
     trace = fold_all(g, policy="defer_rose")
@@ -379,9 +350,9 @@ def fold_to_delta(g: LabeledGraph) -> DeltaExtraction:
         if delta.has_rose_lift():
             raise RuntimeError("delta has a rose lift")
         # every fold available on delta must produce a lift
-        engine = _Engine(delta)
-        for s, toks in enumerate(engine.slots):
-            if toks is not None and len(toks) >= 2 and not engine.makes_lift(engine.pair(s)):
+        q = _Quotient(delta)
+        for s, toks in enumerate(q.slots):
+            if toks is not None and len(toks) >= 2 and not _makes_lift(q, FoldRecord(*q.pair(s))):
                 raise RuntimeError("delta admits a lift-free fold")
     return DeltaExtraction(
         trace, delta, stage, delta_index, PsiWitness(tuple(psi_ids), psi_graph), degenerate

@@ -105,10 +105,10 @@ class _Quotient:
     the class of ``root`` with the letter of index ``i``, or is None when
     there are none, and every slot of a vertex that is not a root is None.
     ``ends`` holds the original end vertex of every token.  ``num_vertices``
-    and ``num_edges`` count the classes and the live edges.  The fold
-    engine (``folding._Engine``) is a quotient that a fold sequence
-    advances; ``collapse`` and ``component_count`` contract edges of one,
-    and ``canonical_key`` encodes one."""
+    and ``num_edges`` count the classes and the live edges.  A quotient is
+    the fold engine: ``fold`` advances it by one fold, and ``pair`` names
+    the fold of a slot; ``collapse`` and ``component_count`` contract
+    edges of one, and ``canonical_key`` encodes one."""
 
     def __init__(self, graph: LabeledGraph):
         n = graph.num_vertices
@@ -140,8 +140,7 @@ class _Quotient:
         self.labels = [((i >> 1) + 1, i & 1) for i in range(width)]
         # per root, its class's label groups (other vertices hold None or
         # stale groups, which nothing reads): built when ``_encode_from``
-        # first reads them, and kept current from then on by the fold engine
-        # (``folding._Engine.apply_record``)
+        # first reads them, and kept current from then on by ``fold``
         self.label_groups: list[list | None] | None = None
 
     def find(self, v: int) -> int:
@@ -154,7 +153,29 @@ class _Quotient:
     def head(self, token: int) -> int:
         return self.find(self.ends[token])
 
-    def remove_edge(self, eid: int) -> None:
+    def pair(self, slot: int) -> list[int]:
+        """The fold of ``slot``: its two least tokens, the kept one first."""
+        return sorted(self.slots[slot])[:2]
+
+    def fold(self, kept: int, removed: int) -> None:
+        """Fold the token ``removed`` onto ``kept``: remove its edge and
+        merge the two heads.  Once ``canonical_key`` has read the label
+        groups, rebuild the ones that name a head, so that it reads each
+        stage as it stands: the merged head's and those of its groups'
+        targets (the fold vertex and both heads' neighbours).  Only roots'
+        groups are read: the absorbed head's stay."""
+        ends = self.ends
+        self.remove_and_merge(abs(removed), ends[kept], ends[removed])
+        groups = self.label_groups
+        if groups is not None:
+            root = self.find(ends[kept])
+            groups[root] = self.groups(root)
+            for v in {t for group in groups[root] for t in group[3]} - {root}:
+                groups[v] = self.groups(v)
+
+    def remove_and_merge(self, eid: int, u: int, v: int) -> None:
+        """Remove edge ``eid`` from its two slots and merge the classes of
+        the vertices ``u`` and ``v`` when they differ."""
         src, dst, label = self.graph.edges[eid - 1]
         i, width, slots = _INDEX[label], self.width, self.slots
         for s, token in ((self.find(src) * width + i, eid), (self.find(dst) * width + (i ^ 1), -eid)):
@@ -164,6 +185,9 @@ class _Quotient:
                 slots[s] = None
         self.alive[eid - 1] = False
         self.num_edges -= 1
+        ru, rv = self.find(u), self.find(v)
+        if ru != rv:
+            self.union(ru, rv)
 
     def union(self, ra: int, rb: int) -> None:
         """Merge the classes of two distinct roots into the lesser root.
@@ -225,10 +249,7 @@ def _contract(g: LabeledGraph, edge_ids: Iterable[int]) -> _Quotient:
     q = _Quotient(g)
     for k in edge_ids:
         src, dst, _ = g.edges[k]
-        rs, rd = q.find(src), q.find(dst)
-        q.remove_edge(k + 1)
-        if rs != rd:
-            q.union(rs, rd)
+        q.remove_and_merge(k + 1, src, dst)
     return q
 
 

@@ -24,8 +24,10 @@ killed when some test fails or errs, times out when the run outlives the
 timeout, and survives when every test passes.  Timeouts are reported as
 such, not counted as killed.  Each survivor is printed with its line and
 edit, and with its reason when ``EQUIVALENT`` lists it.  The script exits
-1 on a survivor that ``EQUIVALENT`` does not list, on a timeout, and on
-an ``EQUIVALENT`` entry of the module that was killed or not generated.
+1 on a survivor that ``EQUIVALENT`` does not list, on a timeout, on an
+``EQUIVALENT`` entry of the module that was killed or not generated, and
+on an entry that matches another number of survivors than the number of
+sites it states.
 
 A survivor is a test gap until shown otherwise: kill it with a test and
 record it in ``tests/mutants.py``, or list it here with the reason it
@@ -43,104 +45,165 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 from mutants import ROOT, copy_src, failed_ids
 
 # (module, its lines that the edit spans, the same lines edited), each
-# with runs of whitespace read as one space: why the mutant is equivalent
+# with runs of whitespace read as one space: (sites, reason), the number of
+# surviving mutants that the key matches and why they are equivalent.  Lines
+# that read alike share a key, so its count says how many the reason covers
 EQUIVALENT = {
     (
         "folding.py",
         "tokens.append(new_id if token > 0 else -new_id)",
         "tokens.append(new_id if token >= 0 else -new_id)",
-    ): "a token is never 0",
+    ): (1, "a token is never 0"),
     (
         "folding.py",
         "names = {i: str(i) for i in range(-1, max(t.rank, wedge.num_vertices, wedge.num_edges) + 1)}",
         "names = {i: str(i) for i in range(-1, max(t.rank, wedge.num_vertices, wedge.num_edges) + 2)}",
-    ): "one more name in the table, which no key token reads",
+    ): (1, "one more name in the table, which no key token reads"),
     (
         "folding.py",
         "v - sum(u < v for u in interior) for v in (g.alpha(tokens[0]), g.omega(tokens[-1]))",
         "v - sum(u <= v for u in interior) for v in (g.alpha(tokens[0]), g.omega(tokens[-1]))",
-    ): "the endpoints are not interior vertices, so u != v",
+    ): (1, "the endpoints are not interior vertices, so u != v"),
     (
         "folding.py",
         "for s, toks in enumerate(slots[root * width : (root + 1) * width], root * width):",
         "for s, toks in enumerate(slots[root * width : (root + 2) * width], root * width):",
-    ): "pushes the next vertex's slots too: a foldable slot is in the heap already and the "
-    "stale check skips the rest, so only the work grows",
+    ): (1, "pushes the next vertex's slots too: a foldable slot is in the heap already and the "
+        "stale check skips the rest, so only the work grows"),
     (
         "presentations.py",
         "blocks.append(signed[j][letter < 0])",
         "blocks.append(signed[j][letter <= 0])",
-    ): "a letter is never 0",
+    ): (1, "a letter is never 0"),
     (
         "presentations.py",
         "while stack and lo < hi:",
         "while stack and lo <= hi:",
-    ): "a stack interval is never empty, so a pass with lo == hi breaks at once",
+    ): (1, "a stack interval is never empty, so a pass with lo == hi breaks at once"),
     (
         "presentations.py",
         "while total >= 2 and stack[first][1][stack[first][2]] == -stack[last][1][stack[last][3] - 1]:",
         "while total > 2 and stack[first][1][stack[first][2]] == -stack[last][1][stack[last][3] - 1]:",
-    ): "two letters left are adjacent in a freely reduced word, so they never cancel cyclically",
+    ): (1, "two letters left are adjacent in a freely reduced word, so they never cancel cyclically"),
     (
         "presentations.py",
         "if last >= first and stack[last][2] == stack[last][3]:",
         "if last > first and stack[last][2] == stack[last][3]:",
-    ): "at last == first that interval holds every letter left, so emptying it leaves an empty, "
-    "degenerate relator, whose spans are not read",
+    ): (1, "at last == first that interval holds every letter left, so emptying it leaves an empty, "
+        "degenerate relator, whose spans are not read"),
     (
         "presentations.py",
         "sign = 1 if letter > 0 else -1",
         "sign = 1 if letter >= 0 else -1",
-    ): "a letter is never 0",
+    ): (1, "a letter is never 0"),
     (
         "presentations.py",
         "if site.sign < 0:",
         "if site.sign <= 0:",
-    ): "a site's sign is 1 or -1",
+    ): (1, "a site's sign is 1 or -1"),
     (
         "presentations.py",
         "skip = off - lo if site.sign > 0 else p.length - off - n_prime - lo",
         "skip = off - lo if site.sign >= 0 else p.length - off - n_prime - lo",
-    ): "a site's sign is 1 or -1",
+    ): (1, "a site's sign is 1 or -1"),
     (
         "presentations.py",
         "long_texts = [(t, d, lengths[owner[t]]) for t, d in enumerate(texts) if lengths[owner[t]] >= seed]",
         "long_texts = [(t, d, lengths[owner[t]]) for t, d in enumerate(texts) if lengths[owner[t]] > seed]",
-    ): "a relator of exactly the seed length caps its pairs below the seed, where the bisection "
-    "settles them, and the longer relators' seed windows follow two distinct letters without it",
+    ): (1, "a relator of exactly the seed length caps its pairs below the seed, where the bisection "
+        "settles them, and the longer relators' seed windows follow two distinct letters without it"),
     (
         "presentations.py",
         "plain = {d[o - 1 : o + seed] for t, d, L in long_texts if t % 2 == 0 for o in range(1, L + 1)}",
         "plain = {d[o - 1 : o + seed] for t, d, L in long_texts if t % 2 != 0 for o in range(1, L + 1)}",
-    ): "the inverse texts' windows and their inverses are the same set as the plain texts' and theirs",
+    ): (1, "the inverse texts' windows and their inverses are the same set as the plain texts' and theirs"),
     (
         "presentations.py",
         "key = (i, j) if i <= j else (j, i)",
         "key = (i, j) if i < j else (j, i)",
-    ): "at i == j both give (i, i)",
+    ): (1, "at i == j both give (i, i)"),
     (
         "presentations.py",
         "if known >= limit:",
         "if known > limit:",
-    ): "(lines 367 and 376) best never passes its cap, and at the cap the member loop's check "
-    "breaks, or an extension starting at the cap returns it: only the work grows",
+    ): (2, "(lines 367 and 376) best never passes its cap, and at the cap the member loop's check "
+        "breaks, or an extension starting at the cap returns it: only the work grows"),
     (
         "presentations.py",
         "if known >= seed:",
         "if known > seed:",
-    ): "at known == seed each member gets the same one-letter comparison in the member loop: "
-    "only the work grows",
+    ): (1, "at known == seed each member gets the same one-letter comparison in the member loop: "
+        "only the work grows"),
     (
         "presentations.py",
         "mid = (lo + hi + 1) // 2",
         "mid = (lo + hi + 2) // 2",
-    ): "mid stays in (lo, hi], so the bisection still ends at the longest shared window",
+    ): (1, "mid stays in (lo, hi], so the bisection still ends at the longest shared window"),
+    (
+        "words.py",
+        "return len(self.letters) < 2 or self.letters[0] != -self.letters[-1]",
+        "return len(self.letters) <= 2 or self.letters[0] != -self.letters[-1]",
+    ): (1, "a reduced two-letter word never ends in the inverse of its first letter"),
+    (
+        "words.py",
+        "while hi <= n and least * hi in d:",
+        "while hi < n and least * hi in d:",
+    ): (1, "the loops part only at hi == n, where a run of n least letters is a one-letter word, "
+        "whose blocks still give start 0 (every word of length <= 8 over two generators checked)"),
+    (
+        "words.py",
+        "hi = min(hi, n + 1)",
+        "hi = min(hi, n + 2)",
+    ): (1, "only a one-letter word has a run of n + 1 least letters in the word read twice, and its "
+        "blocks still give start 0 (every word of length <= 8 over two generators checked)"),
+    (
+        "words.py",
+        "while i < n and j < n and k < n:",
+        "while i <= n and j < n and k < n:",
+    ): (1, "start n is start 0, which the scan has ruled out, so it never rules out j"),
+    (
+        "words.py",
+        "while i < n and j < n and k < n:",
+        "while i < n and j <= n and k < n:",
+    ): (1, "start n is start 0, which the scan has ruled out, so it never rules out i"),
+    (
+        "words.py",
+        "while i < n and j < n and k < n:",
+        "while i < n and j < n and k <= n:",
+    ): (1, "at k == n the two rotations are equal, so k passes n and the scan returns the same start"),
+    (
+        "words.py",
+        "if a > b:",
+        "if a >= b:",
+    ): (1, "a == b continues the loop before this line"),
+    (
+        "words.py",
+        "while len(letters) - 2 * m >= 2 and letters[m] == -letters[-1 - m]:",
+        "while len(letters) - 2 * m > 2 and letters[m] == -letters[-1 - m]:",
+    ): (1, "two letters left are adjacent in a reduced word, so they never cancel"),
+    (
+        "words.py",
+        "alphabet = [g for g in range(1, rank + 1)] + [-g for g in range(1, rank + 1)]",
+        "alphabet = [g for g in range(1, rank + 1)] + [-g for g in range(1, rank + 2)]",
+    ): (1, "the extra entry is last in the alphabet and in every successor list, and no draw reaches "
+        "the last entry of either"),
+    (
+        "words.py",
+        "letters.extend(replacement.letters if sign > 0 else inverse)",
+        "letters.extend(replacement.letters if sign >= 0 else inverse)",
+    ): (1, "a hit's sign is 1 or -1"),
+    (
+        "words.py",
+        "return f\"a{letter}\" if letter > 0 else f\"a{-letter}^-1\"",
+        "return f\"a{letter}\" if letter >= 0 else f\"a{-letter}^-1\"",
+    ): (1, "a letter is never 0"),
 }
 
 FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Eq: ast.NotEq, ast.NotEq: ast.Eq}
@@ -285,8 +348,8 @@ def main(argv: list[str]) -> int:
     source = (ROOT / "src" / "rosefold" / args.module).read_text()
     found = mutants(source)
     counts = {"killed": 0, "survived": 0, "timeout": 0, "equivalent": 0}
-    listed = {key: reason for key, reason in EQUIVALENT.items() if key[0] == args.module}
-    seen = set()
+    listed = {key: entry for key, entry in EQUIVALENT.items() if key[0] == args.module}
+    seen, matched = set(), Counter()
     bad = 0
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="rosefold-census-") as tmp:
@@ -305,7 +368,7 @@ def main(argv: list[str]) -> int:
             counts[status] += 1
             key = (args.module, m.before, m.after)
             seen.add(key)
-            reason = listed.get(key)
+            _, reason = listed.get(key, (0, None))
             if status == "killed":
                 if reason is not None:
                     print(f"LISTED    {args.module}:{m.line} {m.label} is killed; drop it from EQUIVALENT")
@@ -313,6 +376,7 @@ def main(argv: list[str]) -> int:
                 continue
             if status == "survived" and reason is not None:
                 counts["equivalent"] += 1
+                matched[key] += 1
                 print(f"EQUIV     {args.module}:{m.line} {m.label}: {m.after}  ({reason})")
                 continue
             print(f"{status.upper():9} {args.module}:{m.line} {m.label}: {m.after}")
@@ -320,6 +384,10 @@ def main(argv: list[str]) -> int:
     for key in listed.keys() - seen:
         print(f"STALE     EQUIVALENT lists an edit the census no longer makes: {key[2]}")
         bad += 1
+    for key in listed.keys() & seen:
+        if matched[key] != listed[key][0]:
+            print(f"SITES     EQUIVALENT states {listed[key][0]} sites of {key[2]}, {matched[key]} survived")
+            bad += 1
     print(
         f"{len(found)} mutants: {counts['killed']} killed, {counts['survived']} survived "
         f"({counts['equivalent']} listed as equivalent), "

@@ -1,5 +1,6 @@
 import itertools
 import random
+import signal
 import tracemalloc
 
 import pytest
@@ -224,3 +225,29 @@ def random_cyclically_reduced(rng: random.Random, rank: int, length: int) -> Wor
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)
+
+
+#: Seconds a test may run under ``time_limit``; every test of the modules
+#: that use it takes well under one.
+TIME_LIMIT = 10
+
+
+@pytest.fixture
+def time_limit():
+    """Fail a test that runs past ``TIME_LIMIT``: a search loop that no
+    longer ends fails its test instead of hanging the run.  A module opts
+    in with ``pytestmark = pytest.mark.usefixtures("time_limit")``."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"test ran past {TIME_LIMIT} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TIME_LIMIT)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -284,6 +284,49 @@ MUTANTS = (
         "if a < b:",
         ("tests/test_words.py::TestLeastRotation",),
     ),
+    # words: pinned cases from the census of words.py
+    Mutant(
+        "a rank-1 word rejected",
+        "words.py",
+        "if self.rank < 1:",
+        "if self.rank <= 1:",
+        ("tests/test_words.py::test_rank_one_word_accepted",),
+    ),
+    Mutant(
+        "multiply exponent unchecked",
+        "words.py",
+        'if self.kind == "multiply" and self.exponent not in (1, -1):',
+        'if self.kind != "multiply" and self.exponent not in (1, -1):',
+        ("tests/test_words.py::TestNielsen::test_multiply_exponent_checked",),
+    ),
+    Mutant(
+        "move index check needs both indices outside",
+        "words.py",
+        "if not (0 <= move.i < t.arity) or (",
+        "if not (0 <= move.i < t.arity) and (",
+        ("tests/test_words.py::TestNielsen::test_index_outside_arity[j=-1]",),
+    ),
+    Mutant(
+        "move index check admits the arity",
+        "words.py",
+        "0 <= move.j < t.arity",
+        "0 <= move.j <= t.arity",
+        ("tests/test_words.py::TestNielsen::test_index_outside_arity[j=arity]",),
+    ),
+    Mutant(
+        "random swaps draw an exponent",
+        "words.py",
+        'rng.choice((1, -1)) if kind == "multiply" else 1',
+        'rng.choice((1, -1)) if kind != "multiply" else 1',
+        ("tests/test_words.py::TestNielsen::test_random_moves_pinned",),
+    ),
+    Mutant(
+        "least-rotation bisection never ends",
+        "words.py",
+        "while hi - lo > 1:",
+        "while hi - lo >= 1:",
+        ("tests/test_words.py::TestLeastRotation::test_fixed_cases",),
+    ),
     # derived presentations: letterwise_build_relators and
     # rolling_hash_piece_report
     Mutant(
@@ -344,6 +387,13 @@ MUTANTS = (
         ("tests/test_presentations.py::TestSeedFilter::test_relators_of_exactly_the_seed_length",),
     ),
     Mutant(
+        "seed windows stop before a text's last start",
+        "presentations.py",
+        "d[: L + seed - 1]",
+        "d[: L + seed - 2]",
+        ("tests/test_presentations.py::TestSeedFilter::test_window_at_a_text_s_last_start",),
+    ),
+    Mutant(
         "an empty relator passes the guard",
         "presentations.py",
         "if not relators or any(",
@@ -351,6 +401,7 @@ MUTANTS = (
         ("tests/test_presentations.py::TestPieces::test_empty_relator_rejected",),
     ),
     # a loop that never ends fails its test at the per-test time limit
+    # (conftest.time_limit)
     Mutant(
         "common extension gallops at its cap",
         "presentations.py",
@@ -362,8 +413,8 @@ MUTANTS = (
     Mutant(
         "lift test ignores the last generator",
         "folding.py",
-        "for gen in range(1, self.graph.rank + 1)",
-        "for gen in range(1, self.graph.rank)",
+        "for gen in range(1, q.graph.rank + 1)",
+        "for gen in range(1, q.graph.rank)",
         ("tests/test_folding.py::TestDeferRoseOracle",),
     ),
     Mutant(
@@ -379,8 +430,8 @@ MUTANTS = (
     Mutant(
         "lift-free check skips slots of two tokens",
         "folding.py",
-        "len(toks) >= 2 and not engine.makes_lift",
-        "len(toks) > 2 and not engine.makes_lift",
+        "len(toks) >= 2 and not _makes_lift",
+        "len(toks) > 2 and not _makes_lift",
         ("tests/test_folding.py::TestDeferRoseOracle::test_lift_free_check_tests_every_fold_on_delta",),
     ),
     # folding: the witness of fold_to_delta, on pinned tuples
@@ -409,13 +460,24 @@ MUTANTS = (
             "tests/test_folding.py::TestFoldToDelta::test_degenerate_witness_takes_the_least_loops",
         ),
     ),
-    # folding: the stage views' label groups, against oracle_canonical_key
+    # graphs: the fold step and the stage views' label groups, against
+    # oracle_canonical_key, the plain replay and the sorted-candidate oracle
     Mutant(
         "stage groups rebuild the merged head only",
-        "folding.py",
+        "graphs.py",
         "for v in {t for group in groups[root] for t in group[3]} - {root}:",
         "for v in ():",
         ("tests/test_folding.py::TestStageKeys",),
+    ),
+    Mutant(
+        "fold merges the removed edge's own ends",
+        "graphs.py",
+        "ends[kept], ends[removed]",
+        "ends[-removed], ends[removed]",
+        (
+            "tests/test_folding.py::TestFoldAll::test_stages_match_stage",
+            "tests/test_folding.py::TestFoldAll::test_engine_matches_naive_reference",
+        ),
     ),
     # graphs: the quotient's slots, against bfs_components and the naive
     # fold reference

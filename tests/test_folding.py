@@ -9,7 +9,7 @@ from test_graphs import branching_star, oracle_canonical_key
 from rosefold import folding
 from rosefold.folding import (
     FoldRecord,
-    _Engine,
+    _makes_lift,
     fold_all,
     fold_to_delta,
     petal_paths,
@@ -19,6 +19,7 @@ from rosefold.folding import (
 from rosefold.graphs import (
     EdgePath,
     LabeledGraph,
+    _Quotient,
     betti,
     canonical_key,
     is_rose,
@@ -404,55 +405,60 @@ class TestStageKeys:
         self.assert_keys_match(profile_star([(1, 2)] * arms))
 
 
-def clone_engine(engine: _Engine) -> _Engine:
-    other = copy.copy(engine)
-    other.parent = list(engine.parent)
-    other.alive = list(engine.alive)
-    other.slots = [None if toks is None else list(toks) for toks in engine.slots]
+def clone_quotient(q: _Quotient) -> _Quotient:
+    other = copy.copy(q)
+    other.parent = list(q.parent)
+    other.alive = list(q.alive)
+    other.slots = [None if toks is None else list(toks) for toks in q.slots]
     return other
 
 
-def engine_roots(engine: _Engine) -> list[int]:
-    return [v for v in range(engine.graph.num_vertices) if engine.find(v) == v]
+def quotient_roots(q: _Quotient) -> list[int]:
+    return [v for v in range(q.graph.num_vertices) if q.find(v) == v]
 
 
-def engine_has_rose_lift(engine: _Engine) -> bool:
-    for root in engine_roots(engine):
+def quotient_has_rose_lift(q: _Quotient) -> bool:
+    for root in quotient_roots(q):
         # generator a_gen has slot 2 * (gen - 1) of each vertex's row
-        slots = engine.slots[root * engine.width : (root + 1) * engine.width]
+        slots = q.slots[root * q.width : (root + 1) * q.width]
         gens = {
             gen
-            for gen in range(1, engine.graph.rank + 1)
-            if any(engine.head(tok) == root for tok in slots[2 * gen - 2] or ())
+            for gen in range(1, q.graph.rank + 1)
+            if any(q.head(tok) == root for tok in slots[2 * gen - 2] or ())
         }
-        if len(gens) == engine.graph.rank:
+        if len(gens) == q.graph.rank:
             return True
     return False
 
 
-def foldable(engine: _Engine) -> list[tuple[int, int]]:
+def foldable(q: _Quotient) -> list[tuple[int, int]]:
     """Every (root, letter) that at least two live oriented edges leave
     the root's class with, in (root, ``letter_key``) order, counted from
     the live edges rather than read off the slots."""
     count = Counter()
-    for k, (src, dst, label) in enumerate(engine.graph.edges):
-        if engine.alive[k]:
-            count[engine.find(src), label] += 1
-            count[engine.find(dst), -label] += 1
+    for k, (src, dst, label) in enumerate(q.graph.edges):
+        if q.alive[k]:
+            count[q.find(src), label] += 1
+            count[q.find(dst), -label] += 1
     return sorted((pair for pair, c in count.items() if c >= 2), key=lambda p: (p[0], letter_key(p[1])))
 
 
-def letter_slot(engine: _Engine, root: int, letter: int) -> int:
+def letter_slot(q: _Quotient, root: int, letter: int) -> int:
     """The slot of the tokens leaving ``root`` with ``letter``: the letter
     order a1 < a1^-1 < a2 < ... indexes each vertex's ``width`` slots."""
     gen, inverse = letter_key(letter)
-    return root * engine.width + 2 * gen - 2 + inverse
+    return root * q.width + 2 * gen - 2 + inverse
 
 
-def makes_lift_by_simulation(engine: _Engine, root: int, letter: int) -> bool:
-    probe = clone_engine(engine)
-    probe.apply_record(probe.pair(letter_slot(probe, root, letter)))
-    return engine_has_rose_lift(probe)
+def fold_at(q: _Quotient, root: int, letter: int) -> FoldRecord:
+    """The fold of the tokens leaving ``root`` with ``letter``."""
+    return FoldRecord(*q.pair(letter_slot(q, root, letter)))
+
+
+def makes_lift_by_simulation(q: _Quotient, root: int, letter: int) -> bool:
+    probe = clone_quotient(q)
+    probe.fold(*probe.pair(letter_slot(probe, root, letter)))
+    return quotient_has_rose_lift(probe)
 
 
 def oracle_fold(g: LabeledGraph, policy: str) -> tuple[list[FoldRecord], int | None]:
@@ -460,29 +466,29 @@ def oracle_fold(g: LabeledGraph, policy: str) -> tuple[list[FoldRecord], int | N
     candidate by its class's least vertex, found by scanning every vertex
     rather than read off the root, and its letter, and fold the least
     (the greatest under "greatest").  Under "defer_rose", until the first
-    lift, fold the least candidate whose fold a copy of the engine shows
+    lift, fold the least candidate whose fold a copy of the quotient shows
     to make no lift, if there is one."""
-    engine = _Engine(g)
+    q = _Quotient(g)
     records: list[FoldRecord] = []
     defer = policy == "defer_rose"
-    first_lift: int | None = 0 if defer and engine_has_rose_lift(engine) else None
+    first_lift: int | None = 0 if defer and quotient_has_rose_lift(q) else None
     while True:
         candidates = sorted(
-            ((min(v for v in range(g.num_vertices) if engine.find(v) == root), letter_key(letter)), root, letter)
-            for root, letter in foldable(engine)
+            ((min(v for v in range(g.num_vertices) if q.find(v) == root), letter_key(letter)), root, letter)
+            for root, letter in foldable(q)
         )
         if not candidates:
             return records, first_lift
         pick = candidates[-1 if policy == "greatest" else 0][1:]
         if defer and first_lift is None:
             pick = next(
-                (c[1:] for c in candidates if not makes_lift_by_simulation(engine, *c[1:])),
+                (c[1:] for c in candidates if not makes_lift_by_simulation(q, *c[1:])),
                 pick,
             )
-        record = engine.pair(letter_slot(engine, *pick))
-        engine.apply_record(record)
+        record = fold_at(q, *pick)
+        q.fold(record.kept, record.removed)
         records.append(record)
-        if defer and first_lift is None and engine_has_rose_lift(engine):
+        if defer and first_lift is None and quotient_has_rose_lift(q):
             first_lift = len(records)
 
 
@@ -534,7 +540,7 @@ class TestDeferRoseOracle:
     def test_every_fold_makes_a_lift(self):
         # the only fold merges the a1-loop vertex with the a2-loop vertex
         g = LabeledGraph(2, 2, ((0, 0, 1), (1, 1, 2), (0, 1, 1)), base=0)
-        assert makes_lift_by_simulation(_Engine(g), 0, 1)
+        assert makes_lift_by_simulation(_Quotient(g), 0, 1)
         assert self.assert_matches(g) == ([FoldRecord(kept=1, removed=3)], 1)
 
     def test_input_with_a_lift(self):
@@ -551,10 +557,10 @@ class TestDeferRoseOracle:
                     continue
                 delta = fold_to_delta(g).delta
                 self.assert_matches(delta)
-                engine = _Engine(delta)
-                for v, letter in foldable(engine):
-                    assert makes_lift_by_simulation(engine, v, letter)
-                    assert engine.makes_lift(engine.pair(letter_slot(engine, v, letter)))
+                q = _Quotient(delta)
+                for v, letter in foldable(q):
+                    assert makes_lift_by_simulation(q, v, letter)
+                    assert _makes_lift(q, fold_at(q, v, letter))
                     checked += 1
         assert checked > 0
 
@@ -563,8 +569,9 @@ class TestDeferRoseOracle:
         # delta to the local lift test; the folds are listed here from
         # delta's edges: per vertex and letter, the two least tokens
         checked = []
-        makes_lift = _Engine.makes_lift
-        monkeypatch.setattr(_Engine, "makes_lift", lambda e, r: checked.append((e.graph, r)) or makes_lift(e, r))
+        monkeypatch.setattr(
+            folding, "_makes_lift", lambda q, r: checked.append((q.graph, r)) or _makes_lift(q, r)
+        )
         seen = 0
         for rank in (2, 3):
             for _ in range(15):
@@ -594,13 +601,13 @@ class TestDeferRoseOracle:
                     assert g.has_rose_lift() and not records
                     continue
                 index = len(records) - 1 if first_lift == 0 else first_lift - 1
-                engine = _Engine(g)
+                q = _Quotient(g)
                 for record in records[:index]:
-                    engine.apply_record(record)
+                    q.fold(record.kept, record.removed)
                 assert list(ext.trace.records) == records
                 assert ext.degenerate == (first_lift == 0)
                 assert ext.delta_stage_index == index
-                assert ext.delta == engine.materialize()[0]
+                assert ext.delta == q.materialize()[0]
 
 
 class TestFoldToDelta:

@@ -1,5 +1,4 @@
 import dataclasses
-import signal
 from typing import Sequence
 
 import pytest
@@ -24,28 +23,8 @@ from rosefold.words import (
 )
 
 
-#: Seconds a test may run; every test here takes well under one.
-TIME_LIMIT = 10
-
-
-@pytest.fixture(autouse=True)
-def time_limit():
-    """Fail a test that runs past ``TIME_LIMIT``: a search loop that no
-    longer ends fails its test instead of hanging the run."""
-    if not hasattr(signal, "setitimer"):
-        yield
-        return
-
-    def expire(signum, frame):
-        raise TimeoutError(f"test ran past {TIME_LIMIT} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, TIME_LIMIT)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+# a search loop that no longer ends fails its test (``conftest.time_limit``)
+pytestmark = pytest.mark.usefixtures("time_limit")
 
 
 def w(text: str, rank: int = 2) -> Word:
@@ -683,6 +662,14 @@ class TestSeedFilter:
         monkeypatch.setattr(presentations, "_SEED_LENGTH", 2)
         report = self.assert_matches([cyclic("a1 a2"), cyclic("a1 a2^-1"), cyclic("a1 a1 a2^-1")])
         assert report.pair_table[(2, 2)] == 1
+
+    def test_window_at_a_text_s_last_start(self, monkeypatch):
+        # at a one-letter seed, the piece a2 of a1 a2 and a2 a1 a1 (the
+        # second relator inverted) starts a1 a2 read twice only at 1, its
+        # last start, so the search must look for windows up to there
+        monkeypatch.setattr(presentations, "_SEED_LENGTH", 1)
+        report = self.assert_matches([cyclic("a1 a2"), cyclic("a1^-1 a1^-1 a2^-1")])
+        assert report.pair_table[(0, 1)] == 1
 
     def test_counts_one_left_letter_per_window(self):
         # the seed counts are over distinct (letter, seed window) windows,

@@ -28,6 +28,10 @@ from rosefold.words import (
 )
 
 
+# a loop that no longer ends fails its test (``conftest.time_limit``)
+pytestmark = pytest.mark.usefixtures("time_limit")
+
+
 def w(text: str, rank: int = 2) -> Word:
     return parse_word(text, rank)
 
@@ -293,6 +297,30 @@ class TestNielsen:
         with pytest.raises(IndexError):
             apply_nielsen(standard_tuple(2, 2), NielsenMove("invert", 5))
 
+    def test_multiply_exponent_checked(self):
+        with pytest.raises(ValueError, match="exponent must be"):
+            NielsenMove("multiply", 0, 1, 2)
+
+    @pytest.mark.parametrize(
+        "move",
+        [NielsenMove("swap", 0, -1), NielsenMove("invert", 3), NielsenMove("swap", 0, 3)],
+        ids=["j=-1", "i=arity", "j=arity"],
+    )
+    def test_index_outside_arity(self, move):
+        # j = -1 would wrap to the last entry, and an index equal to the
+        # arity would fail in list indexing, not in the check
+        with pytest.raises(IndexError, match="outside tuple arity"):
+            apply_nielsen(standard_tuple(2, 3), move)
+
+    def test_random_moves_pinned(self):
+        # every kind and both exponents; only multiply moves draw one
+        assert random_nielsen_moves(random.Random(3), 3, 4) == [
+            NielsenMove("invert", 2),
+            NielsenMove("multiply", 0, 2, -1),
+            NielsenMove("multiply", 2, 0, 1),
+            NielsenMove("swap", 1, 0),
+        ]
+
     def test_each_move_invertible(self):
         rng = random.Random(7)
         t = standard_tuple(3, 5)
@@ -375,6 +403,12 @@ class TestTextFormat:
 def test_unreduced_word_rejected():
     with pytest.raises(ValueError):
         Word(2, (1, -1))
+
+
+def test_rank_one_word_accepted():
+    assert Word(1, (1, 1)).letters == (1, 1)
+    with pytest.raises(ValueError, match="rank must be"):
+        Word(0)
 
 
 def test_standard_tuple_padding():
