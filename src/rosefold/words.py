@@ -6,10 +6,15 @@ so stabilized tuples (entries equal to the identity) are representable.
 
 Text encoding: space-separated tokens ``a3`` / ``a3^-1``; the rank is
 carried separately.  ``1`` is accepted as an alias for the empty word.
+``parse_word`` maps the tokens through one table, the reverse of
+``format_letter``, and checks the letters with C-level passes; only text
+with a token spelled otherwise, or a letter outside the rank, is read
+token by token, which names the first bad token.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -352,7 +357,8 @@ def format_word(word: Word) -> str:
     return " ".join(map(_FORMATTED.__getitem__, word.letters))
 
 
-def parse_letter(token: str, rank: int) -> int:
+def _read_letter(token: str) -> int:
+    """The signed letter that ``token`` spells, checked against no rank."""
     body = token
     sign = 1
     if body.endswith("^-1"):
@@ -360,13 +366,48 @@ def parse_letter(token: str, rank: int) -> int:
         sign = -1
     if not body.startswith("a") or not body[1:].isdigit():
         raise ValueError(f"bad letter token {token!r}")
-    letter = sign * int(body[1:])
+    return sign * int(body[1:])
+
+
+def parse_letter(token: str, rank: int) -> int:
+    letter = _read_letter(token)
     check_letter(letter, rank)
     return letter
 
 
+def _spelled_letter(token: str) -> int:
+    """The letter that ``token`` spells as ``format_letter`` spells it; any
+    other token raises, so the table below never holds it."""
+    letter = _read_letter(token)
+    if not letter or format_letter(letter) != token:
+        raise ValueError(f"{token!r} is not a letter as format_letter spells it")
+    return letter
+
+
+# token -> letter, the reverse of _FORMATTED: it grows with the letters
+# read, never with arbitrary input
+_LETTERS = _Table(_spelled_letter)
+
+
 def parse_word(text: str, rank: int) -> Word:
+    """The freely reduced word that ``text`` spells at ``rank``.  The
+    tokens map through ``_LETTERS``; ``min`` and ``max`` check the rank,
+    and one pass over adjacent letters finds an inverse pair, which
+    ``free_reduce`` cancels.  A token the table does not hold, or a letter
+    outside the rank, sends the text through ``parse_letter`` token by
+    token, which reads other spellings (``a01``) and raises on the first
+    bad token in text order."""
     text = text.strip()
     if text in ("", "1"):
         return empty_word(rank)
-    return free_reduce(rank, tuple(parse_letter(tok, rank) for tok in text.split()))
+    tokens = text.split()
+    try:
+        letters = tuple(map(_LETTERS.__getitem__, tokens))
+        spelled = -rank <= min(letters) and max(letters) <= rank
+    except ValueError:
+        spelled = False
+    if not spelled:
+        letters = tuple(parse_letter(token, rank) for token in tokens)
+    if any(map(operator.eq, letters[1:], map(operator.neg, letters))):
+        return free_reduce(rank, letters)
+    return _unchecked(Word, rank=rank, letters=letters)

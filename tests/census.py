@@ -204,6 +204,16 @@ EQUIVALENT = {
         "return f\"a{letter}\" if letter > 0 else f\"a{-letter}^-1\"",
         "return f\"a{letter}\" if letter >= 0 else f\"a{-letter}^-1\"",
     ): (1, "a letter is never 0"),
+    (
+        "strsearch.py",
+        "_INDEX = _Table(lambda token: 2 * abs(token) - 2 + (token < 0))",
+        "_INDEX = _Table(lambda token: 2 * abs(token) - 2 + (token <= 0))",
+    ): (1, "a letter or edge token is never 0"),
+    (
+        "strsearch.py",
+        "chars.find(t, end) if 0 <= at < end else at",
+        "chars.find(t, end) if 0 <= at <= end else at",
+    ): (1, "an occurrence that starts at end is found again by the find from end, so only the work grows"),
 }
 
 FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Eq: ast.NotEq, ast.NotEq: ast.Eq}

@@ -214,6 +214,11 @@ def random_subgraph(rng: random.Random, g: LabeledGraph) -> Subgraph:
 
 
 def random_cyclically_reduced(rng: random.Random, rank: int, length: int) -> Word:
+    """A random cyclically reduced word of ``length`` that uses every
+    generator, drawn until one does; a word shorter than the rank uses
+    too few, so that length raises instead of drawing forever."""
+    if length < rank:
+        raise ValueError(f"a word of length {length} cannot use all {rank} generators")
     while True:
         w = Word(rank, random_reduced_letters(rng, rank, length))
         if w.is_cyclically_reduced and {abs(l) for l in w.letters} == set(

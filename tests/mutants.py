@@ -327,6 +327,63 @@ MUTANTS = (
         "while hi - lo >= 1:",
         ("tests/test_words.py::TestLeastRotation::test_fixed_cases",),
     ),
+    # strsearch: pinned cases from its census
+    Mutant(
+        "prefix states one letter too long",
+        "strsearch.py",
+        "length.append(length[last] + 1)",
+        "length.append(length[last] + 2)",
+        ("tests/test_strsearch.py::TestLongestRepeated::test_state_lengths_are_longest_paths",),
+    ),
+    Mutant(
+        "disjoint scan stays at a hit at the start",
+        "strsearch.py",
+        "chars.find(t, end) if 0 <= at < end else at",
+        "chars.find(t, end) if 0 < at < end else at",
+        ("tests/test_strsearch.py::TestScansAgainstOracles::test_disjoint_scan_moves_past_a_hit_at_the_start",),
+    ),
+    # word text through the token table: per_token_parse
+    Mutant(
+        "parsed words skip the reducedness test",
+        "words.py",
+        "if any(map(operator.eq, letters[1:], map(operator.neg, letters))):",
+        "if False:",
+        (
+            "tests/test_words.py::TestTextFormat::test_unreduced_text_reduces",
+            "tests/test_words.py::test_parse_matches_per_token_path",
+        ),
+    ),
+    Mutant(
+        "parsed letters checked above the rank only",
+        "words.py",
+        "spelled = -rank <= min(letters) and max(letters) <= rank",
+        "spelled = max(letters) <= rank",
+        (
+            "tests/test_words.py::TestTextFormat::test_negative_letter_outside_rank",
+            "tests/test_words.py::test_parse_matches_per_token_path",
+        ),
+    ),
+    Mutant(
+        "the token table holds letter 0",
+        "words.py",
+        "if not letter or format_letter(letter) != token:",
+        "if format_letter(letter) != token:",
+        ("tests/test_words.py::TestTextFormat::test_letter_zero_rejected[a0^-1]",),
+    ),
+    Mutant(
+        "the token table holds other spellings",
+        "words.py",
+        "if not letter or format_letter(letter) != token:",
+        "if not letter:",
+        ("tests/test_words.py::TestTextFormat::test_other_spellings_read_token_by_token",),
+    ),
+    Mutant(
+        "every word text read token by token",
+        "words.py",
+        "        spelled = -rank <= min(letters) and max(letters) <= rank\n",
+        "        spelled = False\n",
+        ("tests/test_words.py::TestTextFormat::test_spelled_words_skip_the_token_loop",),
+    ),
     # derived presentations: letterwise_build_relators and
     # rolling_hash_piece_report
     Mutant(

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -231,6 +232,45 @@ class TestWordStats:
         env = {**os.environ, "PYTHONPATH": str(src)}
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "[] []"
+
+
+#: The modules every run of ``python -m rosefold`` imports: the package
+#: namespace's and the CLI's own (``__main__.py`` runs as ``__main__``).
+BASE_MODULES = {
+    "rosefold", "rosefold.cli", "rosefold.words", "rosefold.strsearch", "rosefold.graphs",
+    "rosefold.folding", "rosefold.covers", "rosefold.complexity", "rosefold.surgery",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code, extra",
+    [
+        (["fold", "--words", "a1 a2", "a1"], 0, set()),
+        (["verify-covers", "--max-edges", "2", "--max-path-len", "4"], 0, set()),
+        (["word-stats", "--length", "32", "--samples", "2"], 0, {"genericity"}),
+        (["alpha-injectivity", "--length", "16", "--samples", "2", "--max-edges", "2"], 0, {"genericity"}),
+        (["build-presentation", "--length", "12", "--seed", "2"], 0, {"presentations"}),
+        (["sc-check", "--length", "12", "--seed", "2"], 1, {"presentations"}),
+        (["complexity", "--relators", "a1 a2 a1^-1 a2^-1", "--word", "a1 a2", "--depth", "0"], 0, set()),
+        (["reduce", "--relators", "a1 a2 a1^-1 a2^-1", "--word", "a1 a2", "--relator-rotation", "0:1:0:2",
+          "--depth", "0"], 0, set()),
+        (["surgery-demo", "--relator-length", "12"], 0, set()),
+    ],
+    ids=lambda value: value[0] if isinstance(value, list) else None,
+)
+def test_command_loads_only_the_modules_it_runs(argv, code, extra):
+    # ``-X importtime`` names every module a process imports, on stderr;
+    # genericity and presentations load only with their commands
+    src = Path(rosefold.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "rosefold", *argv],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == code, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["config"]
+    loaded = set(re.findall(r"\|\s*(rosefold(?:\.\w+)?)\s*$", proc.stderr, re.M))
+    assert loaded == BASE_MODULES | {f"rosefold.{name}" for name in extra}
 
 
 class TestPresentationCommands:
@@ -583,6 +623,9 @@ class TestInputErrors:
     @pytest.mark.parametrize("value", ["nan", "inf", "-1", "1.5"])
     def test_fraction_outside_unit_interval_rejected_by_parser(self, capsys, command, flag, value):
         self.assert_parser_rejects(capsys, flag, command, flag, value)
+
+    def test_fraction_that_is_no_number_rejected_by_parser(self, capsys):
+        self.assert_parser_rejects(capsys, "'abc' is not a number from 0 to 1", "word-stats", "--epsilon", "abc")
 
     def test_unknown_policy_rejected_by_parser(self, capsys):
         self.assert_parser_rejects(capsys, "--policy", "fold", "--policy", "bogus")

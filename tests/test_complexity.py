@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 from typing import Iterator
@@ -1264,6 +1265,8 @@ class TestReductionMove:
                 word, pattern, replacement, big, [(5 + i0, 1)], th, depth=0
             )
             assert out.relation == "decreased"
+            # the move read backwards raises the pair
+            assert dataclasses.replace(out, before=out.after, after=out.before).relation == "increased"
 
     def test_chain_of_moves_terminates(self, big):
         # iterate moves against planted relator blocks: the complexity

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import candidate_graphs, has_sub_cover, rose
 from test_strsearch import oracle_greedy_disjoint
-from rosefold import strsearch
+from rosefold import genericity, strsearch
 from rosefold.covers import lift_paths, shortest_non_lifting_word
 from rosefold.genericity import (
     SampleConfig,
@@ -20,6 +20,7 @@ from rosefold.genericity import (
     repeated_subwords_at_least,
     wilson_interval,
     word_stats_experiment,
+    word_stats_row,
 )
 from rosefold.graphs import EdgePath
 from rosefold.words import Word, parse_word
@@ -155,6 +156,9 @@ class TestDisjointCoverage:
         with pytest.raises(ValueError):
             disjoint_coverage_bidirectional(w("a1"), Word(2, ()))
 
+    def test_empty_sample_covers_nothing(self):
+        assert disjoint_coverage_bidirectional(Word(2, ()), w("a1")) == 0.0
+
     def test_greedy_equals_brute_force(self):
         rng = random.Random(77)
         for _ in range(300):
@@ -254,6 +258,31 @@ class TestExperiments:
                 assert disjoint_coverage_bidirectional(word, gamma) <= 1.0
                 scanned += 1
         assert scanned > 0
+
+    def test_coverage_scan_matches_brute_force(self, monkeypatch):
+        # no short sample repeats a subword as long as the real bound, so
+        # the coverage scan runs here under a bound lowered to 3
+        monkeypatch.setattr(genericity, "repeat_length_bound", lambda rank, length: 3)
+        cfg = SampleConfig(rank=2, length=24, samples=8, seed=5)
+        scanned = 0
+        for i in range(cfg.samples):
+            word = random_reduced_word(cfg, i)
+            n = len(word)
+            repeats = set()
+            for length in range(3, n + 1):
+                for p in range(n - length + 1):
+                    gamma = word.subword(p, p + length)
+                    forms = (gamma.letters, gamma.inverse().letters)
+                    if sum(word.letters[q : q + length] in forms for q in range(n - length + 1)) >= 2:
+                        repeats.add(gamma)
+            oracle = max(
+                (len(g) * brute_force_max_disjoint(word, g) / n for g in repeats), default=0.0
+            )
+            row = word_stats_row(cfg, 0.05, i)
+            assert row["max_coverage"] == pytest.approx(oracle)
+            assert row["within_eps"] == (oracle <= 0.05)
+            scanned += bool(repeats)
+        assert scanned == cfg.samples
 
     def test_tiny_control_run_well_formed(self):
         cfg = SampleConfig(rank=2, length=16, samples=5, seed=8)

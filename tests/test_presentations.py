@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from typing import Sequence
 
 import pytest
@@ -503,6 +504,18 @@ def random_relators(rng, count: int, lo: int, hi: int) -> list[CyclicWord]:
             word = random_cyclically_reduced(rng, 2, length)
         rels.append(CyclicWord.from_cyclically_reduced(word))
     return rels
+
+
+def test_random_relators_reject_a_length_below_the_rank():
+    # a one-letter word never uses both generators: the draw raises
+    # instead of retrying forever
+    rng = random.Random(5)
+    assert len(random_cyclically_reduced(rng, 2, 2)) == 2
+    for rank, length in [(2, 1), (3, 2), (1, 0)]:
+        with pytest.raises(ValueError, match=f"length {length} cannot use all {rank} generators"):
+            random_cyclically_reduced(rng, rank, length)
+    with pytest.raises(ValueError, match="cannot use all 2 generators"):
+        random_relators(rng, 10, 1, 2)
 
 
 class TestOnePassPieces:

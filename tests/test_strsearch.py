@@ -8,6 +8,7 @@ words, graphs, the fold heap and the cover masks share."""
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,9 @@ from rosefold import strsearch
 from rosefold.folding import fold_all
 from rosefold.graphs import LabeledGraph, _Quotient
 from rosefold.words import free_reduce, random_reduced_letters
+
+# a scan that no longer ends fails its test (``conftest.time_limit``)
+pytestmark = pytest.mark.usefixtures("time_limit")
 
 
 def inverse(seq: tuple[int, ...]) -> tuple[int, ...]:
@@ -116,6 +120,12 @@ def texts_and_patterns(draw):
 
 
 class TestScansAgainstOracles:
+    def test_disjoint_scan_moves_past_a_hit_at_the_start(self):
+        # first, so that a scan that stays at position 0 fails here under
+        # the time limit, before the hypothesis test hangs in its replays
+        text, pattern = (1, 2, 1, 2, -2, -1), (1, 2)
+        assert strsearch.greedy_disjoint(text, pattern) == [(0, 1), (2, 1), (4, -1)]
+
     @given(texts_and_patterns(), st.booleans())
     @settings(max_examples=400, deadline=None)
     def test_both_scans_match_window_compare(self, case, include_inverses):
@@ -190,6 +200,9 @@ class TestStreamingMatch:
                 common = brute_common_length(chars, strsearch.inverse_chars(chars))
                 assert with_inv == max(plain, common)
 
+    def test_repeat_lengths_of_the_empty_text(self):
+        assert strsearch.repeat_lengths("") == (0, 0)
+
 
 def occurrence_count_longest_repeated(text: str) -> int:
     """The longest repeat read off end-position counts, as the automaton
@@ -219,6 +232,25 @@ class TestLongestRepeated:
         for text in texts:
             sam = strsearch.SuffixAutomaton(text)
             assert sam.longest_repeated() == occurrence_count_longest_repeated(text), text
+
+    def test_state_lengths_are_longest_paths(self):
+        # a state's length is that of the longest string leading to it
+        # from the root, which a walk in increasing length order reads
+        rng = random.Random(43)
+        texts = [text for case in match_cases() for text in case]
+        texts += [
+            strsearch.letters_to_chars(random_reduced_letters(rng, rank, length))
+            for rank in (1, 2, 3)
+            for length in (1, 2, 3, 17, 64, 300)
+        ]
+        for text in texts:
+            sam = strsearch.SuffixAutomaton(text)
+            longest = [0] + [-1] * (len(sam.length) - 1)
+            for v in sorted(range(len(sam.length)), key=sam.length.__getitem__):
+                for target in sam.next[v]:
+                    if target:
+                        longest[target] = max(longest[target], longest[v] + 1)
+            assert longest == sam.length, text
 
     def test_bytes_per_state(self):
         # one list of a slot per distinct character per state, not a dict:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import letter_key
-from rosefold import strsearch
+from rosefold import strsearch, words
 from rosefold.presentations import sample_presentation
 from rosefold.words import (
     CyclicWord,
@@ -20,7 +20,9 @@ from rosefold.words import (
     empty_word,
     format_word,
     _least_rotation,
+    format_letter,
     free_reduce,
+    parse_letter,
     parse_word,
     random_nielsen_moves,
     random_reduced_letters,
@@ -398,6 +400,97 @@ class TestTextFormat:
     def test_bad_token(self):
         with pytest.raises(ValueError):
             parse_word("b2", 2)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a3 b2", "letter 3 outside rank-2 alphabet"),
+            ("b2 a3", "bad letter token 'b2'"),
+            ("a1 a2^-1 a3^-1 a4", "letter -3 outside rank-2 alphabet"),
+        ],
+    )
+    def test_first_bad_token_named(self, text, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_word(text, 2)
+
+    def test_unreduced_text_reduces(self):
+        assert parse_word("a1 a2 a2^-1", 2) == Word(2, (1,))
+        assert parse_word("a2^-1 a1 a1^-1 a2", 2) == empty_word(2)
+
+    def test_negative_letter_outside_rank(self):
+        with pytest.raises(ValueError, match="^letter -3 outside rank-2 alphabet$"):
+            parse_word("a3^-1", 2)
+
+    @pytest.mark.parametrize("text", ["a0", "a0^-1", "a1 a00"], ids=["a0", "a0^-1", "a00"])
+    def test_letter_zero_rejected(self, text):
+        with pytest.raises(ValueError, match="^letter 0 outside rank-2 alphabet$"):
+            parse_word(text, 2)
+
+    def test_other_spellings_read_token_by_token(self):
+        # int() reads a leading zero, so the token grammar does; the table
+        # holds only the spelling format_letter gives
+        assert parse_word("a01 a002^-1", 2).letters == (1, -2)
+        assert "a01" not in words._LETTERS and "a002^-1" not in words._LETTERS
+        assert all(format_letter(letter) == token for token, letter in words._LETTERS.items())
+
+    def test_spelled_words_skip_the_token_loop(self, monkeypatch):
+        # letters at both ends of the rank, reduced or not, never reach
+        # the per-token path
+        def forbidden(token, rank):
+            raise AssertionError(f"{token!r} read token by token")
+
+        monkeypatch.setattr(words, "parse_letter", forbidden)
+        assert parse_word("a2 a1^-1 a2^-1 a1", 2).letters == (2, -1, -2, 1)
+        assert parse_word("a1 a2 a2^-1 a1", 2).letters == (1, 1)
+
+
+def per_token_parse(text: str, rank: int) -> Word:
+    """``parse_word`` as one ``parse_letter`` call per token and a free
+    reduction: the slow path the table lookup must agree with."""
+    text = text.strip()
+    if text in ("", "1"):
+        return empty_word(rank)
+    return free_reduce(rank, tuple(parse_letter(token, rank) for token in text.split()))
+
+
+def outcome(parse, text: str, rank: int):
+    try:
+        return parse(text, rank)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def random_word_text(rng: random.Random, rank: int) -> str:
+    """Word text at ``rank`` with, now and then, the inverse of the last
+    letter, a letter outside the rank, letter 0, a leading zero or a
+    malformed token, between runs of blanks."""
+    odd = ["a0", "a0^-1", "a01", "a002^-1", "b1", "a", "a^-1", "a1^-2", "a-1", "1",
+           "A1", "a1^-1^-1", "a\u00b2", "a\u0661", "a1a2", "^-1"]
+    tokens: list[str] = []
+    last = 0
+    for _ in range(rng.randrange(13)):
+        roll = rng.random()
+        if roll < 0.1:
+            tokens.append(rng.choice(odd))
+            continue
+        if roll < 0.2:
+            letter = rng.choice((1, -1)) * rng.randrange(rank + 1, rank + 4)
+        elif roll < 0.4 and last:
+            letter = -last
+        else:
+            letter = rng.choice((1, -1)) * rng.randrange(1, rank + 1)
+        tokens.append(format_letter(letter))
+        last = letter
+    gaps = [rng.choice((" ", "  ", "\t", "\n ")) for _ in range(len(tokens) + 1)]
+    return gaps[0] + "".join(t + g for t, g in zip(tokens, gaps[1:]))
+
+
+def test_parse_matches_per_token_path():
+    rng = random.Random(46)
+    for _ in range(3000):
+        rank = rng.randrange(1, 5)
+        text = random_word_text(rng, rank)
+        assert outcome(parse_word, text, rank) == outcome(per_token_parse, text, rank), (text, rank)
 
 
 def test_unreduced_word_rejected():
